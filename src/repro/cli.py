@@ -293,12 +293,7 @@ def _cmd_macrobench(args: argparse.Namespace) -> int:
         except (OSError, ValueError):
             existing = None
     doc = merge_sweep_bench(existing, new_doc["benches"][0], quick=args.quick)
-    validate_macro_doc(
-        doc,
-        min_speedup=args.min_speedup,
-        min_store_hit_ratio=args.min_store_hit_ratio,
-        min_artifact_hit_ratio=args.min_artifact_hit_ratio,
-    )
+    validate_macro_doc(doc, min_speedup=args.min_speedup)
     write_bench_json(doc, args.output)
     print(format_macro_table(doc))
     print(f"\nwrote {args.output}", file=sys.stderr)
@@ -502,19 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
     macro.add_argument("--min-speedup", type=float, default=None,
                        help="fail unless parallel/sequential speedup reaches "
                             "this (the CI gate on multi-core runners)")
-    macro.add_argument("--min-store-hit-ratio", type=float, default=None,
-                       help="fail unless the parallel arm's frame-store hits "
-                            "reach this fraction of the sequential arm's "
-                            "(render-once parity; no cpu-count waiver)")
-    macro.add_argument("--min-artifact-hit-ratio", type=float, default=None,
-                       help="fail unless the parallel arm's artifact-store "
-                            "hits reach this fraction of the sequential "
-                            "arm's (build-once parity; no cpu-count waiver)")
     macro.add_argument("--frame-store-mb", type=int, default=128,
-                       help="MiB budget for the shared frame store "
+                       help="MiB budget for each process's frame store "
                             "(0 disables it for the whole macro-bench)")
     macro.add_argument("--artifact-store-mb", type=int, default=384,
-                       help="MiB budget for the shared pyramid/gradient "
+                       help="MiB budget for each process's pyramid/gradient "
                             "artifact store (0 disables it for the whole "
                             "macro-bench); warmed artifacts are ~3x a raw "
                             "frame, so size it above --frame-store-mb")

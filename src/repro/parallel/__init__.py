@@ -15,7 +15,12 @@ Typical use::
     results = sweep.results        # dict[str, MethodResult]
 """
 
-from repro.parallel.costs import estimate_shard_cost, method_family, order_shards
+from repro.parallel.costs import (
+    clip_units,
+    estimate_shard_cost,
+    method_family,
+    order_shards,
+)
 from repro.parallel.engine import (
     ProgressCallback,
     SweepEngine,
@@ -29,7 +34,6 @@ from repro.parallel.specs import (
     ShardFailure,
     ShardResult,
     ShardSpec,
-    StoreConfig,
     validate_store_budgets,
 )
 
@@ -40,9 +44,9 @@ __all__ = [
     "ShardFailure",
     "ShardResult",
     "ShardSpec",
-    "StoreConfig",
     "SweepEngine",
     "SweepResult",
+    "clip_units",
     "estimate_shard_cost",
     "method_family",
     "order_shards",

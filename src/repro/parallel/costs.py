@@ -1,13 +1,16 @@
-"""Shard cost estimation for work-stealing sweep scheduling.
+"""Shard cost estimation and clip-affine work units for sweep scheduling.
 
-The old engine submitted shards in static grid order, so pool wall time
-was gated by whichever worker happened to draw the expensive cells: an
-``adavp`` shard costs ~30x a ``no-tracking`` shard on the same clip, and
-grid order clusters the cheap cells at the end.  The scheduler instead
-orders shards longest-first (LPT) and feeds idle workers from a shared
-queue, which is the classic 4/3-approximation to optimal makespan — good
-enough here because shard costs span two orders of magnitude and LPT's
-worst cases need adversarial near-equal costs.
+The pool's unit of work is one *clip*: every (method, clip) cell of a
+clip runs on one worker, in turn, so that worker's private frame and
+artifact stores render each frame and build each pyramid once for all
+the clip's method arms — no cross-process store is needed for that
+reuse.  Units are ordered longest-first (LPT) by their summed cell cost
+and fed to idle workers from a shared queue, the classic
+4/3-approximation to optimal makespan.  When a sweep has fewer clips
+than workers, the costliest unit is split in half (cells dealt
+alternately from its longest-first order, so the halves cost about the
+same) until every worker has a unit; the split is derived from the
+inputs, so it adds no knob.
 
 Costs are *relative*, not wall-clock predictions: scheduling only needs
 ranks.  A shard's cost is ``frames x per-frame method cost``, where the
@@ -77,7 +80,7 @@ def estimate_shard_cost(spec: "ShardSpec") -> float:
 
 
 def order_shards(specs: "list[ShardSpec]") -> "deque[ShardSpec]":
-    """Longest-processing-time-first queue for idle-worker pull.
+    """Cells in longest-processing-time-first order.
 
     Ties break on grid index so the order is deterministic; determinism
     here is about reproducible *scheduling* only — the reducer reassembles
@@ -85,4 +88,33 @@ def order_shards(specs: "list[ShardSpec]") -> "deque[ShardSpec]":
     """
     return deque(
         sorted(specs, key=lambda s: (-estimate_shard_cost(s), s.index))
+    )
+
+
+def _unit_cost(unit: "list[ShardSpec]") -> float:
+    return sum(estimate_shard_cost(spec) for spec in unit)
+
+
+def clip_units(specs: "list[ShardSpec]", jobs: int) -> "deque[list[ShardSpec]]":
+    """A sweep's cells grouped into per-clip work units, longest first.
+
+    Each unit holds one clip's cells in grid order.  While there are
+    fewer units than ``jobs``, the costliest unit with two or more cells
+    is split in two — its cells dealt alternately from longest-first
+    order, so the halves cost about the same — and even a one-clip
+    sweep reaches every worker.  Ties break on the lowest grid index, so
+    the order is deterministic.
+    """
+    by_clip: dict[int, list[ShardSpec]] = {}
+    for spec in specs:
+        by_clip.setdefault(spec.clip_index, []).append(spec)
+    units = list(by_clip.values())
+    while len(units) < jobs:
+        largest = max(range(len(units)), key=lambda i: _unit_cost(units[i]))
+        if len(units[largest]) < 2:
+            break
+        ordered = list(order_shards(units.pop(largest)))
+        units += [ordered[0::2], ordered[1::2]]
+    return deque(
+        sorted(units, key=lambda unit: (-_unit_cost(unit), min(s.index for s in unit)))
     )

@@ -9,12 +9,16 @@ in deterministic grid order — a parallel sweep produces bit-identical
 :class:`~repro.experiments.runners.MethodResult` objects to a sequential
 one, because every shard is a pure function of its spec.
 
-Failure policy: a shard that raises (or whose worker dies) is retried
-once on a healthy pool; a shard that fails every attempt is reported in
+Scheduling: the pool's unit of work is one clip — a worker runs every
+cell of its clip in turn, so its private frame and artifact stores serve
+all of the clip's method arms (see :func:`~repro.parallel.costs.clip_units`).
+
+Failure policy: a shard that raises is retried once, alone; a worker
+death fails (and retries) every cell of the unit it was running, on a
+rebuilt pool.  A shard that fails every attempt is reported in
 :attr:`SweepResult.failures` and its cell is skipped — one bad cell never
 sinks the sweep.  A hard worker death (``BrokenProcessPool``) poisons
-every in-flight future, so collateral shards may burn a retry attempt;
-the pool is rebuilt before resubmission.
+every in-flight future, so collateral units may burn a retry attempt.
 
 Telemetry: workers cannot share the parent's sink, so each shard records
 into its own in-memory telemetry and ships the finished spans plus a
@@ -38,14 +42,13 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.config import PipelineConfig
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.parallel.costs import order_shards
+from repro.parallel.costs import clip_units
 from repro.parallel.specs import (
     ClipSpec,
     MethodSpec,
     ShardFailure,
     ShardResult,
     ShardSpec,
-    StoreConfig,
     validate_store_budgets,
 )
 from repro.video.dataset import VideoClip, VideoSuite
@@ -60,55 +63,6 @@ ProgressCallback = Callable[[int, int, ShardResult], None]
 _WORKER_CLIP_CAPACITY = 8
 
 _worker_clips: OrderedDict[ClipSpec, VideoClip] = OrderedDict()
-
-# The store config this worker last applied.  Specs arrive one shard at
-# a time but carry the same config across a sweep, so comparing against
-# the last applied one makes "configure once per worker" hold without
-# any extra control channel.
-_worker_store_config: StoreConfig | None = None
-_worker_artifact_config: StoreConfig | None = None
-
-
-def _apply_store_config(cfg: StoreConfig | None) -> None:
-    """Idempotently set up this worker's frame store from the shard spec.
-
-    ``"shared"`` attaches the parent's cross-process store and installs
-    it as the process-wide store; ``"private"`` budgets the in-process
-    store (the pre-shared-memory behaviour); ``None`` uninstalls any
-    shared overlay but leaves the private budget alone — a sweep with no
-    opinion must not evict what a previous sweep paid for.
-    """
-    global _worker_store_config
-    if cfg == _worker_store_config:
-        return
-    from repro.video import framestore
-
-    if cfg is None:
-        framestore.install_store(None)
-    elif cfg.mode == "shared":
-        framestore.install_store(framestore.SharedFrameStore.attach(cfg.token))
-    else:
-        framestore.install_store(None)
-        framestore.configure_default(cfg.budget_bytes)
-    _worker_store_config = cfg
-
-
-def _apply_artifact_config(cfg: StoreConfig | None) -> None:
-    """Same idempotent contract as :func:`_apply_store_config`, one layer
-    up: this worker's derived-artifact store (pyramids + gradients)."""
-    global _worker_artifact_config
-    if cfg == _worker_artifact_config:
-        return
-    from repro.vision import artifact_store
-
-    if cfg is None:
-        artifact_store.install_store(None)
-    elif cfg.mode == "shared":
-        artifact_store.install_store(artifact_store.attach_shared(cfg.token))
-    else:
-        artifact_store.install_store(None)
-        artifact_store.configure_default(cfg.budget_bytes)
-    _worker_artifact_config = cfg
 
 
 def _clip_for(spec: ClipSpec) -> VideoClip:
@@ -131,11 +85,11 @@ def run_shard(
 ) -> ShardResult:
     """Execute one (method, clip) cell; never raises.
 
-    This is the worker entry point (spawn-safe: it is a module-level
-    function and ``spec`` is plain picklable data).  The inline ``jobs=1``
-    path calls it too, passing the caller's live ``clip`` and telemetry so
-    sequential sweeps share renderer caches and sinks exactly like the
-    pre-engine code did.  Any exception is captured into
+    Workers call it once per cell of a unit (see :func:`run_unit`; it is
+    a module-level function and ``spec`` is plain picklable data, so it
+    is spawn-safe).  The inline ``jobs=1`` path calls it too, passing the
+    caller's live ``clip`` and telemetry so sequential sweeps share
+    renderer caches and sinks exactly like the pre-engine code did.  Any exception is captured into
     :attr:`ShardResult.error` — failure isolation happens here, on the
     worker side, so a crashing pipeline reports instead of killing the
     pool.
@@ -165,10 +119,9 @@ def run_shard(
 
             telemetry = Telemetry(InMemorySink())
         if clip is None:
-            # Pool path: this process is a worker.  Set up the stores
-            # before building the clip so the renderer resolves them.
-            _apply_store_config(spec.store)
-            _apply_artifact_config(spec.artifact_store)
+            # Pool path: this process is a worker.  Budget its private
+            # stores from the spec; an unchanged budget evicts nothing.
+            _budget_stores(spec.clip.frame_store_mb, spec.clip.artifact_store_mb)
             clip = _clip_for(spec.clip)
         from repro.vision import pyramid_cache as pyramid_cache_mod
         from repro.vision.artifact_store import default_store as default_artifact_store
@@ -207,26 +160,13 @@ def run_shard(
         stats1 = store.stats()
         result.store_hits = stats1["hits"] - stats0["hits"]
         result.store_misses = stats1["misses"] - stats0["misses"]
-        result.store_lease_waits = stats1["lease_waits"] - stats0["lease_waits"]
-        if getattr(store, "owner", True):
-            # Shared-store workers skip this: their eviction counters are
-            # fleet-wide (the parent performs the evictions), so summing
-            # per-shard deltas across workers would double-count.  The
-            # engine adds the owner-side delta once instead.
-            result.store_evicted_bytes = (
-                stats1["evicted_bytes"] - stats0["evicted_bytes"]
-            )
+        result.store_evicted_bytes = stats1["evicted_bytes"] - stats0["evicted_bytes"]
         artifact_stats1 = artifact_store.stats()
         result.artifact_hits = artifact_stats1["hits"] - artifact_stats0["hits"]
         result.artifact_misses = artifact_stats1["misses"] - artifact_stats0["misses"]
-        result.artifact_lease_waits = (
-            artifact_stats1["lease_waits"] - artifact_stats0["lease_waits"]
+        result.artifact_evicted_bytes = (
+            artifact_stats1["evicted_bytes"] - artifact_stats0["evicted_bytes"]
         )
-        if artifact_store.owner:
-            # Same owner-only rule as the frame store above.
-            result.artifact_evicted_bytes = (
-                artifact_stats1["evicted_bytes"] - artifact_stats0["evicted_bytes"]
-            )
         pyramid1 = pyramid_cache_mod.counters_snapshot()
         result.pyramid_hits = pyramid1["hits"] - pyramid0["hits"]
         result.pyramid_misses = pyramid1["misses"] - pyramid0["misses"]
@@ -245,6 +185,51 @@ def run_shard(
         result.error = traceback.format_exc()
     result.elapsed_s = time.perf_counter() - start
     return result
+
+
+def _budget_stores(frame_store_mb: int | None, artifact_store_mb: int | None) -> None:
+    """Budget this process's frame and artifact stores (``None``: leave alone)."""
+    from repro.video import framestore
+    from repro.vision import artifact_store
+
+    for mb, configure in (
+        (frame_store_mb, framestore.configure_default),
+        (artifact_store_mb, artifact_store.configure_default),
+    ):
+        if mb is not None:
+            configure(mb * framestore.BYTES_PER_MB)
+
+
+def _failed_result(spec: ShardSpec, error: str) -> ShardResult:
+    return ShardResult(
+        index=spec.index,
+        method=spec.method.name,
+        clip_name=spec.clip.name,
+        clip_index=spec.clip_index,
+        attempt=spec.attempt,
+        error=error,
+    )
+
+
+def _run_cell(
+    shard_runner: Callable[..., ShardResult], spec: ShardSpec, **kwargs: Any
+) -> ShardResult:
+    """One cell through ``shard_runner``; a raising runner becomes a failure.
+
+    :func:`run_shard` captures its own exceptions; a custom runner that
+    raises gets the same isolation.
+    """
+    try:
+        return shard_runner(spec, **kwargs)
+    except Exception:
+        return _failed_result(spec, traceback.format_exc())
+
+
+def run_unit(
+    shard_runner: Callable[..., ShardResult], unit: list[ShardSpec]
+) -> list[ShardResult]:
+    """Worker entry point: run one work unit's cells in turn, one result each."""
+    return [_run_cell(shard_runner, spec) for spec in unit]
 
 
 @dataclass
@@ -268,18 +253,16 @@ class SweepResult:
     store_hits: int = 0
     store_misses: int = 0
     store_evicted_bytes: int = 0
-    store_lease_waits: int = 0
     artifact_hits: int = 0
     artifact_misses: int = 0
     artifact_evicted_bytes: int = 0
-    artifact_lease_waits: int = 0
     pyramid_hits: int = 0
     pyramid_misses: int = 0
     pyramid_evictions: int = 0
-    # Which store backed the sweep: "shared" (cross-process segments),
-    # "private" (per-process LRU), or "none" (store unconfigured).
+    # Whether a budgeted frame store backed the sweep: "private" (each
+    # process's own LRU) or "none" (unconfigured or budget 0).
     store_mode: str = "none"
-    # Same trichotomy for the derived-artifact store.
+    # Same for the derived-artifact store.
     artifact_store_mode: str = "none"
 
     @property
@@ -335,13 +318,6 @@ class SweepEngine:
         self.jobs = jobs
         self.retries = retries
         self._pool: ProcessPoolExecutor | None = None
-        # Cross-process store this engine owns (created lazily on the
-        # first store-enabled jobs>1 sweep, kept warm across runs so a
-        # macro-bench repeat starts with the same hot store a sequential
-        # repeat enjoys from the process-wide private store).
-        self._shared_store: Any = None
-        # Likewise for the cross-process derived-artifact store.
-        self._shared_artifact_store: Any = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -355,33 +331,6 @@ class SweepEngine:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        if self._shared_store is not None:
-            # After the pool: workers must be gone before segment names
-            # are unlinked (their live mappings survive regardless, but a
-            # mid-shard attach of a just-unlinked name would fail).
-            self._shared_store.close()
-            self._shared_store = None
-        if self._shared_artifact_store is not None:
-            self._shared_artifact_store.close()
-            self._shared_artifact_store = None
-
-    def _ensure_shared_store(self, budget_bytes: int) -> Any:
-        from repro.video.framestore import SharedFrameStore
-
-        if self._shared_store is None:
-            self._shared_store = SharedFrameStore.create(budget_bytes)
-        elif self._shared_store.max_bytes != budget_bytes:
-            self._shared_store.set_budget(budget_bytes)
-        return self._shared_store
-
-    def _ensure_shared_artifact_store(self, budget_bytes: int) -> Any:
-        from repro.vision.artifact_store import create_shared
-
-        if self._shared_artifact_store is None:
-            self._shared_artifact_store = create_shared(budget_bytes)
-        elif self._shared_artifact_store.max_bytes != budget_bytes:
-            self._shared_artifact_store.set_budget(budget_bytes)
-        return self._shared_artifact_store
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -456,9 +405,11 @@ class SweepEngine:
         # because the budget comes from one config, but the invariant is
         # what callers composing specs by hand rely on).
         store_mb = validate_store_budgets(clip_specs)
-        store_cfg, store_mode = self._prepare_store(store_mb)
         artifact_mb = validate_store_budgets(clip_specs, attr="artifact_store_mb")
-        artifact_cfg, artifact_mode = self._prepare_artifact_store(artifact_mb)
+        # The inline path renders through the caller's clips, whose
+        # renderers resolve this process's stores at render time; pool
+        # workers budget their own from the same ClipSpec fields.
+        _budget_stores(store_mb, artifact_mb)
         collect_obs = obs is not None and self.jobs > 1
         shards = [
             ShardSpec(
@@ -472,24 +423,12 @@ class SweepEngine:
                 iou_threshold=iou_threshold,
                 keep_run=keep_runs,
                 collect_obs=collect_obs,
-                store=store_cfg,
-                artifact_store=artifact_cfg,
             )
             for mi, name in enumerate(methods)
             for ci in range(len(clip_specs))
         ]
 
         start = time.perf_counter()
-        owner_evicted0 = (
-            self._shared_store.stats()["evicted_bytes"]
-            if self._shared_store is not None
-            else 0
-        )
-        owner_artifact_evicted0 = (
-            self._shared_artifact_store.stats()["evicted_bytes"]
-            if self._shared_artifact_store is not None
-            else 0
-        )
         if self.jobs == 1:
             settled = self._execute_inline(
                 shards, suite, obs, progress, shard_runner
@@ -499,84 +438,11 @@ class SweepEngine:
         result = self._reduce(methods, suite, settled, obs)
         result.jobs = self.jobs
         result.total_shards = len(shards)
-        result.store_mode = store_mode
-        result.artifact_store_mode = artifact_mode
-        if self._shared_store is not None:
-            # Evictions happen owner-side only; add the delta once here
-            # rather than once per shard (see run_shard).
-            result.store_evicted_bytes += (
-                self._shared_store.stats()["evicted_bytes"] - owner_evicted0
-            )
-        if self._shared_artifact_store is not None:
-            result.artifact_evicted_bytes += (
-                self._shared_artifact_store.stats()["evicted_bytes"]
-                - owner_artifact_evicted0
-            )
+        result.store_mode = "private" if store_mb else "none"
+        result.artifact_store_mode = "private" if artifact_mb else "none"
         result.elapsed_s = time.perf_counter() - start
         self._record_engine_metrics(obs, result)
         return result
-
-    def _prepare_store(
-        self, store_mb: int | None
-    ) -> tuple[StoreConfig | None, str]:
-        """Set up the sweep's frame store; returns (worker config, mode).
-
-        The parent's process-wide store is budgeted either way — the
-        inline ``jobs=1`` path renders through the caller's clips, whose
-        renderers resolve it at render time.  Pool sweeps additionally
-        get a worker-side config: cross-process shared segments where the
-        platform supports them, per-worker private stores otherwise.
-        """
-        from repro.video.framestore import (
-            BYTES_PER_MB,
-            configure_default,
-            shared_store_available,
-        )
-
-        if store_mb is None:
-            return None, "none"
-        budget = store_mb * BYTES_PER_MB
-        configure_default(budget)
-        if budget == 0:
-            # An explicit zero budget disables the store everywhere; no
-            # point shipping workers a config for a store that stores
-            # nothing.
-            return None, "none"
-        if self.jobs == 1:
-            return None, "private"
-        if shared_store_available():
-            store = self._ensure_shared_store(budget)
-            return (
-                StoreConfig(mode="shared", budget_bytes=budget, token=store.token),
-                "shared",
-            )
-        return StoreConfig(mode="private", budget_bytes=budget), "private"
-
-    def _prepare_artifact_store(
-        self, store_mb: int | None
-    ) -> tuple[StoreConfig | None, str]:
-        """Same contract as :meth:`_prepare_store`, for the derived-artifact
-        store: budget the parent's process-wide store either way, and give
-        pool sweeps a worker-side config (shared segments where available,
-        per-worker private stores otherwise)."""
-        from repro.video.framestore import BYTES_PER_MB, shared_store_available
-        from repro.vision.artifact_store import configure_default
-
-        if store_mb is None:
-            return None, "none"
-        budget = store_mb * BYTES_PER_MB
-        configure_default(budget)
-        if budget == 0:
-            return None, "none"
-        if self.jobs == 1:
-            return None, "private"
-        if shared_store_available():
-            store = self._ensure_shared_artifact_store(budget)
-            return (
-                StoreConfig(mode="shared", budget_bytes=budget, token=store.token),
-                "shared",
-            )
-        return StoreConfig(mode="private", budget_bytes=budget), "private"
 
     def _execute_inline(
         self,
@@ -589,12 +455,9 @@ class SweepEngine:
         """Sequential path: grid order, caller's clips, parent telemetry."""
 
         def attempt(spec: ShardSpec) -> ShardResult:
-            # run_shard captures its own exceptions; a custom runner that
-            # raises gets the same isolation the pool path provides.
-            try:
-                return shard_runner(spec, clip=suite.clips[spec.clip_index], obs=obs)
-            except Exception:
-                return self._engine_side_failure(spec, traceback.format_exc())
+            return _run_cell(
+                shard_runner, spec, clip=suite.clips[spec.clip_index], obs=obs
+            )
 
         settled: dict[int, ShardResult] = {}
         for spec in shards:
@@ -613,22 +476,22 @@ class SweepEngine:
         progress: ProgressCallback | None,
         shard_runner: Callable[[ShardSpec], ShardResult],
     ) -> dict[int, ShardResult]:
-        """Fan shards out over the pool; retry failures once each.
+        """Fan clip units out over the pool; retry failed cells once each.
 
-        Scheduling is longest-first with idle-worker pull: shards are
-        ordered by estimated cost (LPT) and at most ``jobs + 1`` are
-        in flight, so a worker that finishes early steals the next
-        longest remaining shard instead of sitting idle while a
-        statically assigned batch drains — the old clip-major submission
-        let one expensive method gate the whole sweep.  Completion order
-        does not matter because reduction is by grid index.
+        Units are ordered longest-first (:func:`clip_units`) and at most
+        ``jobs + 1`` are in flight, so a worker that finishes early pulls
+        the next longest remaining unit instead of sitting idle.  A cell
+        that fails is retried alone; a dead worker fails every cell of
+        its unit, and those that have attempts left rerun as one unit.
+        Completion order does not matter because reduction is by grid
+        index.
         """
         settled: dict[int, ShardResult] = {}
-        queue = order_shards(shards)
-        inflight: dict[Any, ShardSpec] = {}
+        queue = clip_units(shards, self.jobs)
+        inflight: dict[Any, list[ShardSpec]] = {}
         stalled_rebuilds = 0
         # One spare beyond the worker count: a freed worker immediately
-        # picks up the single executor-queued shard, and the top-up below
+        # picks up the single executor-queued unit, and the top-up below
         # replaces it — cost-aware work stealing without touching the
         # executor's internals.
         max_inflight = self.jobs + 1
@@ -637,45 +500,41 @@ class SweepEngine:
             pool_broken = False
             try:
                 while queue and len(inflight) < max_inflight:
-                    spec = queue.popleft()
-                    inflight[pool.submit(shard_runner, spec)] = spec
+                    unit = queue.popleft()
+                    inflight[pool.submit(run_unit, shard_runner, unit)] = unit
             except BrokenProcessPool:
-                # The pool died before this spec even ran; requeue it
+                # The pool died before this unit even ran; requeue it
                 # as-is (no attempt burned — the task is blameless).
-                queue.appendleft(spec)
+                queue.appendleft(unit)
                 pool_broken = True
             if inflight:
                 done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                 stalled_rebuilds = 0
                 for future in done:
-                    spec = inflight.pop(future)
+                    unit = inflight.pop(future)
                     try:
-                        result = future.result()
+                        results = future.result()
                     except BrokenProcessPool:
                         pool_broken = True
-                        result = self._engine_side_failure(
-                            spec, "worker process died"
-                        )
+                        results = [
+                            _failed_result(spec, "worker process died") for spec in unit
+                        ]
                     except Exception:
-                        result = self._engine_side_failure(
-                            spec, traceback.format_exc()
-                        )
-                    if result.error is not None and spec.attempt < self.retries:
-                        # Retry at the queue head: the shard already
-                        # proved expensive enough to fail late, and a
-                        # retry finishing last would gate the sweep.
-                        queue.appendleft(replace(spec, attempt=spec.attempt + 1))
-                        continue
-                    settled[spec.index] = result
-                    if progress is not None:
-                        progress(len(settled), len(shards), result)
-                if self._shared_store is not None:
-                    # Owner-side reclamation between completions: workers
-                    # only read and insert, so this is the one place
-                    # over-budget segments get unlinked.
-                    self._shared_store.reclaim()
-                if self._shared_artifact_store is not None:
-                    self._shared_artifact_store.reclaim()
+                        error = traceback.format_exc()
+                        results = [_failed_result(spec, error) for spec in unit]
+                    retry = []
+                    for spec, result in zip(unit, results):
+                        if result.error is not None and spec.attempt < self.retries:
+                            retry.append(replace(spec, attempt=spec.attempt + 1))
+                            continue
+                        settled[spec.index] = result
+                        if progress is not None:
+                            progress(len(settled), len(shards), result)
+                    if retry:
+                        # Retry at the queue head: the cells already proved
+                        # expensive enough to fail late, and a retry
+                        # finishing last would gate the sweep.
+                        queue.appendleft(retry)
             else:
                 stalled_rebuilds += 1
                 if stalled_rebuilds > 5:
@@ -686,17 +545,6 @@ class SweepEngine:
             if pool_broken:
                 self._reset_pool()
         return settled
-
-    @staticmethod
-    def _engine_side_failure(spec: ShardSpec, error: str) -> ShardResult:
-        return ShardResult(
-            index=spec.index,
-            method=spec.method.name,
-            clip_name=spec.clip.name,
-            clip_index=spec.clip_index,
-            attempt=spec.attempt,
-            error=error,
-        )
 
     def _reduce(
         self,
@@ -737,11 +585,9 @@ class SweepEngine:
                 out.store_hits += shard.store_hits
                 out.store_misses += shard.store_misses
                 out.store_evicted_bytes += shard.store_evicted_bytes
-                out.store_lease_waits += shard.store_lease_waits
                 out.artifact_hits += shard.artifact_hits
                 out.artifact_misses += shard.artifact_misses
                 out.artifact_evicted_bytes += shard.artifact_evicted_bytes
-                out.artifact_lease_waits += shard.artifact_lease_waits
                 out.pyramid_hits += shard.pyramid_hits
                 out.pyramid_misses += shard.pyramid_misses
                 out.pyramid_evictions += shard.pyramid_evictions
@@ -767,11 +613,9 @@ class SweepEngine:
         obs.counter("sweep.store_hits").inc(result.store_hits)
         obs.counter("sweep.store_misses").inc(result.store_misses)
         obs.counter("sweep.store_evicted_bytes").inc(result.store_evicted_bytes)
-        obs.counter("sweep.store_lease_waits").inc(result.store_lease_waits)
         obs.counter("sweep.artifact_hits").inc(result.artifact_hits)
         obs.counter("sweep.artifact_misses").inc(result.artifact_misses)
         obs.counter("sweep.artifact_evicted_bytes").inc(result.artifact_evicted_bytes)
-        obs.counter("sweep.artifact_lease_waits").inc(result.artifact_lease_waits)
         obs.counter("sweep.pyramid_hits").inc(result.pyramid_hits)
         obs.counter("sweep.pyramid_misses").inc(result.pyramid_misses)
         obs.counter("sweep.pyramid_evictions").inc(result.pyramid_evictions)

@@ -20,7 +20,6 @@ from repro.metrics.energy import ActivityLog
 from repro.obs.trace import Span
 from repro.runtime.simulator import PipelineRun
 from repro.video.dataset import VideoClip, make_clip
-from repro.video.framestore import StoreToken
 from repro.video.scenario import ScenarioConfig
 
 
@@ -33,14 +32,14 @@ class ClipSpec:
     name: str
     render_cache: int = 64
     # MiB budget for the worker's process-wide FrameStore (None = leave it
-    # alone).  The budget is *declared* here but applied exactly once per
-    # worker via ``StoreConfig`` on the shard spec — ``build()`` must not
-    # reconfigure the store, or a sweep mixing budgets would silently
-    # evict mid-run (see ``validate_store_budgets``).
+    # alone).  ``run_shard`` applies it in the worker before each cell;
+    # re-applying an unchanged budget evicts nothing.  ``build()`` must
+    # not reconfigure the store, and a sweep runs under one budget (see
+    # ``validate_store_budgets``), or a clip would evict mid-sweep.
     frame_store_mb: int | None = None
     # MiB budget for the worker's process-wide derived-artifact store
     # (pyramids + gradients; see repro.vision.artifact_store).  Same
-    # declare-here / apply-once-per-worker contract as ``frame_store_mb``.
+    # contract as ``frame_store_mb``.
     artifact_store_mb: int | None = None
 
     @classmethod
@@ -93,32 +92,6 @@ def validate_store_budgets(
 
 
 @dataclass(frozen=True)
-class StoreConfig:
-    """How a worker should set up its frame store, applied once per worker.
-
-    ``mode`` selects the store class: ``"shared"`` attaches the parent's
-    cross-process :class:`~repro.video.framestore.SharedFrameStore` via
-    ``token``; ``"private"`` budgets the worker's in-process store.  The
-    engine stamps the same config on every shard of a sweep and the
-    worker applies it idempotently (same config twice is a no-op), which
-    is what guarantees "configure once per worker" even though specs
-    arrive one shard at a time.
-    """
-
-    mode: str  # "shared" | "private"
-    budget_bytes: int
-    token: StoreToken | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("shared", "private"):
-            raise ValueError(f"unknown store mode {self.mode!r}")
-        if self.mode == "shared" and self.token is None:
-            raise ValueError("shared store config needs a token")
-        if self.budget_bytes < 0:
-            raise ValueError("budget_bytes must be non-negative")
-
-
-@dataclass(frozen=True)
 class MethodSpec:
     """A registry method name plus its construction arguments.
 
@@ -151,10 +124,6 @@ class ShardSpec:
     keep_run: bool = False
     collect_obs: bool = False
     attempt: int = 0
-    # Worker store setup; identical across a sweep's shards (see StoreConfig).
-    store: StoreConfig | None = None
-    # Worker derived-artifact store setup; same contract as ``store``.
-    artifact_store: StoreConfig | None = None
 
 
 @dataclass
@@ -182,11 +151,9 @@ class ShardResult:
     store_hits: int = 0
     store_misses: int = 0
     store_evicted_bytes: int = 0
-    store_lease_waits: int = 0
     artifact_hits: int = 0
     artifact_misses: int = 0
     artifact_evicted_bytes: int = 0
-    artifact_lease_waits: int = 0
     pyramid_hits: int = 0
     pyramid_misses: int = 0
     pyramid_evictions: int = 0

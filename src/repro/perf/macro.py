@@ -112,12 +112,12 @@ def run_macro_benchmark(
     equally; the identity check doubles as the warm-up for each arm
     (worker processes imported, renderer caches populated).
 
-    ``frame_store_mb`` budgets the shared :class:`FrameStore` for the
-    run (0 disables it).  The default comfortably fits the full-grid
+    ``frame_store_mb`` budgets each process's :class:`FrameStore` for
+    the run (0 disables it).  The default comfortably fits the full-grid
     suite (3 clips × 120 frames × 225 KiB ≈ 80 MiB) so the warm-up's
-    store counters show each frame rendered at most once per worker.
+    store counters show each frame rendered at most once.
 
-    ``artifact_store_mb`` budgets the shared derived-artifact store
+    ``artifact_store_mb`` budgets each process's derived-artifact store
     (pyramids + gradients; 0 disables it).  Warmed artifacts are ~3x a
     raw frame (level images + two gradient planes per level), so this
     budget must out-size the frame store's for the sweep's working set
@@ -129,7 +129,7 @@ def run_macro_benchmark(
     and its best time yields ``artifact_store.enabled_speedup``: the
     build-once-per-sweep win on the identical grid.  An untimed
     artifact-disabled *parallel* pass supplies the ``frame_store``
-    block's parallel counters, so that gate compares the two engines at
+    block's parallel counters, so that block compares the two engines at
     equal frame demand.
     """
     if jobs < 2:
@@ -153,8 +153,8 @@ def run_macro_benchmark(
             seq_engine.run(methods, suite, config=config_disabled)
             disabled_times.append(time.perf_counter() - start)
 
-        # Artifact-disabled parallel pass: the frame-store hit-ratio gate
-        # compares parallel vs sequential *at equal frame demand*, and the
+        # Artifact-disabled parallel pass: the frame_store block compares
+        # parallel vs sequential *at equal frame demand*, and the
         # artifact store changes that demand (a store-served pyramid never
         # fetches its frame), so the frame_store block's parallel counters
         # must come from a pass with the artifact store off.  The pool is
@@ -208,10 +208,9 @@ def run_macro_benchmark(
         "failures": 0,
         # Store counters from the warm-up/identity pass (the cold-store
         # run): misses = frames actually rendered, hits = frames served
-        # from the shared store.  With a budget that fits the suite,
-        # misses stay at ~unique-frames fleet-wide no matter how many
-        # methods (or workers) rescan each clip — the parallel arm's
-        # cross-process store is what makes that hold at jobs > 1.
+        # from the store.  With a budget that fits the suite, misses stay
+        # at unique-frames no matter how many methods rescan each clip —
+        # at jobs > 1 because a worker runs every cell of its clip.
         "frame_store": {
             "budget_mb": frame_store_mb,
             # Both arms' counters come from artifact-*disabled* passes so
@@ -226,14 +225,12 @@ def run_macro_benchmark(
                 "hits": disabled.store_hits,
                 "misses": disabled.store_misses,
                 "evicted_bytes": disabled.store_evicted_bytes,
-                "lease_waits": disabled.store_lease_waits,
             },
             "parallel": {
                 "store_mode": par_disabled.store_mode,
                 "hits": par_disabled.store_hits,
                 "misses": par_disabled.store_misses,
                 "evicted_bytes": par_disabled.store_evicted_bytes,
-                "lease_waits": par_disabled.store_lease_waits,
             },
         },
         # Derived-artifact store counters from the same warm-up pass, one
@@ -250,7 +247,6 @@ def run_macro_benchmark(
                 "hits": sequential.artifact_hits,
                 "misses": sequential.artifact_misses,
                 "evicted_bytes": sequential.artifact_evicted_bytes,
-                "lease_waits": sequential.artifact_lease_waits,
                 "pyramid_cache_hits": sequential.pyramid_hits,
                 "pyramid_cache_misses": sequential.pyramid_misses,
             },
@@ -259,7 +255,6 @@ def run_macro_benchmark(
                 "hits": parallel.artifact_hits,
                 "misses": parallel.artifact_misses,
                 "evicted_bytes": parallel.artifact_evicted_bytes,
-                "lease_waits": parallel.artifact_lease_waits,
                 "pyramid_cache_hits": parallel.pyramid_hits,
                 "pyramid_cache_misses": parallel.pyramid_misses,
             },
@@ -325,18 +320,8 @@ _REQUIRED_SERVE_RUNG_KEYS = (
 )
 
 
-def _validate_store_block(
-    bench: dict, store: dict, label: str, min_hit_ratio: float | None
-) -> None:
-    """Shared validation for the frame_store / artifact_store blocks.
-
-    ``min_hit_ratio`` is the reuse parity gate: the parallel arm's store
-    hits must reach that fraction of the sequential arm's.  One-sided —
-    the parallel arm legitimately hits *more* often, because worker-local
-    caches are colder than the parent's and fall through to the store.
-    Host-independent (cache behaviour, not wall clock), so no cpu_count
-    waiver.
-    """
+def _validate_store_block(bench: dict, store: dict, label: str) -> None:
+    """Shared validation for the frame_store / artifact_store blocks."""
     for key in ("budget_mb", "sequential", "parallel"):
         if key not in store:
             raise ValueError(
@@ -349,34 +334,18 @@ def _validate_store_block(
                     f"bench {bench['name']!r} {label}.{arm} "
                     f"missing key {key!r}"
                 )
-        # store_mode/lease_waits arrived with the cross-process store;
-        # pre-existing documents omit them.  When present, the mode must
-        # be one the engine can actually report.
+        # Documents older than store_mode omit it.  When present, the mode
+        # must be one the engine reports, or "shared" in documents written
+        # while a cross-process store tier existed.
         mode = store[arm].get("store_mode")
         if mode is not None and mode not in ("shared", "private", "none"):
             raise ValueError(
                 f"bench {bench['name']!r} {label}.{arm} has unknown "
                 f"store_mode {mode!r}"
             )
-    if min_hit_ratio is not None:
-        seq_hits = store["sequential"]["hits"]
-        par_hits = store["parallel"]["hits"]
-        required = min_hit_ratio * seq_hits
-        if par_hits < required:
-            raise ValueError(
-                f"bench {bench['name']!r} parallel-arm {label} hits {par_hits} "
-                f"below {min_hit_ratio:.0%} of sequential arm "
-                f"({seq_hits} hits; required >= {required:.0f})"
-            )
 
 
-def _validate_sweep_bench(
-    bench: dict,
-    doc: dict,
-    min_speedup: float | None,
-    min_store_hit_ratio: float | None = None,
-    min_artifact_hit_ratio: float | None = None,
-) -> None:
+def _validate_sweep_bench(bench: dict, doc: dict, min_speedup: float | None) -> None:
     for key in _REQUIRED_SWEEP_BENCH_KEYS:
         if key not in bench:
             raise ValueError(
@@ -388,23 +357,11 @@ def _validate_sweep_bench(
             raise ValueError(f"bench {bench['name']!r} has non-positive {key}")
     if bench["jobs"] < 2:
         raise ValueError(f"bench {bench['name']!r} has jobs < 2")
-    _validate_store_block(
-        bench, bench["frame_store"], "frame_store", min_store_hit_ratio
-    )
+    _validate_store_block(bench, bench["frame_store"], "frame_store")
     # The artifact_store block arrived after frame_store; documents written
-    # before it omit the block entirely — but asking for the gate against a
-    # document that never measured the store is an error, not a pass.
-    artifact = bench.get("artifact_store")
-    if artifact is None:
-        if min_artifact_hit_ratio is not None:
-            raise ValueError(
-                f"bench {bench['name']!r} has no artifact_store block but "
-                f"--min-artifact-hit-ratio was requested"
-            )
-    else:
-        _validate_store_block(
-            bench, artifact, "artifact_store", min_artifact_hit_ratio
-        )
+    # before it omit the block entirely.
+    if "artifact_store" in bench:
+        _validate_store_block(bench, bench["artifact_store"], "artifact_store")
     if min_speedup is not None:
         cpu_count = doc["host"]["cpu_count"]
         if isinstance(cpu_count, int) and cpu_count < 2:
@@ -480,8 +437,6 @@ def validate_macro_doc(
     doc: dict,
     min_speedup: float | None = None,
     min_sustained_streams: int | None = None,
-    min_store_hit_ratio: float | None = None,
-    min_artifact_hit_ratio: float | None = None,
 ) -> list[str]:
     """Schema check for ``BENCH_macro.json``; returns the bench names.
 
@@ -490,11 +445,6 @@ def validate_macro_doc(
     the sweep-smoke job asserts the pool actually pays for itself; it is
     optional because the document is also written on hosts where parallel
     wall-clock wins are impossible (see ``host.cpu_count``).
-    ``min_store_hit_ratio`` is the render-once parity gate: the parallel
-    arm's store hits must reach that fraction of the sequential arm's
-    (no host waiver — cache reuse does not need a second core).
-    ``min_artifact_hit_ratio`` is the same one-sided parity gate for the
-    derived-artifact store (build each pyramid once per sweep).
     ``min_sustained_streams`` is the serve CI gate: the serve-smoke job
     asserts the scheduler still sustains a floor fleet size at the
     realtime p99 SLO (host-independent — the ladder runs in virtual time).
@@ -529,9 +479,7 @@ def validate_macro_doc(
         if bench["failures"] != 0:
             raise ValueError(f"bench {bench['name']!r} recorded failures")
         if kind == "sweep":
-            _validate_sweep_bench(
-                bench, doc, min_speedup, min_store_hit_ratio, min_artifact_hit_ratio
-            )
+            _validate_sweep_bench(bench, doc, min_speedup)
         elif kind == "serve":
             _validate_serve_bench(bench, min_sustained_streams)
         else:

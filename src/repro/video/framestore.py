@@ -26,27 +26,12 @@ an experiment opts in via ``PipelineConfig.frame_store_mb`` or the
 
 from __future__ import annotations
 
-import atexit
 import hashlib
-import os
-import pickle
-import struct
-import tempfile
 import threading
-import time
-import uuid
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-try:  # POSIX-only plumbing for the cross-process store.
-    import fcntl
-    from multiprocessing import shared_memory as _shm
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
-    _shm = None
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (render imports us)
     from repro.video.scene import Scene
@@ -85,6 +70,11 @@ class FrameStore:
     # this LRU for other payloads (the derived-artifact store) override
     # it so their traffic is attributed to the right subsystem.
     _METRIC_PREFIX = "framestore"
+
+    @staticmethod
+    def _freeze(frame: np.ndarray) -> None:
+        """Make a value read-only on insert (overridden per payload type)."""
+        frame.setflags(write=False)
 
     def __init__(self, max_bytes: int = 0) -> None:
         if max_bytes < 0:
@@ -166,7 +156,7 @@ class FrameStore:
             existing = self._entries.get(key)
             if existing is not None:
                 return existing
-            frame.setflags(write=False)
+            self._freeze(frame)
             self._entries[key] = frame
             self.current_bytes += nbytes
             self._evict_over_budget()
@@ -210,9 +200,7 @@ class FrameStore:
         Taken under the store lock, so a snapshot is internally consistent
         even while other threads hit the store — callers that need deltas
         (the sweep engine's per-shard accounting) must diff two snapshots
-        instead of reading the bare counters twice.  ``lease_waits`` is
-        always 0 for the in-process store; it counts cross-process render
-        leases and only moves on :class:`SharedFrameStore`.
+        instead of reading the bare counters twice.
         """
         with self._lock:
             return {
@@ -223,7 +211,6 @@ class FrameStore:
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "evicted_bytes": self.evicted_bytes,
-                "lease_waits": 0,
             }
 
 
@@ -231,606 +218,23 @@ class FrameStore:
 # explicit store resolve this at render time, so configuring it *after*
 # clips were built still takes effect — the sweep engine relies on that
 # for its inline (jobs=1) path, where the caller owns the clips.
-# ``install_store`` can overlay the private instance with a
-# cross-process :class:`SharedFrameStore`; sweep workers do exactly that
-# once per sweep so every renderer in the fleet reads one shared map.
 _default_store = FrameStore(0)
-_installed_store: "FrameStore | SharedFrameStore | None" = None
-_default_lock = threading.Lock()
 
 
-def default_store() -> "FrameStore | SharedFrameStore":
-    """The process-wide store (disabled until configured).
+def default_store() -> FrameStore:
+    """The process-wide store (disabled until configured)."""
+    return _default_store
 
-    Returns the installed overlay store when one is active (a sweep
-    worker attached to the parent's shared map), else the process-private
-    instance.
+
+def configure_default(max_bytes: int) -> FrameStore:
+    """Set the process-wide store's budget and return it.
+
+    Called from the sweep engine in the parent (inline path) and in every
+    worker before each cell, so one ``--frame-store-mb`` knob reaches
+    every process of a sweep.  Re-applying an unchanged budget evicts
+    nothing, which is what makes the per-cell call free.
     """
-    installed = _installed_store
-    return installed if installed is not None else _default_store
+    _default_store.set_budget(max_bytes)
+    return _default_store
 
 
-def install_store(
-    store: "FrameStore | SharedFrameStore | None",
-) -> "FrameStore | SharedFrameStore | None":
-    """Overlay (or, with ``None``, remove) the process-default store.
-
-    The private store and its budget are left untouched underneath, so
-    uninstalling restores exactly the pre-overlay behaviour.  Returns the
-    previously installed overlay (``None`` if the private store was
-    active) so callers can restore it.
-    """
-    global _installed_store
-    with _default_lock:
-        previous = _installed_store
-        _installed_store = store
-    return previous
-
-
-def configure_default(max_bytes: int) -> "FrameStore | SharedFrameStore":
-    """Set the active process-wide store's budget and return it.
-
-    Called from the sweep engine (parent inline path) and the worker
-    store bootstrap, so one ``--frame-store-mb`` knob reaches every
-    process of a sweep.  Last caller wins; with one budget per sweep —
-    enforced at spec construction — that is the only caller.
-    """
-    with _default_lock:
-        store = _installed_store if _installed_store is not None else _default_store
-    store.set_budget(max_bytes)
-    return store
-
-
-# -- cross-process shared store ----------------------------------------------
-#
-# A process pool re-renders what the in-process store already paid for:
-# each spawn worker used to own a private LRU, so a fleet of N workers
-# rendered every frame up to N times.  ``SharedFrameStore`` keeps the
-# ``FrameStore`` API but moves the payload into POSIX shared memory:
-#
-# - every frame lives in its own read-only ``multiprocessing.shared_memory``
-#   segment, created exactly once fleet-wide;
-# - a small control segment holds the pickled index (key -> segment name,
-#   shape, dtype, LRU order, byte accounting), mutated only under an
-#   ``fcntl.flock`` file lock, so first-insert-wins is atomic across
-#   processes;
-# - a *render lease* makes first-insert-wins also render-once: the first
-#   process to miss a frame writes a lease entry, later processes wait for
-#   the fill instead of rendering a duplicate (with a timeout so a crashed
-#   renderer cannot stall the fleet);
-# - eviction is owner-driven: workers only read and insert, the parent
-#   (the sweep engine) reclaims over-budget segments between shards, so a
-#   worker can never unlink a segment another process is about to map;
-# - a process-local front LRU serves hot frames without touching the lock
-#   or re-attaching segments.
-#
-# Memory safety: numpy views handed out by ``get`` are backed directly by
-# the segment mmap (``base`` is the mmap object), and closing a segment
-# unmaps it under any live views.  Every attached segment is therefore
-# kept in a process-lifetime registry and never closed; ``unlink`` (owner
-# teardown) only removes the name, the mapping survives until each
-# process exits.  See DESIGN.md §9 for the lifecycle diagram.
-
-_INDEX_HEADER = struct.Struct("<Q")
-_LEASE_TIMEOUT_S = 5.0
-_LEASE_POLL_S = 0.002
-_FRONT_CAPACITY = 512
-
-# Process-lifetime registry of attached segments (see memory-safety note
-# above): maps segment name -> SharedMemory.  Entries are never removed;
-# dropping one would let SharedMemory.__del__ unmap a buffer that served
-# views may still reference.
-_attached_segments: dict[str, "_shm.SharedMemory"] = {}
-_attached_lock = threading.Lock()
-
-
-def shared_store_available() -> bool:
-    """Whether this platform can host a cross-process store."""
-    return fcntl is not None and _shm is not None
-
-
-def _untrack(shm: "_shm.SharedMemory") -> None:
-    """Remove ``shm`` from this process's resource tracker.
-
-    The store manages segment lifetime itself (owner unlinks via the
-    index, with an ``atexit`` fallback); per-process tracker entries
-    would otherwise warn about — and double-unlink — segments the parent
-    already reclaimed.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
-
-
-def _retrack(name: str) -> None:
-    """Re-register a segment right before unlinking it.
-
-    ``SharedMemory.unlink`` unregisters internally; without the paired
-    register the tracker process logs a KeyError at exit for every
-    segment the store reclaimed.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.register("/" + name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
-
-
-def _attach_segment(name: str) -> "_shm.SharedMemory":
-    """Attach (or reuse the process-wide attachment of) a segment."""
-    with _attached_lock:
-        shm = _attached_segments.get(name)
-        if shm is None:
-            shm = _shm.SharedMemory(name=name)
-            _untrack(shm)
-            _attached_segments[name] = shm
-    return shm
-
-
-@dataclass(frozen=True)
-class StoreToken:
-    """Picklable handle to a live :class:`SharedFrameStore`.
-
-    Crosses the process boundary inside ``ShardSpec.store``; a worker
-    attaches with :meth:`SharedFrameStore.attach`.  ``control`` names the
-    index segment, ``lock_path`` the flock file that serialises index
-    mutations fleet-wide.
-    """
-
-    control: str
-    lock_path: str
-
-
-class _ReadyEntry:
-    """Index entry states (stored as tuples for compact pickling)."""
-
-    READY = "r"
-    LEASE = "l"
-
-
-class SharedFrameStore:
-    """Cross-process :class:`FrameStore`: one render fleet-wide per frame.
-
-    Same API and thread-safety contract as :class:`FrameStore` —
-    ``get``/``put``/``stats``/``set_budget``/``clear`` — so renderers,
-    the serve layer, and the sweep engine treat both interchangeably.
-    ``hits``/``misses``/``lease_waits`` count *this process's* traffic
-    (per-shard deltas stay meaningful); ``entries``/``current_bytes``
-    and the eviction counters describe the fleet-wide map.
-
-    Construct with :meth:`create` (the owner: evicts, unlinks, cleans
-    up) or :meth:`attach` (workers: read and insert only).
-    """
-
-    # Overridable for subclasses hosting other payloads (the derived-
-    # artifact store): segment names must not collide between two stores
-    # live in one sweep, and metrics must land on the right subsystem.
-    _METRIC_PREFIX = "framestore"
-    _SEGMENT_PREFIX = "reprofs"
-
-    def __init__(self, token: StoreToken, owner: bool) -> None:
-        if not shared_store_available():  # pragma: no cover - POSIX-only
-            raise RuntimeError("shared frame store needs fcntl + shared_memory")
-        self.token = token
-        self.owner = owner
-        self._mutex = threading.Lock()
-        self._control = _attach_segment(token.control)
-        self._lock_file = open(token.lock_path, "a+b")
-        self._front: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()
-        self._max_bytes_cache = 0
-        self.hits = 0
-        self.misses = 0
-        self.lease_waits = 0
-        self._closed = False
-        self.set_obs(None)
-        if owner:
-            atexit.register(self._atexit_cleanup)
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def create(cls, max_bytes: int, control_capacity: int = 4 << 20) -> "SharedFrameStore":
-        """Create the control segment + lock file and become the owner."""
-        if max_bytes < 0:
-            raise ValueError("max_bytes must be non-negative (0 disables)")
-        name = f"{cls._SEGMENT_PREFIX}_{os.getpid()}_{uuid.uuid4().hex[:8]}"
-        control = _shm.SharedMemory(create=True, size=control_capacity, name=name)
-        _untrack(control)
-        with _attached_lock:
-            _attached_segments[control.name] = control
-        lock_path = os.path.join(
-            tempfile.gettempdir(), f"{name}.lock"
-        )
-        open(lock_path, "a+b").close()
-        store = cls(StoreToken(control=control.name, lock_path=lock_path), owner=True)
-        index = {
-            "max_bytes": int(max_bytes),
-            "current_bytes": 0,
-            "evictions": 0,
-            "evicted_bytes": 0,
-            "seq": 0,
-            "entries": OrderedDict(),
-        }
-        with store._locked():
-            store._write_index(index)
-        store._max_bytes_cache = int(max_bytes)
-        return store
-
-    @classmethod
-    def attach(cls, token: StoreToken) -> "SharedFrameStore":
-        """Attach to an existing store as a non-owning reader/inserter."""
-        store = cls(token, owner=False)
-        with store._locked():
-            store._max_bytes_cache = store._read_index()["max_bytes"]
-        return store
-
-    # -- observability -------------------------------------------------------
-
-    def set_obs(self, obs=None) -> None:
-        """Attach telemetry (mirrors :meth:`FrameStore.set_obs`)."""
-        from repro.obs import NULL_TELEMETRY
-
-        telemetry = obs if obs is not None else NULL_TELEMETRY
-        self._obs_hit = telemetry.counter(f"{self._METRIC_PREFIX}.hit")
-        self._obs_miss = telemetry.counter(f"{self._METRIC_PREFIX}.miss")
-        self._obs_evicted = telemetry.counter(f"{self._METRIC_PREFIX}.evicted_bytes")
-        self._obs_lease_wait = telemetry.counter(f"{self._METRIC_PREFIX}.lease_wait")
-
-    # -- index plumbing (all under the cross-process lock) -------------------
-
-    class _Locked:
-        def __init__(self, store: "SharedFrameStore") -> None:
-            self._store = store
-
-        def __enter__(self) -> None:
-            self._store._mutex.acquire()
-            fcntl.flock(self._store._lock_file, fcntl.LOCK_EX)
-
-        def __exit__(self, *exc: object) -> None:
-            fcntl.flock(self._store._lock_file, fcntl.LOCK_UN)
-            self._store._mutex.release()
-
-    def _locked(self) -> "SharedFrameStore._Locked":
-        return SharedFrameStore._Locked(self)
-
-    def _read_index(self) -> dict:
-        buf = self._control.buf
-        (length,) = _INDEX_HEADER.unpack_from(buf, 0)
-        index = pickle.loads(bytes(buf[_INDEX_HEADER.size : _INDEX_HEADER.size + length]))
-        self._max_bytes_cache = index["max_bytes"]
-        return index
-
-    def _write_index(self, index: dict) -> None:
-        payload = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
-        if _INDEX_HEADER.size + len(payload) > self._control.size:
-            raise RuntimeError(
-                f"shared frame-store index overflow "
-                f"({len(payload)} bytes > control segment {self._control.size})"
-            )
-        buf = self._control.buf
-        _INDEX_HEADER.pack_into(buf, 0, len(payload))
-        buf[_INDEX_HEADER.size : _INDEX_HEADER.size + len(payload)] = payload
-
-    # -- core ----------------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return self._max_bytes_cache > 0
-
-    @property
-    def max_bytes(self) -> int:
-        return self._max_bytes_cache
-
-    def __len__(self) -> int:
-        with self._locked():
-            index = self._read_index()
-        return sum(
-            1 for entry in index["entries"].values() if entry[0] == _ReadyEntry.READY
-        )
-
-    def _front_put(self, key: tuple[str, int], frame: np.ndarray) -> None:
-        self._front[key] = frame
-        self._front.move_to_end(key)
-        while len(self._front) > _FRONT_CAPACITY:
-            self._front.popitem(last=False)
-
-    def _serve_ready(
-        self, key: tuple[str, int], entry: tuple
-    ) -> np.ndarray | None:
-        """Map a ready entry into a read-only view (None if segment gone)."""
-        _, segment, shape, dtype = entry
-        try:
-            shm = _attach_segment(segment)
-        except FileNotFoundError:
-            return None
-        frame = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-        frame.setflags(write=False)
-        self._front_put(key, frame)
-        return frame
-
-    def get(self, fingerprint: str, frame_index: int) -> np.ndarray | None:
-        """The stored frame, or ``None`` after writing a render lease.
-
-        A miss is a *claim*: the caller is now expected to render the
-        frame and ``put`` it.  Concurrent readers of the same key wait
-        for the fill (bounded by ``_LEASE_TIMEOUT_S``) instead of
-        rendering duplicates, so fleet-wide misses stay at one per
-        unique frame.
-        """
-        if self._max_bytes_cache <= 0 and not self._refresh_enabled():
-            return None
-        key = (fingerprint, frame_index)
-        with self._mutex:
-            cached = self._front.get(key)
-            if cached is not None:
-                self._front.move_to_end(key)
-                self.hits += 1
-                self._obs_hit.inc()
-                return cached
-        deadline = None
-        waited = False
-        while True:
-            with self._locked():
-                index = self._read_index()
-                if index["max_bytes"] <= 0:
-                    return None
-                entry = index["entries"].get(key)
-                if entry is None:
-                    # Claim the render: later readers wait on this lease.
-                    index["entries"][key] = (_ReadyEntry.LEASE, os.getpid(), time.time())
-                    self._write_index(index)
-                    self.misses += 1
-                    self._obs_miss.inc()
-                    return None
-                if entry[0] == _ReadyEntry.READY:
-                    frame = self._serve_ready(key, entry)
-                    if frame is None:
-                        # Stale entry (segment reclaimed underneath us):
-                        # drop it and re-claim as a fresh lease.
-                        del index["entries"][key]
-                        index["entries"][key] = (
-                            _ReadyEntry.LEASE,
-                            os.getpid(),
-                            time.time(),
-                        )
-                        self._write_index(index)
-                        self.misses += 1
-                        self._obs_miss.inc()
-                        return None
-                    index["entries"].move_to_end(key)
-                    self._write_index(index)
-                    self.hits += 1
-                    self._obs_hit.inc()
-                    return frame
-                # Someone else holds the render lease.
-                now = time.time()
-                if deadline is None:
-                    deadline = now + _LEASE_TIMEOUT_S
-                    waited = True
-                    self.lease_waits += 1
-                    self._obs_lease_wait.inc()
-                if now >= deadline or entry[2] + _LEASE_TIMEOUT_S < now:
-                    # Lease expired (renderer died or is wedged): take it
-                    # over and render ourselves.
-                    index["entries"][key] = (_ReadyEntry.LEASE, os.getpid(), now)
-                    self._write_index(index)
-                    self.misses += 1
-                    self._obs_miss.inc()
-                    return None
-            time.sleep(_LEASE_POLL_S)
-        # ``waited`` is folded into lease_waits above; unreachable.
-
-    def _refresh_enabled(self) -> bool:
-        """Re-read ``max_bytes`` (the owner may have re-budgeted us)."""
-        with self._locked():
-            return self._read_index()["max_bytes"] > 0
-
-    def put(self, fingerprint: str, frame_index: int, frame: np.ndarray) -> np.ndarray:
-        """Publish a rendered frame; first insert wins fleet-wide.
-
-        Returns the canonical (segment-backed, read-only) array on
-        success or when an earlier racing insert won; returns the
-        caller's array untouched — and still writable — when nothing was
-        stored (store disabled, frame over budget).  Fills this
-        process's outstanding render lease either way.
-        """
-        key = (fingerprint, frame_index)
-        nbytes = int(frame.nbytes)
-        with self._locked():
-            index = self._read_index()
-            if index["max_bytes"] <= 0:
-                return frame
-            entry = index["entries"].get(key)
-            if entry is not None and entry[0] == _ReadyEntry.READY:
-                served = self._serve_ready(key, entry)
-                if served is not None:
-                    return served
-                del index["entries"][key]
-                entry = None
-            if nbytes > index["max_bytes"]:
-                # Never storable: drop any lease so waiters stop polling.
-                if entry is not None:
-                    del index["entries"][key]
-                    self._write_index(index)
-                return frame
-            segment_name = f"{self.token.control}_{index['seq']}"
-            index["seq"] += 1
-            try:
-                shm = _shm.SharedMemory(create=True, size=nbytes, name=segment_name)
-            except FileExistsError:  # pragma: no cover - seq is lock-serialised
-                self._write_index(index)
-                return frame
-            _untrack(shm)
-            with _attached_lock:
-                _attached_segments[shm.name] = shm
-            view = np.ndarray(frame.shape, dtype=frame.dtype, buffer=shm.buf)
-            view[:] = frame
-            view.setflags(write=False)
-            index["entries"][key] = (
-                _ReadyEntry.READY,
-                segment_name,
-                tuple(frame.shape),
-                frame.dtype.str,
-            )
-            index["entries"].move_to_end(key)
-            index["current_bytes"] += nbytes
-            if self.owner:
-                self._evict_over_budget(index)
-            self._write_index(index)
-            self._front_put(key, view)
-        return view
-
-    # -- owner-side reclamation ----------------------------------------------
-
-    def _evict_over_budget(self, index: dict) -> None:
-        """Unlink LRU segments until within budget (lock held, owner only)."""
-        entries = index["entries"]
-        while index["current_bytes"] > index["max_bytes"]:
-            victim_key = next(
-                (k for k, e in entries.items() if e[0] == _ReadyEntry.READY), None
-            )
-            if victim_key is None:
-                break
-            _, segment, shape, dtype = entries.pop(victim_key)
-            nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-            index["current_bytes"] -= nbytes
-            index["evictions"] += 1
-            index["evicted_bytes"] += nbytes
-            self._obs_evicted.inc(nbytes)
-            self._unlink_segment(segment)
-
-    @staticmethod
-    def _unlink_segment(name: str) -> None:
-        """Remove a segment's name; live mappings elsewhere stay valid."""
-        try:
-            with _attached_lock:
-                shm = _attached_segments.get(name)
-            if shm is None:
-                shm = _shm.SharedMemory(name=name)
-                _untrack(shm)
-                with _attached_lock:
-                    _attached_segments[name] = shm
-            _retrack(name)
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-
-    def reclaim(self) -> int:
-        """Evict over-budget LRU segments (owner only); returns bytes freed.
-
-        The parent calls this between shard completions so workers never
-        have to unlink — a worker can therefore never pull a segment out
-        from under a process that just read the index.
-        """
-        if not self.owner:
-            return 0
-        with self._locked():
-            index = self._read_index()
-            before = index["evicted_bytes"]
-            self._evict_over_budget(index)
-            freed = index["evicted_bytes"] - before
-            if freed:
-                self._write_index(index)
-        return freed
-
-    # -- management ----------------------------------------------------------
-
-    def set_budget(self, max_bytes: int) -> None:
-        """Change the fleet-wide byte budget; shrinking reclaims (owner)."""
-        if max_bytes < 0:
-            raise ValueError("max_bytes must be non-negative (0 disables)")
-        with self._locked():
-            index = self._read_index()
-            index["max_bytes"] = int(max_bytes)
-            self._max_bytes_cache = int(max_bytes)
-            if self.owner:
-                if max_bytes == 0:
-                    self._drop_all(index)
-                else:
-                    self._evict_over_budget(index)
-            self._write_index(index)
-        if max_bytes == 0:
-            with self._mutex:
-                self._front.clear()
-
-    def _drop_all(self, index: dict) -> None:
-        for key, entry in list(index["entries"].items()):
-            if entry[0] == _ReadyEntry.READY:
-                self._unlink_segment(entry[1])
-        index["entries"].clear()
-        index["current_bytes"] = 0
-
-    def clear(self) -> None:
-        """Drop every entry fleet-wide (owner) or just the local front."""
-        with self._locked():
-            if self.owner:
-                index = self._read_index()
-                self._drop_all(index)
-                self._write_index(index)
-        with self._mutex:
-            self._front.clear()
-
-    def stats(self) -> dict:
-        """Snapshot: local hit/miss/lease counters + fleet-wide map state."""
-        with self._locked():
-            index = self._read_index()
-        entries = sum(
-            1 for entry in index["entries"].values() if entry[0] == _ReadyEntry.READY
-        )
-        return {
-            "max_bytes": index["max_bytes"],
-            "current_bytes": index["current_bytes"],
-            "entries": entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": index["evictions"],
-            "evicted_bytes": index["evicted_bytes"],
-            "lease_waits": self.lease_waits,
-        }
-
-    # -- teardown ------------------------------------------------------------
-
-    def close(self) -> None:
-        """Owner: unlink every segment + the control block and lock file.
-
-        Live mappings in other processes survive the unlink (POSIX keeps
-        the memory until the last map goes away); only the *names* are
-        removed, so no new attach can land on a dead store.  Non-owners
-        just close their lock-file handle.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self.owner:
-            try:
-                with self._locked():
-                    index = self._read_index()
-                    for entry in index["entries"].values():
-                        if entry[0] == _ReadyEntry.READY:
-                            self._unlink_segment(entry[1])
-            except Exception:  # pragma: no cover - teardown best-effort
-                pass
-            try:
-                _retrack(self._control.name)
-                self._control.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-            try:
-                os.unlink(self.token.lock_path)
-            except OSError:  # pragma: no cover
-                pass
-        try:
-            self._lock_file.close()
-        except OSError:  # pragma: no cover
-            pass
-
-    def _atexit_cleanup(self) -> None:  # pragma: no cover - exercised at exit
-        """Crash/exit fallback so an aborted sweep does not leak /dev/shm."""
-        try:
-            self.close()
-        except Exception:
-            pass

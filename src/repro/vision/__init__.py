@@ -39,12 +39,7 @@ from repro.vision.block_motion import (
 )
 from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams, track_features
 from repro.vision.pyramid_cache import PyramidCache
-from repro.vision.artifact_store import (
-    ArtifactStore,
-    PyramidArtifact,
-    pack_artifact,
-    unpack_artifact,
-)
+from repro.vision.artifact_store import ArtifactStore, PyramidArtifact
 
 __all__ = [
     "gaussian_blur",
@@ -70,6 +65,4 @@ __all__ = [
     "PyramidCache",
     "ArtifactStore",
     "PyramidArtifact",
-    "pack_artifact",
-    "unpack_artifact",
 ]

@@ -32,12 +32,12 @@ Two reuse paths beyond the exact-key hit:
   ``pyramid_levels``.
 - **Artifact-store read-through.** When the cache is bound to a scene
   fingerprint and an :class:`~repro.vision.artifact_store.ArtifactStore`
-  is active (explicitly, or via the process default that sweep workers
-  attach to), a local miss first consults the store, and a local build
+  is active (explicitly, or via the process default the sweep engine
+  budgets), a local miss first consults the store, and a local build
   publishes its artifact back.  Store-served pyramids are bit-identical
   to fresh builds, so this only changes *when* work happens — across a
-  sweep, each distinct pyramid is built once fleet-wide instead of once
-  per method arm per worker.
+  sweep, each distinct pyramid is built once per clip instead of once
+  per method arm.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class PyramidCache:
     a store (frame indices alone are not content-addressed).
     ``artifact_store`` overrides the process-default store for tests and
     benches.  When a store is in play, misses are stored *warmed* so the
-    gradients are shared across the fleet too — the warm flag stays part
+    gradients are shared across method arms too — the warm flag stays part
     of the store key, so lazy artifacts written by other callers remain
     addressable.
     """
@@ -196,7 +196,7 @@ class PyramidCache:
         # the expensive part and must not serialise readers of other keys.
         store = self._resolve_store()
         # With a store in play, always trade in warmed artifacts so the
-        # gradient work is shared fleet-wide alongside the level images.
+        # gradient work is shared across arms alongside the level images.
         warmed = self.warm_gradients or store is not None
         pyramid: FramePyramid | None = None
         from_store = False
@@ -211,7 +211,7 @@ class PyramidCache:
                 pyramid.warm_gradients()
             if store is not None:
                 # Publish and adopt the canonical stored copy so every
-                # consumer in the fleet shares the same (frozen) bytes.
+                # consumer shares the same (frozen) arrays.
                 from repro.vision.artifact_store import PyramidArtifact
 
                 canonical = store.put(

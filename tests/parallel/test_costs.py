@@ -6,6 +6,7 @@ from repro.parallel import (
     ClipSpec,
     MethodSpec,
     ShardSpec,
+    clip_units,
     estimate_shard_cost,
     method_family,
     order_shards,
@@ -13,14 +14,25 @@ from repro.parallel import (
 from repro.video.dataset import make_clip
 
 
-def _shard(index: int, method: str, frames: int = 60) -> ShardSpec:
+def _shard(
+    index: int, method: str, frames: int = 60, clip_index: int = 0
+) -> ShardSpec:
     clip = make_clip("intersection", seed=1, num_frames=frames)
     return ShardSpec(
         index=index,
         method=MethodSpec(name=method),
         clip=ClipSpec.from_clip(clip),
-        clip_index=0,
+        clip_index=clip_index,
     )
+
+
+def _grid(methods, clip_frames) -> list[ShardSpec]:
+    """A method-major grid over clips of the given lengths."""
+    return [
+        _shard(mi * len(clip_frames) + ci, name, frames, clip_index=ci)
+        for mi, name in enumerate(methods)
+        for ci, frames in enumerate(clip_frames)
+    ]
 
 
 class TestMethodFamily:
@@ -89,3 +101,39 @@ class TestOrderShards:
         ]
         ordered = list(order_shards(shards))
         assert sorted(s.index for s in ordered) == list(range(5))
+
+
+class TestClipUnits:
+    def test_one_unit_per_clip_in_grid_order(self):
+        shards = _grid(("adavp", "mpdt-416", "no-tracking-320"), (60, 60, 60))
+        units = list(clip_units(shards, jobs=2))
+        assert len(units) == 3
+        for unit in units:
+            assert len({s.clip_index for s in unit}) == 1
+            assert [s.index for s in unit] == sorted(s.index for s in unit)
+
+    def test_units_ordered_longest_first(self):
+        shards = _grid(("adavp", "mpdt-416"), (30, 120, 60))
+        units = list(clip_units(shards, jobs=2))
+        assert [unit[0].clip_index for unit in units] == [1, 2, 0]
+
+    def test_fewer_clips_than_jobs_splits_the_costliest_unit(self):
+        shards = _grid(("adavp", "mpdt-416", "marlin-416", "no-tracking-320"), (60,))
+        units = list(clip_units(shards, jobs=2))
+        assert len(units) == 2
+        # Dealt alternately from longest-first order: the halves pair the
+        # most and least expensive cells.
+        assert [[s.method.name for s in unit] for unit in units] == [
+            ["adavp", "marlin-416"],
+            ["mpdt-416", "no-tracking-320"],
+        ]
+
+    def test_split_stops_at_single_cells(self):
+        shards = _grid(("adavp", "mpdt-416"), (60,))
+        assert len(clip_units(shards, jobs=4)) == 2
+
+    def test_units_partition_the_grid(self):
+        shards = _grid(("adavp", "mpdt-320", "no-tracking-416"), (30, 60))
+        for jobs in (1, 2, 3, 8):
+            indices = [s.index for unit in clip_units(shards, jobs) for s in unit]
+            assert sorted(indices) == list(range(len(shards)))

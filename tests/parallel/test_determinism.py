@@ -84,18 +84,19 @@ class TestFrameStoreDeterminism:
         assert sequential.report() == stored.report()
 
 
-class TestSharedStoreDeterminism:
-    """Explicit jobs=2-vs-jobs=1 bit-identity with the store enabled on
-    both arms — the parallel arm runs on the cross-process store, the
-    sequential arm on the in-process one, and neither may change what a
-    sweep computes."""
+class TestBudgetedStoreDeterminism:
+    """Explicit jobs=2-vs-jobs=1 bit-identity with both stores budgeted on
+    both arms — the sequential arm reads the parent's stores, each pool
+    worker its own private ones, and neither may change what a sweep
+    computes."""
 
-    def test_jobs2_shared_matches_jobs1_private(self):
+    def test_jobs2_matches_jobs1(self):
         from repro.core.config import PipelineConfig
         from repro.parallel import run_sweep
-        from repro.video.framestore import configure_default, shared_store_available
+        from repro.video import framestore
+        from repro.vision import artifact_store
 
-        config = PipelineConfig(frame_store_mb=32)
+        config = PipelineConfig(frame_store_mb=32, artifact_store_mb=96)
         try:
             sequential = run_sweep(
                 _REDUCED_METHODS, quick_suite(frames=48), jobs=1, config=config
@@ -104,10 +105,10 @@ class TestSharedStoreDeterminism:
                 _REDUCED_METHODS, quick_suite(frames=48), jobs=2, config=config
             )
         finally:
-            configure_default(0)
-        assert sequential.store_mode == "private"
-        if shared_store_available():
-            assert parallel.store_mode == "shared"
+            framestore.configure_default(0)
+            artifact_store.configure_default(0)
+        assert sequential.store_mode == parallel.store_mode == "private"
+        assert sequential.artifact_store_mode == parallel.artifact_store_mode == "private"
         for name in _REDUCED_METHODS:
             seq, par = sequential.results[name], parallel.results[name]
             assert seq.per_video_accuracy == par.per_video_accuracy

@@ -152,6 +152,56 @@ class TestFailureIsolation:
                 == clean.results[name].per_video_accuracy
             )
 
+    def test_flaky_cell_in_a_clip_unit_is_retried_alone(self):
+        # Two clips at jobs=2: each clip is one unit of two cells.  Only
+        # the raising cell reruns; its sibling in the same unit keeps the
+        # result of its first attempt.
+        suite = _small_suite(frames=24, clips=2)
+        settled = []
+        sweep = run_sweep(
+            _METHODS,
+            suite,
+            jobs=2,
+            shard_runner=flaky_runner,
+            progress=lambda done, total, r: settled.append(r),
+        )
+        assert sweep.ok, sweep.summary()
+        assert sweep.retried_shards == 1
+        attempts = {(r.method, r.clip_index): r.attempt for r in settled}
+        assert attempts == {
+            ("adavp", 0): 0,
+            ("mpdt-320", 0): 1,
+            ("adavp", 1): 0,
+            ("mpdt-320", 1): 0,
+        }
+
+    def test_hard_crash_reruns_every_cell_of_the_crashed_unit(self):
+        # Every unit holds a crashing mpdt-320 cell after an adavp cell,
+        # so each worker dies mid-unit: the adavp cell that had finished
+        # is lost with it and burns an attempt, and the rerun still
+        # reproduces the sequential sweep exactly.
+        suite = _small_suite(frames=24, clips=2)
+        settled = []
+        sweep = run_sweep(
+            _METHODS,
+            suite,
+            jobs=2,
+            shard_runner=hard_crash_runner,
+            progress=lambda done, total, r: settled.append(r),
+        )
+        assert sweep.ok, sweep.summary()
+        assert all(r.attempt == 1 for r in settled if r.method == "adavp")
+        clean = run_sweep(_METHODS, _small_suite(frames=24, clips=2), jobs=1)
+        for name in _METHODS:
+            assert (
+                sweep.results[name].per_video_accuracy
+                == clean.results[name].per_video_accuracy
+            )
+            assert (
+                sweep.results[name].per_video_mean_f1
+                == clean.results[name].per_video_mean_f1
+            )
+
 
 class TestObsFunneling:
     def test_worker_spans_and_counters_reach_parent_sink(self):
@@ -218,29 +268,21 @@ class TestStoreModes:
     def test_sequential_budgeted_sweep_uses_private_store(self):
         assert self._run(jobs=1, store_mb=32).store_mode == "private"
 
-    def test_pool_budgeted_sweep_uses_shared_store(self):
-        from repro.video.framestore import shared_store_available
-
-        sweep = self._run(jobs=2, store_mb=32)
-        expected = "shared" if shared_store_available() else "private"
-        assert sweep.store_mode == expected
+    def test_pool_budgeted_sweep_uses_private_stores(self):
+        assert self._run(jobs=2, store_mb=32).store_mode == "private"
 
     def test_pool_sweep_renders_each_frame_once_fleet_wide(self):
-        from repro.video.framestore import shared_store_available
-
-        if not shared_store_available():
-            pytest.skip("needs the cross-process store")
         frames = 24
         suite = _small_suite(frames=frames)
         unique_frames = sum(clip.config.num_frames for clip in suite.clips)
         sweep = self._run(jobs=2, store_mb=64, frames=frames)
         assert sweep.ok, sweep.summary()
-        # Render-once: fleet-wide misses cannot exceed the unique frame
-        # count no matter how many workers scan the same clips.
-        assert sweep.store_misses <= unique_frames
-        assert sweep.store_lease_waits >= 0
+        # Render-once: each clip's cells share one worker's store, so
+        # misses cannot exceed the unique frame count no matter how many
+        # methods scan the same clips.
+        assert 0 < sweep.store_misses <= unique_frames
 
-    def test_lease_waits_funnelled_to_obs(self):
+    def test_store_counters_funnelled_to_obs(self):
         obs = Telemetry(InMemorySink())
         from repro.core.config import PipelineConfig
         from repro.video.framestore import configure_default
@@ -261,7 +303,12 @@ class TestStoreModes:
             for record in obs.sink.last_metrics()
             if record["kind"] == "counter"
         }
-        assert "sweep.store_lease_waits" in counters
+        for name in (
+            "sweep.store_hits",
+            "sweep.store_misses",
+            "sweep.store_evicted_bytes",
+        ):
+            assert name in counters, name
 
 
 class TestArtifactStoreModes:
@@ -299,12 +346,9 @@ class TestArtifactStoreModes:
         assert sweep.artifact_hits > 0
         assert sweep.artifact_misses > 0
 
-    def test_pool_budgeted_sweep_uses_shared_store(self):
-        from repro.video.framestore import shared_store_available
-
+    def test_pool_budgeted_sweep_uses_private_stores(self):
         sweep = self._run(jobs=2, artifact_mb=256)
-        expected = "shared" if shared_store_available() else "private"
-        assert sweep.artifact_store_mode == expected
+        assert sweep.artifact_store_mode == "private"
 
     def test_store_never_changes_results(self):
         with_store = self._run(jobs=1, artifact_mb=256)
@@ -333,9 +377,74 @@ class TestArtifactStoreModes:
             "sweep.artifact_hits",
             "sweep.artifact_misses",
             "sweep.artifact_evicted_bytes",
-            "sweep.artifact_lease_waits",
             "sweep.pyramid_hits",
             "sweep.pyramid_misses",
             "sweep.pyramid_evictions",
         ):
             assert name in counters, name
+
+
+class TestClipAffinity:
+    """The pool's unit of work is one clip, so a worker's private stores
+    see every reuse the clip offers: with budgets that fit the working
+    set, a jobs=2 sweep misses exactly as often as a jobs=1 sweep."""
+
+    _BUDGETS = dict(frame_store_mb=64, artifact_store_mb=256)
+
+    @pytest.fixture(scope="class")
+    def sweeps(self):
+        from repro.core.config import PipelineConfig
+        from repro.video import framestore
+        from repro.vision import artifact_store
+
+        config = PipelineConfig(**self._BUDGETS)
+        settled = []
+        try:
+            # Cold parent stores for the sequential arm: a zero budget
+            # drops whatever earlier tests left behind.
+            framestore.configure_default(0)
+            artifact_store.configure_default(0)
+            sequential = run_sweep(_METHODS, _small_suite(frames=24), jobs=1, config=config)
+            parallel = run_sweep(
+                _METHODS,
+                _small_suite(frames=24),
+                jobs=2,
+                config=config,
+                progress=lambda done, total, r: settled.append(r),
+            )
+        finally:
+            framestore.configure_default(0)
+            artifact_store.configure_default(0)
+        return sequential, parallel, settled
+
+    def test_every_cell_of_a_clip_runs_on_one_worker(self, sweeps):
+        _, parallel, settled = sweeps
+        assert parallel.ok, parallel.summary()
+        pids: dict[int, set[int]] = {}
+        for result in settled:
+            pids.setdefault(result.clip_index, set()).add(result.worker_pid)
+        assert len(pids) == 3
+        assert all(len(workers) == 1 for workers in pids.values()), pids
+
+    def test_misses_equal_the_sequential_sweep(self, sweeps):
+        sequential, parallel, _ = sweeps
+        assert sequential.store_misses > 0 and sequential.artifact_misses > 0
+        assert parallel.store_misses == sequential.store_misses
+        assert parallel.artifact_misses == sequential.artifact_misses
+        assert parallel.store_evicted_bytes == 0
+        assert parallel.artifact_evicted_bytes == 0
+
+    def test_one_clip_sweep_reaches_every_worker(self):
+        # Fewer clips than workers: the clip's unit is split so both
+        # workers get cells.
+        suite = _small_suite(frames=24, clips=1)
+        pids = set()
+        sweep = run_sweep(
+            ("adavp", "mpdt-320", "mve", "no-tracking-320"),
+            suite,
+            jobs=2,
+            progress=lambda done, total, r: pids.add(r.worker_pid),
+        )
+        assert sweep.ok, sweep.summary()
+        assert sweep.total_shards == 4
+        assert len(pids) == 2

@@ -96,42 +96,6 @@ class TestShardSpecDefaults:
         assert spec.attempt == 0
 
 
-class TestStoreConfig:
-    def test_validation(self):
-        from repro.parallel import StoreConfig
-        from repro.video.framestore import StoreToken
-
-        with pytest.raises(ValueError, match="unknown store mode"):
-            StoreConfig(mode="global", budget_bytes=1)
-        with pytest.raises(ValueError, match="needs a token"):
-            StoreConfig(mode="shared", budget_bytes=1)
-        with pytest.raises(ValueError, match="non-negative"):
-            StoreConfig(mode="private", budget_bytes=-1)
-        token = StoreToken(control="seg", lock_path="/tmp/x.lock")
-        cfg = StoreConfig(mode="shared", budget_bytes=64, token=token)
-        assert cfg.token is token
-
-    def test_round_trips_through_pickle_on_shard_spec(self):
-        from repro.parallel import StoreConfig
-        from repro.video.framestore import StoreToken
-
-        clip = make_clip("residential", seed=3, num_frames=6)
-        spec = ShardSpec(
-            index=0,
-            method=MethodSpec(name="adavp"),
-            clip=ClipSpec.from_clip(clip),
-            clip_index=0,
-            store=StoreConfig(
-                mode="shared",
-                budget_bytes=4096,
-                token=StoreToken(control="reprofs_1_ab", lock_path="/tmp/a.lock"),
-            ),
-        )
-        restored = pickle.loads(pickle.dumps(spec))
-        assert restored == spec
-        assert restored.store.token.control == "reprofs_1_ab"
-
-
 class TestStoreBudgetValidation:
     def _spec(self, mb):
         clip = make_clip("intersection", seed=1, num_frames=2)
@@ -154,8 +118,8 @@ class TestStoreBudgetValidation:
     def test_build_no_longer_reconfigures_the_store(self):
         # Regression: ClipSpec.build() used to call configure_default per
         # clip, silently re-budgeting (and possibly evicting) the
-        # process-wide store mid-sweep.  Budgets are applied exactly once
-        # per worker via StoreConfig now.
+        # process-wide store mid-sweep.  Budgets are applied by run_shard
+        # in the worker, from the one budget the whole sweep carries.
         from repro.video.framestore import default_store
 
         before = default_store().max_bytes
@@ -194,22 +158,3 @@ class TestArtifactStoreBudgetValidation:
 
         specs = [self._spec(artifact_mb=None), self._spec(artifact_mb=256)]
         assert validate_store_budgets(specs, attr="artifact_store_mb") == 256
-
-    def test_artifact_store_config_round_trips_on_shard_spec(self):
-        from repro.parallel import StoreConfig
-        from repro.video.framestore import StoreToken
-
-        spec = ShardSpec(
-            index=0,
-            method=MethodSpec(name="adavp"),
-            clip=self._spec(artifact_mb=64),
-            clip_index=0,
-            artifact_store=StoreConfig(
-                mode="shared",
-                budget_bytes=8192,
-                token=StoreToken(control="reproas_1_cd", lock_path="/tmp/b.lock"),
-            ),
-        )
-        restored = pickle.loads(pickle.dumps(spec))
-        assert restored == spec
-        assert restored.artifact_store.token.control == "reproas_1_cd"

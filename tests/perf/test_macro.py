@@ -63,26 +63,15 @@ class TestRunMacroBenchmark:
         assert par["evicted_bytes"] == 0
 
     def test_arms_record_their_store_mode(self, macro_doc):
-        from repro.video.framestore import shared_store_available
-
         store = macro_doc["benches"][0]["frame_store"]
         assert store["sequential"]["store_mode"] == "private"
-        expected = "shared" if shared_store_available() else "private"
-        assert store["parallel"]["store_mode"] == expected
-        assert store["sequential"]["lease_waits"] >= 0
-        assert store["parallel"]["lease_waits"] >= 0
+        assert store["parallel"]["store_mode"] == "private"
 
     def test_disabled_store_records_zero_counters(self):
         doc = run_macro_benchmark(jobs=2, repeats=1, quick=True, frame_store_mb=0)
         store = doc["benches"][0]["frame_store"]
         assert store["budget_mb"] == 0
-        zeros = {
-            "store_mode": "none",
-            "hits": 0,
-            "misses": 0,
-            "evicted_bytes": 0,
-            "lease_waits": 0,
-        }
+        zeros = {"store_mode": "none", "hits": 0, "misses": 0, "evicted_bytes": 0}
         assert store["sequential"] == zeros
         assert store["parallel"] == zeros
 
@@ -103,12 +92,9 @@ class TestRunMacroBenchmark:
             assert entry["pyramid_cache_misses"] > 0
 
     def test_artifact_store_arms_record_their_mode(self, macro_doc):
-        from repro.video.framestore import shared_store_available
-
         store = macro_doc["benches"][0]["artifact_store"]
         assert store["sequential"]["store_mode"] == "private"
-        expected = "shared" if shared_store_available() else "private"
-        assert store["parallel"]["store_mode"] == expected
+        assert store["parallel"]["store_mode"] == "private"
 
     def test_disabled_artifact_store_records_zero_counters(self):
         doc = run_macro_benchmark(
@@ -204,114 +190,40 @@ class TestValidateMacroDoc:
         assert "skipping" not in capsys.readouterr().err
 
 
-class TestStoreHitRatioGate:
-    def test_parity_passes(self, macro_doc):
-        doc = copy.deepcopy(macro_doc)
-        store = doc["benches"][0]["frame_store"]
-        store["sequential"]["hits"] = 300
-        store["parallel"]["hits"] = 290
-        assert validate_macro_doc(doc, min_store_hit_ratio=0.9) == [MACRO_BENCH_NAME]
-
-    def test_private_store_regression_fails(self, macro_doc):
-        """The motivating bug: per-worker private stores at jobs=4 showed
-        21 parallel hits against 318 sequential — the gate must catch
-        that shape."""
-        doc = copy.deepcopy(macro_doc)
-        store = doc["benches"][0]["frame_store"]
-        store["sequential"]["hits"] = 318
-        store["parallel"]["hits"] = 21
-        with pytest.raises(ValueError, match="below 90% of sequential"):
-            validate_macro_doc(doc, min_store_hit_ratio=0.9)
-
-    def test_gate_is_one_sided(self, macro_doc):
-        # Worker-local renderer caches are colder than the parent's, so
-        # the parallel arm legitimately hits the store *more*.
-        doc = copy.deepcopy(macro_doc)
-        store = doc["benches"][0]["frame_store"]
-        store["sequential"]["hits"] = 100
-        store["parallel"]["hits"] = 400
-        assert validate_macro_doc(doc, min_store_hit_ratio=0.9) == [MACRO_BENCH_NAME]
-
-    def test_no_waiver_on_single_core(self, macro_doc):
-        # Unlike --min-speedup, cache reuse needs no second core: the
-        # gate holds everywhere.
-        doc = copy.deepcopy(macro_doc)
-        doc["host"]["cpu_count"] = 1
-        store = doc["benches"][0]["frame_store"]
-        store["sequential"]["hits"] = 318
-        store["parallel"]["hits"] = 21
-        with pytest.raises(ValueError, match="below 90% of sequential"):
-            validate_macro_doc(doc, min_store_hit_ratio=0.9)
-
+class TestStoreBlockSchema:
     def test_unknown_store_mode_rejected(self, macro_doc):
         doc = copy.deepcopy(macro_doc)
         doc["benches"][0]["frame_store"]["parallel"]["store_mode"] = "global"
         with pytest.raises(ValueError, match="unknown store_mode"):
             validate_macro_doc(doc)
 
-    def test_legacy_arms_without_store_mode_still_validate(self, macro_doc):
-        """Documents written before the cross-process store lack
-        store_mode/lease_waits; the schema (and even the ratio gate)
-        must keep accepting them."""
-        doc = copy.deepcopy(macro_doc)
-        for arm in ("sequential", "parallel"):
-            entry = doc["benches"][0]["frame_store"][arm]
-            entry.pop("store_mode", None)
-            entry.pop("lease_waits", None)
-        assert validate_macro_doc(doc) == [MACRO_BENCH_NAME]
-        assert validate_macro_doc(doc, min_store_hit_ratio=0.0) == [MACRO_BENCH_NAME]
-
-
-class TestArtifactHitRatioGate:
-    """--min-artifact-hit-ratio: the one-sided parallel-vs-sequential
-    parity gate, one layer up from --min-store-hit-ratio."""
-
-    def test_parity_passes(self, macro_doc):
-        doc = copy.deepcopy(macro_doc)
-        store = doc["benches"][0]["artifact_store"]
-        store["sequential"]["hits"] = 74
-        store["parallel"]["hits"] = 74
-        assert validate_macro_doc(doc, min_artifact_hit_ratio=0.9) == [
-            MACRO_BENCH_NAME
-        ]
-
-    def test_cold_parallel_store_fails(self, macro_doc):
-        """The motivating shape: per-worker private artifact stores would
-        show near-zero parallel hits against a warm sequential arm."""
-        doc = copy.deepcopy(macro_doc)
-        store = doc["benches"][0]["artifact_store"]
-        store["sequential"]["hits"] = 74
-        store["parallel"]["hits"] = 3
-        with pytest.raises(ValueError, match="artifact_store hits 3 below"):
-            validate_macro_doc(doc, min_artifact_hit_ratio=0.9)
-
-    def test_gate_is_one_sided(self, macro_doc):
-        doc = copy.deepcopy(macro_doc)
-        store = doc["benches"][0]["artifact_store"]
-        store["sequential"]["hits"] = 50
-        store["parallel"]["hits"] = 200
-        assert validate_macro_doc(doc, min_artifact_hit_ratio=0.9) == [
-            MACRO_BENCH_NAME
-        ]
-
-    def test_gate_without_block_is_an_error(self, macro_doc):
-        doc = copy.deepcopy(macro_doc)
-        del doc["benches"][0]["artifact_store"]
-        with pytest.raises(ValueError, match="no artifact_store block"):
-            validate_macro_doc(doc, min_artifact_hit_ratio=0.9)
-
-    def test_legacy_doc_without_block_still_validates(self, macro_doc):
-        """Documents written before the artifact store lack the block;
-        the ungated schema must keep accepting them."""
-        doc = copy.deepcopy(macro_doc)
-        del doc["benches"][0]["artifact_store"]
-        assert validate_macro_doc(doc) == [MACRO_BENCH_NAME]
-
     def test_unknown_artifact_store_mode_rejected(self, macro_doc):
         doc = copy.deepcopy(macro_doc)
         doc["benches"][0]["artifact_store"]["parallel"]["store_mode"] = "global"
         with pytest.raises(ValueError, match="unknown store_mode"):
             validate_macro_doc(doc)
+
+    def test_documents_from_the_shared_store_era_still_validate(self, macro_doc):
+        """Documents written while a cross-process tier existed record
+        ``store_mode: "shared"`` and ``lease_waits``; they stay valid."""
+        doc = copy.deepcopy(macro_doc)
+        for block in ("frame_store", "artifact_store"):
+            doc["benches"][0][block]["parallel"].update(store_mode="shared", lease_waits=4)
+        assert validate_macro_doc(doc) == [MACRO_BENCH_NAME]
+
+    def test_legacy_arms_without_store_mode_still_validate(self, macro_doc):
+        """Documents written before store_mode existed lack it; the
+        schema must keep accepting them."""
+        doc = copy.deepcopy(macro_doc)
+        for arm in ("sequential", "parallel"):
+            doc["benches"][0]["frame_store"][arm].pop("store_mode", None)
+        assert validate_macro_doc(doc) == [MACRO_BENCH_NAME]
+
+    def test_legacy_doc_without_block_still_validates(self, macro_doc):
+        """Documents written before the artifact store lack the block."""
+        doc = copy.deepcopy(macro_doc)
+        del doc["benches"][0]["artifact_store"]
+        assert validate_macro_doc(doc) == [MACRO_BENCH_NAME]
 
 
 class TestMergeSweepBench:

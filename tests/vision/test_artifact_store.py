@@ -1,33 +1,18 @@
-"""Derived-artifact store: pack format, key scheme, tiers, process default.
-
-The spawn-crossing worker is a module-level function so the spawn start
-method can pickle it by reference and reimport it inside the child
-process (same pattern as ``tests/video/test_framestore_shared.py``).
-"""
+"""Derived-artifact store: key scheme, freeze-on-store, process default."""
 
 from __future__ import annotations
 
-import multiprocessing as mp
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vision import artifact_store as artifact_store_mod
 from repro.vision.artifact_store import (
     BYTES_PER_MB,
     ArtifactStore,
     PyramidArtifact,
     _PrivateBacking,
-    attach_shared,
     configure_default,
-    create_shared,
     default_store,
-    install_store,
-    pack_artifact,
-    shared_store_available,
-    unpack_artifact,
 )
 from repro.vision.optical_flow import FramePyramid
 from repro.vision.pyramid_cache import PyramidCache
@@ -45,70 +30,6 @@ def _assert_pyramids_equal(left: FramePyramid, right: FramePyramid) -> None:
         rx, ry = right.gradients(level)
         assert np.array_equal(lx, rx)
         assert np.array_equal(ly, ry)
-
-
-class TestPackFormat:
-    def test_warmed_roundtrip_is_bit_identical(self):
-        pyramid = FramePyramid(_frame(1), 3)
-        artifact = PyramidArtifact.from_pyramid(pyramid, warmed=True)
-        unpacked = unpack_artifact(pack_artifact(artifact))
-        assert unpacked.warmed and unpacked.levels == artifact.levels
-        for level in range(artifact.levels):
-            assert np.array_equal(unpacked.images[level], artifact.images[level])
-            for axis in (0, 1):
-                assert np.array_equal(
-                    unpacked.gradients[level][axis], artifact.gradients[level][axis]
-                )
-
-    def test_lazy_roundtrip_has_no_gradients(self):
-        artifact = PyramidArtifact.from_pyramid(FramePyramid(_frame(2), 2), warmed=False)
-        unpacked = unpack_artifact(pack_artifact(artifact))
-        assert not unpacked.warmed
-        assert unpacked.gradients is None
-        assert unpacked.levels == artifact.levels
-
-    def test_odd_shapes_survive_alignment_padding(self):
-        # 17x23 planes are not multiples of the 16-byte alignment; the
-        # pack cursor must pad between planes without corrupting any.
-        pyramid = FramePyramid(_frame(3, shape=(17, 23)), 1)
-        artifact = PyramidArtifact.from_pyramid(pyramid, warmed=True)
-        unpacked = unpack_artifact(pack_artifact(artifact))
-        assert np.array_equal(unpacked.images[0], artifact.images[0])
-        assert np.array_equal(unpacked.gradients[0][0], artifact.gradients[0][0])
-
-    def test_unpack_is_zero_copy_views(self):
-        buffer = pack_artifact(
-            PyramidArtifact.from_pyramid(FramePyramid(_frame(4), 2), warmed=True)
-        )
-        unpacked = unpack_artifact(buffer)
-        for plane in unpacked.images + tuple(g for pair in unpacked.gradients for g in pair):
-            assert np.shares_memory(plane, buffer)
-
-    def test_packing_is_deterministic(self):
-        artifact = PyramidArtifact.from_pyramid(FramePyramid(_frame(5), 3), warmed=True)
-        assert np.array_equal(pack_artifact(artifact), pack_artifact(artifact))
-
-    def test_unknown_version_rejected(self):
-        buffer = pack_artifact(
-            PyramidArtifact.from_pyramid(FramePyramid(_frame(6), 1), warmed=False)
-        )
-        import pickle
-        import struct
-
-        bad_header = pickle.dumps((99, False, 1, ()), protocol=pickle.HIGHEST_PROTOCOL)
-        bad = np.zeros(8 + len(bad_header) + 64, dtype=np.uint8)
-        struct.pack_into("<Q", bad, 0, len(bad_header))
-        bad[8 : 8 + len(bad_header)] = np.frombuffer(bad_header, dtype=np.uint8)
-        with pytest.raises(ValueError, match="version"):
-            unpack_artifact(bad)
-
-    def test_to_pyramid_reconstructs_without_rebuild(self):
-        pyramid = FramePyramid(_frame(7), 3)
-        pyramid.warm_gradients()
-        artifact = unpack_artifact(
-            pack_artifact(PyramidArtifact.from_pyramid(pyramid, warmed=True))
-        )
-        _assert_pyramids_equal(artifact.to_pyramid(), pyramid)
 
 
 class TestArtifactStoreSemantics:
@@ -158,29 +79,41 @@ class TestArtifactStoreSemantics:
         assert np.array_equal(served.images[0], artifact.images[0])
         assert store.stats()["entries"] == 0
 
+    def test_stored_artifact_is_canonical_and_read_only(self):
+        # The LRU holds artifacts as values: a hit returns the stored
+        # object itself, and every plane is frozen so no arm can mutate
+        # what the next arm reads.
+        store = self._store()
+        artifact = PyramidArtifact.from_pyramid(FramePyramid(_frame(14), 3), warmed=True)
+        canonical = store.put("fp", 0, 3, True, artifact)
+        assert canonical is artifact
+        assert store.get("fp", 0, 3, True) is artifact
+        assert artifact.planes and all(not plane.flags.writeable for plane in artifact.planes)
+        assert store.stats()["current_bytes"] == artifact.nbytes
+
+    def test_losing_duplicate_stays_writable(self):
+        store = self._store()
+        first = PyramidArtifact.from_pyramid(FramePyramid(_frame(15), 2), warmed=False)
+        second = PyramidArtifact.from_pyramid(FramePyramid(_frame(15), 2), warmed=False)
+        store.put("fp", 0, 2, False, first)
+        assert store.put("fp", 0, 2, False, second) is first
+        assert all(plane.flags.writeable for plane in second.planes)
+
 
 class TestProcessDefault:
     def test_unbound_cache_never_touches_a_store(self):
         # No fingerprint means no content address: even with a live
         # default store the cache must stay local.
-        overlay = ArtifactStore(_PrivateBacking(4 * BYTES_PER_MB))
-        previous = install_store(overlay)
+        before = default_store().max_bytes
         try:
+            store = configure_default(4 * BYTES_PER_MB)
+            misses0 = store.stats()["misses"]
             cache = PyramidCache(capacity=2)
             cache.get(0, 2, lambda _: _frame(20))
-            assert overlay.stats()["misses"] == 0
+            assert store.stats()["misses"] == misses0
             assert cache.store_hits == 0 and cache.store_misses == 0
         finally:
-            install_store(previous)
-
-    def test_install_overlay_and_restore(self):
-        overlay = ArtifactStore(_PrivateBacking(4 * BYTES_PER_MB))
-        previous = install_store(overlay)
-        try:
-            assert default_store() is overlay
-        finally:
-            install_store(previous)
-        assert default_store() is not overlay
+            configure_default(before)
 
     def test_configure_default_sets_budget(self):
         before = default_store().max_bytes
@@ -236,87 +169,3 @@ class TestStoreServedEqualsDirect:
         assert calls == []  # fully store-served, never rebuilt
         assert reader.store_hits == 1
         _assert_pyramids_equal(served, FramePyramid(frame, levels))
-
-
-def _pyramids_via_shared_store(token, fingerprint, num_frames, levels, queue):
-    """Spawn worker: serve pyramids through an attached shared store."""
-    import numpy as np
-
-    from repro.vision.artifact_store import attach_shared
-    from repro.vision.pyramid_cache import PyramidCache
-
-    store = attach_shared(token)
-    cache = PyramidCache(capacity=1, fingerprint=fingerprint, artifact_store=store)
-    payload = []
-    for index in range(num_frames):
-        pyramid = cache.get(
-            index, levels, lambda i: np.random.default_rng(1000 + i).random((40, 56))
-        )
-        planes = [np.asarray(img).copy() for img in pyramid.images]
-        grads = [
-            (np.asarray(gx).copy(), np.asarray(gy).copy())
-            for gx, gy in (pyramid.gradients(lv) for lv in range(pyramid.levels))
-        ]
-        payload.append((planes, grads))
-    stats = store.stats()
-    queue.put((payload, stats["misses"], stats["hits"]))
-
-
-@pytest.mark.skipif(
-    not shared_store_available(),
-    reason="cross-process store needs POSIX shared memory + fcntl",
-)
-class TestCrossProcessTier:
-    def test_spawn_workers_share_pyramids_and_match_direct(self):
-        num_frames, levels = 4, 3
-        store = create_shared(64 * BYTES_PER_MB)
-        try:
-            ctx = mp.get_context("spawn")
-            queue = ctx.Queue()
-            procs = [
-                ctx.Process(
-                    target=_pyramids_via_shared_store,
-                    args=(store.token, "xp-fp", num_frames, levels, queue),
-                )
-                for _ in range(2)
-            ]
-            for proc in procs:
-                proc.start()
-            outputs = [queue.get(timeout=120) for _ in procs]
-            for proc in procs:
-                proc.join(timeout=30)
-            for payload, _, _ in outputs:
-                assert len(payload) == num_frames
-                for index, (planes, grads) in enumerate(payload):
-                    direct = FramePyramid(
-                        np.random.default_rng(1000 + index).random((40, 56)), levels
-                    )
-                    assert len(planes) == direct.levels
-                    for level in range(direct.levels):
-                        assert np.array_equal(planes[level], direct.images[level])
-                        dx, dy = direct.gradients(level)
-                        assert np.array_equal(grads[level][0], dx)
-                        assert np.array_equal(grads[level][1], dy)
-            # Build-once fleet-wide: total misses across both workers is
-            # the unique pyramid count; the compute lease made the racing
-            # worker wait for the first builder's fill.
-            total_misses = sum(misses for _, misses, _ in outputs)
-            assert total_misses == num_frames
-            assert store.stats()["entries"] == num_frames
-        finally:
-            store.close()
-
-    def test_attach_shares_entries_with_owner(self):
-        store = create_shared(16 * BYTES_PER_MB)
-        try:
-            artifact = PyramidArtifact.from_pyramid(
-                FramePyramid(_frame(21), 2), warmed=True
-            )
-            store.put("fp", 0, 2, True, artifact)
-            reader = attach_shared(store.token)
-            served = reader.get("fp", 0, 2, True)
-            assert served is not None
-            _assert_pyramids_equal(served.to_pyramid(), artifact.to_pyramid())
-            assert reader.owner is False and store.owner is True
-        finally:
-            store.close()
