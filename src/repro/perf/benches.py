@@ -107,8 +107,9 @@ def bench_lk_track(quick: bool) -> BenchResult:
             repeats, 1,
         ),
         notes=(
-            "active-row gathering + shared-coordinate gradient sampling vs. "
-            "full-window resampling every iteration"
+            "active-row gathering + one coordinate pass shared by the level "
+            "image and both gradients vs. full-window resampling every "
+            "iteration"
         ),
     )
 
@@ -151,8 +152,10 @@ def bench_block_motion_field(quick: bool) -> BenchResult:
             repeats, number,
         ),
         notes=(
-            "one (N,B,B) clip-gather + row SAD reduction per candidate vs. "
-            "frozen per-block per-candidate Python scan"
+            "one windowed SAD per pyramid level (clamped (N,B+2r,B+2r) "
+            "search-window gather, strided candidate views, one reduction, "
+            "first-minimum argmin) vs. frozen per-block per-candidate "
+            "Python scan"
         ),
     )
 

@@ -6,12 +6,15 @@ the pure-Python occupancy-grid suppression that
 resampled every window on every iteration regardless of convergence
 (both from the PR "live-executor races & hot-path perf"), the
 meshgrid-everything frame renderer from before the frame-store PR —
-full-grid ``sample_bilinear`` background scroll, per-call warp-table
+full-grid bilinear background scroll, per-call warp-table
 RNG construction, and a fresh render of every frame — and the
 allocate-per-tap separable convolution stack (kernel build, reflect
 pad, ``out += k * padded[...]`` loop, blur-everything-then-subsample
 pyramid level, three separate structure-tensor blurs) from before the
-fused-engine PR.
+fused-engine PR.  The LK and renderer references sample through
+:func:`sample_bilinear_reference`, the bilinear sampler from before its
+coordinate pass was split from its gather, so no change to the live
+sampler can reach them.
 
 They exist for exactly one purpose: the microbenchmark harness
 (:mod:`repro.perf.benches`) times them against the live implementations
@@ -43,7 +46,38 @@ from repro.vision.optical_flow import (
     LKParams,
     _window_grid,
 )
-from repro.vision.image import sample_bilinear
+
+
+def sample_bilinear_reference(
+    image: np.ndarray, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """The one-piece bilinear sampler: ``np.clip`` through its dispatch
+    wrapper, then truncation, weights and the four flat gathers, all in
+    one body per call.  The live sampler splits the coordinate pass from
+    the gather so callers can share it; the frozen LK and renderer
+    references sample through this copy so they cannot follow it."""
+    image = np.asarray(image, dtype=np.float64)
+    h, w = image.shape
+    if h < 2 or w < 2:
+        raise ValueError("sample_bilinear needs an image of at least 2x2")
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    out_shape = xs.shape
+    xs = np.clip(xs.ravel(), 0.0, w - 1.000001)
+    ys = np.clip(ys.ravel(), 0.0, h - 1.000001)
+    x0 = xs.astype(np.intp)
+    y0 = ys.astype(np.intp)
+    fx = xs - x0
+    fy = ys - y0
+    flat = image.ravel()
+    base = y0 * w + x0
+    tl = flat[base]
+    tr = flat[base + 1]
+    bl = flat[base + w]
+    br = flat[base + w + 1]
+    top = tl + (tr - tl) * fx
+    bottom = bl + (br - bl) * fx
+    return (top + (bottom - top) * fy).reshape(out_shape)
 
 
 def _gaussian_kernel1d_reference(sigma: float, radius: int | None = None) -> np.ndarray:
@@ -232,9 +266,9 @@ def track_features_reference(
             & (pts_l[:, 1] <= h - 1 - params.window_radius)
         )
 
-        patch_prev = sample_bilinear(prev_l, wx, wy)
-        ix = sample_bilinear(grad_x, wx, wy)
-        iy = sample_bilinear(grad_y, wx, wy)
+        patch_prev = sample_bilinear_reference(prev_l, wx, wy)
+        ix = sample_bilinear_reference(grad_x, wx, wy)
+        iy = sample_bilinear_reference(grad_y, wx, wy)
 
         gxx = np.einsum("nij,nij->n", ix, ix)
         gxy = np.einsum("nij,nij->n", ix, iy)
@@ -256,7 +290,7 @@ def track_features_reference(
                 break
             qx = wx + (flow[:, 0] + v[:, 0])[:, None, None]
             qy = wy + (flow[:, 1] + v[:, 1])[:, None, None]
-            patch_next = sample_bilinear(next_l, qx, qy)
+            patch_next = sample_bilinear_reference(next_l, qx, qy)
             diff = patch_prev - patch_next
             bx = np.einsum("nij,nij->n", diff, ix)
             by = np.einsum("nij,nij->n", diff, iy)
@@ -271,7 +305,7 @@ def track_features_reference(
         if level == 0:
             qx = wx + flow[:, 0][:, None, None]
             qy = wy + flow[:, 1][:, None, None]
-            patch_next = sample_bilinear(next_l, qx, qy)
+            patch_next = sample_bilinear_reference(next_l, qx, qy)
             residual = np.abs(patch_prev - patch_next).mean(axis=(1, 2))
         else:
             flow *= 2.0
@@ -398,7 +432,7 @@ def warp_modulation_reference(
 class ReferenceFrameRenderer:
     """The pre-frame-store-PR ``FrameRenderer`` render path, cache stripped.
 
-    Full ``meshgrid`` + :func:`sample_bilinear` background scroll over
+    Full ``meshgrid`` + :func:`sample_bilinear_reference` background scroll over
     every H×W point, per-frame warp-table RNG reconstruction, 2-D
     object-local grids, and out-of-place noise arithmetic.  Texture and
     warp-field construction are shared with the live renderer (they are
@@ -444,7 +478,7 @@ class ReferenceFrameRenderer:
             _BACKGROUND_TILE - 1
         )
         grid_x, grid_y = np.meshgrid(xs, ys)
-        return sample_bilinear(self._background, grid_x, grid_y)
+        return sample_bilinear_reference(self._background, grid_x, grid_y)
 
     def _paint_object(
         self, frame: np.ndarray, obj: SceneObject, full_box: Box, frame_index: int
@@ -471,10 +505,10 @@ class ReferenceFrameRenderer:
             )
             amp_u = obj.deform_amp * mod_u * (_TEXTURE_TILE - 1) / full_box.width
             amp_v = obj.deform_amp * mod_v * (_TEXTURE_TILE - 1) / full_box.height
-            u = u + amp_u * sample_bilinear(field_u, u, v)
-            v = v + amp_v * sample_bilinear(field_v, u, v)
+            u = u + amp_u * sample_bilinear_reference(field_u, u, v)
+            v = v + amp_v * sample_bilinear_reference(field_v, u, v)
         texture = self._texture_for(obj)
-        patch = sample_bilinear(texture, u, v)
+        patch = sample_bilinear_reference(texture, u, v)
         norm_u = u / (_TEXTURE_TILE - 1)
         norm_v = v / (_TEXTURE_TILE - 1)
         radius = np.sqrt(((norm_u - 0.5) / 0.5) ** 2 + ((norm_v - 0.5) / 0.5) ** 2)

@@ -131,11 +131,12 @@ def _separable_bilinear(
     ``len(ys) × len(xs)`` points with work on ``len(xs) + len(ys)``
     points.  Each output element evaluates the *same expression tree* as
     ``sample_bilinear`` — ``top + (bottom - top) * fy`` over
-    ``tl + (tr - tl) * fx`` — so the result is bit-identical.
+    ``tl + (tr - tl) * fx`` — so the result is bit-identical.  Clamping
+    uses ``ndarray.clip`` for the same reason ``sample_bilinear`` does.
     """
     h, w = image.shape
-    xs = np.clip(xs, 0.0, w - 1.000001)
-    ys = np.clip(ys, 0.0, h - 1.000001)
+    xs = xs.clip(0.0, w - 1.000001)
+    ys = ys.clip(0.0, h - 1.000001)
     x0 = xs.astype(np.intp)
     y0 = ys.astype(np.intp)
     fx = xs - x0
@@ -189,12 +190,12 @@ def _sample_texture_warped(
         raise ValueError("warp field and texture must share a shape")
     shape = u.shape
     # Shared x pass.
-    xs = np.clip(u.ravel(), 0.0, w - 1.000001)
+    xs = u.ravel().clip(0.0, w - 1.000001)
     x0 = xs.astype(np.intp)
     fx = (xs - x0).reshape(shape)
     x0 = x0.reshape(shape)
     # 1-D y pass for the (u, broadcast vy) gather.
-    ys1 = np.clip(vy, 0.0, h - 1.000001)
+    ys1 = vy.clip(0.0, h - 1.000001)
     y01 = ys1.astype(np.intp)
     fy1 = ys1 - y01
     flat = field_v.ravel()
@@ -208,7 +209,7 @@ def _sample_texture_warped(
     warp = top + (bottom - top) * fy1[:, None]
     v = np.broadcast_to(vy[:, None], shape) + amp_v * warp
     # Full y pass for the texture gather at the warped v.
-    ys2 = np.clip(v.ravel(), 0.0, h - 1.000001)
+    ys2 = v.ravel().clip(0.0, h - 1.000001)
     y02 = ys2.astype(np.intp)
     fy2 = (ys2 - y02).reshape(shape)
     flat = texture.ravel()

@@ -11,54 +11,27 @@ doubles the running estimate and rescans a ±1 neighbourhood.  With the
 defaults that is 49 + 9 + 9 candidate positions per block for a ±15 px
 reach at full resolution.
 
-The search is vectorised across blocks, not candidates: for each
-candidate displacement one clamped gather pulls every block's patch at
-once, and the SAD reduction reuses per-thread scratch via the same pool
-as the fused convolution engine.  Patches are gathered with
-clamped-to-border coordinates ("clamped-border SAD"), so blocks near the
-frame edge compare against edge-replicated samples — the frozen
-reference in :mod:`repro.perf.reference` replicates these semantics
-exactly and the two are ``np.array_equal``-pinned by the bench harness.
+The search is vectorised across blocks and candidates at once: per level,
+one clamped gather pulls each block's whole ``(B+2r, B+2r)`` search
+window, every ``(2r+1)^2`` candidate patch is a strided view into it, and
+a single reduction yields every candidate's SAD; ``argmin`` picks the
+winner.  Windows are gathered with clamped-to-border coordinates
+("clamped-border SAD"), so blocks near the frame edge compare against
+edge-replicated samples — the frozen reference in
+:mod:`repro.perf.reference` replicates these semantics exactly and the two
+are ``np.array_equal``-pinned by the bench harness.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.geometry import Box, clip_box
-from repro.vision.image import _scratch_buffer
 from repro.vision.optical_flow import FramePyramid
-
-
-class _IndexScratchPool(threading.local):
-    """Per-thread reusable ``intp`` buffers, mirroring the image-pool idiom.
-
-    The shared float64 pool in :mod:`repro.vision.image` cannot hold index
-    arrays, and the (N, B, B) gather indices are the one sizeable integer
-    allocation in the candidate loop.
-    """
-
-    _MAX_ENTRIES = 16
-
-    def __init__(self) -> None:
-        self._buffers: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
-
-    def get(self, tag: str, shape: tuple[int, ...]) -> np.ndarray:
-        key = (tag, shape)
-        buffer = self._buffers.get(key)
-        if buffer is None:
-            if len(self._buffers) >= self._MAX_ENTRIES:
-                self._buffers.clear()
-            buffer = np.empty(shape, dtype=np.intp)
-            self._buffers[key] = buffer
-        return buffer
-
-
-_INDEX_SCRATCH = _IndexScratchPool()
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,23 +89,16 @@ class BlockMotionField:
         return self.vectors[self.valid]
 
 
-def _gather_blocks(
-    flat: np.ndarray,
-    height: int,
-    width: int,
-    cx: np.ndarray,
-    cy: np.ndarray,
-    offsets: np.ndarray,
-    out: np.ndarray,
-    index_buffer: np.ndarray,
+def _clamped_windows(
+    image: np.ndarray, cx: np.ndarray, cy: np.ndarray, first: int, span: int
 ) -> np.ndarray:
-    """Gather one ``block x block`` patch per centre with clamped borders."""
-    rows = np.clip(cy[:, None] + offsets[None, :], 0, height - 1)
-    cols = np.clip(cx[:, None] + offsets[None, :], 0, width - 1)
-    np.multiply(rows, width, out=rows)
-    np.add(rows[:, :, None], cols[:, None, :], out=index_buffer)
-    np.take(flat, index_buffer, out=out)
-    return out
+    """One ``span x span`` patch per centre, starting ``first`` pixels from
+    it, gathered with clamped-to-border coordinates: ``(N, span, span)``."""
+    height, width = image.shape
+    steps = np.arange(first, first + span, dtype=np.intp)
+    rows = np.minimum(np.maximum(cy[:, None] + steps, 0), height - 1)
+    cols = np.minimum(np.maximum(cx[:, None] + steps, 0), width - 1)
+    return image[rows[:, :, None], cols[:, None, :]]
 
 
 def _match_level(
@@ -146,44 +112,35 @@ def _match_level(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best integer displacement per block around ``predicted`` at one level.
 
-    Candidates are scanned in row-major ``(dy, dx)`` order with a strict
-    ``<`` comparison, so ties resolve to the first candidate — the frozen
-    reference must (and does) scan in the same order.
+    Every block's whole search area is one clamped ``(B+2r, B+2r)`` window;
+    its ``(2r+1)^2`` candidate patches are strided views of that window.
+    Clamping each coordinate commutes with offsetting the patch inside the
+    window, so every candidate sees exactly the pixels a per-candidate
+    clamped gather would.  ``argmin`` over the row-major ``(dy, dx)``
+    candidate axis returns the first minimum — the tie-break of a scan with
+    a strict ``<``, which the frozen reference performs.
     """
-    height, width = prev_level.shape
     n = cx.shape[0]
-    offsets = np.arange(block_size, dtype=np.intp) - block_size // 2
-    shape = (n, block_size, block_size)
-    prev_patches = _scratch_buffer("bm.prev", shape)
-    candidate = _scratch_buffer("bm.cand", shape)
-    index_buffer = _INDEX_SCRATCH.get("bm.idx", shape)
-    flat_prev = prev_level.ravel()
-    flat_next = next_level.ravel()
-    _gather_blocks(flat_prev, height, width, cx, cy, offsets, prev_patches, index_buffer)
-
-    best_sad = np.full(n, np.inf, dtype=np.float64)
-    best = np.array(predicted, dtype=np.intp, copy=True)
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            _gather_blocks(
-                flat_next,
-                height,
-                width,
-                cx + predicted[:, 0] + dx,
-                cy + predicted[:, 1] + dy,
-                offsets,
-                candidate,
-                index_buffer,
-            )
-            np.subtract(candidate, prev_patches, out=candidate)
-            np.abs(candidate, out=candidate)
-            sad = candidate.reshape(n, -1).sum(axis=1)
-            better = sad < best_sad
-            if better.any():
-                best_sad[better] = sad[better]
-                best[better, 0] = predicted[better, 0] + dx
-                best[better, 1] = predicted[better, 1] + dy
-    return best, best_sad
+    side = 2 * radius + 1
+    first = -(block_size // 2)
+    prev_patches = _clamped_windows(prev_level, cx, cy, first, block_size)
+    windows = _clamped_windows(
+        next_level,
+        cx + predicted[:, 0],
+        cy + predicted[:, 1],
+        first - radius,
+        block_size + 2 * radius,
+    )
+    candidates = sliding_window_view(windows, (block_size, block_size), axis=(1, 2))
+    # (N, 2r+1, 2r+1, B, B) in C order, so each candidate's SAD reduces B*B
+    # contiguous values: the same pairwise sum the reference takes per patch.
+    diff = np.subtract(candidates, prev_patches[:, None, None], order="C")
+    np.abs(diff, out=diff)
+    sad = diff.reshape(n, side * side, block_size * block_size).sum(axis=2)
+    winner = sad.argmin(axis=1)
+    best_sad = sad[np.arange(n), winner]
+    step = np.stack((winner % side, winner // side), axis=1) - radius
+    return predicted + step, best_sad
 
 
 def block_motion_field(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -317,6 +318,61 @@ def build_pyramid(image: np.ndarray, levels: int) -> list[np.ndarray]:
     return pyramid
 
 
+class _BilinearTaps(NamedTuple):
+    """The coordinate half of bilinear sampling, shareable across images.
+
+    Flat index of each point's top-left neighbour in a ``(h, w)`` image,
+    the fractional weights, the row stride, and the shape to restore on
+    the result.
+    """
+
+    base: np.ndarray
+    fx: np.ndarray
+    fy: np.ndarray
+    width: int
+    out_shape: tuple[int, ...]
+
+
+def _bilinear_taps(
+    shape: tuple[int, ...], xs: np.ndarray, ys: np.ndarray
+) -> _BilinearTaps:
+    """Clamp, truncate, and weight ``(xs, ys)`` for any image of ``shape``.
+
+    ``ndarray.clip`` is the ``np.clip`` ufunc without the dispatch wrapper,
+    so clamping stays bit-identical — signed zeros included, which
+    ``np.maximum``/``np.minimum`` do not preserve.
+    """
+    h, w = shape
+    if h < 2 or w < 2:
+        raise ValueError("sample_bilinear needs an image of at least 2x2")
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    out_shape = xs.shape
+    xs = xs.ravel().clip(0.0, w - 1.000001)
+    ys = ys.ravel().clip(0.0, h - 1.000001)
+    x0 = xs.astype(np.intp)
+    y0 = ys.astype(np.intp)
+    return _BilinearTaps(y0 * w + x0, xs - x0, ys - y0, w, out_shape)
+
+
+def _bilinear_gather(image: np.ndarray, taps: _BilinearTaps) -> np.ndarray:
+    """Interpolate ``image`` at precomputed taps.
+
+    Flat gather: one fancy-index per corner is measurably faster than 2-D
+    indexing, and this is the hot path of Lucas-Kanade.
+    """
+    flat = image.ravel()
+    base = taps.base
+    w = taps.width
+    tl = flat[base]
+    tr = flat[base + 1]
+    bl = flat[base + w]
+    br = flat[base + w + 1]
+    top = tl + (tr - tl) * taps.fx
+    bottom = bl + (br - bl) * taps.fx
+    return (top + (bottom - top) * taps.fy).reshape(taps.out_shape)
+
+
 def sample_bilinear_pair(
     image_a: np.ndarray,
     image_b: np.ndarray,
@@ -326,42 +382,15 @@ def sample_bilinear_pair(
     """Bilinearly interpolate two same-shape images at the same points.
 
     Exactly equivalent to two :func:`sample_bilinear` calls, but the
-    coordinate work (clamping, truncation, fractional weights, flat base
-    indices) — roughly half the cost of a call — happens once.  Lucas-Kanade
-    samples both gradient images at identical window coordinates, so this
-    is a direct hot-path saving there.
+    coordinate pass (clamping, truncation, fractional weights, flat
+    indices) — roughly half the cost of a call — happens once.
     """
     image_a = np.asarray(image_a, dtype=np.float64)
     image_b = np.asarray(image_b, dtype=np.float64)
     if image_a.shape != image_b.shape:
         raise ValueError("sample_bilinear_pair images must share a shape")
-    h, w = image_a.shape
-    if h < 2 or w < 2:
-        raise ValueError("sample_bilinear needs an image of at least 2x2")
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    out_shape = xs.shape
-    xs = np.clip(xs.ravel(), 0.0, w - 1.000001)
-    ys = np.clip(ys.ravel(), 0.0, h - 1.000001)
-    x0 = xs.astype(np.intp)
-    y0 = ys.astype(np.intp)
-    fx = xs - x0
-    fy = ys - y0
-    base = y0 * w + x0
-    right = base + 1
-    below = base + w
-    corner = below + 1
-    outputs = []
-    for image in (image_a, image_b):
-        flat = image.ravel()
-        tl = flat[base]
-        tr = flat[right]
-        bl = flat[below]
-        br = flat[corner]
-        top = tl + (tr - tl) * fx
-        bottom = bl + (br - bl) * fx
-        outputs.append((top + (bottom - top) * fy).reshape(out_shape))
-    return outputs[0], outputs[1]
+    taps = _bilinear_taps(image_a.shape, xs, ys)
+    return _bilinear_gather(image_a, taps), _bilinear_gather(image_b, taps)
 
 
 def sample_bilinear(image: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -372,26 +401,4 @@ def sample_bilinear(image: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nda
     may be any (matching) shape; the result has the same shape.
     """
     image = np.asarray(image, dtype=np.float64)
-    h, w = image.shape
-    if h < 2 or w < 2:
-        raise ValueError("sample_bilinear needs an image of at least 2x2")
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    out_shape = xs.shape
-    xs = np.clip(xs.ravel(), 0.0, w - 1.000001)
-    ys = np.clip(ys.ravel(), 0.0, h - 1.000001)
-    x0 = xs.astype(np.intp)
-    y0 = ys.astype(np.intp)
-    fx = xs - x0
-    fy = ys - y0
-    # Flat gather: one fancy-index per corner is measurably faster than 2-D
-    # indexing, and this function is the hot path of Lucas-Kanade.
-    flat = image.ravel()
-    base = y0 * w + x0
-    tl = flat[base]
-    tr = flat[base + 1]
-    bl = flat[base + w]
-    br = flat[base + w + 1]
-    top = tl + (tr - tl) * fx
-    bottom = bl + (br - bl) * fx
-    return (top + (bottom - top) * fy).reshape(out_shape)
+    return _bilinear_gather(image, _bilinear_taps(image.shape, xs, ys))

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.vision.image import (  # noqa: F401 (image_gradients used by FramePyramid)
+    _bilinear_gather,
+    _bilinear_taps,
     build_pyramid,
     image_gradients,
     sample_bilinear,
-    sample_bilinear_pair,
 )
 
 
@@ -263,10 +264,12 @@ def track_features(
             & (pts_l[:, 1] <= h - 1 - params.window_radius)
         )
 
-        patch_prev = sample_bilinear(prev_l, wx, wy)
-        # Both gradient images are sampled at identical coordinates; the
-        # pair variant shares one coordinate pass between them.
-        ix, iy = sample_bilinear_pair(grad_x, grad_y, wx, wy)
+        # The level image and both gradients are sampled at identical
+        # coordinates, so one coordinate pass serves all three gathers.
+        taps = _bilinear_taps(prev_l.shape, wx, wy)
+        patch_prev = _bilinear_gather(prev_l, taps)
+        ix = _bilinear_gather(grad_x, taps)
+        iy = _bilinear_gather(grad_y, taps)
 
         gxx = np.einsum("nij,nij->n", ix, ix)
         gxy = np.einsum("nij,nij->n", ix, iy)

@@ -6,13 +6,40 @@ full pipelines; these tests localise the same guarantee to the two
 rewritten kernels, so a future regression points at the kernel and not at
 "some digest changed"."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis.extra import numpy as hnp
 
 from repro.perf import reference, workloads
 from repro.vision.block_motion import BlockMotionParams, block_motion_field
 from repro.vision.features import suppress_min_distance
+from repro.vision.image import gaussian_blur, sample_bilinear, sample_bilinear_pair
 from repro.vision.optical_flow import LKParams, track_features
+
+
+def _textured(shape: tuple[int, int], seed: int) -> np.ndarray:
+    """Smoothed noise: enough gradient structure for LK and SAD to lock on."""
+    return gaussian_blur(np.random.default_rng(seed).random(shape), sigma=1.5)
+
+
+def _assert_same_flow(prev, nxt, points, params):
+    optimized = track_features(prev, nxt, points, params)
+    expected = reference.track_features_reference(prev, nxt, points, params)
+    assert np.array_equal(optimized.points, expected.points)
+    assert np.array_equal(optimized.status, expected.status)
+    assert np.array_equal(optimized.residual, expected.residual)
+    return optimized
+
+
+def _assert_same_field(prev, nxt, points, params):
+    optimized = block_motion_field(prev, nxt, points, params)
+    expected = reference.block_motion_field_reference(prev, nxt, points, params)
+    assert np.array_equal(optimized.vectors, expected.vectors)
+    assert np.array_equal(optimized.cost, expected.cost)
+    assert np.array_equal(optimized.valid, expected.valid)
+    return optimized
 
 
 class TestNMSEquivalence:
@@ -47,19 +74,45 @@ class TestLKEquivalence:
             (120, 4, None),  # larger motion -> more early deactivations
             (80, 2, LKParams(pyramid_levels=1)),
             (80, 2, LKParams(max_iterations=3)),
+            (80, 2, LKParams(max_iterations=1)),
         ],
     )
     def test_bitwise_identical_flow(self, num_points, frame_gap, params):
         wl = workloads.make_lk_workload(
             num_points=num_points, frame_gap=frame_gap, params=params
         )
-        optimized = track_features(wl.pyramid_a, wl.pyramid_b, wl.points, wl.params)
-        expected = reference.track_features_reference(
-            wl.pyramid_a, wl.pyramid_b, wl.points, wl.params
-        )
-        assert np.array_equal(optimized.points, expected.points)
-        assert np.array_equal(optimized.status, expected.status)
-        assert np.array_equal(optimized.residual, expected.residual)
+        _assert_same_flow(wl.pyramid_a, wl.pyramid_b, wl.points, wl.params)
+
+    # Content moves by (+3, +2) between two 60x80 crops of one canvas.  The
+    # points sit on, or within window_radius of, the frame border, so their
+    # windows sample clamped coordinates.
+    _CANVAS = _textured((90, 120), 3)
+    _PREV = _CANVAS[15:75, 20:100]
+    _NEXT = _CANVAS[13:73, 17:97]
+    _EDGE_POINTS = np.array(
+        [
+            [0.0, 0.0], [3.0, 30.0], [6.5, 2.0], [40.0, 0.5], [30.0, 30.0],
+            [72.0, 20.0], [76.5, 30.0], [77.0, 45.0], [79.0, 59.0],
+            [75.0, 55.5], [40.0, 57.0], [60.0, 52.0],
+        ]
+    )
+
+    @pytest.mark.parametrize("params", [None, LKParams(max_iterations=1)])
+    def test_points_near_the_border(self, params):
+        _assert_same_flow(self._PREV, self._NEXT, self._EDGE_POINTS, params)
+
+    @pytest.mark.parametrize("pyramid_levels", [1, 3])
+    def test_flow_leaving_the_frame(self, pyramid_levels):
+        """A 5x5 window keeps points two pixels from the edge trackable, and
+        the flow carries some of them past it: their last iterations and
+        residual windows sample clamped coordinates."""
+        params = LKParams(window_radius=2, pyramid_levels=pyramid_levels)
+        result = _assert_same_flow(self._PREV, self._NEXT, self._EDGE_POINTS, params)
+        assert (result.points > [79.0, 59.0]).any()
+
+    def test_single_point(self):
+        wl = workloads.make_lk_workload(num_points=40)
+        _assert_same_flow(wl.pyramid_a, wl.pyramid_b, wl.points[:1], wl.params)
 
     def test_no_points(self):
         wl = workloads.make_lk_workload(num_points=40)
@@ -87,15 +140,45 @@ class TestBlockMotionEquivalence:
     )
     def test_bitwise_identical_field(self, frame_gap, params):
         wl = workloads.make_mve_workload(frame_gap=frame_gap, params=params)
-        optimized = block_motion_field(
-            wl.pyramid_a, wl.pyramid_b, wl.points, wl.params
+        _assert_same_field(wl.pyramid_a, wl.pyramid_b, wl.points, wl.params)
+
+    # 32x40 frames keep three pyramid levels, the coarsest 8x10: narrower
+    # than the (B+2r)-wide search window of most block sizes and radii
+    # below.  Centres sit on the four frame corners and one pixel outside.
+    _SMALL = (32, 40)
+    _CORNERS = np.array(
+        [
+            [0.0, 0.0], [39.0, 0.0], [0.0, 31.0], [39.0, 31.0],
+            [-1.0, -1.0], [40.0, -1.0], [-1.0, 32.0], [40.0, 32.0],
+            [20.0, 16.0],
+        ]
+    )
+
+    @pytest.mark.parametrize("block_size", [3, 5, 7])
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    def test_odd_blocks_and_radii_at_frame_corners(self, block_size, radius):
+        prev = _textured(self._SMALL, 1)
+        nxt = np.roll(prev, (2, -3), axis=(0, 1))
+        params = BlockMotionParams(
+            block_size=block_size, coarse_radius=radius, refine_radius=radius
         )
-        expected = reference.block_motion_field_reference(
-            wl.pyramid_a, wl.pyramid_b, wl.points, wl.params
-        )
-        assert np.array_equal(optimized.vectors, expected.vectors)
-        assert np.array_equal(optimized.cost, expected.cost)
-        assert np.array_equal(optimized.valid, expected.valid)
+        _assert_same_field(prev, nxt, self._CORNERS, params)
+
+    @pytest.mark.parametrize("pyramid_levels, reach", [(1, 3), (3, 15)])
+    def test_constant_frame_ties_go_to_the_first_candidate(
+        self, pyramid_levels, reach
+    ):
+        """Every candidate's SAD is 0, so the first in row-major (dy, dx)
+        order, (-r, -r), wins at every level and compounds to minus the
+        full reach."""
+        flat = np.full(self._SMALL, 0.5)
+        params = BlockMotionParams(pyramid_levels=pyramid_levels)
+        field = _assert_same_field(flat, flat, self._CORNERS, params)
+        assert np.all(field.vectors == -reach)
+
+    def test_single_block(self):
+        wl = workloads.make_mve_workload()
+        _assert_same_field(wl.pyramid_a, wl.pyramid_b, wl.points[:1], wl.params)
 
     def test_no_blocks(self):
         wl = workloads.make_mve_workload()
@@ -103,6 +186,53 @@ class TestBlockMotionEquivalence:
         result = block_motion_field(wl.pyramid_a, wl.pyramid_b, empty, wl.params)
         assert result.vectors.shape == (0, 2)
         assert result.valid.shape == (0,)
+
+
+@st.composite
+def _sampling_cases(draw):
+    """An image plus coordinates inside it, outside it, exactly on its last
+    column or row, signed zeros and infinities.  Pixels are often signed
+    zeros too: a ``-0.0`` coordinate changes the result's bits only where
+    it meets a ``-0.0`` pixel."""
+    h = draw(st.integers(2, 12))
+    w = draw(st.integers(2, 12))
+    pixels = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0, width=64))
+    image = draw(hnp.arrays(np.float64, (h, w), elements=pixels))
+    n = draw(st.integers(1, 24))
+
+    def coords(extent: int):
+        special = st.sampled_from([0.0, -0.0, float(extent - 1), np.inf, -np.inf])
+        return st.lists(
+            st.one_of(st.floats(-3.0, extent + 3.0, width=64), special),
+            min_size=n,
+            max_size=n,
+        )
+
+    return image, np.array(draw(coords(w))), np.array(draw(coords(h)))
+
+
+class TestSamplerEquivalence:
+    """The split bilinear sampler (shared coordinate pass + gather) against
+    the frozen one-piece sampler, compared as raw bits, so even a flipped
+    sign of zero fails."""
+
+    @given(_sampling_cases())
+    # np.maximum(-0.0, 0.0) can return +0.0 where np.clip keeps -0.0; this
+    # case then reads -0.0 through np.clip and +0.0 through max/min clamps.
+    @example((np.array([[-0.0, 1.0], [1.0, 1.0]]), np.array([-0.0]), np.array([-0.0])))
+    @settings(max_examples=300, deadline=None)
+    def test_live_sampler_matches_frozen_bit_for_bit(self, case):
+        image, xs, ys = case
+        mirrored = image[::-1].copy()
+        expected = reference.sample_bilinear_reference(image, xs, ys)
+        expected_mirrored = reference.sample_bilinear_reference(mirrored, xs, ys)
+        pair = sample_bilinear_pair(image, mirrored, xs, ys)
+        bits = np.uint64
+        assert np.array_equal(
+            sample_bilinear(image, xs, ys).view(bits), expected.view(bits)
+        )
+        assert np.array_equal(pair[0].view(bits), expected.view(bits))
+        assert np.array_equal(pair[1].view(bits), expected_mirrored.view(bits))
 
 
 class TestRenderEquivalence:
