@@ -1,9 +1,14 @@
 """A small discrete-event queue.
 
 Generic priority-queue scheduling used where a pipeline needs to interleave
-independently timed activities (and by tests that validate the timing
-algebra of the simulators).  Events fire in timestamp order; ties break by
-insertion order, which keeps runs deterministic.
+independently timed activities (the serve scheduler, and tests that
+validate the timing algebra of the simulators).  Events fire in timestamp
+order; ties break by insertion order, which keeps runs deterministic.
+
+An event carries its arguments: ``schedule(t, action, *args)`` fires
+``action(t, *args)``, so a hot caller can schedule a bound method with
+plain arguments instead of building a closure per event.  A one-argument
+``lambda t: ...`` is simply the no-argument case.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ class EventQueue:
     """Timestamp-ordered event dispatch with stable tie-breaking."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Callable[[float], Any]]] = []
+        self._heap: list[tuple[float, int, Callable[..., Any], tuple]] = []
         self._counter = itertools.count()
         self._now = 0.0
 
@@ -26,8 +31,10 @@ class EventQueue:
         """Timestamp of the most recently fired event."""
         return self._now
 
-    def schedule(self, timestamp: float, action: Callable[[float], Any]) -> None:
-        """Schedule ``action(timestamp)`` to run at ``timestamp``.
+    def schedule(
+        self, timestamp: float, action: Callable[..., Any], *args: Any
+    ) -> None:
+        """Schedule ``action(timestamp, *args)`` to run at ``timestamp``.
 
         Scheduling in the past (before the last fired event) is an error —
         it would silently reorder causality.
@@ -36,7 +43,7 @@ class EventQueue:
             raise ValueError(
                 f"cannot schedule at {timestamp} before current time {self._now}"
             )
-        heapq.heappush(self._heap, (timestamp, next(self._counter), action))
+        heapq.heappush(self._heap, (timestamp, next(self._counter), action, args))
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -45,23 +52,28 @@ class EventQueue:
         """Fire the next event; returns False when the queue is empty."""
         if not self._heap:
             return False
-        timestamp, _, action = heapq.heappop(self._heap)
+        timestamp, _, action, args = heapq.heappop(self._heap)
         self._now = timestamp
-        action(timestamp)
+        action(timestamp, *args)
         return True
 
     def run(self, until: float | None = None, max_events: int = 1_000_000) -> int:
         """Fire events until empty, ``until`` time, or ``max_events``.
 
         Returns the number of events fired.  ``max_events`` guards against
-        runaway self-scheduling loops.
+        runaway self-scheduling loops: it raises only when an event that
+        would fire is still queued after ``max_events`` have fired.
         """
+        heap = self._heap
+        pop = heapq.heappop
         fired = 0
-        while self._heap and fired < max_events:
-            if until is not None and self._heap[0][0] > until:
+        while heap:
+            if until is not None and heap[0][0] > until:
                 break
-            self.step()
+            if fired == max_events:
+                raise RuntimeError(f"event queue exceeded {max_events} events")
+            timestamp, _, action, args = pop(heap)
+            self._now = timestamp
+            action(timestamp, *args)
             fired += 1
-        if fired >= max_events:
-            raise RuntimeError(f"event queue exceeded {max_events} events")
         return fired

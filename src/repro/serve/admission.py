@@ -28,7 +28,11 @@ realtime request is rejected too.  Nothing is ever dropped silently.
 The queue is lock-protected so the threaded frontend
 (:mod:`repro.serve.live`) can feed it from many producer threads; the
 deterministic scheduler uses it single-threaded and pays one uncontended
-lock per call.
+lock per call.  Total depth is a running count kept under that lock
+(admit adds one, a shed victim takes one away, a batch pop takes its
+length), so :meth:`AdmissionQueue.depth` is O(1);
+:meth:`AdmissionQueue.check_conservation` cross-checks it against the
+class queues' lengths.
 """
 
 from __future__ import annotations
@@ -89,20 +93,18 @@ class AdmissionQueue:
         self._queues: dict[str, deque[DetectionRequest]] = {
             qos: deque() for qos in QOS_CLASSES
         }
+        self._depth = 0
         self.counters = QueueCounters()
 
     # -- depth -----------------------------------------------------------------
 
     def depth(self) -> int:
         with self._lock:
-            return self._depth_locked()
+            return self._depth
 
     def depth_of(self, qos: str) -> int:
         with self._lock:
             return len(self._queues[qos])
-
-    def _depth_locked(self) -> int:
-        return sum(len(q) for q in self._queues.values())
 
     # -- admission -------------------------------------------------------------
 
@@ -120,15 +122,17 @@ class AdmissionQueue:
         with self._not_empty:
             self.counters.submitted += 1
             shed: DetectionRequest | None = None
-            if self._depth_locked() >= self.max_depth:
+            if self._depth >= self.max_depth:
                 best_effort = self._queues[QOS_BEST_EFFORT]
                 if request.qos == QOS_REALTIME and best_effort:
                     shed = best_effort.pop()  # newest: least sunk waiting time
+                    self._depth -= 1
                     self.counters.shed += 1
                 else:
                     self.counters.rejected += 1
                     return False, None
             self._queues[request.qos].append(request)
+            self._depth += 1
             self.counters.admitted += 1
             self._not_empty.notify()
             return True, shed
@@ -156,7 +160,7 @@ class AdmissionQueue:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         with self._not_empty:
-            if self._depth_locked() == 0:
+            if self._depth == 0:
                 self._not_empty.wait(timeout)
             return self._pop_batch_locked(max_batch)
 
@@ -169,6 +173,7 @@ class AdmissionQueue:
             setting = batch[0].setting
             while queue and len(batch) < max_batch and queue[0].setting == setting:
                 batch.append(queue.popleft())
+            self._depth -= len(batch)
             self.counters.dispatched += len(batch)
             return batch
         return []
@@ -179,7 +184,8 @@ class AdmissionQueue:
         """Assert the ledger balances; raises AssertionError if not.
 
         Called by tests and by the scheduler at end of run — a violation
-        means a request was lost or double-counted somewhere.
+        means a request was lost or double-counted somewhere, or that the
+        running depth drifted from the class queues it counts.
         """
         with self._lock:
             c = self.counters
@@ -188,7 +194,11 @@ class AdmissionQueue:
                     f"admission ledger broken: submitted={c.submitted} != "
                     f"admitted={c.admitted} + rejected={c.rejected}"
                 )
-            depth = self._depth_locked()
+            depth = sum(len(queue) for queue in self._queues.values())
+            if self._depth != depth:
+                raise AssertionError(
+                    f"running depth {self._depth} != queued requests {depth}"
+                )
             if c.admitted != c.dispatched + c.shed + depth:
                 raise AssertionError(
                     f"conservation broken: admitted={c.admitted} != "

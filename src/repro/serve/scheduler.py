@@ -199,31 +199,39 @@ class ServeScheduler:
         self._recover_events = 0
         self._tier_transitions = 0
         self._events_fired = 0
-
-    # -- event actions ---------------------------------------------------------
-
-    def _schedule_frame(self, stream: SimStream, frame_index: int, at: float) -> None:
-        self.events.schedule(
-            at,
-            lambda now, s=stream, k=frame_index: self._on_frame(s, k, now),
-        )
-
-    def _frame_time(self, stream: SimStream, frame_index: int) -> float:
-        cfg = stream.config
-        # A per-stream phase offset spreads arrivals so 500 cameras do not
+        # Each stream's frame k arrives at origin + (k + 1) / fps.  A
+        # per-stream phase offset spreads arrivals so 500 cameras do not
         # all tick on the same instant (which would serialize through the
         # tie-break and make batch composition degenerate).
-        phase = (cfg.stream_id % 97) / 97.0 / cfg.fps
-        return cfg.start_at + phase + (frame_index + 1) / cfg.fps
+        self._frame_origin: dict[int, float] = {
+            cfg.stream_id: cfg.start_at + (cfg.stream_id % 97) / 97.0 / cfg.fps
+            for cfg in streams
+        }
 
-    def _on_frame(self, stream: SimStream, frame_index: int, now: float) -> None:
-        if stream.on_frame(frame_index):
+    # -- event actions ---------------------------------------------------------
+    #
+    # Queue depth changes only on a submit or a dispatch, and every event
+    # that does either recomputes backpressure before it returns.  An event
+    # that does neither skips the recompute: at an unchanged depth it
+    # would change nothing (each overload level is a fixed point of its own
+    # rule, the peak cannot rise, the gauge would be set to the same value).
+    # Between events the detector is idle only when the queue is empty
+    # (every submit is followed by a dispatch attempt and every completion
+    # dispatches again), so a frame that submits nothing dispatches nothing.
+
+    def _on_frame(self, now: float, stream: SimStream, frame_index: int) -> None:
+        submitted = stream.on_frame(frame_index)
+        if submitted:
             self._submit(stream, frame_index, now)
-        next_at = self._frame_time(stream, frame_index + 1)
+        next_index = frame_index + 1
+        cfg = stream.config
+        next_at = self._frame_origin[cfg.stream_id] + (next_index + 1) / cfg.fps
         if next_at <= self.config.duration_s:
-            self._schedule_frame(stream, frame_index + 1, next_at)
-        self._maybe_dispatch(now)
-        self._update_backpressure(now)
+            self.events.schedule(next_at, self._on_frame, stream, next_index)
+        if submitted:
+            if not self._busy:
+                self._maybe_dispatch(now)
+            self._update_backpressure(now)
 
     def _submit(self, stream: SimStream, frame_index: int, now: float) -> None:
         request = stream.make_request(frame_index, now)
@@ -244,12 +252,11 @@ class ServeScheduler:
                 "serve.dropped", qos=request.qos, reason="rejected"
             ).inc()
 
-    def _maybe_dispatch(self, now: float) -> None:
-        if self._busy:
-            return
+    def _maybe_dispatch(self, now: float) -> bool:
+        """Dispatch the next batch to the idle detector; True if one went."""
         batch = self.queue.next_batch(self.config.max_batch)
         if not batch:
-            return
+            return False
         for request in batch:
             wait = now - request.submitted_at
             if request.submitted_at >= self.config.warmup_s:
@@ -268,12 +275,10 @@ class ServeScheduler:
             "serve.batch", now, now + latency,
             size=len(batch), setting=batch[0].setting, qos=batch[0].qos,
         )
-        self.events.schedule(
-            now + latency,
-            lambda done_at, b=batch: self._on_batch_done(b, done_at),
-        )
+        self.events.schedule(now + latency, self._on_batch_done, batch)
+        return True
 
-    def _on_batch_done(self, batch: list[DetectionRequest], now: float) -> None:
+    def _on_batch_done(self, now: float, batch: list[DetectionRequest]) -> None:
         self._busy = False
         for request in batch:
             stream = self.streams[request.stream_id]
@@ -282,8 +287,8 @@ class ServeScheduler:
             self.obs.counter("serve.served", qos=request.qos).inc()
             if outcome["switched"]:
                 self.obs.counter("serve.switches").inc()
-        self._maybe_dispatch(now)
-        self._update_backpressure(now)
+        if self._maybe_dispatch(now):
+            self._update_backpressure(now)
 
     # -- backpressure ----------------------------------------------------------
 
@@ -327,9 +332,10 @@ class ServeScheduler:
     def run(self) -> FleetReport:
         """Fire the fleet to completion and return its report."""
         for stream in self.streams.values():
-            first_at = self._frame_time(stream, 0)
+            cfg = stream.config
+            first_at = self._frame_origin[cfg.stream_id] + 1 / cfg.fps
             if first_at <= self.config.duration_s:
-                self._schedule_frame(stream, 0, first_at)
+                self.events.schedule(first_at, self._on_frame, stream, 0)
         self._events_fired = self.events.run(max_events=self.config.max_events)
         # Everything submitted before the end drains: arrivals stop at
         # duration_s, completions re-dispatch, so the queue runs dry.

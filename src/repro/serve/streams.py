@@ -181,7 +181,7 @@ class SimStream:
         self.selector = TrackingFrameSelector(
             initial_fraction=min(1.0, (1.0 / config.fps) / per_frame)
         )
-        self.buffer: deque[int] = deque()
+        self.buffer: deque[int] = deque(maxlen=config.buffer_capacity)
         self.tier = TIER_LK
         self.in_flight: int | None = None  # frame index of the outstanding request
         self.last_result_frame: int | None = None
@@ -216,28 +216,32 @@ class SimStream:
 
     # -- frame arrival ---------------------------------------------------------
 
-    def wants_detection(self, frame_index: int) -> bool:
-        """Should this frame become a detector request right now?"""
+    def on_frame(self, frame_index: int) -> bool:
+        """Buffer an arriving frame; True if it should become a detection.
+
+        The bounded buffer drops its oldest frame when full; that drop is
+        counted here, before the append evicts it.  A stream with a
+        request in flight never submits; otherwise the ``lk`` tier submits
+        every frame and the degraded tiers every ``mve_interval``-th or
+        ``keyframe_interval``-th one.
+        """
+        self.frames_arrived += 1
+        tier = self.tier
+        if tier != TIER_LK:
+            self.degraded_frames += 1
+            if tier == TIER_MVE:
+                self.mve_frames += 1
+        buffer = self.buffer
+        if len(buffer) == buffer.maxlen:
+            self.buffer_dropped += 1
+        buffer.append(frame_index)
         if self.in_flight is not None:
             return False
-        if self.tier == TIER_KEYFRAME:
-            return frame_index % self.config.keyframe_interval == 0
-        if self.tier == TIER_MVE:
+        if tier == TIER_LK:
+            return True
+        if tier == TIER_MVE:
             return frame_index % self.config.mve_interval == 0
-        return True
-
-    def on_frame(self, frame_index: int) -> bool:
-        """Buffer an arriving frame; True if a detection should be submitted."""
-        self.frames_arrived += 1
-        if self.tier != TIER_LK:
-            self.degraded_frames += 1
-        if self.tier == TIER_MVE:
-            self.mve_frames += 1
-        self.buffer.append(frame_index)
-        while len(self.buffer) > self.config.buffer_capacity:
-            self.buffer.popleft()
-            self.buffer_dropped += 1
-        return self.wants_detection(frame_index)
+        return frame_index % self.config.keyframe_interval == 0
 
     # -- detector round-trip ---------------------------------------------------
 

@@ -65,6 +65,31 @@ class TestEventQueue:
         with pytest.raises(RuntimeError):
             queue.run(max_events=100)
 
+    def test_draining_in_exactly_max_events_is_not_runaway(self):
+        queue = EventQueue()
+        fired = []
+        for t in range(5):
+            queue.schedule(float(t), lambda t: fired.append(t))
+        assert queue.run(max_events=5) == 5
+        assert len(queue) == 0
+        assert fired == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_guard_ignores_events_past_until(self):
+        queue = EventQueue()
+        for t in (1.0, 2.0, 3.0):
+            queue.schedule(t, lambda t: None)
+        assert queue.run(until=2.0, max_events=2) == 2
+        assert len(queue) == 1
+
+    def test_action_receives_scheduled_args(self):
+        queue = EventQueue()
+        fired = []
+        queue.schedule(2.0, lambda t, a, b: fired.append((t, a, b)), "x", 3)
+        queue.schedule(1.0, lambda t: fired.append((t,)))
+        queue.step()
+        queue.step()
+        assert fired == [(1.0,), (2.0, "x", 3)]
+
     def test_now_tracks_last_fired(self):
         queue = EventQueue()
         queue.schedule(4.5, lambda t: None)

@@ -8,6 +8,7 @@ divergence or ledger imbalance is a bug in the queue, not the test.
 """
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.serve.admission import (
@@ -91,7 +92,9 @@ def test_queue_promises_hold_under_arbitrary_interleavings(ops, max_depth):
                 del model[qos][: len(batch)]
             else:
                 assert all(not q for q in model.values())
-        # Conservation holds at every quiescent point, not just the end.
+        # The running depth counts exactly what the class queues hold, and
+        # conservation holds at every quiescent point, not just the end.
+        assert queue.depth() == sum(queue.depth_of(qos) for qos in QOS_CLASSES)
         queue.check_conservation()
 
     depth = sum(len(q) for q in model.values())
@@ -143,6 +146,14 @@ def test_realtime_sheds_newest_best_effort_when_full():
     admitted, shed = queue.submit(_request(4, QOS_REALTIME, "yolov3-512"))
     assert not admitted and shed is None
     queue.check_conservation()
+
+
+def test_conservation_check_catches_running_depth_drift():
+    queue = AdmissionQueue(max_depth=4)
+    queue.submit(_request(0, QOS_REALTIME, "yolov3-512"))
+    queue._depth += 1  # a counter that drifted from the queued requests
+    with pytest.raises(AssertionError, match="running depth"):
+        queue.check_conservation()
 
 
 def test_best_effort_is_rejected_not_shed_when_full():

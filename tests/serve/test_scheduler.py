@@ -132,6 +132,24 @@ class TestBackpressure:
             ).resolve_watermarks(10)
 
 
+def _assert_counters_reconcile(obs: Telemetry, report) -> None:
+    """Every obs counter total equals the report's own ledger figure."""
+
+    def total(name: str) -> int:
+        return sum(
+            inst.value
+            for inst in obs.metrics.instruments()
+            if inst.name == name
+        )
+
+    assert total("serve.submitted") == report.submitted
+    assert total("serve.served") == report.served
+    assert total("serve.dropped") == report.dropped
+    assert total("serve.degrade_events") == report.degrade_events
+    assert total("serve.recover_events") == report.recover_events
+    assert total("serve.tier_transitions") == report.tier_transitions
+
+
 class TestObsReconciliation:
     def test_report_matches_telemetry(self):
         """The obs layer is a pure observer: its counters must agree with
@@ -140,21 +158,7 @@ class TestObsReconciliation:
         report = serve_fleet(
             _small_fleet(16), ServeConfig(duration_s=5.0), obs=obs
         )
-        metrics = obs.metrics
-
-        def total(name: str) -> int:
-            return sum(
-                inst.value
-                for inst in metrics.instruments()
-                if inst.name == name
-            )
-
-        assert total("serve.submitted") == report.submitted
-        assert total("serve.served") == report.served
-        assert total("serve.dropped") == report.dropped
-        assert total("serve.degrade_events") == report.degrade_events
-        assert total("serve.recover_events") == report.recover_events
-        assert total("serve.tier_transitions") == report.tier_transitions
+        _assert_counters_reconcile(obs, report)
 
     def test_null_telemetry_changes_nothing(self):
         """Observability off and on produce bit-identical reports."""
@@ -165,6 +169,30 @@ class TestObsReconciliation:
             obs=Telemetry(InMemorySink()),
         )
         assert plain.digest() == observed.digest()
+
+    def test_saturated_fleet_reconciles(self):
+        """Under shedding and rejection obs stays a pure observer: the
+        digest is equal with obs on and off, the counters reconcile, and
+        the final gauges read the report's end state."""
+        # 48 streams against a 16-deep queue: requests are rejected and
+        # shed, and the fleet visits every overload level before it drains.
+        fleet = _small_fleet(48)
+        config = ServeConfig(duration_s=4.0, queue_depth=16)
+        obs = Telemetry(InMemorySink())
+        scheduler = ServeScheduler(fleet, config, obs=obs)
+        observed = scheduler.run()
+        assert scheduler.queue.counters.rejected > 0
+        assert scheduler.queue.counters.shed > 0
+        assert {level for _, level in observed.overload_transitions} == {0, 1, 2, 3}
+
+        assert serve_fleet(fleet, config).digest() == observed.digest()
+        _assert_counters_reconcile(obs, observed)
+        metrics = obs.metrics
+        assert metrics.find("serve.queue_depth").value == observed.final_depth
+        assert (
+            metrics.find("serve.overload_level").value
+            == observed.overload_transitions[-1][1]
+        )
 
 
 class TestValidation:

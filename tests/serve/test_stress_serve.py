@@ -9,6 +9,7 @@ accounting, and a failing worker winding the pool down cleanly with its
 exception re-raised — never a silent daemon death.
 """
 
+import sys
 import threading
 import time
 
@@ -90,7 +91,19 @@ class TestNoLossNoDuplication:
 
     def test_conservation_with_shedding_under_contention(self):
         """A tiny queue forces reject/shed; explicit drops + served must
-        still account for every submit, even from racing producers."""
+        still account for every submit, even from racing producers.
+
+        Admit, shed and pop all move the queue's running depth, so a short
+        switch interval interleaves them as finely as the lock allows, and
+        ``check_conservation`` would catch an update lost to a race."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            self._shed_under_contention()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def _shed_under_contention(self):
         queue = AdmissionQueue(max_depth=8)
         lock = threading.Lock()
         explicit_drops = [0]
