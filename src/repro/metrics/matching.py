@@ -5,7 +5,10 @@ object and sufficient IoU (Eq. 2, threshold 0.5 by default).  Matching is
 one-to-one: each ground-truth object absorbs at most one detection.  The
 default matcher is greedy by descending IoU (what most detection evaluators
 do); an optimal Hungarian matcher is available for the property tests and
-for callers who want the assignment that maximises true positives.
+for callers who want the assignment that maximises true positives.  The
+Hungarian matcher imports SciPy on first use; SciPy is a test-only
+dependency, so the default greedy path (every pipeline, sweep and CLI run)
+never loads it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.geometry import iou_matrix
 from repro.detection.detector import Detection
@@ -76,6 +78,8 @@ def match_detections(
     ``"hungarian"`` (optimal assignment).  Both enforce the label-equality
     and IoU-threshold rules; they can differ only in rare tie-like
     configurations where greedy choices block a better global assignment.
+    ``method="hungarian"`` imports SciPy on first use (``ImportError`` if
+    it is not installed); the greedy default needs numpy only.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError("iou_threshold must be in (0, 1]")
@@ -107,6 +111,8 @@ def match_detections(
             used_truth.add(j)
             pairs.append((i, j))
     elif method == "hungarian":
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(-matrix)
         for i, j in zip(rows, cols):
             if matrix[i, j] >= iou_threshold:

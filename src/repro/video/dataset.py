@@ -75,7 +75,7 @@ def make_clip(
 ) -> VideoClip:
     """Build a clip from a preset name or an explicit scenario config.
 
-    ``frame_store`` pins the renderer to a specific shared
+    ``frame_store`` pins the renderer to a specific
     :class:`~repro.video.framestore.FrameStore`; the default (``None``)
     resolves the process-wide store at render time, which is inert until
     someone gives it a byte budget.

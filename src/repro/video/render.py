@@ -238,6 +238,11 @@ class FrameRenderer:
       clip — renders each frame once.  ``frame_store=None`` (the default)
       resolves the process-wide store at render time, which is a no-op
       until someone configures a byte budget for it.
+
+    Construction is cheap: the blurred background canvas is built by the
+    first frame this renderer actually rasterises, so a renderer whose
+    clip is only described (a sweep parent turning clips into specs) or
+    whose frames all come from the store never builds it.
     """
 
     def __init__(
@@ -252,9 +257,7 @@ class FrameRenderer:
         self.cache_size = cache_size
         self.cache_hits = 0
         self.cache_misses = 0
-        self._background = make_background(
-            scene.seed ^ 0xBAC4, scene.config.background_contrast
-        )
+        self._background: np.ndarray | None = None
         self._textures: dict[int, np.ndarray] = {}
         self._warp_fields: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
@@ -322,11 +325,16 @@ class FrameRenderer:
         so the bilinear gather factors into 1-D x and y passes (see
         :func:`_separable_bilinear`).  Static cameras produce the same
         offset every frame; the size-1 memo turns their per-frame cost
-        into one array copy.
+        into one array copy.  The background canvas itself is built here,
+        on first use.
         """
         off_x, off_y = self.scene.camera_offset(frame_index)
         if self._bg_memo_key == (off_x, off_y) and self._bg_memo is not None:
             return self._bg_memo.copy()
+        if self._background is None:
+            self._background = make_background(
+                self.scene.seed ^ 0xBAC4, self.scene.config.background_contrast
+            )
         ys = (self._bg_ys + off_y) % (_BACKGROUND_TILE - 1)
         xs = (self._bg_xs + off_x) % (_BACKGROUND_TILE - 1)
         background = _separable_bilinear(self._background, xs, ys)
@@ -453,10 +461,9 @@ class FrameRenderer:
         frame = store.get(self._fingerprint, frame_index)
         if frame is None:
             frame = self.render_frame(frame_index)
-            # Serve the canonical array the store settled on: under the
-            # cross-process store that is the shared-memory view (one
-            # physical copy fleet-wide), and under a racing first insert
-            # it is the winner — bit-identical bytes either way.
+            # Serve the canonical array the store settled on: the frozen
+            # stored frame, or under a racing first insert the winner's —
+            # bit-identical bytes either way.
             frame = store.put(self._fingerprint, frame_index, frame)
         if len(self._cache) >= self.cache_size:
             # True LRU: hits above refreshed recency, so the evicted entry

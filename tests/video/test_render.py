@@ -194,3 +194,57 @@ class TestCacheCounters:
             PipelineConfig(render_cache_size=0)
         assert PipelineConfig(render_cache_size=16).render_cache_size == 16
         assert PipelineConfig().render_cache_size is None
+
+
+class TestLazyBackground:
+    """The background canvas is built by the first rasterised frame, once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import repro.video.render as render_mod
+
+        calls = []
+        real = render_mod.make_background
+
+        def counting(seed, contrast):
+            calls.append(seed)
+            return real(seed, contrast)
+
+        monkeypatch.setattr(render_mod, "make_background", counting)
+        return calls
+
+    def test_construction_builds_nothing(self, builds):
+        clip = make_clip("car_highway", seed=5, num_frames=8)
+        FrameRenderer(clip.scene)
+        assert builds == []
+
+    def test_first_render_builds_once(self, builds):
+        # A panning camera: every frame misses the static-offset memo.
+        clip = make_clip("car_highway", seed=5, num_frames=8)
+        clip.frame(0)
+        assert len(builds) == 1
+        for index in range(1, 8):
+            clip.frame(index)
+        assert len(builds) == 1
+
+    def test_store_served_renderer_never_builds(self, builds):
+        from repro.video.framestore import FrameStore
+
+        scene = Scene(make_scenario("car_highway", num_frames=6), seed=5)
+        store = FrameStore(max_bytes=16 * 1024 * 1024)
+        first = FrameRenderer(scene, cache_size=1, frame_store=store)
+        for index in range(6):
+            first.render(index)
+        assert len(builds) == 1
+        repeat = FrameRenderer(scene, cache_size=1, frame_store=store)
+        for index in range(6):
+            assert repeat.render(index) is first.render(index)
+        assert len(builds) == 1
+
+    def test_lazily_built_frame_matches_reference(self, builds):
+        from repro.perf.reference import ReferenceFrameRenderer
+
+        scene = Scene(make_scenario("car_highway", num_frames=4), seed=5)
+        frame = FrameRenderer(scene).render(0)
+        assert len(builds) == 1
+        assert np.array_equal(frame, ReferenceFrameRenderer(scene).render_frame(0))
