@@ -4,7 +4,9 @@ Pins the full report digest of a seeded 64-stream run (which covers
 every stream's rolling event digest, all class ledgers, and the
 overload-transition trace), plus a saturated 512-stream run whose queue
 fills, so the reject and shed paths and every overload level are pinned
-too.  Any behavioural change to the scheduler, admission queue, stream
+too, and a set of *tie* fleets whose arrival and completion instants
+are exact binary fractions, so same-instant events are common and their
+firing order is pinned.  Any behavioural change to the scheduler, admission queue, stream
 model, detector pricing, or report serialisation shifts these hex strings — which is the point: serving
 determinism is an API, and breaking it must be a conscious decision.
 
@@ -13,7 +15,17 @@ Regenerate after an intentional change with::
     PYTHONPATH=src python tests/serve/test_golden_serve.py
 """
 
-from repro.serve import ServeConfig, ServeScheduler, fleet_configs, serve_fleet
+from dataclasses import dataclass
+
+from repro.serve import (
+    QOS_BEST_EFFORT,
+    QOS_REALTIME,
+    ServeConfig,
+    ServeScheduler,
+    StreamConfig,
+    fleet_configs,
+    serve_fleet,
+)
 
 _STREAMS = 64
 _CONFIG = dict(duration_s=6.0, warmup_s=2.0)
@@ -29,6 +41,80 @@ GOLDEN_DIGESTS = {
 _SATURATED_STREAMS = 512
 _SATURATED_CONFIG = dict(duration_s=5.0, warmup_s=2.0)
 SATURATED_DIGEST = "7a4a3af9777508811b5339c7537f978083d43588d9890869908b91d89ad3ab29"
+
+# Tie fleets: fps-32 streams whose ids are multiples of 97 share the
+# phase offset 0, so every arrival lands on start_at + (k + 1) / 32 and,
+# with a fixed-latency detector, every completion on a sum of binary
+# fractions too.  Arrivals of different streams tie at every frame, and
+# completions tie arrivals whenever the latency is a multiple of 1/fps.
+# The latencies sit below, equal to, and at a multiple of 1/fps; the
+# burst fleet adds a second cohort at start_at=1.0, and the tight queue
+# makes the tied events reject, shed and change tiers.
+_TIE_FPS = 32.0
+_TIE_SCENARIOS = ("intersection", "racetrack", "meeting_room", "city_street")
+_TIGHT_QUEUE = dict(
+    queue_depth=6,
+    degrade_mve_high=3,
+    degrade_high=4,
+    degrade_realtime_high=5,
+    recover_low=1,
+)
+TIE_CASES = {
+    # name: (latency_s, [(count, start_at)], ServeConfig kwargs)
+    "below-period": (1 / 64, [(16, 0.0)], dict(duration_s=3.0)),
+    "one-period": (1 / 32, [(16, 0.0)], dict(duration_s=3.0)),
+    "three-periods": (3 / 32, [(16, 0.0)], dict(duration_s=3.0, **_TIGHT_QUEUE)),
+    "burst": (
+        1 / 32,
+        [(8, 0.0), (8, 1.0)],
+        dict(duration_s=3.0, max_batch=4, **_TIGHT_QUEUE),
+    ),
+}
+# name: (report digest, events_fired)
+TIE_GOLDENS = {
+    "below-period": ("68c6c4ed83174a4fa7d54a3ee27ea7a1f7a33d77bcd64a9c15bebde0aade1b32", 1730),
+    "one-period": ("c384ec7e57437a65b28f099ad13fc5f8cdbf3bf7f21e7597e69249394615274f", 1639),
+    "three-periods": ("420d471d9557073a21a34b0909fca81454ed70496517a3f2cc3d9f5fd03cc863", 1569),
+    "burst": ("3a153401500ec6d145e66a5bc7e1b5c23373bb081d096eb390ade2e06bc77ad1", 1378),
+}
+
+
+@dataclass(frozen=True)
+class FixedLatencyDetector:
+    """A batch detector that takes the same time for every batch."""
+
+    latency_s: float
+
+    def batch_latency(self, batch, now):
+        return self.latency_s
+
+
+def _tie_fleet(cohorts):
+    configs = []
+    for count, start_at in cohorts:
+        for _ in range(count):
+            i = len(configs)
+            configs.append(
+                StreamConfig(
+                    stream_id=97 * i,
+                    qos=QOS_REALTIME if i % 4 == 0 else QOS_BEST_EFFORT,
+                    fps=_TIE_FPS,
+                    scenario=_TIE_SCENARIOS[i % len(_TIE_SCENARIOS)],
+                    seed=7,
+                    start_at=start_at,
+                )
+            )
+    return configs
+
+
+def _run_tie(name: str):
+    latency, cohorts, config = TIE_CASES[name]
+    scheduler = ServeScheduler(
+        _tie_fleet(cohorts),
+        ServeConfig(**config),
+        detector=FixedLatencyDetector(latency),
+    )
+    return scheduler, scheduler.run()
 
 
 def _run(seed: int):
@@ -63,6 +149,16 @@ def test_saturated_fleet_matches_golden_digest():
     )
 
 
+def test_tie_fleets_match_golden_digests():
+    for name, (digest, events_fired) in TIE_GOLDENS.items():
+        _, report = _run_tie(name)
+        assert (report.digest(), report.events_fired) == (digest, events_fired), (
+            f"tie fleet {name}: serve digest changed — if intentional, "
+            f"regenerate with `python {__file__}`"
+        )
+    assert set(TIE_GOLDENS) == set(TIE_CASES)
+
+
 def test_two_invocations_are_bit_identical():
     """The replay contract itself: same seed, same everything."""
     first, second = _run(7), _run(7)
@@ -91,6 +187,9 @@ def _regenerate() -> None:
     for seed in GOLDEN_DIGESTS:
         print(f"    {seed}: \"{_run(seed).digest()}\",")
     print(f"SATURATED_DIGEST = \"{_run_saturated()[1].digest()}\"")
+    for name in TIE_CASES:
+        report = _run_tie(name)[1]
+        print(f"    \"{name}\": (\"{report.digest()}\", {report.events_fired}),")
 
 
 if __name__ == "__main__":
