@@ -633,39 +633,60 @@ def bench_serve_scheduler(quick: bool) -> BenchResult:
     """One serving-layer fleet tick-through: 32 streams, 4 simulated seconds.
 
     Times the pure scheduling machinery (event queue, admission queue,
-    batch assembly, per-stream adaptation) — no pixels, no reference arm
-    (the subsystem is new, there is no pre-PR implementation to freeze).
-    The correctness gate is the serve layer's own invariant: two seeded
-    runs must produce bit-identical report digests before timing starts.
+    batch assembly, per-stream adaptation) with no pixels: the live
+    decision-event scheduler against the frozen per-frame one, which
+    fires one event per frame arrival.  Only ``run()`` is timed; every
+    call gets a scheduler built beforehand, since building the streams'
+    workload models is not scheduling.  The correctness gate: the two
+    schedulers' report digests are equal, and two live runs replay
+    bit-identically, before timing starts.
     """
-    from repro.serve import ServeConfig, fleet_configs, serve_fleet
+    from repro.serve import ServeConfig, ServeScheduler, fleet_configs
 
     num_streams = 32
     config = ServeConfig(duration_s=4.0, warmup_s=1.0)
-
-    def fleet_run():
-        return serve_fleet(fleet_configs(num_streams, seed=7), config)
-
-    first, second = fleet_run(), fleet_run()
-    if first.digest() != second.digest():
-        raise AssertionError("serve scheduler replay diverged between seeded runs")
-
     repeats, number = _repeats(quick, 10)
+
+    def prebuilt_runs(scheduler_class):
+        # time_callable makes one warm-up call plus repeats * number.
+        schedulers = iter([
+            scheduler_class(fleet_configs(num_streams, seed=7), config)
+            for _ in range(1 + repeats * number)
+        ])
+        return lambda: next(schedulers).run()
+
+    live = ServeScheduler(fleet_configs(num_streams, seed=7), config)
+    first = live.run()
+    if first.digest() != prebuilt_runs(ServeScheduler)().digest():
+        raise AssertionError("serve scheduler replay diverged between seeded runs")
+    if first.digest() != prebuilt_runs(reference.ReferenceServeScheduler)().digest():
+        raise AssertionError(
+            "decision-event scheduler diverged from the per-frame reference"
+        )
+
     return BenchResult(
         name="serve_scheduler",
-        hot_path="repro.serve.scheduler.ServeScheduler",
+        hot_path="repro.serve.scheduler.ServeScheduler.run",
         workload={
             "streams": num_streams,
             "duration_s": config.duration_s,
             "seed": 7,
             "events": first.events_fired,
         },
-        optimized=time_callable(fleet_run, repeats, number),
-        notes=(
-            "event-driven fleet scheduling in virtual time; no reference arm "
-            "(new subsystem), gated on bit-identical replay instead"
+        optimized=time_callable(prebuilt_runs(ServeScheduler), repeats, number),
+        reference=time_callable(
+            prebuilt_runs(reference.ReferenceServeScheduler), repeats, number
         ),
-        extra={"served": first.served, "batches": first.batches},
+        notes=(
+            "fleet run() in virtual time on prebuilt schedulers: heap events "
+            "only for submitting arrivals and completions vs. the frozen "
+            "one-event-per-frame-arrival scheduler; digests equal"
+        ),
+        extra={
+            "served": first.served,
+            "batches": first.batches,
+            "heap_pops": live.heap_pops,
+        },
     )
 
 

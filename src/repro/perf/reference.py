@@ -14,7 +14,10 @@ pyramid level, three separate structure-tensor blurs) from before the
 fused-engine PR.  The LK and renderer references sample through
 :func:`sample_bilinear_reference`, the bilinear sampler from before its
 coordinate pass was split from its gather, so no change to the live
-sampler can reach them.
+sampler can reach them.  The serve scheduler's reference is the
+per-frame one from before decision events: every frame arrival of every
+stream is its own heap event, ties break by insertion order, and each
+arrival buffers exactly one frame.
 
 They exist for exactly one purpose: the microbenchmark harness
 (:mod:`repro.perf.benches`) times them against the live implementations
@@ -31,6 +34,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry import Box
+from repro.runtime.events import EventQueue
+from repro.serve.admission import DetectionRequest
+from repro.serve.scheduler import (
+    _LEVEL_ALL_DEGRADED,
+    _LEVEL_BEST_EFFORT_KEYFRAME,
+    _LEVEL_BEST_EFFORT_MVE,
+    _LEVEL_NORMAL,
+    ServeScheduler,
+    _tier_for,
+)
+from repro.serve.streams import SimStream
+from repro.tracking.tracker import TIER_LK, TIER_MVE
 from repro.video.objects import SceneObject
 from repro.video.render import (
     _BACKGROUND_TILE,
@@ -539,3 +554,155 @@ class ReferenceFrameRenderer:
             )
             frame = frame + cfg.sensor_noise * noise_rng.standard_normal(frame.shape)
         return np.clip(frame, 0.0, 1.0).astype(np.float32)
+
+
+def buffer_frame_reference(stream: SimStream, frame_index: int) -> bool:
+    """One frame arrival on ``stream``, as ``SimStream.on_frame`` applied it
+    before it learned to catch up a run of arrivals in one step."""
+    stream.frames_arrived += 1
+    tier = stream.tier
+    if tier != TIER_LK:
+        stream.degraded_frames += 1
+        if tier == TIER_MVE:
+            stream.mve_frames += 1
+    buffer = stream.buffer
+    if len(buffer) == buffer.maxlen:
+        stream.buffer_dropped += 1
+    buffer.append(frame_index)
+    if stream.in_flight is not None:
+        return False
+    if tier == TIER_LK:
+        return True
+    if tier == TIER_MVE:
+        return frame_index % stream.config.mve_interval == 0
+    return frame_index % stream.config.keyframe_interval == 0
+
+
+class ReferenceServeScheduler(ServeScheduler):
+    """The per-frame scheduler: one insertion-ordered event per arrival.
+
+    It shares the live scheduler's construction, ledgers and report, and
+    replaces everything that fires events.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._frame_origin: dict[int, float] = {
+            stream.config.stream_id: stream.config.start_at
+            + (stream.config.stream_id % 97) / 97.0 / stream.config.fps
+            for stream in self.streams.values()
+        }
+
+    def _on_frame(self, now: float, stream: SimStream, frame_index: int) -> None:
+        submitted = buffer_frame_reference(stream, frame_index)
+        if submitted:
+            self._submit(stream, frame_index, now)
+        next_index = frame_index + 1
+        cfg = stream.config
+        next_at = self._frame_origin[cfg.stream_id] + (next_index + 1) / cfg.fps
+        if next_at <= self.config.duration_s:
+            self.events.schedule(next_at, self._on_frame, stream, next_index)
+        if submitted:
+            if not self._busy:
+                self._maybe_dispatch(now)
+            self._update_backpressure(now)
+
+    def _submit(self, stream: SimStream, frame_index: int, now: float) -> None:
+        request = stream.make_request(frame_index, now)
+        self._class_submitted[request.qos] += 1
+        self.obs.counter("serve.submitted", qos=request.qos).inc()
+        admitted, shed = self.queue.submit(request)
+        if shed is not None:
+            victim = self.streams[shed.stream_id]
+            victim.on_dropped(shed.frame_index, now, "shed")
+            self._class_dropped[shed.qos] += 1
+            self.obs.counter("serve.dropped", qos=shed.qos, reason="shed").inc()
+        if admitted:
+            stream.on_submitted(frame_index, now)
+        else:
+            stream.on_dropped(frame_index, now, "rejected")
+            self._class_dropped[request.qos] += 1
+            self.obs.counter(
+                "serve.dropped", qos=request.qos, reason="rejected"
+            ).inc()
+
+    def _maybe_dispatch(self, now: float) -> bool:
+        batch = self.queue.next_batch(self.config.max_batch)
+        if not batch:
+            return False
+        for request in batch:
+            wait = now - request.submitted_at
+            if request.submitted_at >= self.config.warmup_s:
+                self._waits[request.qos].append(wait)
+                self._slo_eligible[request.qos] += 1
+                if wait <= self.config.slo_for(request.qos):
+                    self._slo_attained[request.qos] += 1
+            self.obs.histogram("serve.admission_wait", qos=request.qos).observe(wait)
+        latency = self.detector.batch_latency(batch, now)
+        self._busy = True
+        self._batches += 1
+        self.obs.histogram(
+            "serve.batch_size", bounds=(1, 2, 4, 8, 16, 32)
+        ).observe(len(batch))
+        self.obs.record_span(
+            "serve.batch", now, now + latency,
+            size=len(batch), setting=batch[0].setting, qos=batch[0].qos,
+        )
+        self.events.schedule(now + latency, self._on_batch_done, batch)
+        return True
+
+    def _on_batch_done(self, now: float, batch: list[DetectionRequest]) -> None:
+        self._busy = False
+        for request in batch:
+            stream = self.streams[request.stream_id]
+            outcome = stream.on_result(request.frame_index, now)
+            self._class_served[request.qos] += 1
+            self.obs.counter("serve.served", qos=request.qos).inc()
+            if outcome["switched"]:
+                self.obs.counter("serve.switches").inc()
+        if self._maybe_dispatch(now):
+            self._update_backpressure(now)
+
+    def _update_backpressure(self, now: float) -> None:
+        depth = self.queue.depth()
+        self._peak_depth = max(self._peak_depth, depth)
+        self.obs.gauge("serve.queue_depth").set(depth)
+        level = self._overload_level
+        if depth >= self.degrade_realtime_high:
+            desired = _LEVEL_ALL_DEGRADED
+        elif depth >= self.degrade_high:
+            desired = max(level, _LEVEL_BEST_EFFORT_KEYFRAME)
+        elif depth >= self.degrade_mve_high:
+            desired = max(level, _LEVEL_BEST_EFFORT_MVE)
+        elif depth <= self.recover_low:
+            desired = _LEVEL_NORMAL
+        else:
+            desired = level
+        if desired == level:
+            return
+        self._overload_level = desired
+        self._overload_transitions.append((now, desired))
+        self.obs.gauge("serve.overload_level").set(desired)
+        if desired > level:
+            self._degrade_events += 1
+            self.obs.counter("serve.degrade_events").inc()
+        else:
+            self._recover_events += 1
+            self.obs.counter("serve.recover_events").inc()
+        for stream in self.streams.values():
+            if stream.set_tier(_tier_for(desired, stream.config.qos), now):
+                self._tier_transitions += 1
+                self.obs.counter(
+                    "serve.tier_transitions", tier=stream.tier
+                ).inc()
+
+    def run(self):
+        for stream in self.streams.values():
+            cfg = stream.config
+            first_at = self._frame_origin[cfg.stream_id] + 1 / cfg.fps
+            if first_at <= self.config.duration_s:
+                self.events.schedule(first_at, self._on_frame, stream, 0)
+        self._events_fired = self.events.run(max_events=self.config.max_events)
+        self._end_time_s = self.events.now
+        self.queue.check_conservation()
+        return self._build_report()

@@ -9,6 +9,12 @@ An event carries its arguments: ``schedule(t, action, *args)`` fires
 ``action(t, *args)``, so a hot caller can schedule a bound method with
 plain arguments instead of building a closure per event.  A one-argument
 ``lambda t: ...`` is simply the no-argument case.
+
+A caller that knows its own tie order passes it with
+``schedule_ordered(t, order, action, *args)``: events sharing a timestamp
+then fire in ``order`` order instead of insertion order.  One queue uses
+one of the two forms, since an ``order`` value need not compare with an
+insertion number.
 """
 
 from __future__ import annotations
@@ -44,6 +50,21 @@ class EventQueue:
                 f"cannot schedule at {timestamp} before current time {self._now}"
             )
         heapq.heappush(self._heap, (timestamp, next(self._counter), action, args))
+
+    def schedule_ordered(
+        self, timestamp: float, order: Any, action: Callable[..., Any], *args: Any
+    ) -> None:
+        """Schedule ``action(timestamp, *args)``, tied events firing in
+        ``order`` order.
+
+        ``order`` values of events that can share a timestamp must be
+        distinct and totally ordered by ``<``.
+        """
+        if timestamp < self._now:
+            raise ValueError(
+                f"cannot schedule at {timestamp} before current time {self._now}"
+            )
+        heapq.heappush(self._heap, (timestamp, order, action, args))
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -135,6 +135,9 @@ class FleetReport:
     buffer_dropped: int
     tracked_frames: int
     mve_frames: int
+    # Modelled events: one per frame arrival plus one per batch completion
+    # (the scheduler fires far fewer; see ServeScheduler.heap_pops), and
+    # the instant of the last one.
     events_fired: int
     end_time_s: float
     classes: dict[str, ClassReport]

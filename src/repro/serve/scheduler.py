@@ -2,19 +2,30 @@
 
 :class:`ServeScheduler` multiplexes N :class:`~repro.serve.streams.SimStream`
 instances over one shared detector on the deterministic discrete-event
-queue (:class:`~repro.runtime.events.EventQueue` — timestamp order,
-insertion-order tie-break), so a seeded 500-stream run replays
-bit-identically.  Three event kinds drive everything:
+queue (:class:`~repro.runtime.events.EventQueue`), so a seeded 500-stream
+run replays bit-identically.  The model has two kinds of event:
 
 - **frame arrival** (per stream, fps-spaced, phase-offset by stream id so
   a fleet does not beat in lockstep): buffer the frame and, when the
   stream is idle and due, submit a detection request to the admission
-  queue;
-- **dispatch** (inline, whenever the detector is idle and the queue is
-  non-empty): pop a priority-ordered homogeneous batch, price it with the
-  detector model, and schedule its completion;
+  queue and dispatch if the detector is idle;
 - **batch completion**: deliver each result to its stream (which tracks
-  its backlog and adapts its setting), then dispatch again.
+  its backlog and adapts its setting), then dispatch the next
+  priority-ordered homogeneous batch, priced by the detector model.
+
+Only *decisions* go through the heap.  A stream holds one heap entry, at
+its next submitting arrival (the next frame on ``lk``, the next multiple
+of its interval on a degraded tier), and none while its request is in
+flight.  Every other arrival only counts a frame and buffers it, which is
+closed-form in the arrival index, so those arrivals are applied in one
+:meth:`SimStream.on_frame` catch-up at the moment something reads them:
+the stream's result, its next submit, a shed or reject that makes it idle
+again, a tier change, and the end of the run.  Same-instant events fire
+in their *causal* order (see :class:`_Arrival`), the order a queue with
+one event per arrival and insertion-order ties fires them in, so reports
+equal those of that per-frame model
+(:class:`~repro.perf.reference.ReferenceServeScheduler`) digest for
+digest.
 
 Backpressure is watermark-driven and walks the tracker tier ladder
 (``lk`` → ``mve`` → ``keyframe``): queue depth ≥ ``degrade_mve_high``
@@ -39,7 +50,7 @@ pure observer (reconciliation is tested, as everywhere else in the repo).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.runtime.events import EventQueue
@@ -107,7 +118,8 @@ class ServeConfig:
     warmup_s: float = 0.0
     detector_seed: int = 0
     batch_discount: float = 0.35
-    # Hard cap on fired events; a generous multiple of expected arrivals.
+    # Hard cap on heap pops (decision events plus superseded entries); a
+    # runaway guard far above any real run's count.
     max_events: int = 20_000_000
 
     def __post_init__(self) -> None:
@@ -150,6 +162,144 @@ class ServeConfig:
         if realtime_high > self.queue_depth:
             raise ValueError("degrade_realtime_high cannot exceed queue_depth")
         return mve_high, high, realtime_high, low
+
+
+class _Lane:
+    """One stream's arrival clock and its entry in the event heap.
+
+    Frame ``k`` arrives at ``origin + (k + 1) / fps``; arrivals after
+    ``duration_s`` never happen, so the lane has ``count`` of them.
+    ``pending`` is the frame index of the stream's live heap entry (None
+    while it has none), and ``generation`` marks which pushed entry is
+    live: a re-push supersedes every earlier one.
+    """
+
+    __slots__ = ("stream", "origin", "fps", "clock", "position", "count",
+                 "pending", "generation")
+
+    def __init__(self, stream: SimStream, position: int, duration_s: float) -> None:
+        cfg = stream.config
+        self.stream = stream
+        # A per-stream phase offset spreads arrivals so 500 cameras do not
+        # all tick on the same instant (which would serialize through the
+        # tie-break and make batch composition degenerate).
+        self.origin = cfg.start_at + (cfg.stream_id % 97) / 97.0 / cfg.fps
+        self.fps = cfg.fps
+        self.clock = (self.origin, self.fps)
+        self.position = position
+        self.count = self.arrived_by(duration_s)
+        self.pending: int | None = None
+        self.generation = 0
+
+    def at(self, index: int) -> float:
+        """The arrival time of frame ``index``."""
+        return self.origin + (index + 1) / self.fps
+
+    def arrived_by(self, now: float) -> int:
+        """How many frames arrive at or before ``now``, ignoring the run's end."""
+        index = max(-1, int((now - self.origin) * self.fps) - 1)
+        while self.at(index + 1) <= now:
+            index += 1
+        while index >= 0 and self.at(index) > now:
+            index -= 1
+        return index + 1
+
+
+class _Arrival:
+    """Frame ``index`` of a lane, as a heap entry or as a causal ancestor.
+
+    Causal order reproduces the tie-break of a queue with one event per
+    arrival and insertion-order ties.  There, an event's insertion number
+    is fixed by the event that scheduled it (its *parent*) and its place
+    among that parent's schedules, so two events at one instant fire in
+    the order of ``(parent, place)``, which recursively compares the
+    parents' own instants and parents.  An
+    arrival's parent is the stream's previous arrival (place 0), and
+    frame 0's is the run start (place = the stream's position in the
+    fleet).  A completion's parent is the event that dispatched its batch
+    (place 1: an arrival schedules its successor before it dispatches).
+    Arrival keys depend only on the lane's clock, so skipped arrivals
+    keep their place without ever being pushed.
+    """
+
+    __slots__ = ("lane", "index", "generation")
+
+    def __init__(self, lane: _Lane, index: int, generation: int = -1) -> None:
+        self.lane = lane
+        self.index = index
+        self.generation = generation
+
+    def at(self) -> float:
+        return self.lane.at(self.index)
+
+    def parent(self) -> tuple[_Event | None, int]:
+        if self.index == 0:
+            return None, self.lane.position
+        return _Arrival(self.lane, self.index - 1), 0
+
+    def __lt__(self, other: _Event) -> bool:
+        return _fires_before(self, other)
+
+
+class _Completion:
+    """A dispatched batch's completion at ``time``; ``parent`` dispatched it."""
+
+    __slots__ = ("time", "parent_event", "batch")
+
+    def __init__(
+        self, time: float, parent: _Event, batch: list[DetectionRequest]
+    ) -> None:
+        self.time = time
+        self.parent_event = parent
+        self.batch = batch
+
+    def at(self) -> float:
+        return self.time
+
+    def parent(self) -> tuple[_Event | None, int]:
+        return self.parent_event, 1
+
+    def __lt__(self, other: _Event) -> bool:
+        return _fires_before(self, other)
+
+
+_Event = Union[_Arrival, _Completion]
+
+
+def _fires_before(a: _Event, b: _Event) -> bool:
+    """Whether ``a`` fires before ``b``, two events at one instant.
+
+    Walks both parent chains in step while their instants tie, down to
+    the first differing instant or shared parent.  Arrivals of two lanes
+    with one clock tie all the way to the run start, so they short-cut to
+    fleet position.
+    """
+    while True:
+        if (
+            type(a) is _Arrival
+            and type(b) is _Arrival
+            and a.index == b.index
+            and a.lane.clock == b.lane.clock
+        ):
+            return a.lane.position < b.lane.position
+        parent_a, place_a = a.parent()
+        parent_b, place_b = b.parent()
+        if parent_a is None or parent_b is None:
+            if parent_a is parent_b:
+                return place_a < place_b
+            return parent_a is None
+        if (
+            parent_a is parent_b
+            or type(parent_a) is _Arrival
+            and type(parent_b) is _Arrival
+            and parent_a.lane is parent_b.lane
+            and parent_a.index == parent_b.index
+        ):
+            return place_a < place_b
+        at_a, at_b = parent_a.at(), parent_b.at()
+        if at_a != at_b:
+            return at_a < at_b
+        a, b = parent_a, parent_b
 
 
 class ServeScheduler:
@@ -199,14 +349,23 @@ class ServeScheduler:
         self._recover_events = 0
         self._tier_transitions = 0
         self._events_fired = 0
-        # Each stream's frame k arrives at origin + (k + 1) / fps.  A
-        # per-stream phase offset spreads arrivals so 500 cameras do not
-        # all tick on the same instant (which would serialize through the
-        # tie-break and make batch composition degenerate).
-        self._frame_origin: dict[int, float] = {
-            cfg.stream_id: cfg.start_at + (cfg.stream_id % 97) / 97.0 / cfg.fps
-            for cfg in streams
+        self._end_time_s = 0.0
+        self._heap_pops = 0
+        self._lanes: dict[int, _Lane] = {
+            stream_id: _Lane(stream, position, self.config.duration_s)
+            for position, (stream_id, stream) in enumerate(self.streams.items())
         }
+        # The event being fired; a catch-up compares same-instant
+        # arrivals against it.
+        self._current: _Event | None = None
+        self._last_completion_s = 0.0
+
+    @property
+    def heap_pops(self) -> int:
+        """Entries popped off the event heap by :meth:`run`: the decision
+        events plus entries a re-push superseded.  ``FleetReport.events_fired``
+        counts modelled events instead (one per arrival and per batch)."""
+        return self._heap_pops
 
     # -- event actions ---------------------------------------------------------
     #
@@ -217,21 +376,51 @@ class ServeScheduler:
     # rule, the peak cannot rise, the gauge would be set to the same value).
     # Between events the detector is idle only when the queue is empty
     # (every submit is followed by a dispatch attempt and every completion
-    # dispatches again), so a frame that submits nothing dispatches nothing.
+    # dispatches again), so a frame that submits nothing dispatches nothing,
+    # which is why such frames need no event of their own.
 
-    def _on_frame(self, now: float, stream: SimStream, frame_index: int) -> None:
-        submitted = stream.on_frame(frame_index)
-        if submitted:
-            self._submit(stream, frame_index, now)
-        next_index = frame_index + 1
-        cfg = stream.config
-        next_at = self._frame_origin[cfg.stream_id] + (next_index + 1) / cfg.fps
-        if next_at <= self.config.duration_s:
-            self.events.schedule(next_at, self._on_frame, stream, next_index)
-        if submitted:
-            if not self._busy:
-                self._maybe_dispatch(now)
-            self._update_backpressure(now)
+    def _catch_up(self, lane: _Lane, now: float) -> None:
+        """Apply the lane's arrivals that fire before the current event."""
+        index = min(lane.count, lane.arrived_by(now)) - 1
+        while (
+            index >= 0
+            and lane.at(index) == now
+            and not _fires_before(_Arrival(lane, index), self._current)
+        ):
+            index -= 1
+        if index >= lane.stream.frames_arrived:
+            lane.stream.on_frame(index)
+
+    def _schedule_next(self, lane: _Lane) -> None:
+        """Give an idle stream a heap entry at its next submitting arrival.
+
+        Every arrival before the current event has been applied, so the
+        search starts at the first one after it.
+        """
+        stream = lane.stream
+        index = stream.next_submit(stream.frames_arrived)
+        if index == lane.pending:
+            return
+        lane.pending = index
+        lane.generation += 1
+        if index < lane.count:
+            event = _Arrival(lane, index, lane.generation)
+            self.events.schedule_ordered(
+                lane.at(index), event, self._on_arrival, event
+            )
+
+    def _on_arrival(self, now: float, event: _Arrival) -> None:
+        lane = event.lane
+        if event.generation != lane.generation:
+            return  # superseded by a later push
+        self._current = event
+        lane.pending = None
+        # Catch up the skipped arrivals and buffer this one, which submits.
+        lane.stream.on_frame(event.index)
+        self._submit(lane.stream, event.index, now)
+        if not self._busy:
+            self._maybe_dispatch(now)
+        self._update_backpressure(now)
 
     def _submit(self, stream: SimStream, frame_index: int, now: float) -> None:
         request = stream.make_request(frame_index, now)
@@ -239,14 +428,17 @@ class ServeScheduler:
         self.obs.counter("serve.submitted", qos=request.qos).inc()
         admitted, shed = self.queue.submit(request)
         if shed is not None:
-            victim = self.streams[shed.stream_id]
-            victim.on_dropped(shed.frame_index, now, "shed")
+            victim = self._lanes[shed.stream_id]
+            self._catch_up(victim, now)
+            victim.stream.on_dropped(shed.frame_index, now, "shed")
+            self._schedule_next(victim)
             self._class_dropped[shed.qos] += 1
             self.obs.counter("serve.dropped", qos=shed.qos, reason="shed").inc()
         if admitted:
             stream.on_submitted(frame_index, now)
         else:
             stream.on_dropped(frame_index, now, "rejected")
+            self._schedule_next(self._lanes[stream.config.stream_id])
             self._class_dropped[request.qos] += 1
             self.obs.counter(
                 "serve.dropped", qos=request.qos, reason="rejected"
@@ -275,14 +467,19 @@ class ServeScheduler:
             "serve.batch", now, now + latency,
             size=len(batch), setting=batch[0].setting, qos=batch[0].qos,
         )
-        self.events.schedule(now + latency, self._on_batch_done, batch)
+        done = _Completion(now + latency, self._current, batch)
+        self.events.schedule_ordered(done.time, done, self._on_batch_done, done)
         return True
 
-    def _on_batch_done(self, now: float, batch: list[DetectionRequest]) -> None:
+    def _on_batch_done(self, now: float, done: _Completion) -> None:
+        self._current = done
+        self._last_completion_s = now
         self._busy = False
-        for request in batch:
-            stream = self.streams[request.stream_id]
-            outcome = stream.on_result(request.frame_index, now)
+        for request in done.batch:
+            lane = self._lanes[request.stream_id]
+            self._catch_up(lane, now)
+            outcome = lane.stream.on_result(request.frame_index, now)
+            self._schedule_next(lane)
             self._class_served[request.qos] += 1
             self.obs.counter("serve.served", qos=request.qos).inc()
             if outcome["switched"]:
@@ -318,28 +515,43 @@ class ServeScheduler:
         else:
             self._recover_events += 1
             self.obs.counter("serve.recover_events").inc()
-        # Every stream moves to the tier its QoS class runs at this level;
-        # set_tier is a no-op for streams already there.
-        for stream in self.streams.values():
-            if stream.set_tier(_tier_for(desired, stream.config.qos), now):
-                self._tier_transitions += 1
-                self.obs.counter(
-                    "serve.tier_transitions", tier=stream.tier
-                ).inc()
+        # Every stream moves to the tier its QoS class runs at this level.
+        # A moving stream first catches up (set_tier logs frames_arrived,
+        # and the skipped arrivals count on the old tier), and an idle one
+        # re-aims its heap entry at the new tier's next submitting frame.
+        for lane in self._lanes.values():
+            stream = lane.stream
+            tier = _tier_for(desired, stream.config.qos)
+            if tier == stream.tier:
+                continue
+            self._catch_up(lane, now)
+            stream.set_tier(tier, now)
+            if stream.in_flight is None:
+                self._schedule_next(lane)
+            self._tier_transitions += 1
+            self.obs.counter("serve.tier_transitions", tier=stream.tier).inc()
 
     # -- run -------------------------------------------------------------------
 
     def run(self) -> FleetReport:
         """Fire the fleet to completion and return its report."""
-        for stream in self.streams.values():
-            cfg = stream.config
-            first_at = self._frame_origin[cfg.stream_id] + 1 / cfg.fps
-            if first_at <= self.config.duration_s:
-                self.events.schedule(first_at, self._on_frame, stream, 0)
-        self._events_fired = self.events.run(max_events=self.config.max_events)
+        for lane in self._lanes.values():
+            self._schedule_next(lane)
+        self._heap_pops = self.events.run(max_events=self.config.max_events)
         # Everything submitted before the end drains: arrivals stop at
         # duration_s, completions re-dispatch, so the queue runs dry.
         self.queue.check_conservation()
+        # The arrivals after each stream's last decision still count.
+        end = self._last_completion_s
+        for lane in self._lanes.values():
+            if lane.count > lane.stream.frames_arrived:
+                lane.stream.on_frame(lane.count - 1)
+            if lane.count:
+                end = max(end, lane.at(lane.count - 1))
+        self._end_time_s = end
+        self._events_fired = self._batches + sum(
+            stream.frames_arrived for stream in self.streams.values()
+        )
         return self._build_report()
 
     def _build_report(self) -> FleetReport:
@@ -407,7 +619,7 @@ class ServeScheduler:
                 stream.mve_frames for stream in self.streams.values()
             ),
             events_fired=self._events_fired,
-            end_time_s=self.events.now,
+            end_time_s=self._end_time_s,
             classes=classes,
             streams=stream_reports,
             overload_transitions=list(self._overload_transitions),

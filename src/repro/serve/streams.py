@@ -217,31 +217,54 @@ class SimStream:
     # -- frame arrival ---------------------------------------------------------
 
     def on_frame(self, frame_index: int) -> bool:
-        """Buffer an arriving frame; True if it should become a detection.
+        """Buffer every frame up to ``frame_index``; True if that last
+        frame should become a detection.
 
-        The bounded buffer drops its oldest frame when full; that drop is
-        counted here, before the append evicts it.  A stream with a
-        request in flight never submits; otherwise the ``lk`` tier submits
-        every frame and the degraded tiers every ``mve_interval``-th or
-        ``keyframe_interval``-th one.
+        Frame ``k`` is the stream's ``k``-th arrival, so the call applies
+        arrivals ``frames_arrived .. frame_index`` in one closed-form step,
+        with exactly the effect of applying them one at a time on the
+        current tier: each is counted (and counted as degraded on a tier
+        below ``lk``), and the bounded buffer keeps the newest
+        ``buffer_capacity`` of them, counting one drop per frame it evicts.
+        Only the last frame's submit decision is returned; a caller that
+        skips arrivals skips only ones that would not submit.  A stream
+        with a request in flight never submits; otherwise a frame submits
+        when :meth:`next_submit` lands on it.
         """
-        self.frames_arrived += 1
+        first = self.frames_arrived
+        count = frame_index + 1 - first
+        if count < 1:
+            raise ValueError(
+                f"frame {frame_index} already arrived ({first} frames so far)"
+            )
+        self.frames_arrived = frame_index + 1
         tier = self.tier
         if tier != TIER_LK:
-            self.degraded_frames += 1
+            self.degraded_frames += count
             if tier == TIER_MVE:
-                self.mve_frames += 1
+                self.mve_frames += count
         buffer = self.buffer
-        if len(buffer) == buffer.maxlen:
-            self.buffer_dropped += 1
-        buffer.append(frame_index)
-        if self.in_flight is not None:
-            return False
+        overflow = len(buffer) + count - buffer.maxlen
+        if overflow > 0:
+            self.buffer_dropped += overflow
+        oldest_kept = max(first, frame_index + 1 - buffer.maxlen)
+        buffer.extend(range(oldest_kept, frame_index + 1))
+        return self.in_flight is None and self.next_submit(frame_index) == frame_index
+
+    def next_submit(self, frame_index: int) -> int:
+        """The first frame at or after ``frame_index`` that submits if the
+        stream stays idle on its current tier: the next frame on ``lk``,
+        the next multiple of ``mve_interval`` or ``keyframe_interval`` on
+        the degraded tiers."""
+        tier = self.tier
         if tier == TIER_LK:
-            return True
-        if tier == TIER_MVE:
-            return frame_index % self.config.mve_interval == 0
-        return frame_index % self.config.keyframe_interval == 0
+            return frame_index
+        step = (
+            self.config.mve_interval
+            if tier == TIER_MVE
+            else self.config.keyframe_interval
+        )
+        return -(-frame_index // step) * step
 
     # -- detector round-trip ---------------------------------------------------
 

@@ -23,6 +23,23 @@ class TestEventQueue:
         queue.run()
         assert fired == ["a", "b", "c"]
 
+    def test_ordered_ties_break_by_order_not_insertion(self):
+        queue = EventQueue()
+        fired = []
+        record = lambda t, name: fired.append(name)  # noqa: E731
+        for order, name in ((2, "c"), (0, "a"), (1, "b")):
+            queue.schedule_ordered(1.0, order, record, name)
+        queue.schedule_ordered(0.5, 9, record, "first")
+        assert queue.run() == 4
+        assert fired == ["first", "a", "b", "c"]
+
+    def test_ordered_scheduling_in_past_rejected(self):
+        queue = EventQueue()
+        queue.schedule_ordered(2.0, 0, lambda t: None)
+        queue.step()
+        with pytest.raises(ValueError):
+            queue.schedule_ordered(1.0, 0, lambda t: None)
+
     def test_self_scheduling(self):
         queue = EventQueue()
         fired = []

@@ -6,9 +6,10 @@ overload-transition trace), plus a saturated 512-stream run whose queue
 fills, so the reject and shed paths and every overload level are pinned
 too, and a set of *tie* fleets whose arrival and completion instants
 are exact binary fractions, so same-instant events are common and their
-firing order is pinned.  Any behavioural change to the scheduler, admission queue, stream
-model, detector pricing, or report serialisation shifts these hex strings — which is the point: serving
-determinism is an API, and breaking it must be a conscious decision.
+firing order is pinned.  Any behavioural change to the scheduler,
+admission queue, stream model, detector pricing, or report serialisation
+shifts these hex strings — which is the point: serving determinism is an
+API, and breaking it must be a conscious decision.
 
 Regenerate after an intentional change with::
 
@@ -143,6 +144,18 @@ def test_saturated_fleet_matches_golden_digest():
     assert (counters.rejected, counters.shed) == (4654, 72)
     assert {level for _, level in report.overload_transitions} == {0, 1, 2, 3}
     assert report.final_depth == 0
+    # Only decisions reach the heap: pops stay within twice the
+    # submits, batches, tier transitions and initial pushes, far below
+    # the modelled per-arrival event count.
+    assert scheduler.heap_pops <= 2 * (
+        report.submitted
+        + report.batches
+        + report.tier_transitions
+        + report.num_streams
+    )
+    assert report.events_fired == report.batches + sum(
+        s.frames_arrived for s in report.streams
+    )
     assert report.digest() == SATURATED_DIGEST, (
         "saturated serve digest changed — if intentional, regenerate "
         f"with `python {__file__}`"

@@ -35,6 +35,25 @@ class TestConservation:
         )
         assert report.served == sum(c.served for c in report.classes.values())
 
+    def test_events_fired_counts_every_arrival_and_batch(self):
+        """The report counts modelled events, one per frame arrival and
+        one per batch completion, although only decisions are fired."""
+        fleet = _small_fleet(24)
+        scheduler = ServeScheduler(fleet, ServeConfig(duration_s=5.0))
+        report = scheduler.run()
+        assert report.events_fired == report.batches + sum(
+            s.frames_arrived for s in report.streams
+        )
+        # Every stream saw every arrival up to the end of the run: frame k
+        # lands at (phase offset) + (k + 1) / fps.
+        for cfg, stream in zip(fleet, report.streams):
+            origin = cfg.start_at + (cfg.stream_id % 97) / 97.0 / cfg.fps
+            arrivals = sum(
+                1 for k in range(200) if origin + (k + 1) / cfg.fps <= 5.0
+            )
+            assert stream.frames_arrived == arrivals
+        assert scheduler.heap_pops < report.events_fired
+
     def test_conservation_under_tiny_queue(self):
         """A queue far smaller than the fleet forces shed/reject paths."""
         config = ServeConfig(

@@ -1,9 +1,12 @@
 """Unit tests for the simulated stream: workload purity, buffering,
 the tracker tier ladder, and the detect→track→adapt cycle."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.detection.profiles import FRAME_SIZES
+from repro.perf.reference import buffer_frame_reference
 from repro.serve.streams import SimStream, StreamConfig, StreamWorkload
 from repro.tracking.tracker import TIER_KEYFRAME, TIER_LK, TIER_MVE
 
@@ -131,6 +134,20 @@ class TestSimStream:
         # The stream can submit again afterwards.
         assert stream.on_frame(1) is True
 
+    def test_frame_that_already_arrived_rejected(self):
+        stream = SimStream(_config())
+        stream.on_frame(3)
+        with pytest.raises(ValueError):
+            stream.on_frame(3)
+
+    def test_next_submit_follows_the_tier(self):
+        stream = SimStream(_config(mve_interval=4, keyframe_interval=6))
+        assert [stream.next_submit(i) for i in (0, 5)] == [0, 5]
+        stream.set_tier(TIER_MVE, 0.0)
+        assert [stream.next_submit(i) for i in (0, 1, 4, 5)] == [0, 4, 4, 8]
+        stream.set_tier(TIER_KEYFRAME, 0.0)
+        assert [stream.next_submit(i) for i in (0, 1, 6, 7)] == [0, 6, 6, 12]
+
     def test_digest_reflects_event_history(self):
         a, b = SimStream(_config()), SimStream(_config())
         assert a.digest() == b.digest()
@@ -188,6 +205,57 @@ class TestTierCostAccounting:
         # because block matching skips feature seeding and is O(boxes).
         assert lk.tracked_frames <= mve.tracked_frames
         assert 0.0 < mve_cpu < lk_cpu
+
+
+_TIERS = st.sampled_from([TIER_LK, TIER_MVE, TIER_KEYFRAME])
+
+
+class TestCatchUpProperty:
+    """One ``on_frame`` over arrivals ``a..b`` equals the same arrivals
+    applied one at a time by the frozen single-frame step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=st.integers(1, 20),
+        mve_interval=st.integers(2, 6),
+        keyframe_interval=st.integers(2, 10),
+        prefix_tier=_TIERS,
+        prefix=st.integers(0, 40),
+        tier=_TIERS,
+        in_flight=st.booleans(),
+        count=st.integers(1, 60),
+    )
+    def test_catch_up_equals_one_at_a_time(
+        self, capacity, mve_interval, keyframe_interval, prefix_tier, prefix,
+        tier, in_flight, count,
+    ):
+        config = _config(
+            buffer_capacity=capacity,
+            mve_interval=mve_interval,
+            keyframe_interval=keyframe_interval,
+        )
+        streams = []
+        for _ in range(2):
+            stream = SimStream(config)
+            stream.set_tier(prefix_tier, 0.0)
+            for index in range(prefix):
+                buffer_frame_reference(stream, index)
+            stream.set_tier(tier, 0.0)
+            if in_flight:
+                stream.on_submitted(max(prefix - 1, 0), 0.0)
+            streams.append(stream)
+        caught_up, stepped = streams
+        last = prefix + count - 1
+        wanted = caught_up.on_frame(last)
+        for index in range(prefix, last + 1):
+            stepped_wanted = buffer_frame_reference(stepped, index)
+        assert wanted == stepped_wanted
+        for stream in streams:
+            assert stream.frames_arrived == prefix + count
+        assert list(caught_up.buffer) == list(stepped.buffer)
+        assert caught_up.buffer_dropped == stepped.buffer_dropped
+        assert caught_up.degraded_frames == stepped.degraded_frames
+        assert caught_up.mve_frames == stepped.mve_frames
 
 
 class TestStreamConfigValidation:
