@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.config import PipelineConfig
 from repro.core.mpdt import FixedSettingPolicy, MPDTPipeline
 from repro.perf import reference, workloads
-from repro.perf.harness import BenchResult, time_callable
+from repro.perf.harness import BenchResult, time_callable, time_interleaved
 from repro.tracking.mve import MVETracker, MVETrackerConfig
 from repro.video.framestore import FrameStore
 from repro.video.render import FrameRenderer
@@ -637,7 +637,8 @@ def bench_serve_scheduler(quick: bool) -> BenchResult:
     decision-event scheduler against the frozen per-frame one, which
     fires one event per frame arrival.  Only ``run()`` is timed; every
     call gets a scheduler built beforehand, since building the streams'
-    workload models is not scheduling.  The correctness gate: the two
+    workload models is not scheduling.  The two arms take turns within
+    each repeat, so host contention cannot favour one of them.  The correctness gate: the two
     schedulers' report digests are equal, and two live runs replay
     bit-identically, before timing starts.
     """
@@ -664,6 +665,12 @@ def bench_serve_scheduler(quick: bool) -> BenchResult:
             "decision-event scheduler diverged from the per-frame reference"
         )
 
+    optimized, reference_arm = time_interleaved(
+        [prebuilt_runs(ServeScheduler),
+         prebuilt_runs(reference.ReferenceServeScheduler)],
+        repeats,
+        number,
+    )
     return BenchResult(
         name="serve_scheduler",
         hot_path="repro.serve.scheduler.ServeScheduler.run",
@@ -673,10 +680,8 @@ def bench_serve_scheduler(quick: bool) -> BenchResult:
             "seed": 7,
             "events": first.events_fired,
         },
-        optimized=time_callable(prebuilt_runs(ServeScheduler), repeats, number),
-        reference=time_callable(
-            prebuilt_runs(reference.ReferenceServeScheduler), repeats, number
-        ),
+        optimized=optimized,
+        reference=reference_arm,
         notes=(
             "fleet run() in virtual time on prebuilt schedulers: heap events "
             "only for submitting arrivals and completions vs. the frozen "

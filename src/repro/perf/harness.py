@@ -48,21 +48,35 @@ def time_callable(
     fn: Callable[[], object], repeats: int, number: int
 ) -> Measurement:
     """min/mean of ``repeats`` measurements of ``number`` calls each."""
+    return time_interleaved([fn], repeats, number)[0]
+
+
+def time_interleaved(
+    fns: list[Callable[[], object]], repeats: int, number: int
+) -> list[Measurement]:
+    """:func:`time_callable` for several callables that take turns within
+    every repeat, so a burst of host contention slows each of them alike
+    instead of one arm of a comparison."""
     if repeats < 1 or number < 1:
         raise ValueError("repeats and number must be >= 1")
-    fn()  # warm-up: first call pays allocator/JIT-cache effects
-    totals = []
+    for fn in fns:
+        fn()  # warm-up: first call pays allocator/JIT-cache effects
+    totals: list[list[float]] = [[] for _ in fns]
     for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(number):
-            fn()
-        totals.append(time.perf_counter() - start)
-    return Measurement(
-        repeats=repeats,
-        number=number,
-        best_s=min(totals),
-        mean_s=sum(totals) / len(totals),
-    )
+        for fn, fn_totals in zip(fns, totals):
+            start = time.perf_counter()
+            for _ in range(number):
+                fn()
+            fn_totals.append(time.perf_counter() - start)
+    return [
+        Measurement(
+            repeats=repeats,
+            number=number,
+            best_s=min(fn_totals),
+            mean_s=sum(fn_totals) / len(fn_totals),
+        )
+        for fn_totals in totals
+    ]
 
 
 @dataclass

@@ -169,13 +169,12 @@ class _Lane:
 
     Frame ``k`` arrives at ``origin + (k + 1) / fps``; arrivals after
     ``duration_s`` never happen, so the lane has ``count`` of them.
-    ``pending`` is the frame index of the stream's live heap entry (None
-    while it has none), and ``generation`` marks which pushed entry is
-    live: a re-push supersedes every earlier one.
+    ``generation`` marks which of the lane's pushed heap entries is live:
+    a re-push supersedes every earlier one.
     """
 
     __slots__ = ("stream", "origin", "fps", "clock", "position", "count",
-                 "pending", "generation")
+                 "generation")
 
     def __init__(self, stream: SimStream, position: int, duration_s: float) -> None:
         cfg = stream.config
@@ -188,7 +187,6 @@ class _Lane:
         self.clock = (self.origin, self.fps)
         self.position = position
         self.count = self.arrived_by(duration_s)
-        self.pending: int | None = None
         self.generation = 0
 
     def at(self, index: int) -> float:
@@ -399,9 +397,6 @@ class ServeScheduler:
         """
         stream = lane.stream
         index = stream.next_submit(stream.frames_arrived)
-        if index == lane.pending:
-            return
-        lane.pending = index
         lane.generation += 1
         if index < lane.count:
             event = _Arrival(lane, index, lane.generation)
@@ -414,7 +409,6 @@ class ServeScheduler:
         if event.generation != lane.generation:
             return  # superseded by a later push
         self._current = event
-        lane.pending = None
         # Catch up the skipped arrivals and buffer this one, which submits.
         lane.stream.on_frame(event.index)
         self._submit(lane.stream, event.index, now)

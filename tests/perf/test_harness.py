@@ -9,6 +9,7 @@ from repro.perf.harness import (
     build_document,
     format_table,
     time_callable,
+    time_interleaved,
     validate_bench_doc,
 )
 
@@ -41,6 +42,21 @@ class TestTimeCallable:
     def test_rejects_non_positive(self, repeats, number):
         with pytest.raises(ValueError):
             time_callable(lambda: None, repeats=repeats, number=number)
+
+
+class TestTimeInterleaved:
+    def test_arms_take_turns_within_each_repeat(self):
+        calls = []
+        a, b = time_interleaved(
+            [lambda: calls.append("a"), lambda: calls.append("b")],
+            repeats=3,
+            number=2,
+        )
+        # One warm-up each, then a's and b's calls alternate by repeat.
+        assert calls == ["a", "b"] + ["a", "a", "b", "b"] * 3
+        for m in (a, b):
+            assert m.repeats == 3 and m.number == 2
+            assert 0 <= m.best_s <= m.mean_s
 
 
 class TestBenchResult:
