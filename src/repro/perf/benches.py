@@ -638,9 +638,9 @@ def bench_serve_scheduler(quick: bool) -> BenchResult:
     fires one event per frame arrival.  Only ``run()`` is timed; every
     call gets a scheduler built beforehand, since building the streams'
     workload models is not scheduling.  The two arms take turns within
-    each repeat, so host contention cannot favour one of them.  The correctness gate: the two
-    schedulers' report digests are equal, and two live runs replay
-    bit-identically, before timing starts.
+    each repeat, so host contention cannot favour one of them.  The
+    correctness gate: the two schedulers' report digests are equal, and
+    two live runs replay bit-identically, before timing starts.
     """
     from repro.serve import ServeConfig, ServeScheduler, fleet_configs
 
@@ -648,19 +648,21 @@ def bench_serve_scheduler(quick: bool) -> BenchResult:
     config = ServeConfig(duration_s=4.0, warmup_s=1.0)
     repeats, number = _repeats(quick, 10)
 
+    def build(scheduler_class):
+        return scheduler_class(fleet_configs(num_streams, seed=7), config)
+
     def prebuilt_runs(scheduler_class):
-        # time_callable makes one warm-up call plus repeats * number.
+        # time_interleaved makes one warm-up call plus repeats * number.
         schedulers = iter([
-            scheduler_class(fleet_configs(num_streams, seed=7), config)
-            for _ in range(1 + repeats * number)
+            build(scheduler_class) for _ in range(1 + repeats * number)
         ])
         return lambda: next(schedulers).run()
 
-    live = ServeScheduler(fleet_configs(num_streams, seed=7), config)
+    live = build(ServeScheduler)
     first = live.run()
-    if first.digest() != prebuilt_runs(ServeScheduler)().digest():
+    if first.digest() != build(ServeScheduler).run().digest():
         raise AssertionError("serve scheduler replay diverged between seeded runs")
-    if first.digest() != prebuilt_runs(reference.ReferenceServeScheduler)().digest():
+    if first.digest() != build(reference.ReferenceServeScheduler).run().digest():
         raise AssertionError(
             "decision-event scheduler diverged from the per-frame reference"
         )

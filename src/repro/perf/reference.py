@@ -34,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry import Box
-from repro.runtime.events import EventQueue
 from repro.serve.admission import DetectionRequest
 from repro.serve.scheduler import (
     _LEVEL_ALL_DEGRADED,
