@@ -501,10 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="MiB budget for each process's frame store "
                             "(0 disables it for the whole macro-bench)")
     macro.add_argument("--artifact-store-mb", type=int, default=384,
-                       help="MiB budget for each process's pyramid/gradient "
+                       help="MiB budget for each process's pyramid "
                             "artifact store (0 disables it for the whole "
-                            "macro-bench); warmed artifacts are ~3x a raw "
-                            "frame, so size it above --frame-store-mb")
+                            "macro-bench); artifacts are ~2.6x a float32 "
+                            "raw frame, so size it above --frame-store-mb")
     macro.set_defaults(func=_cmd_macrobench)
 
     serve = sub.add_parser(

@@ -65,8 +65,8 @@ class PipelineConfig:
     # only when pixels are computed (see repro.video.framestore).
     frame_store_mb: int | None = None
     # Byte budget (in MiB) for the process-wide shared *artifact* store —
-    # the frame store one layer up: derived pyramids and warmed gradients
-    # are built once per sweep instead of once per method arm per worker.
+    # the frame store one layer up: derived pyramid images are built once
+    # per sweep instead of once per method arm per worker.
     # None = leave the store as-is; 0 = explicitly disable.  Pyramid
     # construction is deterministic, so the store never changes results
     # (see repro.vision.artifact_store).

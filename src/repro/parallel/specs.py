@@ -38,7 +38,7 @@ class ClipSpec:
     # ``validate_store_budgets``), or a clip would evict mid-sweep.
     frame_store_mb: int | None = None
     # MiB budget for the worker's process-wide derived-artifact store
-    # (pyramids + gradients; see repro.vision.artifact_store).  Same
+    # (pyramid images; see repro.vision.artifact_store).  Same
     # contract as ``frame_store_mb``.
     artifact_store_mb: int | None = None
 

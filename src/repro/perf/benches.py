@@ -108,8 +108,8 @@ def bench_lk_track(quick: bool) -> BenchResult:
         ),
         notes=(
             "active-row gathering + one coordinate pass shared by the level "
-            "image and both gradients vs. full-window resampling every "
-            "iteration"
+            "image and both gradients + Scharr on the window support vs. "
+            "full-window resampling every iteration + full-level Scharr"
         ),
     )
 
@@ -362,7 +362,7 @@ def bench_shi_tomasi_response(quick: bool) -> BenchResult:
 
 
 def bench_pyramid_cache_hit(quick: bool) -> BenchResult:
-    """FramePyramid construction (+ gradients) vs. a clip-cache hit.
+    """FramePyramid construction vs. a clip-cache hit.
 
     The reference is the pre-cache steady state — every tracker generation
     rebuilds its seed pyramid from the raw frame; the optimised path is a
@@ -373,20 +373,14 @@ def bench_pyramid_cache_hit(quick: bool) -> BenchResult:
     levels = wl.params.pyramid_levels
 
     def build() -> FramePyramid:
-        pyramid = FramePyramid(wl.frame_a, levels)
-        for level in range(pyramid.levels):
-            pyramid.gradients(level)
-        return pyramid
+        return FramePyramid(wl.frame_a, levels)
 
     cache = PyramidCache(capacity=2)
     provider = lambda _index: wl.frame_a  # noqa: E731 - tiny bench closure
     cache.get(0, levels, provider)  # prime: every timed get() below is a hit
 
     def cached() -> FramePyramid:
-        pyramid = cache.get(0, levels, provider)
-        for level in range(pyramid.levels):
-            pyramid.gradients(level)
-        return pyramid
+        return cache.get(0, levels, provider)
 
     repeats, number = _repeats(quick, 15)
     return BenchResult(
@@ -400,7 +394,7 @@ def bench_pyramid_cache_hit(quick: bool) -> BenchResult:
         },
         optimized=time_callable(cached, repeats, 1),
         reference=time_callable(build, repeats, 1),
-        notes="clip-level LRU cache hit vs. full pyramid + gradient rebuild",
+        notes="clip-level LRU cache hit vs. full pyramid rebuild",
         extra={"cache_hits": cache.hits, "cache_misses": cache.misses},
     )
 
@@ -553,11 +547,11 @@ def bench_pyramid_store_sweep(quick: bool) -> BenchResult:
 
     The sweep engine runs many method arms over the same clip; the first
     arm's pyramid-cache misses fill the shared artifact store, every later
-    arm reads warmed pyramids back.  The optimised arm is that later
+    arm reads the pyramids back.  The optimised arm is that later
     method — a fresh per-run :class:`PyramidCache` whose local entries
     always miss but whose store always hits; the reference arm is the
-    pre-store steady state: every arm rebuilds every pyramid (and warms
-    its gradients) from the raw frame.  Reported per 8-frame arm pass.
+    pre-store steady state: every arm rebuilds every pyramid from the raw
+    frame.  Reported per 8-frame arm pass.
     """
     from repro.vision.artifact_store import ArtifactStore
     from repro.vision.artifact_store import _PrivateBacking
@@ -571,7 +565,7 @@ def bench_pyramid_store_sweep(quick: bool) -> BenchResult:
     store = ArtifactStore(_PrivateBacking(64 * 1024 * 1024))
 
     # First arm fills the store; the equality gate then pins every
-    # store-served level image and gradient pair against a direct build.
+    # store-served level image against a direct build.
     filler = PyramidCache(capacity=2, fingerprint=fingerprint, artifact_store=store)
     for index in range(num_frames):
         filler.get(index, levels, provider)
@@ -582,10 +576,6 @@ def bench_pyramid_store_sweep(quick: bool) -> BenchResult:
         for level in range(direct.levels):
             if not np.array_equal(served.images[level], direct.images[level]):
                 raise AssertionError("store-served pyramid diverged from a rebuild")
-            sgx, sgy = served.gradients(level)
-            dgx, dgy = direct.gradients(level)
-            if not (np.array_equal(sgx, dgx) and np.array_equal(sgy, dgy)):
-                raise AssertionError("store-served gradients diverged from a rebuild")
     if reader.store_hits != num_frames:
         raise AssertionError("repeat arm did not hit the store for every frame")
 
@@ -602,7 +592,6 @@ def bench_pyramid_store_sweep(quick: bool) -> BenchResult:
         pyramid = None
         for index in range(num_frames):
             pyramid = FramePyramid(frames[index], levels)
-            pyramid.warm_gradients()
         return pyramid
 
     repeats, number = _repeats(quick, 15)
@@ -620,7 +609,7 @@ def bench_pyramid_store_sweep(quick: bool) -> BenchResult:
         reference=time_callable(rebuild_pass, repeats, 1),
         notes=(
             "a sweep's 2nd..Nth method arm per clip pass: shared artifact-store "
-            "pyramid+gradient reads vs. the pre-store full rebuild"
+            "pyramid reads vs. the pre-store full rebuild"
         ),
         extra={
             "store_hits": store.stats()["hits"],

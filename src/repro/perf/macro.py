@@ -118,12 +118,12 @@ def run_macro_benchmark(
     store counters show each frame rendered at most once.
 
     ``artifact_store_mb`` budgets each process's derived-artifact store
-    (pyramids + gradients; 0 disables it).  Warmed artifacts are ~3x a
-    raw frame (level images + two gradient planes per level), so this
-    budget must out-size the frame store's for the sweep's working set
-    to stay resident under method-major order — undersizing shows up as
-    evicted_bytes churn and a cold store for every arm.  A third,
-    artifact-disabled
+    (pyramid level images; 0 disables it).  An artifact is ~1.31x its
+    frame's float64 finest level (1 + 1/4 + 1/16), ~2.6x a float32 raw
+    frame, so this budget must out-size the frame store's for the
+    sweep's working set to stay resident under method-major order —
+    undersizing shows up as evicted_bytes churn and a cold store for
+    every arm.  A third, artifact-disabled
     sequential arm is timed *before* the store is ever enabled — its
     results double as the store-never-changes-results identity baseline,
     and its best time yields ``artifact_store.enabled_speedup``: the
@@ -235,9 +235,9 @@ def run_macro_benchmark(
         },
         # Derived-artifact store counters from the same warm-up pass, one
         # layer up from the frame store: misses = pyramids actually built,
-        # hits = pyramids (and their warmed gradients) served back.  The
-        # third, store-disabled sequential arm gives the wall-clock win of
-        # building each pyramid once per sweep instead of once per arm.
+        # hits = pyramids served back.  The third, store-disabled
+        # sequential arm gives the wall-clock win of building each pyramid
+        # once per sweep instead of once per arm.
         "artifact_store": {
             "budget_mb": artifact_store_mb,
             "disabled_sequential_best_s": disabled_best,

@@ -54,6 +54,7 @@ from repro.video.render import (
     _smooth_noise,
 )
 from repro.video.scene import Scene
+from repro.vision.image import image_gradients
 from repro.vision.optical_flow import (
     FlowResult,
     FramePyramid,
@@ -234,7 +235,8 @@ def track_features_reference(
     params: LKParams | None = None,
 ) -> FlowResult:
     """The seed revision's ``track_features``: every Gauss-Newton iteration
-    resamples and solves all N windows, converged or not."""
+    resamples and solves all N windows, converged or not, on full-level
+    Scharr gradients."""
     params = params or LKParams()
     if not isinstance(prev_image, FramePyramid):
         prev_image = FramePyramid(prev_image, params.pyramid_levels)
@@ -265,7 +267,7 @@ def track_features_reference(
     for level in range(levels - 1, -1, -1):
         prev_l = prev_pyr[level]
         next_l = next_pyr[level]
-        grad_x, grad_y = prev_image.gradients(level)
+        grad_x, grad_y = image_gradients(prev_l)
         scale = 0.5**level
         pts_l = points * scale
         h, w = prev_l.shape

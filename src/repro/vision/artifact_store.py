@@ -4,13 +4,13 @@
 but every derived artifact would still be recomputed per method arm: a
 fig6 sweep runs ~8 method arms over the same clips, and each arm would
 rebuild identical :class:`~repro.vision.optical_flow.FramePyramid` levels
-and Scharr gradients from scratch, because the
-:class:`~repro.vision.pyramid_cache.PyramidCache` is per-run.  This
-module is the frame store one layer up: a content-addressed,
-byte-budgeted store of **pyramid artifacts** — the per-level images plus
-(optionally) the warmed ``(Ix, Iy)`` gradient pairs — keyed by
+from scratch, because the :class:`~repro.vision.pyramid_cache.PyramidCache`
+is per-run.  This module is the frame store one layer up: a
+content-addressed, byte-budgeted store of **pyramid artifacts** — the
+per-level images, about 1.31x the frame's float64 finest level — keyed
+by
 
-    ``(scene fingerprint, frame_index, pyramid_levels, warm_gradients)``
+    ``(scene fingerprint, frame_index, pyramid_levels)``
 
 so two arms requesting the same frame's pyramid land on the same entry.
 Pyramid construction is a pure function of the rendered frame, which is
@@ -40,52 +40,31 @@ from repro.vision.optical_flow import FramePyramid
 
 @dataclass(frozen=True)
 class PyramidArtifact:
-    """One frame's derived pyramid payload: level images + optional gradients.
+    """One frame's derived pyramid payload: its level images.
 
     ``images`` is exactly what :func:`~repro.vision.image.build_pyramid`
-    produces (finest first); ``gradients`` is ``None`` for a lazy
-    artifact or one ``(Ix, Iy)`` pair per level for a warmed one.  The
-    warm flag is part of the store key, so lazy and warmed artifacts for
-    the same frame are distinct entries — a reader asking for gradients
-    never lands on an entry that lacks them.
+    produces (finest first).  Gradients are not stored: Lucas-Kanade
+    computes them on its own window support.
     """
 
     images: tuple[np.ndarray, ...]
-    gradients: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
-
-    @property
-    def warmed(self) -> bool:
-        return self.gradients is not None
 
     @property
     def levels(self) -> int:
         return len(self.images)
 
     @property
-    def planes(self) -> tuple[np.ndarray, ...]:
-        """Every array the artifact holds: level images, then gradients."""
-        pairs = self.gradients or ()
-        return self.images + tuple(plane for pair in pairs for plane in pair)
-
-    @property
     def nbytes(self) -> int:
-        return sum(int(plane.nbytes) for plane in self.planes)
+        return sum(int(image.nbytes) for image in self.images)
 
     @classmethod
-    def from_pyramid(cls, pyramid: FramePyramid, warmed: bool) -> "PyramidArtifact":
-        """Capture a built pyramid (warming its gradients when asked)."""
-        images = tuple(pyramid.images)
-        if not warmed:
-            return cls(images=images, gradients=None)
-        pyramid.warm_gradients()
-        return cls(
-            images=images,
-            gradients=tuple(pyramid.gradients(level) for level in range(pyramid.levels)),
-        )
+    def from_pyramid(cls, pyramid: FramePyramid) -> "PyramidArtifact":
+        """Capture a built pyramid's level images."""
+        return cls(images=tuple(pyramid.images))
 
     def to_pyramid(self) -> FramePyramid:
         """Reconstruct the pyramid without rebuilding anything."""
-        return FramePyramid.from_arrays(self.images, self.gradients)
+        return FramePyramid.from_arrays(self.images)
 
 
 class _PrivateBacking(FrameStore):
@@ -95,16 +74,16 @@ class _PrivateBacking(FrameStore):
 
     @staticmethod
     def _freeze(artifact: PyramidArtifact) -> None:
-        for plane in artifact.planes:
-            plane.setflags(write=False)
+        for image in artifact.images:
+            image.setflags(write=False)
 
 
 class ArtifactStore:
     """Typed facade over the artifact LRU.
 
-    Encodes the 4-tuple artifact key into the backing's
-    ``(fingerprint, frame_index)`` key space (the levels/warm columns fold
-    into the fingerprint string).  ``stats``/``set_budget``/``clear``
+    Encodes the 3-tuple artifact key into the backing's
+    ``(fingerprint, frame_index)`` key space (the levels column folds into
+    the fingerprint string).  ``stats``/``set_budget``/``clear``
     delegate, so the sweep engine manages this store exactly like the
     frame store.
     """
@@ -115,8 +94,8 @@ class ArtifactStore:
     # -- key scheme ----------------------------------------------------------
 
     @staticmethod
-    def _backing_fingerprint(fingerprint: str, levels: int, warmed: bool) -> str:
-        return f"{fingerprint}|pyr:{int(levels)}:{1 if warmed else 0}"
+    def _backing_fingerprint(fingerprint: str, levels: int) -> str:
+        return f"{fingerprint}|pyr:{int(levels)}"
 
     # -- delegated state -----------------------------------------------------
 
@@ -143,19 +122,16 @@ class ArtifactStore:
     # -- core ----------------------------------------------------------------
 
     def get(
-        self, fingerprint: str, frame_index: int, levels: int, warmed: bool
+        self, fingerprint: str, frame_index: int, levels: int
     ) -> PyramidArtifact | None:
         """The stored artifact, or ``None``."""
-        return self.backing.get(
-            self._backing_fingerprint(fingerprint, levels, warmed), frame_index
-        )
+        return self.backing.get(self._backing_fingerprint(fingerprint, levels), frame_index)
 
     def put(
         self,
         fingerprint: str,
         frame_index: int,
         levels: int,
-        warmed: bool,
         artifact: PyramidArtifact,
     ) -> PyramidArtifact:
         """Publish a built artifact; first insert wins.
@@ -167,7 +143,7 @@ class ArtifactStore:
         value so every arm reads the same arrays.
         """
         return self.backing.put(
-            self._backing_fingerprint(fingerprint, levels, warmed), frame_index, artifact
+            self._backing_fingerprint(fingerprint, levels), frame_index, artifact
         )
 
 

@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 @lru_cache(maxsize=64)
@@ -55,9 +56,10 @@ class _ScratchPool(threading.local):
     Tags keep nested kernels from aliasing each other's buffers (a blur
     running inside the Shi-Tomasi pipeline must not stomp the gradient
     buffers), and thread-locality makes the pool safe under the live
-    executor without locking.  Scratch contents are always fully
-    overwritten before use; results returned to callers are always fresh
-    arrays, never pool views.
+    executor without locking.  Scratch contents are fully overwritten
+    before use, except LK's gradient planes, which are written only where
+    that call's windows read (``optical_flow._window_gradients``); results
+    returned to callers are always fresh arrays, never pool views.
     """
 
     _MAX_ENTRIES = 64
@@ -225,6 +227,18 @@ _SCHARR_DERIV = np.array([-1.0, 0.0, 1.0]) / 2.0
 _SCHARR_SMOOTH = np.array([3.0, 10.0, 3.0]) / 16.0
 
 
+def _scharr_pad(image: np.ndarray, tag: str) -> np.ndarray:
+    """``image`` reflect-padded by one pixel, corners too, into scratch."""
+    h, w = image.shape
+    padded = _SCRATCH.get(tag, (h + 2, w + 2))
+    padded[1 : h + 1, 1 : w + 1] = image
+    padded[1 : h + 1, 0] = image[:, 1]
+    padded[1 : h + 1, w + 1] = image[:, w - 2]
+    padded[0] = padded[2]
+    padded[h + 1] = padded[h - 1]
+    return padded
+
+
 def _image_gradients_into(
     image: np.ndarray, ix: np.ndarray, iy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -241,12 +255,7 @@ def _image_gradients_into(
     deriv_x = _SCRATCH.get("grad.dx", (h, w))
     deriv_y = _SCRATCH.get("grad.dy", (h, w))
     if h >= 2 and w >= 2:
-        padded = _SCRATCH.get("grad.pad", (h + 2, w + 2))
-        padded[1 : h + 1, 1 : w + 1] = image
-        padded[1 : h + 1, 0] = image[:, 1]
-        padded[1 : h + 1, w + 1] = image[:, w - 2]
-        padded[0, 1 : w + 1] = image[1, :]
-        padded[h + 1, 1 : w + 1] = image[h - 2, :]
+        padded = _scharr_pad(image, "grad.pad")
         _tap_sweep(padded[1 : h + 1, :], _SCHARR_DERIV, deriv_x, 1, "grad.tap", span=w)
         _tap_sweep(padded[:, 1 : w + 1], _SCHARR_DERIV, deriv_y, 0, "grad.tap", span=h)
     else:
@@ -259,6 +268,52 @@ def _image_gradients_into(
     padded = _reflect_pad(deriv_y, 1, 1, "grad.pad1")
     _tap_sweep(padded, _SCHARR_SMOOTH, iy, 1, "grad.tap", span=w)
     return ix, iy
+
+
+def _tile_views(array: np.ndarray, size: int) -> np.ndarray:
+    """Every ``size``-square window of a 2-D array, as a writable view
+    indexed by its top-left corner."""
+    h, w = array.shape
+    shape = (h - size + 1, w - size + 1, size, size)
+    return as_strided(array, shape=shape, strides=array.strides * 2)
+
+
+def _gradients_on_tiles(
+    tiled: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]], size: int
+) -> None:
+    """Scharr ``(Ix, Iy)`` on square tiles of several images in one stack.
+
+    Each ``(image, origins, ix, iy)`` entry names ``size``-square tiles
+    inside ``image`` by their ``(y, x)`` corners, a ``(K, 2)`` array, and
+    receives their gradients in ``ix``/``iy``; other pixels are left as
+    they were.  Every tile is cut with its halo from the image padded as
+    :func:`_image_gradients_into` pads it, and the same :func:`_tap_sweep`
+    passes run over the stack, so each written value is bit-identical to
+    the full-plane gradient at that pixel (DESIGN.md §7).
+    """
+    count = sum(origins.shape[0] for _, origins, _, _ in tiled)
+    block = np.empty((count, size + 2, size + 2))
+    start = 0
+    for image, origins, _, _ in tiled:
+        padded = _scharr_pad(image, "tile.pad")
+        stop = start + origins.shape[0]
+        block[start:stop] = _tile_views(padded, size + 2)[origins[:, 0], origins[:, 1]]
+        start = stop
+    # The derivative sweeps keep the halo rows (columns) the smoothing reads.
+    halo_rows = np.empty((count, size + 2, size))
+    halo_cols = np.empty((count, size, size + 2))
+    _tap_sweep(block, _SCHARR_DERIV, halo_rows, 2, "tile.tap", span=size)
+    _tap_sweep(block, _SCHARR_DERIV, halo_cols, 1, "tile.tap", span=size)
+    grad_x = np.empty((count, size, size))
+    grad_y = np.empty((count, size, size))
+    _tap_sweep(halo_rows, _SCHARR_SMOOTH, grad_x, 1, "tile.tap", span=size)
+    _tap_sweep(halo_cols, _SCHARR_SMOOTH, grad_y, 2, "tile.tap", span=size)
+    start = 0
+    for _, origins, ix, iy in tiled:
+        stop = start + origins.shape[0]
+        _tile_views(ix, size)[origins[:, 0], origins[:, 1]] = grad_x[start:stop]
+        _tile_views(iy, size)[origins[:, 0], origins[:, 1]] = grad_y[start:stop]
+        start = stop
 
 
 def image_gradients(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

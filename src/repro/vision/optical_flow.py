@@ -18,11 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.vision.image import (  # noqa: F401 (image_gradients used by FramePyramid)
+from repro.vision.image import (
+    _BilinearTaps,
     _bilinear_gather,
     _bilinear_taps,
+    _gradients_on_tiles,
+    _image_gradients_into,
+    _scratch_buffer,
     build_pyramid,
-    image_gradients,
     sample_bilinear,
 )
 
@@ -65,18 +68,12 @@ class LKParams:
 
 
 class FramePyramid:
-    """Precomputed pyramid (images + gradients) for one frame.
+    """Precomputed pyramid images for one frame.
 
     Tracking frame ``i`` to ``i+1`` and then ``i+1`` to ``i+2`` reuses the
     middle frame's pyramid, which roughly halves per-step cost — the same
-    optimisation OpenCV exposes via ``buildOpticalFlowPyramid``.
-
-    Gradients are memoised per level: the first ``gradients(level)`` call
-    computes them, every later one — across LK levels, repeated
-    ``track_features`` calls, and tracker generations sharing a pyramid
-    through the clip cache — returns the stored pair.  The memo is a pure
-    function of the (immutable) pyramid images, so a hit is bit-identical
-    to a recompute.
+    optimisation OpenCV exposes via ``buildOpticalFlowPyramid``.  Gradients
+    are not held: :func:`track_features` computes them where it reads.
     """
 
     def __init__(self, image: np.ndarray, levels: int) -> None:
@@ -85,36 +82,21 @@ class FramePyramid:
             raise ValueError("FramePyramid expects a 2-D grayscale frame")
         self.shape = image.shape
         self.images = build_pyramid(image, levels)
-        self._gradients: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(
-            self.images
-        )
 
     @classmethod
-    def from_arrays(
-        cls,
-        images: "list[np.ndarray] | tuple[np.ndarray, ...]",
-        gradients: "tuple[tuple[np.ndarray, np.ndarray], ...] | None" = None,
-    ) -> "FramePyramid":
+    def from_arrays(cls, images: "list[np.ndarray] | tuple[np.ndarray, ...]") -> "FramePyramid":
         """Adopt prebuilt pyramid levels without rebuilding them.
 
         ``images`` must be exactly what :func:`build_pyramid` would produce
-        (finest first); ``gradients``, when given, pre-fills the per-level
-        memo with ``(Ix, Iy)`` pairs.  This is the artifact-store read
-        path: a stored pyramid is reconstructed as views over shared bytes
-        instead of re-running blur/decimate and Scharr passes.
+        (finest first).  This is the artifact-store read path: a stored
+        pyramid is reconstructed as views over shared bytes instead of
+        re-running blur/decimate passes.
         """
         if not images:
             raise ValueError("from_arrays needs at least one pyramid level")
         pyramid = cls.__new__(cls)
         pyramid.shape = images[0].shape
         pyramid.images = list(images)
-        memo: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(images)
-        if gradients is not None:
-            if len(gradients) != len(images):
-                raise ValueError("gradients must pair one (Ix, Iy) per level")
-            for level, pair in enumerate(gradients):
-                memo[level] = (pair[0], pair[1])
-        pyramid._gradients = memo
         return pyramid
 
     @property
@@ -127,58 +109,15 @@ class FramePyramid:
         :func:`~repro.vision.image.build_pyramid` is iterative — level
         ``i`` never depends on how many levels were requested — so the
         prefix of a deeper pyramid is bit-identical to building the
-        shallower one directly.  The returned object shares this
-        pyramid's images *and* its gradient memo (a gradient computed
-        through either is visible to both), which is what lets a tracker
-        tier requesting fewer levels reuse a deeper tier's warmed work.
+        shallower one directly.  It is a pyramid of its own because
+        consumers clamp to ``min(prev.levels, next.levels)``: the deeper
+        parent would change which levels run.
         """
         if levels < 1:
             raise ValueError("levels must be >= 1")
         if levels >= self.levels:
             return self
-        return _PyramidPrefix(self, levels)
-
-    def gradients(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._gradients[level]
-        if cached is None:
-            cached = image_gradients(self.images[level])
-            self._gradients[level] = cached
-        return cached
-
-    def warm_gradients(self) -> None:
-        """Materialise every level's gradient memo (idempotent).
-
-        Lets a builder (e.g. :class:`~repro.vision.pyramid_cache.PyramidCache`
-        with warming enabled) pay the gradient cost up front, off the
-        consumer's critical path.
-        """
-        for level in range(self.levels):
-            self.gradients(level)
-
-
-class _PyramidPrefix(FramePyramid):
-    """A truncated view of a deeper :class:`FramePyramid`.
-
-    Must be a real ``FramePyramid`` instance: :func:`track_features` and
-    the block matcher ``isinstance``-check their pyramid arguments and
-    clamp to ``min(prev.levels, next.levels)``, so handing a consumer the
-    *deeper* parent would change which levels run.  Gradient calls
-    delegate to the parent so the memo is shared in both directions.
-    """
-
-    def __init__(self, parent: FramePyramid, levels: int) -> None:
-        self._parent = parent
-        self.shape = parent.shape
-        self.images = parent.images[:levels]
-
-    def gradients(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        if level >= len(self.images):
-            raise IndexError(f"level {level} out of range for {len(self.images)}-level prefix")
-        return self._parent.gradients(level)
-
-    def warm_gradients(self) -> None:
-        for level in range(self.levels):
-            self.gradients(level)
+        return FramePyramid.from_arrays(self.images[:levels])
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,6 +141,58 @@ def _window_grid(radius: int) -> tuple[np.ndarray, np.ndarray]:
     offs = np.arange(-radius, radius + 1, dtype=np.float64)
     dx, dy = np.meshgrid(offs, offs)
     return dx, dy
+
+
+# Past this share of a level, its support tiles (halos included) cost
+# more than one full-level sweep; both paths give identical values.
+_SUPPORT_MAX_FRACTION = 0.5
+
+
+def _support_tiles(taps: _BilinearTaps, n: int, size: int, shape: tuple[int, int]) -> np.ndarray:
+    """``(y, x)`` corners of the ``size``-square tiles holding every pixel
+    the ``n`` windows' bilinear ``taps`` read, as a ``(K, 2)`` array.
+
+    A tile is at least one window's taps wide, so a window touches at most
+    two tiles per axis: those of its first tap and of its last tap's
+    bottom-right neighbour (window offsets are sorted, and clamping and
+    truncation are monotone).  Edge tiles are shifted inside the level.
+    """
+    h, w = shape
+    corners = taps.base.reshape(n, -1)[:, [0, -1]]
+    corners[:, 1] += w + 1
+    ys, xs = np.divmod(corners, w)
+    touched = np.zeros((-(-h // size), -(-w // size)), dtype=bool)
+    touched[ys[:, :, None] // size, xs[:, None, :] // size] = True
+    origins = np.stack(np.nonzero(touched), axis=1) * size
+    return np.minimum(origins, (h - size, w - size), out=origins)
+
+
+def _window_gradients(
+    images: list[np.ndarray], taps: list[_BilinearTaps], n: int, radius: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Scharr ``(Ix, Iy)`` planes per level, exact wherever that level's
+    ``taps`` read; elsewhere these per-thread scratch planes hold stale
+    values that no gather reads.  Levels narrower than a tile, or mostly
+    covered by their tiles, take the full sweep; the rest share one tile
+    stack, so a coarse level adds pixels, not passes.
+    """
+    size = 2 * radius + 2
+    planes = []
+    tiled = []
+    for image, level_taps in zip(images, taps):
+        h, w = image.shape
+        ix = _scratch_buffer("lk.ix", (h, w))
+        iy = _scratch_buffer("lk.iy", (h, w))
+        planes.append((ix, iy))
+        if h >= size and w >= size:
+            origins = _support_tiles(level_taps, n, size, (h, w))
+            if origins.shape[0] * (size + 2) ** 2 <= _SUPPORT_MAX_FRACTION * h * w:
+                tiled.append((image, origins, ix, iy))
+                continue
+        _image_gradients_into(image, ix, iy)
+    if tiled:
+        _gradients_on_tiles(tiled, size)
+    return planes
 
 
 def track_features(
@@ -244,18 +235,25 @@ def track_features(
     status = np.ones(n, dtype=bool)
     residual = np.full(n, np.inf, dtype=np.float64)
 
+    # Window sample coordinates around each point in the previous frame,
+    # shapes (N, W, W), and their taps, per level: the level image and both
+    # gradients are sampled through one coordinate pass, and the gradients
+    # are computed only where it reads.
+    windows = []
+    for level in range(levels):
+        pts_l = points * 0.5**level
+        wx = pts_l[:, 0, None, None] + dx[None]
+        wy = pts_l[:, 1, None, None] + dy[None]
+        windows.append((pts_l, wx, wy, _bilinear_taps(prev_pyr[level].shape, wx, wy)))
+    gradients = _window_gradients(
+        prev_pyr[:levels], [window[3] for window in windows], n, params.window_radius
+    )
+
     for level in range(levels - 1, -1, -1):
         prev_l = prev_pyr[level]
         next_l = next_pyr[level]
-        grad_x, grad_y = prev_image.gradients(level)
-        scale = 0.5**level
-        pts_l = points * scale
         h, w = prev_l.shape
-
-        # Window sample coordinates around each point in the previous frame:
-        # shapes (N, W, W).
-        wx = pts_l[:, 0, None, None] + dx[None]
-        wy = pts_l[:, 1, None, None] + dy[None]
+        pts_l, wx, wy, taps = windows[level]
 
         in_bounds = (
             (pts_l[:, 0] >= params.window_radius)
@@ -264,10 +262,8 @@ def track_features(
             & (pts_l[:, 1] <= h - 1 - params.window_radius)
         )
 
-        # The level image and both gradients are sampled at identical
-        # coordinates, so one coordinate pass serves all three gathers.
-        taps = _bilinear_taps(prev_l.shape, wx, wy)
         patch_prev = _bilinear_gather(prev_l, taps)
+        grad_x, grad_y = gradients[level]
         ix = _bilinear_gather(grad_x, taps)
         iy = _bilinear_gather(grad_y, taps)
 

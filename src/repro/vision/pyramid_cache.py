@@ -1,15 +1,13 @@
 """Clip-scoped LRU cache of :class:`FramePyramid` objects.
 
-Pyramid construction (Gaussian blur + subsample per level, plus the
-lazily-computed Scharr gradients) is the fixed per-frame cost of the
-tracking hot path.  Within one pipeline run the same frame's pyramid is
-requested more than once — most visibly in the live executor, where a
-tracking task often steps onto the very frame whose detection then seeds
-the next task — and benchmark/experiment code replays the same clip
-repeatedly.  Caching by frame index is safe because a clip's frames are a
-pure function of the index, and a :class:`FramePyramid` is immutable
-apart from its internal gradient memoisation (which is itself a pure
-function of the pyramid images), so a cache hit is bit-identical to a
+Pyramid construction (Gaussian blur + subsample per level) is the fixed
+per-frame cost of the tracking hot path.  Within one pipeline run the
+same frame's pyramid is requested more than once — most visibly in the
+live executor, where a tracking task often steps onto the very frame
+whose detection then seeds the next task — and benchmark/experiment code
+replays the same clip repeatedly.  Caching by frame index is safe because
+a clip's frames are a pure function of the index, and a
+:class:`FramePyramid` is immutable, so a cache hit is bit-identical to a
 rebuild.
 
 One cache instance must only ever serve one clip: the key is the frame
@@ -26,10 +24,9 @@ Two reuse paths beyond the exact-key hit:
   independently of how many levels were requested, so a cached pyramid
   built for ``L`` levels *contains* the pyramid for any ``k <= L`` as its
   leading slice.  A request for fewer levels than a cached entry is
-  served as a :meth:`FramePyramid.prefix` view — no rebuild, shared
-  gradient memo.  This is what makes an lk↔mve tracker-tier transition
-  on the same frame a hit even when the tiers configure different
-  ``pyramid_levels``.
+  served as a :meth:`FramePyramid.prefix` view — no rebuild.  This is
+  what makes an lk↔mve tracker-tier transition on the same frame a hit
+  even when the tiers configure different ``pyramid_levels``.
 - **Artifact-store read-through.** When the cache is bound to a scene
   fingerprint and an :class:`~repro.vision.artifact_store.ArtifactStore`
   is active (explicitly, or via the process default the sweep engine
@@ -76,33 +73,22 @@ def _bump_total(key: str, amount: int = 1) -> None:
 class PyramidCache:
     """LRU cache mapping ``(frame_index, levels)`` to a built pyramid.
 
-    ``warm_gradients=True`` makes a miss also materialise every level's
-    gradient memo before the pyramid is published, moving that cost from
-    the first Lucas-Kanade consumer onto the builder (still outside the
-    lock).  Off by default: a warmed pyramid is bit-identical to a lazy
-    one, so this only shifts *when* gradients are computed.
-
     ``fingerprint`` binds the cache to one scene's identity and enables
     the artifact-store read-through; without it the cache never touches
     a store (frame indices alone are not content-addressed).
     ``artifact_store`` overrides the process-default store for tests and
-    benches.  When a store is in play, misses are stored *warmed* so the
-    gradients are shared across method arms too — the warm flag stays part
-    of the store key, so lazy artifacts written by other callers remain
-    addressable.
+    benches.
     """
 
     def __init__(
         self,
         capacity: int = 4,
-        warm_gradients: bool = False,
         fingerprint: str | None = None,
         artifact_store: "ArtifactStore | None" = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.warm_gradients = warm_gradients
         self.fingerprint = fingerprint
         self._store_override = artifact_store
         self.hits = 0
@@ -195,20 +181,15 @@ class PyramidCache:
         # Miss path, outside the lock: construction (or a store fetch) is
         # the expensive part and must not serialise readers of other keys.
         store = self._resolve_store()
-        # With a store in play, always trade in warmed artifacts so the
-        # gradient work is shared across arms alongside the level images.
-        warmed = self.warm_gradients or store is not None
         pyramid: FramePyramid | None = None
         from_store = False
         if store is not None:
-            artifact = store.get(self.fingerprint, frame_index, levels, warmed)
+            artifact = store.get(self.fingerprint, frame_index, levels)
             if artifact is not None:
                 pyramid = artifact.to_pyramid()
                 from_store = True
         if pyramid is None:
             pyramid = FramePyramid(frame_provider(frame_index), levels)
-            if warmed:
-                pyramid.warm_gradients()
             if store is not None:
                 # Publish and adopt the canonical stored copy so every
                 # consumer shares the same (frozen) arrays.
@@ -218,8 +199,7 @@ class PyramidCache:
                     self.fingerprint,
                     frame_index,
                     levels,
-                    warmed,
-                    PyramidArtifact.from_pyramid(pyramid, warmed),
+                    PyramidArtifact.from_pyramid(pyramid),
                 )
                 pyramid = canonical.to_pyramid()
         with self._lock:

@@ -121,6 +121,123 @@ class TestLKEquivalence:
         assert result.points.shape == (0, 2)
 
 
+@st.composite
+def _lk_cases(draw):
+    """A textured frame pair, LK params, and points that stress the window
+    support: within ``window_radius`` of every border, clustered so their
+    windows overlap, repeated exactly, and outside the frame.  Sizes reach
+    down to frames whose coarse levels are narrower than one window."""
+    h = draw(st.integers(6, 72))
+    w = draw(st.integers(6, 72))
+    radius = draw(st.integers(1, 10))
+    params = LKParams(
+        window_radius=radius,
+        pyramid_levels=draw(st.integers(1, 3)),
+        max_iterations=draw(st.integers(1, 4)),
+    )
+    seed = draw(st.integers(0, 2**16))
+    canvas = _textured((h + 4, w + 4), seed)
+    dy, dx = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    prev, nxt = canvas[2 : h + 2, 2 : w + 2], canvas[dy : h + dy, dx : w + dx]
+
+    def coord(extent: int):
+        edge = min(radius, extent - 1)
+        return st.one_of(
+            st.sampled_from([float(edge), float(extent - 1 - edge)]),
+            st.floats(0.0, float(edge)),
+            st.floats(float(extent - 1 - edge), float(extent - 1)),
+            st.floats(0.0, float(extent - 1)),
+            st.floats(-12.0, -0.01),
+            st.floats(extent - 0.99, extent + 12.0),
+        )
+
+    points = draw(st.lists(st.tuples(coord(w), coord(h)), min_size=1, max_size=16))
+    centre = points[0]
+    jitter = st.floats(-float(radius), float(radius))
+    points += [
+        (centre[0] + draw(jitter), centre[1] + draw(jitter))
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    points += draw(st.lists(st.sampled_from(points), max_size=4))
+    return prev, nxt, np.array(points, dtype=np.float64), params
+
+
+class TestLKWindowGradients:
+    """Scharr on the window support against the reference's full-frame
+    Scharr, on generated inputs and at both sides of the switch to the
+    full-level sweep."""
+
+    @given(_lk_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_frame_scharr(self, case):
+        prev, nxt, points, params = case
+        _assert_same_flow(prev, nxt, points, params)
+
+    @given(_lk_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_planes_exact_on_every_tap(self, case):
+        """Every pixel a window tap reads, at every level, holds the
+        full-frame gradient bit for bit, even where no output depends on
+        it.  The scratch planes are poisoned first, so a pixel the support
+        misses reads NaN instead of a stale value that happens to be right."""
+        from repro.vision.image import (
+            _bilinear_taps,
+            _scratch_buffer,
+            build_pyramid,
+            image_gradients,
+        )
+        from repro.vision.optical_flow import _window_gradients, _window_grid
+
+        prev, _, points, params = case
+        radius = params.window_radius
+        images = build_pyramid(prev, params.pyramid_levels)
+        dx, dy = _window_grid(radius)
+        taps = []
+        for level, image in enumerate(images):
+            scaled = points * 0.5**level
+            taps.append(
+                _bilinear_taps(
+                    image.shape, scaled[:, 0, None, None] + dx, scaled[:, 1, None, None] + dy
+                )
+            )
+            _scratch_buffer("lk.ix", image.shape)[...] = np.nan
+            _scratch_buffer("lk.iy", image.shape)[...] = np.nan
+        planes = _window_gradients(images, taps, points.shape[0], radius)
+        bits = np.uint64
+        for image, level_taps, level_planes in zip(images, taps, planes):
+            offsets = (0, 1, level_taps.width, level_taps.width + 1)
+            read = np.concatenate([level_taps.base + offset for offset in offsets])
+            for plane, full in zip(level_planes, image_gradients(image)):
+                assert np.array_equal(
+                    plane.ravel()[read].view(bits), full.ravel()[read].view(bits)
+                )
+
+    # A 64x64 level under 15x15 windows is a 4x4 grid of 16-pixel tiles,
+    # one window's taps wide, and a window centred at 23 + 16k reads
+    # exactly one tile.  With its 1-pixel halo a tile costs 18x18 pixels:
+    # six stay under half the level, the most the support path takes, and
+    # a seventh tips the level to the full sweep.
+    _FRAME = _textured((64, 64), 9)
+    _CENTRES = [(23.0 + 16 * i, 23.0 + 16 * j) for j in range(3) for i in range(3)]
+
+    @pytest.mark.parametrize("tiles, full_sweep", [(1, False), (6, False), (7, True)])
+    def test_support_switch(self, monkeypatch, tiles, full_sweep):
+        from repro.vision import optical_flow
+
+        calls = []
+        on_tiles = optical_flow._gradients_on_tiles
+
+        def spy(tiled, size):
+            calls.extend(origins.shape[0] for _, origins, _, _ in tiled)
+            return on_tiles(tiled, size)
+
+        monkeypatch.setattr(optical_flow, "_gradients_on_tiles", spy)
+        points = np.array(self._CENTRES[:tiles])
+        nxt = np.roll(self._FRAME, (1, -1), axis=(0, 1))
+        _assert_same_flow(self._FRAME, nxt, points, LKParams(pyramid_levels=1))
+        assert calls == ([] if full_sweep else [tiles])
+
+
 class TestBlockMotionEquivalence:
     """The vectorised coarse-to-fine block matcher against the frozen
     per-block per-candidate Python scan, on the MVE bench workload and

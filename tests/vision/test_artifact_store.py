@@ -26,10 +26,6 @@ def _assert_pyramids_equal(left: FramePyramid, right: FramePyramid) -> None:
     assert left.levels == right.levels
     for level in range(left.levels):
         assert np.array_equal(left.images[level], right.images[level])
-        lx, ly = left.gradients(level)
-        rx, ry = right.gradients(level)
-        assert np.array_equal(lx, rx)
-        assert np.array_equal(ly, ry)
 
 
 class TestArtifactStoreSemantics:
@@ -38,44 +34,43 @@ class TestArtifactStoreSemantics:
 
     def test_get_put_roundtrip(self):
         store = self._store()
-        assert store.get("fp", 0, 3, True) is None
-        artifact = PyramidArtifact.from_pyramid(FramePyramid(_frame(8), 3), warmed=True)
-        canonical = store.put("fp", 0, 3, True, artifact)
-        served = store.get("fp", 0, 3, True)
+        assert store.get("fp", 0, 3) is None
+        artifact = PyramidArtifact.from_pyramid(FramePyramid(_frame(8), 3))
+        canonical = store.put("fp", 0, 3, artifact)
+        served = store.get("fp", 0, 3)
         for level in range(artifact.levels):
             assert np.array_equal(served.images[level], artifact.images[level])
             assert np.array_equal(canonical.images[level], artifact.images[level])
 
-    def test_key_separates_levels_warm_and_fingerprint(self):
+    def test_key_separates_every_component(self):
         store = self._store()
-        artifact = PyramidArtifact.from_pyramid(FramePyramid(_frame(9), 3), warmed=True)
-        store.put("fp", 0, 3, True, artifact)
-        assert store.get("fp", 0, 2, True) is None
-        assert store.get("fp", 0, 3, False) is None
-        assert store.get("other", 0, 3, True) is None
-        assert store.get("fp", 1, 3, True) is None
-        assert store.get("fp", 0, 3, True) is not None
+        artifact = PyramidArtifact.from_pyramid(FramePyramid(_frame(9), 3))
+        store.put("fp", 0, 3, artifact)
+        assert store.get("fp", 0, 2) is None
+        assert store.get("other", 0, 3) is None
+        assert store.get("fp", 1, 3) is None
+        assert store.get("fp", 0, 3) is not None
 
     def test_first_insert_wins_returns_canonical(self):
         store = self._store()
-        first = PyramidArtifact.from_pyramid(FramePyramid(_frame(10), 2), warmed=False)
-        second = PyramidArtifact.from_pyramid(FramePyramid(_frame(11), 2), warmed=False)
-        store.put("fp", 0, 2, False, first)
-        served = store.put("fp", 0, 2, False, second)
+        first = PyramidArtifact.from_pyramid(FramePyramid(_frame(10), 2))
+        second = PyramidArtifact.from_pyramid(FramePyramid(_frame(11), 2))
+        store.put("fp", 0, 2, first)
+        served = store.put("fp", 0, 2, second)
         # The racing put converges on the earlier insert's bytes.
         assert np.array_equal(served.images[0], first.images[0])
 
     def test_disabled_store_returns_callers_artifact(self):
         store = self._store(mb=0)
         assert not store.enabled
-        artifact = PyramidArtifact.from_pyramid(FramePyramid(_frame(12), 2), warmed=False)
-        assert store.put("fp", 0, 2, False, artifact) is artifact
-        assert store.get("fp", 0, 2, False) is None
+        artifact = PyramidArtifact.from_pyramid(FramePyramid(_frame(12), 2))
+        assert store.put("fp", 0, 2, artifact) is artifact
+        assert store.get("fp", 0, 2) is None
 
     def test_oversized_artifact_not_stored(self):
         store = ArtifactStore(_PrivateBacking(1024))  # 1 KiB: nothing fits
-        artifact = PyramidArtifact.from_pyramid(FramePyramid(_frame(13), 2), warmed=True)
-        served = store.put("fp", 0, 2, True, artifact)
+        artifact = PyramidArtifact.from_pyramid(FramePyramid(_frame(13), 2))
+        served = store.put("fp", 0, 2, artifact)
         assert np.array_equal(served.images[0], artifact.images[0])
         assert store.stats()["entries"] == 0
 
@@ -84,20 +79,20 @@ class TestArtifactStoreSemantics:
         # object itself, and every plane is frozen so no arm can mutate
         # what the next arm reads.
         store = self._store()
-        artifact = PyramidArtifact.from_pyramid(FramePyramid(_frame(14), 3), warmed=True)
-        canonical = store.put("fp", 0, 3, True, artifact)
+        artifact = PyramidArtifact.from_pyramid(FramePyramid(_frame(14), 3))
+        canonical = store.put("fp", 0, 3, artifact)
         assert canonical is artifact
-        assert store.get("fp", 0, 3, True) is artifact
-        assert artifact.planes and all(not plane.flags.writeable for plane in artifact.planes)
+        assert store.get("fp", 0, 3) is artifact
+        assert artifact.images and all(not image.flags.writeable for image in artifact.images)
         assert store.stats()["current_bytes"] == artifact.nbytes
 
     def test_losing_duplicate_stays_writable(self):
         store = self._store()
-        first = PyramidArtifact.from_pyramid(FramePyramid(_frame(15), 2), warmed=False)
-        second = PyramidArtifact.from_pyramid(FramePyramid(_frame(15), 2), warmed=False)
-        store.put("fp", 0, 2, False, first)
-        assert store.put("fp", 0, 2, False, second) is first
-        assert all(plane.flags.writeable for plane in second.planes)
+        first = PyramidArtifact.from_pyramid(FramePyramid(_frame(15), 2))
+        second = PyramidArtifact.from_pyramid(FramePyramid(_frame(15), 2))
+        store.put("fp", 0, 2, first)
+        assert store.put("fp", 0, 2, second) is first
+        assert all(image.flags.writeable for image in second.images)
 
 
 class TestProcessDefault:
@@ -126,25 +121,24 @@ class TestProcessDefault:
 
 
 class TestStoreServedEqualsDirect:
-    """ISSUE 10 pin: store-served pyramids/gradients are np.array_equal
-    to direct FramePyramid construction — the store changes when work
-    happens, never what the arrays are."""
+    """Store-served pyramids are np.array_equal to direct FramePyramid
+    construction — the store changes when work happens, never what the
+    arrays are."""
 
     @settings(max_examples=30, deadline=None)
     @given(
         height=st.integers(min_value=8, max_value=56),
         width=st.integers(min_value=8, max_value=56),
         levels=st.integers(min_value=1, max_value=4),
-        warmed=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_roundtrip_matches_direct_build(self, height, width, levels, warmed, seed):
+    def test_roundtrip_matches_direct_build(self, height, width, levels, seed):
         frame = _frame(seed, shape=(height, width))
         direct = FramePyramid(frame, levels)
         store = ArtifactStore(_PrivateBacking(32 * BYTES_PER_MB))
-        artifact = PyramidArtifact.from_pyramid(FramePyramid(frame, levels), warmed)
-        store.put("fp", 0, levels, warmed, artifact)
-        served = store.get("fp", 0, levels, warmed).to_pyramid()
+        artifact = PyramidArtifact.from_pyramid(FramePyramid(frame, levels))
+        store.put("fp", 0, levels, artifact)
+        served = store.get("fp", 0, levels).to_pyramid()
         # Small frames clamp the level count identically on both paths.
         _assert_pyramids_equal(served, direct)
 

@@ -113,51 +113,60 @@ class TestFramePyramid:
         assert np.array_equal(direct.status, cached.status)
         assert np.allclose(direct.points, cached.points)
 
-    def test_gradients_cached(self, base_image):
-        pyramid = FramePyramid(base_image, 3)
-        first = pyramid.gradients(0)
-        second = pyramid.gradients(0)
-        assert first[0] is second[0]
+    def test_from_arrays_adopts_images_without_copying(self, base_image):
+        built = FramePyramid(base_image, 3)
+        adopted = FramePyramid.from_arrays(tuple(built.images))
+        assert adopted.levels == built.levels and adopted.shape == built.shape
+        assert all(a is b for a, b in zip(adopted.images, built.images))
+        with pytest.raises(ValueError):
+            FramePyramid.from_arrays(())
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             FramePyramid(np.zeros((4, 4, 3)), 2)
 
-    def test_warm_gradients_materialises_every_level(self, base_image):
-        pyramid = FramePyramid(base_image, 3)
-        pyramid.warm_gradients()
-        warmed = [pyramid.gradients(level) for level in range(pyramid.levels)]
-        # Idempotent: a second warm returns the same memoised arrays.
-        pyramid.warm_gradients()
-        for level, (ix, iy) in enumerate(warmed):
-            again_ix, again_iy = pyramid.gradients(level)
-            assert ix is again_ix and iy is again_iy
+    def test_prefix_is_a_shallower_pyramid_sharing_images(self, base_image):
+        deep = FramePyramid(base_image, 3)
+        shallow = deep.prefix(2)
+        assert isinstance(shallow, FramePyramid) and shallow.levels == 2
+        assert all(a is b for a, b in zip(shallow.images, deep.images))
+        assert deep.prefix(3) is deep and deep.prefix(5) is deep
+        direct = FramePyramid(base_image, 2)
+        for level in range(2):
+            assert np.array_equal(shallow.images[level], direct.images[level])
 
-    def test_warm_gradients_bit_identical_to_lazy(self, base_image):
-        warmed = FramePyramid(base_image, 3)
-        warmed.warm_gradients()
-        lazy = FramePyramid(base_image, 3)
-        for level in range(lazy.levels):
-            wx, wy = warmed.gradients(level)
-            lx, ly = lazy.gradients(level)
-            assert np.array_equal(wx, lx)
-            assert np.array_equal(wy, ly)
+    def test_repeated_calls_do_not_leak_gradients(self, base_image, base_points):
+        """Gradients live in per-thread scratch planes that keep stale
+        values off the window support; a call over other points in between
+        must not change a repeat call's result."""
+        moved = translate(base_image, 1.5, 0.5)
+        pyr_a = FramePyramid(base_image, 3)
+        pyr_b = FramePyramid(moved, 3)
+        first = track_features(pyr_a, pyr_b, base_points)
+        track_features(pyr_b, pyr_a, base_points[::-1] + 3.0)
+        track_features(textured_image(seed=5), moved, base_points[:3])
+        again = track_features(pyr_a, pyr_b, base_points)
+        assert np.array_equal(first.points, again.points)
+        assert np.array_equal(first.status, again.status)
+        assert np.array_equal(first.residual, again.residual)
 
 
-class TestPyramidCacheWarming:
-    def test_warming_flag_prefills_gradient_memo(self, base_image):
+class TestPyramidCacheServing:
+    def test_cached_pyramid_tracks_like_fresh(self, base_image, base_points):
         from repro.vision.pyramid_cache import PyramidCache
 
-        warm = PyramidCache(capacity=2, warm_gradients=True)
-        cold = PyramidCache(capacity=2)
-        provider = lambda _index: base_image  # noqa: E731 - tiny fixture closure
-        warm_pyr = warm.get(0, 3, provider)
-        cold_pyr = cold.get(0, 3, provider)
-        for level in range(3):
-            wx, wy = warm_pyr.gradients(level)
-            cx, cy = cold_pyr.gradients(level)
-            assert np.array_equal(wx, cx)
-            assert np.array_equal(wy, cy)
+        moved = translate(base_image, -1.0, 2.0)
+        cache = PyramidCache(capacity=2)
+        frames = {0: base_image, 1: moved}
+        cached = track_features(
+            cache.get(0, 3, frames.__getitem__),
+            cache.get(1, 3, frames.__getitem__),
+            base_points,
+        )
+        fresh = track_features(base_image, moved, base_points)
+        assert np.array_equal(cached.points, fresh.points)
+        assert np.array_equal(cached.status, fresh.status)
+        assert np.array_equal(cached.residual, fresh.residual)
 
 
 class TestParams:

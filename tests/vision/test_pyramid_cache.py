@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,16 +61,12 @@ class TestPrefixServing:
         shallow = cache.get(0, 2, provider)
         assert calls == []  # served as a prefix view, never rebuilt
         assert cache.prefix_hits == 1 and cache.hits == 1
-        # Bit-identical to a direct 2-level build, gradients included.
+        # Bit-identical to a direct 2-level build.
         direct = FramePyramid(frame, 2)
         assert shallow.levels == direct.levels
         for level in range(direct.levels):
             assert np.array_equal(shallow.images[level], direct.images[level])
-            sx, sy = shallow.gradients(level)
-            dx, dy = direct.gradients(level)
-            assert np.array_equal(sx, dx)
-            assert np.array_equal(sy, dy)
-        # The prefix shares the parent's gradient memo, not a copy.
+        # The prefix shares the parent's level images, not a copy.
         assert shallow.images[0] is deep.images[0]
 
     def test_prefix_result_is_cached_under_its_own_key(self):
@@ -164,21 +162,20 @@ class TestStoreReadThrough:
         direct = FramePyramid(frame, 3)
         for level in range(direct.levels):
             assert np.array_equal(served.images[level], direct.images[level])
-            sx, sy = served.gradients(level)
-            dx, dy = direct.gradients(level)
-            assert np.array_equal(sx, dx)
-            assert np.array_equal(sy, dy)
 
-    def test_store_served_entries_arrive_warmed(self):
-        # With a store in play the builder publishes warmed artifacts, so
-        # the reader's gradients come from shared bytes, not a recompute.
+    def test_store_served_entries_hold_images_only(self):
+        # The builder publishes the level images and nothing else, so a
+        # stored artifact costs the pyramid's own bytes (under 4/3 of the float64 frame).
         store = ArtifactStore(_PrivateBacking(32 * BYTES_PER_MB))
         frame = _frame(11)
-        PyramidCache(capacity=2, fingerprint="fp", artifact_store=store).get(
+        served = PyramidCache(capacity=2, fingerprint="fp", artifact_store=store).get(
             0, 2, lambda _: frame
         )
-        artifact = store.get("fp", 0, 2, True)
-        assert artifact is not None and artifact.warmed
+        artifact = store.get("fp", 0, 2)
+        assert [field.name for field in dataclasses.fields(artifact)] == ["images"]
+        assert all(a is b for a, b in zip(artifact.images, served.images))
+        assert artifact.nbytes == sum(image.nbytes for image in FramePyramid(frame, 2).images)
+        assert artifact.nbytes < 1.34 * frame.astype(np.float64).nbytes
 
     def test_disabled_store_falls_back_to_local_build(self):
         store = ArtifactStore(_PrivateBacking(0))
@@ -195,7 +192,7 @@ def _detections(clip, frame: int = 0):
 
 class TestTierTransition:
     """ISSUE 10 satellite: an lk<->mve tier transition on the same frame
-    must hit the shared cache instead of rebuilding warmed pyramids."""
+    must hit the shared cache instead of rebuilding pyramids."""
 
     def test_mve_after_lk_hits_shared_cache(self, clip):
         shared = PyramidCache(capacity=8)
