@@ -98,7 +98,8 @@ class MarlinPipeline:
         )
         board = ResultBoard(clip.num_frames)
         activity = ActivityLog()
-        pyramid_cache = cfg.make_pyramid_cache(clip=clip, obs=obs)
+        # The clip's store read-through; exported clips have none and build.
+        pyramids = getattr(clip, "pyramid", None)
         cycles: list[CycleRecord] = []
 
         # Tracking stride so the tracker keeps camera pace on average:
@@ -132,7 +133,7 @@ class MarlinPipeline:
             tracker = ObjectTracker(
                 clip.frame, width, height, cfg.tracker,
                 seed=cfg.detector_seed * 1_000_003 + detect_frame,
-                pyramid_cache=pyramid_cache,
+                pyramids=pyramids,
             )
             tracker.initialize(detect_frame, detection.detections)
             t += cfg.latency.feature_extraction

@@ -77,18 +77,28 @@ def _build_telemetry(args: argparse.Namespace):
     return None, None
 
 
+def _run_observed(method, clip, telemetry):
+    """Run ``method`` on ``clip`` with the frame store counting into ``telemetry``."""
+    from repro.video.framestore import default_store
+
+    store = default_store()
+    store.set_obs(telemetry)
+    try:
+        return run_method_on_clip(method, clip)
+    finally:
+        store.set_obs(None)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     telemetry, jsonl = _build_telemetry(args)
     clip = make_clip(args.scenario, seed=args.seed, num_frames=args.frames)
-    if telemetry is not None:
-        clip.renderer.set_obs(telemetry)
     config = None
     if getattr(args, "tracker_tier", None) is not None:
         from repro.core.config import PipelineConfig
 
         config = PipelineConfig(tracker_tier=args.tracker_tier)
     method = make_method(args.method, config=config, obs=telemetry)
-    run = run_method_on_clip(method, clip)
+    run = _run_observed(method, clip, telemetry)
     accuracy, f1 = evaluate_run(run, clip)
     counts = run.source_counts()
     print(f"method:    {args.method}")
@@ -116,8 +126,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     sink = InMemorySink()
     telemetry = Telemetry(sink)
     clip = make_clip(args.scenario, seed=args.seed, num_frames=args.frames)
-    clip.renderer.set_obs(telemetry)
-    run = run_method_on_clip(make_method(args.method, obs=telemetry), clip)
+    run = _run_observed(make_method(args.method, obs=telemetry), clip, telemetry)
     telemetry.flush()
     counts = run.source_counts()
     print(f"telemetry for {args.method} on {clip.name} ({clip.num_frames} frames; "
@@ -141,23 +150,6 @@ def _progress_printer(done: int, total: int, result) -> None:
           file=sys.stderr)
 
 
-def _sweep_config(args: argparse.Namespace):
-    """The shared :class:`PipelineConfig` for sweep commands, or ``None``.
-
-    Only built when a flag actually deviates from the defaults, so the
-    ``config=None`` code paths (and their golden traces) stay untouched.
-    """
-    frame_store_mb = getattr(args, "frame_store_mb", None)
-    artifact_store_mb = getattr(args, "artifact_store_mb", None)
-    if frame_store_mb is None and artifact_store_mb is None:
-        return None
-    from repro.core.config import PipelineConfig
-
-    return PipelineConfig(
-        frame_store_mb=frame_store_mb, artifact_store_mb=artifact_store_mb
-    )
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.experiments.report import format_table
     from repro.parallel import run_sweep
@@ -166,8 +158,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     clip = make_clip(args.scenario, seed=args.seed, num_frames=args.frames)
     methods = ("adavp", "mpdt-512", "mpdt-608", "marlin-512", "no-tracking-512")
     suite = VideoSuite(name="compare", clips=[clip])
-    sweep = run_sweep(methods, suite, config=_sweep_config(args), jobs=args.jobs,
-                      progress=_progress_printer)
+    sweep = run_sweep(methods, suite, jobs=args.jobs, progress=_progress_printer)
     sweep.raise_if_failed()
     rows = [
         (name, sweep.results[name].accuracy, sweep.results[name].mean_f1)
@@ -198,24 +189,22 @@ def _cmd_fig(args: argparse.Namespace) -> int:
         from repro.experiments.workloads import evaluation_suite
 
         suite = evaluation_suite(frames=args.frames)
-        config = _sweep_config(args)
         if args.number == "6":
             from repro.experiments.fig6_overall import run
 
-            print(run(suite=suite, config=config, jobs=args.jobs,
-                      progress=_progress_printer).report())
+            print(run(suite=suite, jobs=args.jobs, progress=_progress_printer).report())
         elif args.number in ("7", "8"):
             from repro.experiments.fig7_fig8_adaptation import run
 
-            print(run(suite=suite, config=config, jobs=args.jobs).report())
+            print(run(suite=suite, jobs=args.jobs).report())
         elif args.number == "10":
             from repro.experiments.fig10_fig11_thresholds import run_fig10
 
-            print(run_fig10(suite=suite, config=config, jobs=args.jobs).report())
+            print(run_fig10(suite=suite, jobs=args.jobs).report())
         else:
             from repro.experiments.fig10_fig11_thresholds import run_fig11
 
-            print(run_fig11(suite=suite, config=config, jobs=args.jobs).report())
+            print(run_fig11(suite=suite, jobs=args.jobs).report())
         return 0
     print(f"unknown figure {args.number!r}; know 1, 2, 5, 6, 7, 8, 9, 10, 11",
           file=sys.stderr)
@@ -226,14 +215,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.number == "2":
         from repro.experiments.table2_latency import run
 
-        print(run(config=_sweep_config(args), jobs=args.jobs).report())
+        print(run(jobs=args.jobs).report())
         return 0
     if args.number == "3":
         from repro.experiments.table3_energy import run
         from repro.experiments.workloads import evaluation_suite
 
-        print(run(suite=evaluation_suite(frames=args.frames),
-                  config=_sweep_config(args), jobs=args.jobs).report())
+        print(run(suite=evaluation_suite(frames=args.frames), jobs=args.jobs).report())
         return 0
     print(f"unknown table {args.number!r}; know 2 and 3", file=sys.stderr)
     return 2
@@ -280,8 +268,6 @@ def _cmd_macrobench(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         repeats=args.repeats,
         quick=args.quick,
-        frame_store_mb=args.frame_store_mb,
-        artifact_store_mb=args.artifact_store_mb,
     )
     # BENCH_macro.json also carries the serve ladder; replace only the
     # sweep bench (mirrors servebench's merge in the other direction).
@@ -433,13 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--seed", type=int, default=7)
     compare.add_argument("--jobs", type=int, default=1,
                          help="process-pool workers (1 = in-process)")
-    compare.add_argument("--frame-store-mb", type=int, default=None,
-                         help="MiB budget for the shared frame store "
-                              "(0 disables; default: leave store as-is)")
-    compare.add_argument("--artifact-store-mb", type=int, default=None,
-                         help="MiB budget for the shared pyramid/gradient "
-                              "artifact store (0 disables; default: leave "
-                              "store as-is)")
     compare.set_defaults(func=_cmd_compare)
 
     fig = sub.add_parser("fig", help="regenerate a paper figure")
@@ -447,13 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--frames", type=int, default=240)
     fig.add_argument("--jobs", type=int, default=1,
                      help="process-pool workers (1 = in-process)")
-    fig.add_argument("--frame-store-mb", type=int, default=None,
-                     help="MiB budget for the shared frame store, figs 6-11 "
-                          "(0 disables; default: leave store as-is)")
-    fig.add_argument("--artifact-store-mb", type=int, default=None,
-                     help="MiB budget for the shared pyramid/gradient "
-                          "artifact store, figs 6-11 (0 disables; default: "
-                          "leave store as-is)")
     fig.set_defaults(func=_cmd_fig)
 
     table = sub.add_parser("table", help="regenerate a paper table")
@@ -461,13 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--frames", type=int, default=240)
     table.add_argument("--jobs", type=int, default=1,
                        help="process-pool workers (1 = in-process)")
-    table.add_argument("--frame-store-mb", type=int, default=None,
-                       help="MiB budget for the shared frame store "
-                            "(0 disables; default: leave store as-is)")
-    table.add_argument("--artifact-store-mb", type=int, default=None,
-                       help="MiB budget for the shared pyramid/gradient "
-                            "artifact store (0 disables; default: leave "
-                            "store as-is)")
     table.set_defaults(func=_cmd_table)
 
     bench = sub.add_parser(
@@ -497,14 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     macro.add_argument("--min-speedup", type=float, default=None,
                        help="fail unless parallel/sequential speedup reaches "
                             "this (the CI gate on multi-core runners)")
-    macro.add_argument("--frame-store-mb", type=int, default=128,
-                       help="MiB budget for each process's frame store "
-                            "(0 disables it for the whole macro-bench)")
-    macro.add_argument("--artifact-store-mb", type=int, default=384,
-                       help="MiB budget for each process's pyramid "
-                            "artifact store (0 disables it for the whole "
-                            "macro-bench); artifacts are ~2.6x a float32 "
-                            "raw frame, so size it above --frame-store-mb")
     macro.set_defaults(func=_cmd_macrobench)
 
     serve = sub.add_parser(

@@ -113,7 +113,8 @@ class MPDTPipeline:
         )
         board = ResultBoard(clip.num_frames)
         activity = ActivityLog()
-        pyramid_cache = cfg.make_pyramid_cache(clip=clip, obs=obs)
+        # The clip's store read-through; exported clips have none and build.
+        pyramids = getattr(clip, "pyramid", None)
         cycles: list[CycleRecord] = []
         velocity_samples: list[tuple[int, float]] = []
         if cfg.fixed_tracking_fraction is not None:
@@ -201,13 +202,13 @@ class MPDTPipeline:
             if cfg.tracker_tier == TIER_MVE:
                 tracker = MVETracker(
                     clip.frame, width, height, cfg.mve_tracker,
-                    pyramid_cache=pyramid_cache,
+                    pyramids=pyramids,
                 )
             else:
                 tracker = ObjectTracker(
                     clip.frame, width, height, cfg.tracker,
                     seed=cfg.detector_seed * 1_000_003 + prev_frame,
-                    pyramid_cache=pyramid_cache,
+                    pyramids=pyramids,
                 )
             estimator = MotionVelocityEstimator()
             tracker_time = t

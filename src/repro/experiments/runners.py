@@ -191,8 +191,8 @@ def run_method_on_suite(
     """Run a registry method over a suite and aggregate paper-style metrics.
 
     Delegates to the sweep engine: ``jobs=1`` runs the clips inline in
-    suite order (bit-identical to the historical sequential loop, shared
-    renderer caches and all); ``jobs>1`` shards the clips over a process
+    suite order (bit-identical to the historical sequential loop);
+    ``jobs>1`` shards the clips over a process
     pool.  A shard that fails both attempts raises ``RuntimeError`` — a
     single-method sweep has no partial-result story to fall back on.
     """

@@ -34,7 +34,6 @@ from repro.parallel.specs import (
     ShardFailure,
     ShardResult,
     ShardSpec,
-    validate_store_budgets,
 )
 
 __all__ = [
@@ -52,5 +51,4 @@ __all__ = [
     "order_shards",
     "run_shard",
     "run_sweep",
-    "validate_store_budgets",
 ]

@@ -10,8 +10,8 @@ in deterministic grid order — a parallel sweep produces bit-identical
 one, because every shard is a pure function of its spec.
 
 Scheduling: the pool's unit of work is one clip — a worker runs every
-cell of its clip in turn, so its private frame and artifact stores serve
-all of the clip's method arms (see :func:`~repro.parallel.costs.clip_units`).
+cell of its clip in turn, so its frame store serves all of the clip's
+method arms (see :func:`~repro.parallel.costs.clip_units`).
 
 Failure policy: a shard that raises is retried once, alone; a worker
 death fails (and retries) every cell of the unit it was running, on a
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.config import PipelineConfig
-from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.obs import Telemetry
 from repro.parallel.costs import clip_units
 from repro.parallel.specs import (
     ClipSpec,
@@ -49,20 +49,39 @@ from repro.parallel.specs import (
     ShardFailure,
     ShardResult,
     ShardSpec,
-    validate_store_budgets,
 )
 from repro.video.dataset import VideoClip, VideoSuite
+from repro.video.framestore import KINDS, default_store
 
 # Callback invoked after every shard settles: (done, total, result).
 ProgressCallback = Callable[[int, int, ShardResult], None]
 
-# How many reconstructed clips one worker keeps alive.  Clips are the
-# expensive part of a shard (scene + renderer caches); methods sharing a
-# clip land on warm state, but the cache stays bounded so a long sweep
-# over many clips cannot grow worker memory without limit.
+# How many reconstructed clips one worker keeps alive.  A clip holds its
+# scene and its renderer's texture state (pixels live in the frame
+# store); methods sharing a clip land on warm state, but the cache stays
+# bounded so a long sweep over many clips cannot grow worker memory
+# without limit.
 _WORKER_CLIP_CAPACITY = 8
 
 _worker_clips: OrderedDict[ClipSpec, VideoClip] = OrderedDict()
+
+# The frame-store counters a cell reports, per kind.
+_STORE_COUNTS = ("hits", "misses", "evictions", "evicted_bytes")
+
+
+def _store_delta(before: dict, after: dict) -> dict[str, dict[str, int]]:
+    """Per-kind counter deltas between two ``FrameStore.stats()`` snapshots."""
+    return {
+        kind: {name: after[kind][name] - before[kind][name] for name in _STORE_COUNTS}
+        for kind in KINDS
+    }
+
+
+def _add_store_counts(total: dict[str, dict[str, int]], delta: dict) -> None:
+    for kind, counts in delta.items():
+        into = total.setdefault(kind, dict.fromkeys(_STORE_COUNTS, 0))
+        for name, value in counts.items():
+            into[name] += value
 
 
 def _clip_for(spec: ClipSpec) -> VideoClip:
@@ -89,10 +108,10 @@ def run_shard(
     a module-level function and ``spec`` is plain picklable data, so it
     is spawn-safe).  The inline ``jobs=1`` path calls it too, passing the
     caller's live ``clip`` and telemetry so sequential sweeps share
-    renderer caches and sinks exactly like the pre-engine code did.  Any exception is captured into
-    :attr:`ShardResult.error` — failure isolation happens here, on the
-    worker side, so a crashing pipeline reports instead of killing the
-    pool.
+    sinks exactly like the pre-engine code did.  Any exception is
+    captured into :attr:`ShardResult.error` — failure isolation happens
+    here, on the worker side, so a crashing pipeline reports instead of
+    killing the pool.
     """
     result = ShardResult(
         index=spec.index,
@@ -119,26 +138,12 @@ def run_shard(
 
             telemetry = Telemetry(InMemorySink())
         if clip is None:
-            # Pool path: this process is a worker.  Budget its private
-            # stores from the spec; an unchanged budget evicts nothing.
-            _budget_stores(spec.clip.frame_store_mb, spec.clip.artifact_store_mb)
             clip = _clip_for(spec.clip)
-        from repro.vision import pyramid_cache as pyramid_cache_mod
-        from repro.vision.artifact_store import default_store as default_artifact_store
-
-        renderer = clip.renderer
-        store = renderer.frame_store
-        artifact_store = default_artifact_store()
-        hits0, misses0 = renderer.cache_hits, renderer.cache_misses
-        # Lock-held snapshots at both ends: reading the bare counter
-        # attributes tears when the threaded live executor shares the
-        # process-wide store with this shard.
-        stats0 = store.stats()
-        artifact_stats0 = artifact_store.stats()
-        pyramid0 = pyramid_cache_mod.counters_snapshot()
-        renderer.set_obs(telemetry or NULL_TELEMETRY)
-        store.set_obs(telemetry or NULL_TELEMETRY)
-        artifact_store.set_obs(telemetry or NULL_TELEMETRY)
+        store = default_store()
+        # Lock-held snapshots at both ends: reading bare counters tears
+        # when the threaded live executor shares the store with this cell.
+        before = store.stats()
+        store.set_obs(telemetry)
         try:
             kwargs = dict(spec.method.kwargs)
             if telemetry is not None:
@@ -146,31 +151,14 @@ def run_shard(
             method = make_method(spec.method.name, spec.method.config, **kwargs)
             run = run_method_on_clip(method, clip)
         finally:
-            renderer.set_obs(NULL_TELEMETRY)
-            store.set_obs(NULL_TELEMETRY)
-            artifact_store.set_obs(NULL_TELEMETRY)
+            store.set_obs(None)
+        result.store = _store_delta(before, store.stats())
         accuracy, f1 = evaluate_run(
             run, clip, alpha=spec.alpha, iou_threshold=spec.iou_threshold
         )
         result.accuracy = accuracy
         result.mean_f1 = float(f1.mean())
         result.activity = run.activity
-        result.render_hits = renderer.cache_hits - hits0
-        result.render_misses = renderer.cache_misses - misses0
-        stats1 = store.stats()
-        result.store_hits = stats1["hits"] - stats0["hits"]
-        result.store_misses = stats1["misses"] - stats0["misses"]
-        result.store_evicted_bytes = stats1["evicted_bytes"] - stats0["evicted_bytes"]
-        artifact_stats1 = artifact_store.stats()
-        result.artifact_hits = artifact_stats1["hits"] - artifact_stats0["hits"]
-        result.artifact_misses = artifact_stats1["misses"] - artifact_stats0["misses"]
-        result.artifact_evicted_bytes = (
-            artifact_stats1["evicted_bytes"] - artifact_stats0["evicted_bytes"]
-        )
-        pyramid1 = pyramid_cache_mod.counters_snapshot()
-        result.pyramid_hits = pyramid1["hits"] - pyramid0["hits"]
-        result.pyramid_misses = pyramid1["misses"] - pyramid0["misses"]
-        result.pyramid_evictions = pyramid1["evictions"] - pyramid0["evictions"]
         if spec.keep_run:
             result.run = run
         if telemetry is not None and obs is None:
@@ -185,19 +173,6 @@ def run_shard(
         result.error = traceback.format_exc()
     result.elapsed_s = time.perf_counter() - start
     return result
-
-
-def _budget_stores(frame_store_mb: int | None, artifact_store_mb: int | None) -> None:
-    """Budget this process's frame and artifact stores (``None``: leave alone)."""
-    from repro.video import framestore
-    from repro.vision import artifact_store
-
-    for mb, configure in (
-        (frame_store_mb, framestore.configure_default),
-        (artifact_store_mb, artifact_store.configure_default),
-    ):
-        if mb is not None:
-            configure(mb * framestore.BYTES_PER_MB)
 
 
 def _failed_result(spec: ShardSpec, error: str) -> ShardResult:
@@ -248,22 +223,9 @@ class SweepResult:
     total_shards: int = 0
     retried_shards: int = 0
     elapsed_s: float = 0.0
-    render_hits: int = 0
-    render_misses: int = 0
-    store_hits: int = 0
-    store_misses: int = 0
-    store_evicted_bytes: int = 0
-    artifact_hits: int = 0
-    artifact_misses: int = 0
-    artifact_evicted_bytes: int = 0
-    pyramid_hits: int = 0
-    pyramid_misses: int = 0
-    pyramid_evictions: int = 0
-    # Whether a budgeted frame store backed the sweep: "private" (each
-    # process's own LRU) or "none" (unconfigured or budget 0).
-    store_mode: str = "none"
-    # Same for the derived-artifact store.
-    artifact_store_mode: str = "none"
+    # Per-kind frame-store counters summed over the settled cells:
+    # ``{kind: {"hits", "misses", "evictions", "evicted_bytes"}}``.
+    store: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -282,15 +244,15 @@ class SweepResult:
         return self
 
     def summary(self) -> str:
+        store = "; ".join(
+            f"{kind} {counts['hits']} hits / {counts['misses']} misses"
+            for kind, counts in self.store.items()
+        )
         lines = [
             f"sweep: {self.total_shards} shards, jobs={self.jobs}, "
             f"{self.elapsed_s:.2f}s wall"
             f" ({self.retried_shards} retried, {len(self.failures)} failed;"
-            f" render cache {self.render_hits} hits / {self.render_misses} misses;"
-            f" frame store [{self.store_mode}] {self.store_hits} hits /"
-            f" {self.store_misses} misses;"
-            f" artifact store [{self.artifact_store_mode}] {self.artifact_hits}"
-            f" hits / {self.artifact_misses} misses)"
+            f" store {store or 'unused'})"
         ]
         for failure in self.failures:
             first_line = failure.error.strip().splitlines()[-1]
@@ -335,7 +297,7 @@ class SweepEngine:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             # Spawn (not fork): workers must import a clean interpreter —
-            # forked children would inherit renderer caches, sink locks,
+            # forked children would inherit the frame store, sink locks,
             # and whatever thread state the parent happens to hold.
             import multiprocessing
 
@@ -388,28 +350,7 @@ class SweepEngine:
         if unknown:
             raise KeyError(f"method_kwargs for methods not in sweep: {sorted(unknown)}")
 
-        render_cache = config.render_cache_size if config is not None else None
-        frame_store_mb = config.frame_store_mb if config is not None else None
-        artifact_store_mb = config.artifact_store_mb if config is not None else None
-        clip_specs = [
-            ClipSpec.from_clip(
-                clip,
-                render_cache=render_cache,
-                frame_store_mb=frame_store_mb,
-                artifact_store_mb=artifact_store_mb,
-            )
-            for clip in suite
-        ]
-        # One budget per sweep, decided here at spec-construction time —
-        # clips must not reconfigure the store mid-sweep (uniform today
-        # because the budget comes from one config, but the invariant is
-        # what callers composing specs by hand rely on).
-        store_mb = validate_store_budgets(clip_specs)
-        artifact_mb = validate_store_budgets(clip_specs, attr="artifact_store_mb")
-        # The inline path renders through the caller's clips, whose
-        # renderers resolve this process's stores at render time; pool
-        # workers budget their own from the same ClipSpec fields.
-        _budget_stores(store_mb, artifact_mb)
+        clip_specs = [ClipSpec.from_clip(clip) for clip in suite]
         collect_obs = obs is not None and self.jobs > 1
         shards = [
             ShardSpec(
@@ -438,8 +379,6 @@ class SweepEngine:
         result = self._reduce(methods, suite, settled, obs)
         result.jobs = self.jobs
         result.total_shards = len(shards)
-        result.store_mode = "private" if store_mb else "none"
-        result.artifact_store_mode = "private" if artifact_mb else "none"
         result.elapsed_s = time.perf_counter() - start
         self._record_engine_metrics(obs, result)
         return result
@@ -580,17 +519,7 @@ class SweepEngine:
                 method_result.activity.merge(shard.activity)
                 if shard.run is not None:
                     method_result.runs.append(shard.run)
-                out.render_hits += shard.render_hits
-                out.render_misses += shard.render_misses
-                out.store_hits += shard.store_hits
-                out.store_misses += shard.store_misses
-                out.store_evicted_bytes += shard.store_evicted_bytes
-                out.artifact_hits += shard.artifact_hits
-                out.artifact_misses += shard.artifact_misses
-                out.artifact_evicted_bytes += shard.artifact_evicted_bytes
-                out.pyramid_hits += shard.pyramid_hits
-                out.pyramid_misses += shard.pyramid_misses
-                out.pyramid_evictions += shard.pyramid_evictions
+                _add_store_counts(out.store, shard.store)
                 if obs is not None and (shard.spans or shard.metrics):
                     for span in shard.spans:
                         obs.sink.record_span(span)
@@ -608,17 +537,6 @@ class SweepEngine:
         obs.counter("sweep.shards_total").inc(result.total_shards)
         obs.counter("sweep.shards_retried").inc(result.retried_shards)
         obs.counter("sweep.shards_failed").inc(len(result.failures))
-        obs.counter("sweep.render_cache_hits").inc(result.render_hits)
-        obs.counter("sweep.render_cache_misses").inc(result.render_misses)
-        obs.counter("sweep.store_hits").inc(result.store_hits)
-        obs.counter("sweep.store_misses").inc(result.store_misses)
-        obs.counter("sweep.store_evicted_bytes").inc(result.store_evicted_bytes)
-        obs.counter("sweep.artifact_hits").inc(result.artifact_hits)
-        obs.counter("sweep.artifact_misses").inc(result.artifact_misses)
-        obs.counter("sweep.artifact_evicted_bytes").inc(result.artifact_evicted_bytes)
-        obs.counter("sweep.pyramid_hits").inc(result.pyramid_hits)
-        obs.counter("sweep.pyramid_misses").inc(result.pyramid_misses)
-        obs.counter("sweep.pyramid_evictions").inc(result.pyramid_evictions)
         obs.gauge("sweep.jobs").set(self.jobs)
 
 

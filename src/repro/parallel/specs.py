@@ -30,65 +30,13 @@ class ClipSpec:
     config: ScenarioConfig
     seed: int
     name: str
-    render_cache: int = 64
-    # MiB budget for the worker's process-wide FrameStore (None = leave it
-    # alone).  ``run_shard`` applies it in the worker before each cell;
-    # re-applying an unchanged budget evicts nothing.  ``build()`` must
-    # not reconfigure the store, and a sweep runs under one budget (see
-    # ``validate_store_budgets``), or a clip would evict mid-sweep.
-    frame_store_mb: int | None = None
-    # MiB budget for the worker's process-wide derived-artifact store
-    # (pyramid images; see repro.vision.artifact_store).  Same
-    # contract as ``frame_store_mb``.
-    artifact_store_mb: int | None = None
 
     @classmethod
-    def from_clip(
-        cls,
-        clip: VideoClip,
-        render_cache: int | None = None,
-        frame_store_mb: int | None = None,
-        artifact_store_mb: int | None = None,
-    ) -> "ClipSpec":
-        return cls(
-            config=clip.config,
-            seed=clip.scene.seed,
-            name=clip.name,
-            render_cache=(
-                render_cache if render_cache is not None else clip.renderer.cache_size
-            ),
-            frame_store_mb=frame_store_mb,
-            artifact_store_mb=artifact_store_mb,
-        )
+    def from_clip(cls, clip: VideoClip) -> "ClipSpec":
+        return cls(config=clip.config, seed=clip.scene.seed, name=clip.name)
 
     def build(self) -> VideoClip:
-        return make_clip(
-            self.config, seed=self.seed, name=self.name, render_cache=self.render_cache
-        )
-
-
-def validate_store_budgets(
-    clip_specs: "list[ClipSpec]", attr: str = "frame_store_mb"
-) -> int | None:
-    """The sweep's single store budget (MiB) for ``attr``, or ``None``.
-
-    A sweep must run under one budget: the stores are process-wide, so a
-    clip carrying a different ``frame_store_mb`` (or ``artifact_store_mb``)
-    would reconfigure (and possibly evict) the store mid-sweep for every
-    method sharing it.  Raises ``ValueError`` when the specs disagree;
-    ``None`` entries mean "no opinion" and never conflict.
-    """
-    budgets = {
-        budget
-        for budget in (getattr(s, attr) for s in clip_specs)
-        if budget is not None
-    }
-    if len(budgets) > 1:
-        raise ValueError(
-            f"sweep clips declare conflicting {attr} budgets "
-            f"{sorted(budgets)}; a sweep runs under one store budget"
-        )
-    return budgets.pop() if budgets else None
+        return make_clip(self.config, seed=self.seed, name=self.name)
 
 
 @dataclass(frozen=True)
@@ -146,17 +94,9 @@ class ShardResult:
     run: PipelineRun | None = None
     spans: list[Span] = field(default_factory=list)
     metrics: list[dict[str, Any]] = field(default_factory=list)
-    render_hits: int = 0
-    render_misses: int = 0
-    store_hits: int = 0
-    store_misses: int = 0
-    store_evicted_bytes: int = 0
-    artifact_hits: int = 0
-    artifact_misses: int = 0
-    artifact_evicted_bytes: int = 0
-    pyramid_hits: int = 0
-    pyramid_misses: int = 0
-    pyramid_evictions: int = 0
+    # Per-kind frame-store counter deltas over the cell:
+    # ``{kind: {"hits", "misses", "evictions", "evicted_bytes"}}``.
+    store: dict[str, dict[str, int]] = field(default_factory=dict)
     elapsed_s: float = 0.0
     worker_pid: int = 0
     attempt: int = 0

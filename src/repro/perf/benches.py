@@ -20,13 +20,12 @@ from repro.core.mpdt import FixedSettingPolicy, MPDTPipeline
 from repro.perf import reference, workloads
 from repro.perf.harness import BenchResult, time_callable, time_interleaved
 from repro.tracking.mve import MVETracker, MVETrackerConfig
-from repro.video.framestore import FrameStore
+from repro.video import framestore
 from repro.video.render import FrameRenderer
 from repro.vision.block_motion import block_motion_field
 from repro.vision.features import shi_tomasi_response, suppress_min_distance
 from repro.vision.image import gaussian_blur_batched
 from repro.vision.optical_flow import FramePyramid, LKParams, track_features
-from repro.vision.pyramid_cache import PyramidCache
 
 
 def _repeats(quick: bool, full: int, number: int = 1) -> tuple[int, int]:
@@ -179,9 +178,10 @@ def bench_mve_track(quick: bool) -> BenchResult:
     def provider(index: int) -> np.ndarray:
         return wl.frame_a if index == 0 else wl.frame_b
 
-    cache = PyramidCache(capacity=4)
-    cache.get(0, levels, provider)  # primed: timed steps never rebuild
-    cache.get(wl.frame_gap, levels, provider)
+    # Prebuilt, as the frame store serves them: timed steps never rebuild.
+    prebuilt = {
+        index: FramePyramid(provider(index), levels) for index in (0, wl.frame_gap)
+    }
     config = MVETrackerConfig(block=wl.params)
 
     def mve_step():
@@ -190,7 +190,7 @@ def bench_mve_track(quick: bool) -> BenchResult:
             wl.frame_width,
             wl.frame_height,
             config,
-            pyramid_cache=cache,
+            pyramids=lambda index, _levels: prebuilt[index],
         )
         tracker.initialize(0, wl.detections)
         return tracker.track_to(wl.frame_gap)
@@ -361,44 +361,6 @@ def bench_shi_tomasi_response(quick: bool) -> BenchResult:
     )
 
 
-def bench_pyramid_cache_hit(quick: bool) -> BenchResult:
-    """FramePyramid construction vs. a clip-cache hit.
-
-    The reference is the pre-cache steady state — every tracker generation
-    rebuilds its seed pyramid from the raw frame; the optimised path is a
-    :class:`PyramidCache` hit, which is what a rebuild becomes whenever the
-    run's frame access pattern revisits an index.
-    """
-    wl = workloads.make_lk_workload()
-    levels = wl.params.pyramid_levels
-
-    def build() -> FramePyramid:
-        return FramePyramid(wl.frame_a, levels)
-
-    cache = PyramidCache(capacity=2)
-    provider = lambda _index: wl.frame_a  # noqa: E731 - tiny bench closure
-    cache.get(0, levels, provider)  # prime: every timed get() below is a hit
-
-    def cached() -> FramePyramid:
-        return cache.get(0, levels, provider)
-
-    repeats, number = _repeats(quick, 15)
-    return BenchResult(
-        name="pyramid_cache_hit",
-        hot_path="repro.vision.pyramid_cache.PyramidCache",
-        workload={
-            "scenario": workloads.SCENARIO,
-            "seed": workloads.SEED,
-            "frame_shape": list(wl.frame_a.shape),
-            "levels": levels,
-        },
-        optimized=time_callable(cached, repeats, 1),
-        reference=time_callable(build, repeats, 1),
-        notes="clip-level LRU cache hit vs. full pyramid rebuild",
-        extra={"cache_hits": cache.hits, "cache_misses": cache.misses},
-    )
-
-
 def bench_mpdt_cycle(quick: bool) -> BenchResult:
     """Full MPDT pipeline run, reported per detection cycle.
 
@@ -488,27 +450,36 @@ def bench_render_frame(quick: bool) -> BenchResult:
     )
 
 
+def _store_counts(before: dict, after: dict, kind: str) -> dict[str, int]:
+    return {
+        f"store_{name}": after[kind][name] - before[kind][name]
+        for name in ("hits", "misses")
+    }
+
+
 def bench_frame_store_sweep(quick: bool) -> BenchResult:
-    """A repeat method's pass over a clip: shared FrameStore hit vs. re-render.
+    """A repeat method's pass over a clip: frame-store hit vs. re-render.
 
     The sweep engine runs many methods over the same clip in one process;
-    the first method fills the store, every later one reads it.  The
-    optimised arm is that later method — a renderer whose 1-frame local
-    cache always misses but whose shared store always hits; the reference
-    arm is the same pass with the store disabled (the pre-PR steady state:
-    every method renders every frame).  Reported per 12-frame pass.
+    the first method fills the process-wide frame store, every later one
+    reads it.  The optimised arm is that later method — a fresh renderer
+    of the same scene whose every frame is a store hit; the reference arm
+    is the pre-store steady state: every method renders every frame.
+    Reported per 12-frame pass.
     """
     num_frames = 12
     clip = workloads.render_bench_clip(num_frames=num_frames)
     scene = clip.renderer.scene
-    store = FrameStore(max_bytes=64 * 1024 * 1024)
-    first_method = FrameRenderer(scene, cache_size=1, frame_store=store)
-    repeat_method = FrameRenderer(scene, cache_size=1, frame_store=store)
-    cold = FrameRenderer(scene, cache_size=1, frame_store=FrameStore(0))
+    store = framestore.default_store()
+    store.clear()
+    before = store.stats()
+    first_method = FrameRenderer(scene)
+    repeat_method = FrameRenderer(scene)
     for index in range(num_frames):
         served = first_method.render(index)
-        if not np.array_equal(served, cold.render_frame(index)):
+        if not np.array_equal(served, repeat_method.render_frame(index)):
             raise AssertionError("store-served frame diverged from a direct render")
+    primed = store.stats()
 
     def store_pass() -> np.ndarray:
         frame = None
@@ -519,10 +490,15 @@ def bench_frame_store_sweep(quick: bool) -> BenchResult:
     def rerender_pass() -> np.ndarray:
         frame = None
         for index in range(num_frames):
-            frame = cold.render(index)
+            frame = repeat_method.render_frame(index)
         return frame
 
     repeats, number = _repeats(quick, 15)
+    optimized = time_callable(store_pass, repeats, 1)
+    reference_measure = time_callable(rerender_pass, repeats, 1)
+    after = store.stats()
+    if after[framestore.FRAME]["misses"] != primed[framestore.FRAME]["misses"]:
+        raise AssertionError("a repeat pass missed the frame store")
     return BenchResult(
         name="frame_store_sweep",
         hot_path="repro.video.framestore.FrameStore",
@@ -530,62 +506,53 @@ def bench_frame_store_sweep(quick: bool) -> BenchResult:
             "scenario": workloads.RENDER_SCENARIO,
             "seed": workloads.SEED,
             "num_frames": num_frames,
-            "store_mb": 64,
+            "store_mb": framestore.STORE_BYTES // framestore.BYTES_PER_MB,
         },
-        optimized=time_callable(store_pass, repeats, 1),
-        reference=time_callable(rerender_pass, repeats, 1),
+        optimized=optimized,
+        reference=reference_measure,
         notes=(
-            "a sweep's 2nd..Nth method per clip pass: process-shared store "
+            "a sweep's 2nd..Nth method per clip pass: process-wide store "
             "hits vs. the pre-store full re-render"
         ),
-        extra={"store_hits": store.hits, "store_misses": store.misses},
+        extra=_store_counts(before, after, framestore.FRAME),
     )
 
 
 def bench_pyramid_store_sweep(quick: bool) -> BenchResult:
-    """A repeat arm's pyramid pass over a clip: artifact-store hit vs rebuild.
+    """A repeat arm's pyramid pass over a clip: frame-store hit vs rebuild.
 
     The sweep engine runs many method arms over the same clip; the first
-    arm's pyramid-cache misses fill the shared artifact store, every later
-    arm reads the pyramids back.  The optimised arm is that later
-    method — a fresh per-run :class:`PyramidCache` whose local entries
-    always miss but whose store always hits; the reference arm is the
-    pre-store steady state: every arm rebuilds every pyramid from the raw
-    frame.  Reported per 8-frame arm pass.
+    arm's pyramid reads fill the process-wide frame store, every later
+    arm reads the pyramids back.  The optimised arm is that later arm —
+    a fresh renderer of the same scene whose every pyramid is a store
+    hit; the reference arm is the pre-store steady state: every arm
+    rebuilds every pyramid from the raw frame.  Reported per 8-frame arm
+    pass.
     """
-    from repro.vision.artifact_store import ArtifactStore
-    from repro.vision.artifact_store import _PrivateBacking
-
     num_frames = 8
     levels = LKParams().pyramid_levels
     clip = workloads.bench_clip(num_frames=num_frames)
+    store = framestore.default_store()
+    store.clear()
+    before = store.stats()
     frames = [np.asarray(clip.frame(i), dtype=np.float64) for i in range(num_frames)]
-    provider = frames.__getitem__
-    fingerprint = "bench-pyramid-store"
-    store = ArtifactStore(_PrivateBacking(64 * 1024 * 1024))
-
-    # First arm fills the store; the equality gate then pins every
+    # The first arm fills the store; the equality gate then pins every
     # store-served level image against a direct build.
-    filler = PyramidCache(capacity=2, fingerprint=fingerprint, artifact_store=store)
     for index in range(num_frames):
-        filler.get(index, levels, provider)
-    reader = PyramidCache(capacity=2, fingerprint=fingerprint, artifact_store=store)
+        clip.pyramid(index, levels)
+    repeat_arm = FrameRenderer(clip.scene)
     for index in range(num_frames):
-        served = reader.get(index, levels, provider)
+        served = repeat_arm.pyramid(index, levels)
         direct = FramePyramid(frames[index], levels)
         for level in range(direct.levels):
             if not np.array_equal(served.images[level], direct.images[level]):
                 raise AssertionError("store-served pyramid diverged from a rebuild")
-    if reader.store_hits != num_frames:
-        raise AssertionError("repeat arm did not hit the store for every frame")
+    primed = store.stats()
 
     def store_pass() -> FramePyramid:
-        # A fresh cache per pass = a fresh method arm: local entries are
-        # cold, so every frame reads through to the shared store.
-        arm = PyramidCache(capacity=2, fingerprint=fingerprint, artifact_store=store)
         pyramid = None
         for index in range(num_frames):
-            pyramid = arm.get(index, levels, provider)
+            pyramid = repeat_arm.pyramid(index, levels)
         return pyramid
 
     def rebuild_pass() -> FramePyramid:
@@ -595,26 +562,28 @@ def bench_pyramid_store_sweep(quick: bool) -> BenchResult:
         return pyramid
 
     repeats, number = _repeats(quick, 15)
+    optimized = time_callable(store_pass, repeats, 1)
+    reference_measure = time_callable(rebuild_pass, repeats, 1)
+    after = store.stats()
+    if after[framestore.PYRAMID]["misses"] != primed[framestore.PYRAMID]["misses"]:
+        raise AssertionError("a repeat arm missed the frame store")
     return BenchResult(
         name="pyramid_store_sweep",
-        hot_path="repro.vision.artifact_store.ArtifactStore",
+        hot_path="repro.video.render.FrameRenderer.pyramid",
         workload={
             "scenario": workloads.SCENARIO,
             "seed": workloads.SEED,
             "num_frames": num_frames,
             "levels": levels,
-            "store_mb": 64,
+            "store_mb": framestore.STORE_BYTES // framestore.BYTES_PER_MB,
         },
-        optimized=time_callable(store_pass, repeats, 1),
-        reference=time_callable(rebuild_pass, repeats, 1),
+        optimized=optimized,
+        reference=reference_measure,
         notes=(
-            "a sweep's 2nd..Nth method arm per clip pass: shared artifact-store "
+            "a sweep's 2nd..Nth method arm per clip pass: process-wide store "
             "pyramid reads vs. the pre-store full rebuild"
         ),
-        extra={
-            "store_hits": store.stats()["hits"],
-            "store_misses": store.stats()["misses"],
-        },
+        extra=_store_counts(before, after, framestore.PYRAMID),
     )
 
 
@@ -702,7 +671,6 @@ BENCHES = {
     "gaussian_blur": bench_gaussian_blur,
     "pyramid_build": bench_pyramid_build,
     "shi_tomasi_response": bench_shi_tomasi_response,
-    "pyramid_cache_hit": bench_pyramid_cache_hit,
     "render_frame": bench_render_frame,
     "frame_store_sweep": bench_frame_store_sweep,
     "pyramid_store_sweep": bench_pyramid_store_sweep,

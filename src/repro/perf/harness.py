@@ -20,6 +20,7 @@ schema-versioned, with enough host metadata to explain level shifts.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 import time
@@ -126,6 +127,7 @@ def build_document(results: list[BenchResult], quick: bool) -> dict:
             "python": sys.version.split()[0],
             "platform": platform.platform(),
             "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
         },
         "benches": [r.to_json() for r in results],
     }

@@ -24,10 +24,10 @@ import platform
 import sys
 import time
 
-from repro.core.config import PipelineConfig
 from repro.experiments.fig6_overall import FIG6_METHODS
 from repro.experiments.workloads import quick_suite
 from repro.parallel import SweepEngine, SweepResult
+from repro.video.framestore import BYTES_PER_MB, STORE_BYTES
 
 MACRO_SCHEMA_VERSION = 1
 MACRO_SUITE_NAME = "repro-macro"
@@ -98,89 +98,37 @@ def _assert_identical(sequential: SweepResult, parallel: SweepResult) -> None:
                 )
 
 
-def run_macro_benchmark(
-    jobs: int = 4,
-    repeats: int = 3,
-    quick: bool = False,
-    frame_store_mb: int = 128,
-    artifact_store_mb: int = 384,
-) -> dict:
+def run_macro_benchmark(jobs: int = 4, repeats: int = 3, quick: bool = False) -> dict:
     """Time the reduced fig6 sweep sequentially and at ``jobs`` workers.
 
     Returns the ``BENCH_macro.json`` document.  Timings interleave the
     two arms repeat by repeat so drift in background load hits both
     equally; the identity check doubles as the warm-up for each arm
-    (worker processes imported, renderer caches populated).
-
-    ``frame_store_mb`` budgets each process's :class:`FrameStore` for
-    the run (0 disables it).  The default comfortably fits the full-grid
-    suite (3 clips × 120 frames × 225 KiB ≈ 80 MiB) so the warm-up's
-    store counters show each frame rendered at most once.
-
-    ``artifact_store_mb`` budgets each process's derived-artifact store
-    (pyramid level images; 0 disables it).  An artifact is ~1.31x its
-    frame's float64 finest level (1 + 1/4 + 1/16), ~2.6x a float32 raw
-    frame, so this budget must out-size the frame store's for the
-    sweep's working set to stay resident under method-major order —
-    undersizing shows up as evicted_bytes churn and a cold store for
-    every arm.  A third, artifact-disabled
-    sequential arm is timed *before* the store is ever enabled — its
-    results double as the store-never-changes-results identity baseline,
-    and its best time yields ``artifact_store.enabled_speedup``: the
-    build-once-per-sweep win on the identical grid.  An untimed
-    artifact-disabled *parallel* pass supplies the ``frame_store``
-    block's parallel counters, so that block compares the two engines at
-    equal frame demand.
+    (worker processes imported, frame stores populated).  The ``store``
+    block records each arm's frame-store hits and misses per kind from
+    that warm-up pass: misses are the frames rendered and pyramids
+    built.
     """
     if jobs < 2:
         raise ValueError("macro-bench needs jobs >= 2 (it compares against jobs=1)")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     methods, suite = _workload(quick)
-    config_disabled = PipelineConfig(frame_store_mb=frame_store_mb, artifact_store_mb=0)
-    config = PipelineConfig(
-        frame_store_mb=frame_store_mb, artifact_store_mb=artifact_store_mb
-    )
 
     with SweepEngine(jobs=1) as seq_engine, SweepEngine(jobs=jobs) as par_engine:
-        # Artifact-disabled baseline first, not interleaved: enabling the
-        # store is sticky process-wide (budget 0 would drop its entries),
-        # so interleaving would cold-start the enabled arm every repeat.
-        disabled = seq_engine.run(methods, suite, config=config_disabled)
-        disabled_times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            seq_engine.run(methods, suite, config=config_disabled)
-            disabled_times.append(time.perf_counter() - start)
-
-        # Artifact-disabled parallel pass: the frame_store block compares
-        # parallel vs sequential *at equal frame demand*, and the
-        # artifact store changes that demand (a store-served pyramid never
-        # fetches its frame), so the frame_store block's parallel counters
-        # must come from a pass with the artifact store off.  The pool is
-        # fresh here, so worker renderer caches are cold and every frame
-        # access is real.
-        par_disabled = par_engine.run(methods, suite, config=config_disabled)
-
-        sequential = seq_engine.run(methods, suite, config=config)
-        parallel = par_engine.run(methods, suite, config=config)
-        # Store-never-changes-results: the artifact-enabled arm must be
-        # bit-identical to the disabled baseline, and both engine arms to
-        # each other.
-        _assert_identical(disabled, par_disabled)
-        _assert_identical(disabled, sequential)
+        sequential = seq_engine.run(methods, suite)
+        parallel = par_engine.run(methods, suite)
         _assert_identical(sequential, parallel)
 
         seq_times, par_times = [], []
         for _ in range(repeats):
             start = time.perf_counter()
-            seq_engine.run(methods, suite, config=config)
+            seq_engine.run(methods, suite)
             seq_times.append(time.perf_counter() - start)
             start = time.perf_counter()
-            par_engine.run(methods, suite, config=config)
+            par_engine.run(methods, suite)
             par_times.append(time.perf_counter() - start)
 
-    disabled_best = min(disabled_times)
     sequential_best = min(seq_times)
     parallel_best = min(par_times)
     bench = {
@@ -206,58 +154,10 @@ def run_macro_benchmark(
         "speedup": sequential_best / parallel_best,
         "results_identical": True,
         "failures": 0,
-        # Store counters from the warm-up/identity pass (the cold-store
-        # run): misses = frames actually rendered, hits = frames served
-        # from the store.  With a budget that fits the suite, misses stay
-        # at unique-frames no matter how many methods rescan each clip —
-        # at jobs > 1 because a worker runs every cell of its clip.
-        "frame_store": {
-            "budget_mb": frame_store_mb,
-            # Both arms' counters come from artifact-*disabled* passes so
-            # they see equal frame demand (every pyramid rebuilt, every
-            # frame access real).  The artifact-enabled passes would
-            # distort both sides: the enabled sequential run inherits a
-            # warm frame store and warm renderer caches (counters read
-            # near-zero), and the enabled parallel run skips frame
-            # fetches for every store-served pyramid.
-            "sequential": {
-                "store_mode": disabled.store_mode,
-                "hits": disabled.store_hits,
-                "misses": disabled.store_misses,
-                "evicted_bytes": disabled.store_evicted_bytes,
-            },
-            "parallel": {
-                "store_mode": par_disabled.store_mode,
-                "hits": par_disabled.store_hits,
-                "misses": par_disabled.store_misses,
-                "evicted_bytes": par_disabled.store_evicted_bytes,
-            },
-        },
-        # Derived-artifact store counters from the same warm-up pass, one
-        # layer up from the frame store: misses = pyramids actually built,
-        # hits = pyramids served back.  The third, store-disabled
-        # sequential arm gives the wall-clock win of building each pyramid
-        # once per sweep instead of once per arm.
-        "artifact_store": {
-            "budget_mb": artifact_store_mb,
-            "disabled_sequential_best_s": disabled_best,
-            "enabled_speedup": disabled_best / sequential_best,
-            "sequential": {
-                "store_mode": sequential.artifact_store_mode,
-                "hits": sequential.artifact_hits,
-                "misses": sequential.artifact_misses,
-                "evicted_bytes": sequential.artifact_evicted_bytes,
-                "pyramid_cache_hits": sequential.pyramid_hits,
-                "pyramid_cache_misses": sequential.pyramid_misses,
-            },
-            "parallel": {
-                "store_mode": parallel.artifact_store_mode,
-                "hits": parallel.artifact_hits,
-                "misses": parallel.artifact_misses,
-                "evicted_bytes": parallel.artifact_evicted_bytes,
-                "pyramid_cache_hits": parallel.pyramid_hits,
-                "pyramid_cache_misses": parallel.pyramid_misses,
-            },
+        "store": {
+            "budget_mb": STORE_BYTES // BYTES_PER_MB,
+            "sequential": sequential.store,
+            "parallel": parallel.store,
         },
     }
     return new_macro_document(quick=quick, benches=[bench])
@@ -299,7 +199,7 @@ _REQUIRED_SWEEP_BENCH_KEYS = (
     "speedup",
     "results_identical",
     "failures",
-    "frame_store",
+    "store",
 )
 _REQUIRED_SERVE_BENCH_KEYS = (
     "name",
@@ -320,31 +220,6 @@ _REQUIRED_SERVE_RUNG_KEYS = (
 )
 
 
-def _validate_store_block(bench: dict, store: dict, label: str) -> None:
-    """Shared validation for the frame_store / artifact_store blocks."""
-    for key in ("budget_mb", "sequential", "parallel"):
-        if key not in store:
-            raise ValueError(
-                f"bench {bench['name']!r} {label} missing key {key!r}"
-            )
-    for arm in ("sequential", "parallel"):
-        for key in ("hits", "misses", "evicted_bytes"):
-            if key not in store[arm]:
-                raise ValueError(
-                    f"bench {bench['name']!r} {label}.{arm} "
-                    f"missing key {key!r}"
-                )
-        # Documents older than store_mode omit it.  When present, the mode
-        # must be one the engine reports, or "shared" in documents written
-        # while a cross-process store tier existed.
-        mode = store[arm].get("store_mode")
-        if mode is not None and mode not in ("shared", "private", "none"):
-            raise ValueError(
-                f"bench {bench['name']!r} {label}.{arm} has unknown "
-                f"store_mode {mode!r}"
-            )
-
-
 def _validate_sweep_bench(bench: dict, doc: dict, min_speedup: float | None) -> None:
     for key in _REQUIRED_SWEEP_BENCH_KEYS:
         if key not in bench:
@@ -357,11 +232,6 @@ def _validate_sweep_bench(bench: dict, doc: dict, min_speedup: float | None) -> 
             raise ValueError(f"bench {bench['name']!r} has non-positive {key}")
     if bench["jobs"] < 2:
         raise ValueError(f"bench {bench['name']!r} has jobs < 2")
-    _validate_store_block(bench, bench["frame_store"], "frame_store")
-    # The artifact_store block arrived after frame_store; documents written
-    # before it omit the block entirely.
-    if "artifact_store" in bench:
-        _validate_store_block(bench, bench["artifact_store"], "artifact_store")
     if min_speedup is not None:
         cpu_count = doc["host"]["cpu_count"]
         if isinstance(cpu_count, int) and cpu_count < 2:
@@ -499,26 +369,13 @@ def _format_sweep_bench(bench: dict) -> list[str]:
         f"{bench['jobs']:>5d} {bench['sequential_best_s']:>8.2f}s "
         f"{bench['parallel_best_s']:>8.2f}s {bench['speedup']:>7.2f}x"
     ]
-    def _arm(label: str, arm: dict) -> str:
-        mode = arm.get("store_mode")
-        tag = f"[{mode}] " if mode else ""
-        return f"{label} {tag}{arm['hits']} hits / {arm['misses']} misses"
-
-    store = bench.get("frame_store")
-    if store:
-        lines.append(
-            f"  frame store ({store['budget_mb']} MiB): "
-            f"{_arm('seq', store['sequential'])}, {_arm('par', store['parallel'])}"
+    store = bench["store"]
+    for arm in ("sequential", "parallel"):
+        counts = "; ".join(
+            f"{kind} {c['hits']} hits / {c['misses']} misses"
+            for kind, c in store[arm].items()
         )
-    artifact = bench.get("artifact_store")
-    if artifact:
-        speedup = artifact.get("enabled_speedup")
-        speedup_text = f", {speedup:.2f}x vs disabled" if speedup else ""
-        lines.append(
-            f"  artifact store ({artifact['budget_mb']} MiB): "
-            f"{_arm('seq', artifact['sequential'])}, "
-            f"{_arm('par', artifact['parallel'])}{speedup_text}"
-        )
+        lines.append(f"  store ({store['budget_mb']} MiB) {arm}: {counts}")
     return lines
 
 

@@ -145,7 +145,8 @@ class LiveExecutor:
         detection_ready = threading.Event()
         camera_done = threading.Event()
         detector_done = threading.Event()
-        pyramid_cache = cfg.make_pyramid_cache(clip=clip, obs=obs)
+        # The clip's store read-through; exported clips have none and build.
+        pyramids = getattr(clip, "pyramid", None)
 
         def now() -> float:
             return (time.monotonic() - start) / self.time_scale
@@ -217,7 +218,7 @@ class LiveExecutor:
                     clip.config.frame_height,
                     cfg.tracker,
                     seed=cfg.detector_seed * 1_000_003 + seed_frame,
-                    pyramid_cache=pyramid_cache,
+                    pyramids=pyramids,
                 )
                 with obs.span("live.seed_features", frame=seed_frame):
                     tracker.initialize(seed_frame, detections)

@@ -18,8 +18,12 @@ import numpy as np
 
 from repro.detection.detector import Detection
 from repro.geometry import Box, clip_box
+from repro.vision.optical_flow import FramePyramid
 
 FrameProvider = Callable[[int], np.ndarray]
+# ``(frame_index, levels) -> pyramid``: a clip's store read-through
+# (:meth:`repro.video.dataset.VideoClip.pyramid`).
+PyramidProvider = Callable[[int, int], FramePyramid]
 
 # Fraction of a box that must remain in-frame for the object to stay alive.
 _DEPARTURE_VISIBLE_FRACTION = 0.2
@@ -40,6 +44,10 @@ class BoxTrackerBase:
     helpers here: :meth:`_admit_detection` when seeding,
     :meth:`_kill_departed_objects` after applying motion, and
     :meth:`_current_detections` to emit results.
+
+    ``pyramids`` serves frame pyramids (the pipelines pass the clip's
+    store read-through, so tracker generations and method arms share
+    them); without it each pyramid is built from ``frame_provider``.
     """
 
     def __init__(
@@ -47,12 +55,19 @@ class BoxTrackerBase:
         frame_provider: FrameProvider,
         frame_width: int,
         frame_height: int,
+        pyramids: PyramidProvider | None = None,
     ) -> None:
         self._frames = frame_provider
+        self._pyramids = pyramids
         self.frame_width = frame_width
         self.frame_height = frame_height
         self._objects: list[_TrackedObject] = []
         self._frame_index: int | None = None
+
+    def _build_pyramid(self, frame_index: int, levels: int) -> FramePyramid:
+        if self._pyramids is None:
+            return FramePyramid(self._frames(frame_index), levels)
+        return self._pyramids(frame_index, levels)
 
     @property
     def current_frame_index(self) -> int | None:

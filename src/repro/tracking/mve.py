@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.detection.detector import Detection
-from repro.tracking.base import BoxTrackerBase, FrameProvider
+from repro.tracking.base import BoxTrackerBase, FrameProvider, PyramidProvider
 from repro.tracking.motion import motion_velocity
 from repro.tracking.tracker import TrackStep
 from repro.vision.block_motion import (
@@ -34,7 +34,6 @@ from repro.vision.block_motion import (
     box_block_centers,
 )
 from repro.vision.optical_flow import FramePyramid
-from repro.vision.pyramid_cache import PyramidCache
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,22 +64,15 @@ class MVETracker(BoxTrackerBase):
         frame_width: int,
         frame_height: int,
         config: MVETrackerConfig | None = None,
-        pyramid_cache: PyramidCache | None = None,
+        pyramids: PyramidProvider | None = None,
     ) -> None:
-        super().__init__(frame_provider, frame_width, frame_height)
+        super().__init__(frame_provider, frame_width, frame_height, pyramids)
         self.config = config or MVETrackerConfig()
-        self._pyramid_cache = pyramid_cache
         self._pyramid: FramePyramid | None = None
         # Per-object last measured velocity in pixels/frame, index-aligned
         # with ``self._objects``; zero until the first successful match.
         self._velocities: list[tuple[float, float]] = []
         self._last_valid_blocks = 0
-
-    def _build_pyramid(self, frame_index: int) -> FramePyramid:
-        levels = self.config.block.pyramid_levels
-        if self._pyramid_cache is None:
-            return FramePyramid(self._frames(frame_index), levels)
-        return self._pyramid_cache.get(frame_index, levels, self._frames)
 
     @property
     def num_features(self) -> int:
@@ -104,7 +96,7 @@ class MVETracker(BoxTrackerBase):
 
     def initialize(self, frame_index: int, detections: Sequence[Detection]) -> None:
         """Seed the tracker with the detector's output for ``frame_index``."""
-        self._pyramid = self._build_pyramid(frame_index)
+        self._pyramid = self._build_pyramid(frame_index, self.config.block.pyramid_levels)
         self._frame_index = frame_index
         self._objects = []
         self._velocities = []
@@ -122,7 +114,7 @@ class MVETracker(BoxTrackerBase):
             raise ValueError(
                 f"can only track forwards: at {self._frame_index}, asked {frame_index}"
             )
-        next_pyramid = self._build_pyramid(frame_index)
+        next_pyramid = self._build_pyramid(frame_index, self.config.block.pyramid_levels)
 
         velocity: float | None = None
         valid_blocks = 0

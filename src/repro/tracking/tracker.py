@@ -26,12 +26,11 @@ import numpy as np
 
 from repro.geometry import Box
 from repro.detection.detector import Detection
-from repro.tracking.base import BoxTrackerBase, FrameProvider
+from repro.tracking.base import BoxTrackerBase, FrameProvider, PyramidProvider
 from repro.tracking.motion import motion_velocity
 from repro.vision.fast import fast_corners
 from repro.vision.features import good_features_to_track
 from repro.vision.optical_flow import FramePyramid, LKParams, track_features
-from repro.vision.pyramid_cache import PyramidCache
 
 # Tracker cost/fidelity tiers, cheapest last.  ``lk`` is the paper's
 # pyramidal Lucas-Kanade tracker, ``mve`` the block-motion extrapolation
@@ -200,16 +199,10 @@ class ObjectTracker(BoxTrackerBase):
         frame_height: int,
         config: TrackerConfig | None = None,
         seed: int = 0,
-        pyramid_cache: PyramidCache | None = None,
+        pyramids: PyramidProvider | None = None,
     ) -> None:
-        super().__init__(frame_provider, frame_width, frame_height)
+        super().__init__(frame_provider, frame_width, frame_height, pyramids)
         self.config = config or TrackerConfig()
-        # Optional clip-scoped cache shared across tracker generations: the
-        # pipeline re-seeds a fresh ObjectTracker every detection cycle, and
-        # without the cache each generation rebuilds pyramids the previous
-        # one already built.  Must only be shared between trackers reading
-        # the same clip (keys are frame indices).
-        self._pyramid_cache = pyramid_cache
         self._rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
         self._points = np.zeros((0, 2), dtype=np.float64)
         self._owners = np.zeros(0, dtype=np.intp)
@@ -248,16 +241,10 @@ class ObjectTracker(BoxTrackerBase):
         corners = corners + np.asarray([cols.start, rows.start], dtype=np.float64)
         return corners
 
-    def _build_pyramid(self, frame_index: int) -> FramePyramid:
-        levels = self.config.lk.pyramid_levels
-        if self._pyramid_cache is None:
-            return FramePyramid(self._frames(frame_index), levels)
-        return self._pyramid_cache.get(frame_index, levels, self._frames)
-
     def initialize(self, frame_index: int, detections: Sequence[Detection]) -> None:
         """Seed the tracker with the detector's output for ``frame_index``."""
         frame = self._frames(frame_index)
-        self._pyramid = self._build_pyramid(frame_index)
+        self._pyramid = self._build_pyramid(frame_index, self.config.lk.pyramid_levels)
         self._frame_index = frame_index
         self._objects = []
         points: list[np.ndarray] = []
@@ -293,7 +280,7 @@ class ObjectTracker(BoxTrackerBase):
             raise ValueError(
                 f"can only track forwards: at {self._frame_index}, asked {frame_index}"
             )
-        next_pyramid = self._build_pyramid(frame_index)
+        next_pyramid = self._build_pyramid(frame_index, self.config.lk.pyramid_levels)
 
         velocity: float | None = None
         if self._points.shape[0] > 0:

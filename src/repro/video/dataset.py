@@ -14,11 +14,11 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.video.framestore import FrameStore
 from repro.video.library import make_scenario
 from repro.video.render import FrameRenderer
 from repro.video.scenario import ScenarioConfig
 from repro.video.scene import FrameAnnotation, Scene
+from repro.vision.optical_flow import FramePyramid
 
 
 @dataclass
@@ -45,6 +45,10 @@ class VideoClip:
         """Rendered grayscale frame at ``index``."""
         return self.renderer.render(index)
 
+    def pyramid(self, index: int, levels: int) -> FramePyramid:
+        """The ``levels``-level pyramid of the frame at ``index``."""
+        return self.renderer.pyramid(index, levels)
+
     def annotation(self, index: int) -> FrameAnnotation:
         """Ground truth at ``index``."""
         return self.scene.annotation(index)
@@ -69,17 +73,9 @@ def make_clip(
     seed: int,
     num_frames: int | None = None,
     name: str | None = None,
-    render_cache: int = 64,
-    frame_store: FrameStore | None = None,
     **overrides,
 ) -> VideoClip:
-    """Build a clip from a preset name or an explicit scenario config.
-
-    ``frame_store`` pins the renderer to a specific
-    :class:`~repro.video.framestore.FrameStore`; the default (``None``)
-    resolves the process-wide store at render time, which is inert until
-    someone gives it a byte budget.
-    """
+    """Build a clip from a preset name or an explicit scenario config."""
     if isinstance(scenario, str):
         config = make_scenario(scenario, num_frames=num_frames, **overrides)
     else:
@@ -87,7 +83,7 @@ def make_clip(
         if num_frames is not None:
             config = config.with_frames(num_frames)
     scene = Scene(config, seed=seed)
-    renderer = FrameRenderer(scene, cache_size=render_cache, frame_store=frame_store)
+    renderer = FrameRenderer(scene)
     clip_name = name or f"{config.name}-{seed}"
     return VideoClip(name=clip_name, scene=scene, renderer=renderer)
 

@@ -1,27 +1,25 @@
-"""Process-wide shared frame cache: render every frame once per process.
+"""The process's one cache of rendered frames and their pyramids.
 
-A sweep runs many methods over the same clips — fig6 alone runs 13
-methods over 3 clips — and every method walks its clip from frame 0.
-The per-renderer cache cannot help across methods (it is cold again by
-the time the next method starts), so without sharing, each synthetic
-frame is rasterised once *per method* in every worker.  Frame synthesis
-stands in for the camera in this reproduction; the paper's pipeline is
-supposed to be the bottleneck, not the frame source.
+A sweep runs many method arms over the same clips — fig6 alone runs 13
+arms over each clip — and every arm walks its clip from frame 0, renders
+frames and builds the pyramids its tracker reads.  Both are pure
+functions of the scene and the frame index, so one process-wide
+:class:`FrameStore` holds them for every renderer in the process.  Keys
+are
 
-:class:`FrameStore` is a byte-budgeted LRU shared by every
-:class:`~repro.video.render.FrameRenderer` in the process.  Keys are
-``(scene fingerprint, frame_index)``: the fingerprint digests everything
-that determines a scene's pixel stream (scenario config + seed), so two
-renderers built from the same spec — e.g. the worker clip LRU rebuilding
-a clip, or two methods sharing a suite clip — read and write the same
-entries.  Rendering is deterministic, so a stored frame is bit-identical
-to a fresh render; the store can only change *when* pixels are computed,
-never *what* they are.
+    ``(scene fingerprint, kind, frame_index, levels)``
 
-The store is disabled until given a budget (``max_bytes == 0`` makes
-``get``/``put`` no-ops), so existing single-run paths pay nothing unless
-an experiment opts in via ``PipelineConfig.frame_store_mb`` or the
-``--frame-store-mb`` CLI flag.  See DESIGN.md §9.
+where ``kind`` is :data:`FRAME` (``levels`` 0) or :data:`PYRAMID`.  The
+fingerprint digests everything that determines a scene's pixel stream
+(scenario config + seed), so two renderers built from the same spec —
+the worker clip LRU rebuilding a clip, or two arms sharing a suite clip —
+read and write the same entries.  A stored value is bit-identical to a
+fresh render or build: the store changes *when* work happens, never
+*what* it computes.
+
+:meth:`repro.video.render.FrameRenderer.render` and
+:meth:`~repro.video.render.FrameRenderer.pyramid` are the only callers,
+so the key format lives in that module.  See DESIGN.md §9.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -37,6 +35,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (render imports us)
     from repro.video.scene import Scene
 
 BYTES_PER_MB = 1 << 20
+
+FRAME = "frame"
+PYRAMID = "pyramid"
+KINDS = (FRAME, PYRAMID)
+
+# One budget for the process, not an option.  Replaying the logged frame
+# and pyramid reads of the fig6-reuse, eval-wide and clip-stream
+# workloads (seeds 0 and 13), 88 MiB renders and builds exactly what the
+# four caches this store replaced did: clip-stream keeps its renders from
+# 76 MiB, the sweeps keep their pyramid builds from 48 MiB.  DESIGN.md §9
+# has the replay.
+STORE_BYTES = 88 * BYTES_PER_MB
 
 
 def scene_fingerprint(scene: "Scene") -> str:
@@ -53,188 +63,155 @@ def scene_fingerprint(scene: "Scene") -> str:
     return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
 
+def _arrays(value: Any) -> tuple[np.ndarray, ...]:
+    """The arrays a stored value holds: a frame, or a pyramid's level images."""
+    return (value,) if isinstance(value, np.ndarray) else tuple(value.images)
+
+
 class FrameStore:
-    """Byte-budgeted LRU of rendered frames, shared across renderers.
+    """Byte-budgeted LRU of frames and pyramids, shared across renderers.
 
-    Thread-safe: the live executor renders from multiple threads through
-    one process-wide instance.  Accounting is by ``frame.nbytes`` — the
-    budget bounds pixel payload, not Python object overhead, which for
-    float32 frames is negligible in comparison.
+    Thread-safe: the live executor renders and tracks from several
+    threads through the one process-wide instance.  Accounting is by the
+    arrays' ``nbytes`` — the budget bounds pixel payload, not Python
+    object overhead.
 
-    Stored frames are marked read-only: every renderer (and every method
-    sharing the store) hands out the *same* array object, so an in-place
-    mutation would silently corrupt other methods' inputs.
+    Over budget, the least recently used *pyramid* goes first; a frame is
+    evicted only when no pyramid is resident.  A frame saves 11-17x more
+    time per byte than a pyramid: rendering 230,400 bytes (one 180x320
+    float32 frame) takes 2.3-4.1 ms, building its 604,800-byte pyramid
+    0.55-0.66 ms, and a pyramid miss on a resident frame skips the render
+    anyway.  A plain LRU across both kinds re-renders 604 instead of 399
+    clip-stream frames at every budget up to 192 MiB.
+
+    Stored values are made read-only: every renderer (and every arm
+    sharing the store) gets the *same* arrays, so an in-place mutation
+    would silently corrupt other arms' inputs.
     """
 
-    # Metric-name prefix for the obs counters.  Subclasses that recycle
-    # this LRU for other payloads (the derived-artifact store) override
-    # it so their traffic is attributed to the right subsystem.
-    _METRIC_PREFIX = "framestore"
-
-    @staticmethod
-    def _freeze(frame: np.ndarray) -> None:
-        """Make a value read-only on insert (overridden per payload type)."""
-        frame.setflags(write=False)
-
-    def __init__(self, max_bytes: int = 0) -> None:
+    def __init__(self, max_bytes: int = STORE_BYTES) -> None:
         if max_bytes < 0:
-            raise ValueError("max_bytes must be non-negative (0 disables)")
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()
+            raise ValueError("max_bytes must be non-negative")
         self.max_bytes = int(max_bytes)
-        self.current_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.evicted_bytes = 0
+        self._lock = threading.Lock()
+        self._entries: dict[str, OrderedDict[tuple, Any]] = {
+            kind: OrderedDict() for kind in KINDS
+        }
+        self._bytes = dict.fromkeys(KINDS, 0)
+        self._counts = {
+            kind: {"hits": 0, "misses": 0, "evictions": 0, "evicted_bytes": 0}
+            for kind in KINDS
+        }
         self.set_obs(None)
 
-    # -- observability -------------------------------------------------------
+    @property
+    def current_bytes(self) -> int:
+        return sum(self._bytes.values())
 
     def set_obs(self, obs=None) -> None:
-        """Attach telemetry for the hit/miss/eviction counters (None detaches).
+        """Attach telemetry for the per-kind ``store.*`` counters (None detaches).
 
-        Mirrors ``FrameRenderer.set_obs``: instruments are resolved once,
-        so the hot path pays one no-op method call when observability is
-        off.  The sweep engine additionally funnels per-shard deltas to
-        the parent sink (workers cannot share it) — see
-        ``repro.parallel.engine``.
+        Instruments are resolved once, so the hot path pays one no-op
+        method call when observability is off.  The sweep engine attaches
+        each cell's telemetry around the cell (see ``repro.parallel.engine``).
         """
         from repro.obs import NULL_TELEMETRY
 
         telemetry = obs if obs is not None else NULL_TELEMETRY
-        self._obs_hit = telemetry.counter(f"{self._METRIC_PREFIX}.hit")
-        self._obs_miss = telemetry.counter(f"{self._METRIC_PREFIX}.miss")
-        self._obs_evicted = telemetry.counter(f"{self._METRIC_PREFIX}.evicted_bytes")
-
-    # -- core ----------------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return self.max_bytes > 0
+        self._obs = {
+            kind: {
+                name: telemetry.counter(f"store.{kind}.{name}")
+                for name in ("hit", "miss", "evicted_bytes")
+            }
+            for kind in KINDS
+        }
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(entries) for entries in self._entries.values())
 
-    def get(self, fingerprint: str, frame_index: int) -> np.ndarray | None:
-        """The stored frame, or ``None``.  Disabled stores never count."""
-        if self.max_bytes <= 0:
-            return None
-        key = (fingerprint, frame_index)
+    def get(self, key: tuple) -> Any:
+        """The stored value for ``(fingerprint, kind, frame_index, levels)``, or ``None``."""
+        kind = key[1]
+        entries = self._entries[kind]
         with self._lock:
-            frame = self._entries.get(key)
-            if frame is None:
-                self.misses += 1
-                self._obs_miss.inc()
+            value = entries.get(key)
+            if value is None:
+                self._counts[kind]["misses"] += 1
+                self._obs[kind]["miss"].inc()
                 return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            self._obs_hit.inc()
-            return frame
+            entries.move_to_end(key)
+            self._counts[kind]["hits"] += 1
+            self._obs[kind]["hit"].inc()
+            return value
 
-    def put(self, fingerprint: str, frame_index: int, frame: np.ndarray) -> np.ndarray:
-        """Insert a freshly rendered frame, evicting LRU entries over budget.
+    def put(self, key: tuple, value: Any) -> Any:
+        """Insert a fresh frame or pyramid, evicting over budget.
 
-        A frame larger than the whole budget is not stored (it would evict
-        everything and then be evicted itself by the next insert).  On a
-        racing double-insert the first entry wins — both arrays hold
-        identical bytes, so the choice is invisible to callers.
-
-        Returns the canonical array for the key: the stored frame when the
-        insert (or an earlier racing one) succeeded, the caller's own array
-        untouched when nothing was stored.  Only frames actually stored are
-        frozen — a rejected duplicate must stay writable, because the
-        losing caller still owns it.
+        A value larger than the whole budget is not stored.  On a racing
+        double insert the first entry wins — both hold identical bytes.
+        Returns the canonical value for the key: the stored one when this
+        insert (or an earlier racing one) succeeded, the caller's own value
+        untouched when nothing was stored.  Only stored values are frozen;
+        a rejected duplicate stays writable, because its caller owns it.
         """
-        if self.max_bytes <= 0:
-            return frame
-        nbytes = int(frame.nbytes)
+        arrays = _arrays(value)
+        nbytes = sum(int(array.nbytes) for array in arrays)
         if nbytes > self.max_bytes:
-            return frame
-        key = (fingerprint, frame_index)
+            return value
+        kind = key[1]
+        entries = self._entries[kind]
         with self._lock:
-            existing = self._entries.get(key)
+            existing = entries.get(key)
             if existing is not None:
                 return existing
-            self._freeze(frame)
-            self._entries[key] = frame
-            self.current_bytes += nbytes
+            for array in arrays:
+                array.setflags(write=False)
+            entries[key] = value
+            self._bytes[kind] += nbytes
             self._evict_over_budget()
-        return frame
+        return value
 
     def _evict_over_budget(self) -> None:
-        """Evict least-recently-used entries until within budget (lock held)."""
-        while self.current_bytes > self.max_bytes and self._entries:
-            _, evicted = self._entries.popitem(last=False)
-            nbytes = int(evicted.nbytes)
-            self.current_bytes -= nbytes
-            self.evictions += 1
-            self.evicted_bytes += nbytes
-            self._obs_evicted.inc(nbytes)
-
-    # -- management ----------------------------------------------------------
-
-    def set_budget(self, max_bytes: int) -> None:
-        """Change the byte budget; shrinking evicts LRU entries immediately."""
-        if max_bytes < 0:
-            raise ValueError("max_bytes must be non-negative (0 disables)")
-        with self._lock:
-            self.max_bytes = int(max_bytes)
-            if self.max_bytes == 0:
-                # Disabling drops the payload: a disabled store should not
-                # pin tens of megabytes of frames nobody can reach.
-                self._entries.clear()
-                self.current_bytes = 0
-            else:
-                self._evict_over_budget()
+        """Evict LRU pyramids, then LRU frames, until within budget (lock held)."""
+        while self.current_bytes > self.max_bytes:
+            kind = PYRAMID if self._entries[PYRAMID] else FRAME
+            _, evicted = self._entries[kind].popitem(last=False)
+            nbytes = sum(int(array.nbytes) for array in _arrays(evicted))
+            self._bytes[kind] -= nbytes
+            self._counts[kind]["evictions"] += 1
+            self._counts[kind]["evicted_bytes"] += nbytes
+            self._obs[kind]["evicted_bytes"].inc(nbytes)
 
     def clear(self) -> None:
-        """Drop every entry (budget and counters are kept)."""
+        """Drop every entry (the counters are kept)."""
         with self._lock:
-            self._entries.clear()
-            self.current_bytes = 0
+            for kind in KINDS:
+                self._entries[kind].clear()
+                self._bytes[kind] = 0
 
     def stats(self) -> dict:
-        """Counter snapshot, e.g. for bench documents and summaries.
+        """Counter snapshot: the budget, and per kind the resident entries
+        and bytes, hits, misses, evictions and evicted bytes.
 
-        Taken under the store lock, so a snapshot is internally consistent
-        even while other threads hit the store — callers that need deltas
-        (the sweep engine's per-shard accounting) must diff two snapshots
-        instead of reading the bare counters twice.
+        Taken under the store lock, so a snapshot is consistent even while
+        other threads hit the store — callers that need deltas (the sweep
+        engine's per-cell accounting) diff two snapshots.
         """
         with self._lock:
-            return {
-                "max_bytes": self.max_bytes,
-                "current_bytes": self.current_bytes,
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "evicted_bytes": self.evicted_bytes,
-            }
+            doc: dict = {"max_bytes": self.max_bytes, "current_bytes": self.current_bytes}
+            for kind in KINDS:
+                doc[kind] = {
+                    "entries": len(self._entries[kind]),
+                    "bytes": self._bytes[kind],
+                    **self._counts[kind],
+                }
+            return doc
 
 
-# The process-wide default instance.  Renderers constructed without an
-# explicit store resolve this at render time, so configuring it *after*
-# clips were built still takes effect — the sweep engine relies on that
-# for its inline (jobs=1) path, where the caller owns the clips.
-_default_store = FrameStore(0)
+# The process-wide instance.  Renderers resolve it at render time.
+_default_store = FrameStore()
 
 
 def default_store() -> FrameStore:
-    """The process-wide store (disabled until configured)."""
+    """The process-wide store."""
     return _default_store
-
-
-def configure_default(max_bytes: int) -> FrameStore:
-    """Set the process-wide store's budget and return it.
-
-    Called from the sweep engine in the parent (inline path) and in every
-    worker before each cell, so one ``--frame-store-mb`` knob reaches
-    every process of a sweep.  Re-applying an unchanged budget evicts
-    nothing, which is what makes the per-cell call free.
-    """
-    _default_store.set_budget(max_bytes)
-    return _default_store
-
-

@@ -20,7 +20,6 @@ never a different computation.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +29,7 @@ from repro.video import framestore
 from repro.video.objects import SceneObject
 from repro.video.scene import Scene
 from repro.vision.image import gaussian_blur
+from repro.vision.optical_flow import FramePyramid
 
 _TEXTURE_TILE = 48
 _BACKGROUND_TILE = 256
@@ -225,19 +225,14 @@ def _sample_texture_warped(
 
 
 class FrameRenderer:
-    """Renders frames of a :class:`Scene` on demand, with an LRU cache.
+    """Renders frames of a :class:`Scene` on demand, through the frame store.
 
-    Two cache tiers back :meth:`render`:
-
-    - a per-renderer true-LRU cache keyed by frame index (``cache_size``
-      entries), sized for one pipeline's working set — the detector frame
-      plus the tracked frames behind it;
-    - an optional shared :class:`~repro.video.framestore.FrameStore`
-      keyed by ``(scene fingerprint, frame_index)``, so every renderer of
-      the same scene in the process — e.g. 13 sweep methods over one
-      clip — renders each frame once.  ``frame_store=None`` (the default)
-      resolves the process-wide store at render time, which is a no-op
-      until someone configures a byte budget for it.
+    :meth:`render` and :meth:`pyramid` read through the process-wide
+    :class:`~repro.video.framestore.FrameStore`, keyed by the scene
+    fingerprint, so every renderer of the same scene in the process —
+    e.g. 13 sweep arms over one clip — renders each frame and builds each
+    pyramid once while the store holds it.  They are the store's only
+    callers, so the key format lives here.
 
     Construction is cheap: the blurred background canvas is built by the
     first frame this renderer actually rasterises, so a renderer whose
@@ -245,23 +240,11 @@ class FrameRenderer:
     whose frames all come from the store never builds it.
     """
 
-    def __init__(
-        self,
-        scene: Scene,
-        cache_size: int = 64,
-        frame_store: framestore.FrameStore | None = None,
-    ) -> None:
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
+    def __init__(self, scene: Scene) -> None:
         self.scene = scene
-        self.cache_size = cache_size
-        self.cache_hits = 0
-        self.cache_misses = 0
         self._background: np.ndarray | None = None
         self._textures: dict[int, np.ndarray] = {}
         self._warp_fields: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._store = frame_store
         self._fingerprint = framestore.scene_fingerprint(scene)
         # Per-frame constants of the background fast path.
         cfg = scene.config
@@ -269,28 +252,9 @@ class FrameRenderer:
         self._bg_xs = np.arange(cfg.frame_width, dtype=np.float64)
         # Static cameras reuse one scroll offset for every frame; memoise
         # the last clean background (returned by copy, because callers
-        # paint into it).
-        self._bg_memo_key: tuple[float, float] | None = None
-        self._bg_memo: np.ndarray | None = None
-        self.set_obs(None)
-
-    @property
-    def frame_store(self) -> framestore.FrameStore:
-        """The store this renderer shares (explicit, or the process default)."""
-        return self._store if self._store is not None else framestore.default_store()
-
-    def set_obs(self, obs=None) -> None:
-        """Attach telemetry for the hit/miss counters (None detaches).
-
-        The counters are resolved once here, not per render call, so the
-        hot path pays a plain method call on a no-op instrument when
-        observability is off.
-        """
-        from repro.obs import NULL_TELEMETRY
-
-        telemetry = obs if obs is not None else NULL_TELEMETRY
-        self._obs_hit = telemetry.counter("render.cache_hit")
-        self._obs_miss = telemetry.counter("render.cache_miss")
+        # paint into it) as one ``(offset, image)`` pair, so a thread
+        # never pairs one frame's offset with another frame's pixels.
+        self._bg_memo: tuple[tuple[float, float], np.ndarray] | None = None
 
     def _texture_for(self, obj: SceneObject) -> np.ndarray:
         texture = self._textures.get(obj.object_id)
@@ -328,9 +292,11 @@ class FrameRenderer:
         into one array copy.  The background canvas itself is built here,
         on first use.
         """
-        off_x, off_y = self.scene.camera_offset(frame_index)
-        if self._bg_memo_key == (off_x, off_y) and self._bg_memo is not None:
-            return self._bg_memo.copy()
+        offset = self.scene.camera_offset(frame_index)
+        memo = self._bg_memo
+        if memo is not None and memo[0] == offset:
+            return memo[1].copy()
+        off_x, off_y = offset
         if self._background is None:
             self._background = make_background(
                 self.scene.seed ^ 0xBAC4, self.scene.config.background_contrast
@@ -338,8 +304,7 @@ class FrameRenderer:
         ys = (self._bg_ys + off_y) % (_BACKGROUND_TILE - 1)
         xs = (self._bg_xs + off_x) % (_BACKGROUND_TILE - 1)
         background = _separable_bilinear(self._background, xs, ys)
-        self._bg_memo_key = (off_x, off_y)
-        self._bg_memo = background
+        self._bg_memo = (offset, background)
         return background.copy()
 
     def _paint_object(
@@ -448,28 +413,22 @@ class FrameRenderer:
         return frame.astype(np.float32)
 
     def render(self, frame_index: int) -> np.ndarray:
-        """Render (or fetch from a cache tier) the frame at ``frame_index``."""
-        cached = self._cache.get(frame_index)
-        if cached is not None:
-            self._cache.move_to_end(frame_index)
-            self.cache_hits += 1
-            self._obs_hit.inc()
-            return cached
-        self.cache_misses += 1
-        self._obs_miss.inc()
-        store = self.frame_store
-        frame = store.get(self._fingerprint, frame_index)
+        """The frame at ``frame_index``: from the store, or rendered and stored."""
+        store = framestore.default_store()
+        key = (self._fingerprint, framestore.FRAME, frame_index, 0)
+        frame = store.get(key)
         if frame is None:
-            frame = self.render_frame(frame_index)
             # Serve the canonical array the store settled on: the frozen
             # stored frame, or under a racing first insert the winner's —
             # bit-identical bytes either way.
-            frame = store.put(self._fingerprint, frame_index, frame)
-        if len(self._cache) >= self.cache_size:
-            # True LRU: hits above refreshed recency, so the evicted entry
-            # really is the least recently used one — not (as the old
-            # insertion-order quarter-drop did) the frame a second
-            # sequential pass is about to revisit.
-            self._cache.popitem(last=False)
-        self._cache[frame_index] = frame
+            frame = store.put(key, self.render_frame(frame_index))
         return frame
+
+    def pyramid(self, frame_index: int, levels: int) -> FramePyramid:
+        """The ``levels``-level pyramid of frame ``frame_index``, read through the store."""
+        store = framestore.default_store()
+        key = (self._fingerprint, framestore.PYRAMID, frame_index, levels)
+        pyramid = store.get(key)
+        if pyramid is None:
+            pyramid = store.put(key, FramePyramid(self.render(frame_index), levels))
+        return pyramid

@@ -38,8 +38,6 @@ from repro.vision.block_motion import (
     box_block_centers,
 )
 from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams, track_features
-from repro.vision.pyramid_cache import PyramidCache
-from repro.vision.artifact_store import ArtifactStore, PyramidArtifact
 
 __all__ = [
     "gaussian_blur",
@@ -62,7 +60,4 @@ __all__ = [
     "FramePyramid",
     "LKParams",
     "track_features",
-    "PyramidCache",
-    "ArtifactStore",
-    "PyramidArtifact",
 ]

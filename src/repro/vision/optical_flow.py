@@ -83,41 +83,9 @@ class FramePyramid:
         self.shape = image.shape
         self.images = build_pyramid(image, levels)
 
-    @classmethod
-    def from_arrays(cls, images: "list[np.ndarray] | tuple[np.ndarray, ...]") -> "FramePyramid":
-        """Adopt prebuilt pyramid levels without rebuilding them.
-
-        ``images`` must be exactly what :func:`build_pyramid` would produce
-        (finest first).  This is the artifact-store read path: a stored
-        pyramid is reconstructed as views over shared bytes instead of
-        re-running blur/decimate passes.
-        """
-        if not images:
-            raise ValueError("from_arrays needs at least one pyramid level")
-        pyramid = cls.__new__(cls)
-        pyramid.shape = images[0].shape
-        pyramid.images = list(images)
-        return pyramid
-
     @property
     def levels(self) -> int:
         return len(self.images)
-
-    def prefix(self, levels: int) -> "FramePyramid":
-        """A pyramid limited to the first ``levels`` levels, sharing storage.
-
-        :func:`~repro.vision.image.build_pyramid` is iterative — level
-        ``i`` never depends on how many levels were requested — so the
-        prefix of a deeper pyramid is bit-identical to building the
-        shallower one directly.  It is a pyramid of its own because
-        consumers clamp to ``min(prev.levels, next.levels)``: the deeper
-        parent would change which levels run.
-        """
-        if levels < 1:
-            raise ValueError("levels must be >= 1")
-        if levels >= self.levels:
-            return self
-        return FramePyramid.from_arrays(self.images[:levels])
 
 
 @dataclass(frozen=True, slots=True)

@@ -55,60 +55,38 @@ class TestFig6Determinism:
 
 
 class TestFrameStoreDeterminism:
-    """The shared frame store may only change *when* frames are rendered,
-    never *what* a sweep computes: fig6 at ``--jobs 2`` with the store
-    enabled must reproduce the store-free sequential run exactly."""
+    """The frame store may only change *when* frames are rendered and
+    pyramids built, never *what* a sweep computes: fig6 at ``--jobs 2``
+    through the store must reproduce a store-free sequential run exactly."""
 
-    def test_store_enabled_parallel_matches_plain_sequential(self, fig6_pair):
-        from repro.core.config import PipelineConfig
+    def test_store_enabled_parallel_matches_plain_sequential(self, fig6_pair, monkeypatch):
         from repro.experiments.fig6_overall import run as run_fig6
         from repro.experiments.workloads import quick_suite
-        from repro.video.framestore import configure_default
+        from repro.video import framestore
 
-        sequential, _ = fig6_pair  # jobs=1, no store
-        try:
-            stored = run_fig6(
-                suite=quick_suite(frames=60),
-                methods=_REDUCED_METHODS,
-                config=PipelineConfig(frame_store_mb=32),
-                jobs=2,
-            )
-        finally:
-            configure_default(0)  # don't leak the budget into other tests
+        _, stored = fig6_pair  # jobs=2, each worker through its store
+        # A zero-byte store keeps nothing: every frame is rendered afresh.
+        monkeypatch.setattr(framestore, "_default_store", framestore.FrameStore(0))
+        plain = run_fig6(suite=quick_suite(frames=60), methods=_REDUCED_METHODS, jobs=1)
         for name in _REDUCED_METHODS:
-            seq, par = sequential.results[name], stored.results[name]
+            seq, par = plain.results[name], stored.results[name]
             assert seq.per_video_accuracy == par.per_video_accuracy
             assert seq.per_video_mean_f1 == par.per_video_mean_f1
             assert seq.activity.duration == par.activity.duration
             assert seq.energy().as_dict() == par.energy().as_dict()
-        assert sequential.report() == stored.report()
+        assert plain.report() == stored.report()
 
 
 class TestBudgetedStoreDeterminism:
-    """Explicit jobs=2-vs-jobs=1 bit-identity with both stores budgeted on
-    both arms — the sequential arm reads the parent's stores, each pool
-    worker its own private ones, and neither may change what a sweep
-    computes."""
+    """Explicit jobs=2-vs-jobs=1 bit-identity through the frame store on
+    both arms — the sequential arm reads the parent's store, each pool
+    worker its own, and neither may change what a sweep computes."""
 
     def test_jobs2_matches_jobs1(self):
-        from repro.core.config import PipelineConfig
         from repro.parallel import run_sweep
-        from repro.video import framestore
-        from repro.vision import artifact_store
 
-        config = PipelineConfig(frame_store_mb=32, artifact_store_mb=96)
-        try:
-            sequential = run_sweep(
-                _REDUCED_METHODS, quick_suite(frames=48), jobs=1, config=config
-            )
-            parallel = run_sweep(
-                _REDUCED_METHODS, quick_suite(frames=48), jobs=2, config=config
-            )
-        finally:
-            framestore.configure_default(0)
-            artifact_store.configure_default(0)
-        assert sequential.store_mode == parallel.store_mode == "private"
-        assert sequential.artifact_store_mode == parallel.artifact_store_mode == "private"
+        sequential = run_sweep(_REDUCED_METHODS, quick_suite(frames=48), jobs=1)
+        parallel = run_sweep(_REDUCED_METHODS, quick_suite(frames=48), jobs=2)
         for name in _REDUCED_METHODS:
             seq, par = sequential.results[name], parallel.results[name]
             assert seq.per_video_accuracy == par.per_video_accuracy

@@ -15,6 +15,7 @@ from repro.experiments.workloads import quick_suite
 from repro.obs import InMemorySink, Telemetry
 from repro.parallel import SweepEngine, run_shard, run_sweep
 from repro.video.dataset import VideoSuite
+from repro.video.framestore import default_store
 
 _METHODS = ("adavp", "mpdt-320")
 
@@ -218,7 +219,14 @@ class TestObsFunneling:
         }
         assert counters["sweep.shards_total"] == 2
         assert counters["sweep.shards_failed"] == 0
-        assert counters["sweep.render_cache_misses"] > 0
+        # Each worker cell's store counters arrive as its own snapshot.
+        worker_misses = [
+            record["value"]
+            for snapshot in obs.sink.metric_snapshots
+            for record in snapshot
+            if record["name"] == "store.frame.miss"
+        ]
+        assert worker_misses and sum(worker_misses) > 0
 
     def test_inline_obs_matches_pre_engine_recording(self):
         suite = _small_suite(frames=24, clips=1)
@@ -245,114 +253,36 @@ class TestEngineLifecycle:
 
 
 class TestStoreModes:
-    """Which frame store backs a sweep, and the render-once contract."""
-
-    def _run(self, jobs, store_mb, frames=24):
-        from repro.core.config import PipelineConfig
-        from repro.video.framestore import configure_default
-
-        config = (
-            PipelineConfig(frame_store_mb=store_mb) if store_mb is not None else None
-        )
-        try:
-            return run_sweep(
-                _METHODS, _small_suite(frames=frames), jobs=jobs, config=config
-            )
-        finally:
-            configure_default(0)  # don't leak the budget into other tests
-
-    def test_no_budget_reports_none(self):
-        assert self._run(jobs=1, store_mb=None).store_mode == "none"
-        assert self._run(jobs=1, store_mb=0).store_mode == "none"
-
-    def test_sequential_budgeted_sweep_uses_private_store(self):
-        assert self._run(jobs=1, store_mb=32).store_mode == "private"
-
-    def test_pool_budgeted_sweep_uses_private_stores(self):
-        assert self._run(jobs=2, store_mb=32).store_mode == "private"
+    """The process-wide frame store behind a sweep: render once, build once."""
 
     def test_pool_sweep_renders_each_frame_once_fleet_wide(self):
         frames = 24
         suite = _small_suite(frames=frames)
         unique_frames = sum(clip.config.num_frames for clip in suite.clips)
-        sweep = self._run(jobs=2, store_mb=64, frames=frames)
+        sweep = run_sweep(_METHODS, suite, jobs=2)
         assert sweep.ok, sweep.summary()
         # Render-once: each clip's cells share one worker's store, so
         # misses cannot exceed the unique frame count no matter how many
         # methods scan the same clips.
-        assert 0 < sweep.store_misses <= unique_frames
+        assert 0 < sweep.store["frame"]["misses"] <= unique_frames
 
-    def test_store_counters_funnelled_to_obs(self):
-        obs = Telemetry(InMemorySink())
-        from repro.core.config import PipelineConfig
-        from repro.video.framestore import configure_default
+    def test_method_arms_share_pyramids(self):
+        default_store().clear()
+        sweep = run_sweep(_METHODS, _small_suite(frames=24), jobs=1)
+        # Method arms revisit each clip's pyramids: later arms are served
+        # from the store instead of rebuilding.
+        assert sweep.store["pyramid"]["hits"] > 0
+        assert sweep.store["pyramid"]["misses"] > 0
 
-        try:
-            run_sweep(
-                _METHODS,
-                _small_suite(frames=12),
-                jobs=1,
-                config=PipelineConfig(frame_store_mb=16),
-                obs=obs,
-            )
-        finally:
-            configure_default(0)
-        obs.flush()
-        counters = {
-            record["name"]
-            for record in obs.sink.last_metrics()
-            if record["kind"] == "counter"
-        }
-        for name in (
-            "sweep.store_hits",
-            "sweep.store_misses",
-            "sweep.store_evicted_bytes",
-        ):
-            assert name in counters, name
+    def test_store_never_changes_results(self, monkeypatch):
+        from repro.video import framestore
 
-
-class TestArtifactStoreModes:
-    """Which derived-artifact store backs a sweep, and its contracts."""
-
-    def _run(self, jobs, artifact_mb, frames=24, obs=None):
-        from repro.core.config import PipelineConfig
-        from repro.vision.artifact_store import configure_default
-
-        config = (
-            PipelineConfig(artifact_store_mb=artifact_mb)
-            if artifact_mb is not None
-            else None
-        )
-        try:
-            return run_sweep(
-                _METHODS,
-                _small_suite(frames=frames),
-                jobs=jobs,
-                config=config,
-                obs=obs,
-            )
-        finally:
-            configure_default(0)  # don't leak the budget into other tests
-
-    def test_no_budget_reports_none(self):
-        assert self._run(jobs=1, artifact_mb=None).artifact_store_mode == "none"
-        assert self._run(jobs=1, artifact_mb=0).artifact_store_mode == "none"
-
-    def test_sequential_budgeted_sweep_uses_private_store(self):
-        sweep = self._run(jobs=1, artifact_mb=256)
-        assert sweep.artifact_store_mode == "private"
-        # Method arms revisit each clip's pyramids: the second arm is
-        # served from the store instead of rebuilding.
-        assert sweep.artifact_hits > 0
-        assert sweep.artifact_misses > 0
-
-    def test_pool_budgeted_sweep_uses_private_stores(self):
-        sweep = self._run(jobs=2, artifact_mb=256)
-        assert sweep.artifact_store_mode == "private"
-
-    def test_store_never_changes_results(self):
-        with_store = self._run(jobs=1, artifact_mb=256)
-        without_store = self._run(jobs=1, artifact_mb=0)
+        with_store = run_sweep(_METHODS, _small_suite(frames=24), jobs=1)
+        # A zero-byte store keeps nothing: every frame and pyramid is
+        # computed afresh.
+        monkeypatch.setattr(framestore, "_default_store", framestore.FrameStore(0))
+        without_store = run_sweep(_METHODS, _small_suite(frames=24), jobs=1)
+        assert without_store.store["frame"]["hits"] == 0
         for name in _METHODS:
             assert (
                 with_store.results[name].per_video_accuracy
@@ -363,58 +293,58 @@ class TestArtifactStoreModes:
                 == without_store.results[name].per_video_mean_f1
             )
 
-    def test_pyramid_and_artifact_counters_funnelled_to_obs(self):
+    def test_store_counters_funnelled_to_obs(self):
         obs = Telemetry(InMemorySink())
-        sweep = self._run(jobs=1, artifact_mb=256, frames=12, obs=obs)
-        assert sweep.pyramid_misses > 0
+        default_store().clear()
+        run_sweep(_METHODS, _small_suite(frames=12), jobs=1, obs=obs)
         obs.flush()
         counters = {
-            record["name"]
+            record["name"]: record["value"]
             for record in obs.sink.last_metrics()
             if record["kind"] == "counter"
         }
-        for name in (
-            "sweep.artifact_hits",
-            "sweep.artifact_misses",
-            "sweep.artifact_evicted_bytes",
-            "sweep.pyramid_hits",
-            "sweep.pyramid_misses",
-            "sweep.pyramid_evictions",
-        ):
-            assert name in counters, name
+        for kind in ("frame", "pyramid"):
+            assert counters[f"store.{kind}.miss"] > 0
+            assert counters[f"store.{kind}.hit"] > 0
+            assert f"store.{kind}.evicted_bytes" in counters
+
+    def test_store_obs_counters_match_sweep_counts(self):
+        # Telemetry observes the same store traffic the cells' stats()
+        # deltas report: the two accounts agree per kind.
+        obs = Telemetry(InMemorySink())
+        default_store().clear()
+        sweep = run_sweep(_METHODS, _small_suite(frames=12), jobs=1, obs=obs)
+        assert sweep.ok, sweep.summary()
+        obs.flush()
+        counters = {
+            record["name"]: record["value"]
+            for record in obs.sink.last_metrics()
+            if record["kind"] == "counter"
+        }
+        for kind in ("frame", "pyramid"):
+            counts = sweep.store[kind]
+            assert counters[f"store.{kind}.hit"] == counts["hits"]
+            assert counters[f"store.{kind}.miss"] == counts["misses"]
+            assert counters[f"store.{kind}.evicted_bytes"] == counts["evicted_bytes"]
 
 
 class TestClipAffinity:
-    """The pool's unit of work is one clip, so a worker's private stores
-    see every reuse the clip offers: with budgets that fit the working
-    set, a jobs=2 sweep misses exactly as often as a jobs=1 sweep."""
-
-    _BUDGETS = dict(frame_store_mb=64, artifact_store_mb=256)
+    """The pool's unit of work is one clip, so a worker's store sees every
+    reuse the clip offers: the working set fits the store, so a jobs=2
+    sweep misses exactly as often, per kind, as a jobs=1 sweep."""
 
     @pytest.fixture(scope="class")
     def sweeps(self):
-        from repro.core.config import PipelineConfig
-        from repro.video import framestore
-        from repro.vision import artifact_store
-
-        config = PipelineConfig(**self._BUDGETS)
         settled = []
-        try:
-            # Cold parent stores for the sequential arm: a zero budget
-            # drops whatever earlier tests left behind.
-            framestore.configure_default(0)
-            artifact_store.configure_default(0)
-            sequential = run_sweep(_METHODS, _small_suite(frames=24), jobs=1, config=config)
-            parallel = run_sweep(
-                _METHODS,
-                _small_suite(frames=24),
-                jobs=2,
-                config=config,
-                progress=lambda done, total, r: settled.append(r),
-            )
-        finally:
-            framestore.configure_default(0)
-            artifact_store.configure_default(0)
+        # A cold parent store for the sequential arm, like the workers'.
+        default_store().clear()
+        sequential = run_sweep(_METHODS, _small_suite(frames=24), jobs=1)
+        parallel = run_sweep(
+            _METHODS,
+            _small_suite(frames=24),
+            jobs=2,
+            progress=lambda done, total, r: settled.append(r),
+        )
         return sequential, parallel, settled
 
     def test_every_cell_of_a_clip_runs_on_one_worker(self, sweeps):
@@ -428,11 +358,11 @@ class TestClipAffinity:
 
     def test_misses_equal_the_sequential_sweep(self, sweeps):
         sequential, parallel, _ = sweeps
-        assert sequential.store_misses > 0 and sequential.artifact_misses > 0
-        assert parallel.store_misses == sequential.store_misses
-        assert parallel.artifact_misses == sequential.artifact_misses
-        assert parallel.store_evicted_bytes == 0
-        assert parallel.artifact_evicted_bytes == 0
+        for kind in ("frame", "pyramid"):
+            assert sequential.store[kind]["misses"] > 0
+            assert parallel.store[kind]["misses"] == sequential.store[kind]["misses"]
+            assert parallel.store[kind]["evictions"] == 0
+            assert sequential.store[kind]["evictions"] == 0
 
     def test_one_clip_sweep_reaches_every_worker(self):
         # Fewer clips than workers: the clip's unit is split so both

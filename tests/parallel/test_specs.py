@@ -14,24 +14,21 @@ from repro.video.dataset import make_clip
 
 class TestClipSpec:
     def test_round_trip_rebuilds_identical_clip(self):
-        clip = make_clip("intersection", seed=11, num_frames=12, render_cache=16)
+        clip = make_clip("intersection", seed=11, num_frames=12)
         spec = ClipSpec.from_clip(clip)
         rebuilt = spec.build()
         assert rebuilt.name == clip.name
         assert rebuilt.num_frames == clip.num_frames
-        assert rebuilt.renderer.cache_size == 16
         for index in (0, 5, 11):
-            np.testing.assert_array_equal(rebuilt.frame(index), clip.frame(index))
+            # A fresh render: clip.frame would read the shared store.
+            np.testing.assert_array_equal(
+                rebuilt.renderer.render_frame(index), clip.frame(index)
+            )
         for index in range(clip.num_frames):
             a, b = clip.annotation(index), rebuilt.annotation(index)
             assert [o.box.as_tuple() for o in a.objects] == [
                 o.box.as_tuple() for o in b.objects
             ]
-
-    def test_render_cache_override(self):
-        clip = make_clip("intersection", seed=11, num_frames=4)
-        spec = ClipSpec.from_clip(clip, render_cache=8)
-        assert spec.build().renderer.cache_size == 8
 
     def test_spec_is_hashable(self):
         clip = make_clip("intersection", seed=11, num_frames=4)
@@ -97,64 +94,14 @@ class TestShardSpecDefaults:
 
 
 class TestStoreBudgetValidation:
-    def _spec(self, mb):
-        clip = make_clip("intersection", seed=1, num_frames=2)
-        return ClipSpec.from_clip(clip, frame_store_mb=mb)
-
-    def test_uniform_budget_accepted(self):
-        from repro.parallel import validate_store_budgets
-
-        assert validate_store_budgets([self._spec(32), self._spec(32)]) == 32
-        assert validate_store_budgets([self._spec(None), self._spec(None)]) is None
-        # None means "no opinion" and never conflicts with a real budget.
-        assert validate_store_budgets([self._spec(None), self._spec(16)]) == 16
-
-    def test_mixed_budgets_rejected(self):
-        from repro.parallel import validate_store_budgets
-
-        with pytest.raises(ValueError, match="conflicting frame_store_mb"):
-            validate_store_budgets([self._spec(32), self._spec(64)])
-
     def test_build_no_longer_reconfigures_the_store(self):
         # Regression: ClipSpec.build() used to call configure_default per
         # clip, silently re-budgeting (and possibly evicting) the
-        # process-wide store mid-sweep.  Budgets are applied by run_shard
-        # in the worker, from the one budget the whole sweep carries.
+        # process-wide store mid-sweep.  The store's budget is a constant.
         from repro.video.framestore import default_store
 
         before = default_store().max_bytes
-        self._spec(7).build()
+        ClipSpec.from_clip(make_clip("intersection", seed=1, num_frames=2)).build()
         assert default_store().max_bytes == before
 
 
-class TestArtifactStoreBudgetValidation:
-    """The artifact-store budget rides the same ClipSpec/validation path
-    as the frame store's, selected via the ``attr`` parameter."""
-
-    def _spec(self, frame_mb=None, artifact_mb=None):
-        clip = make_clip("intersection", seed=1, num_frames=2)
-        return ClipSpec.from_clip(
-            clip, frame_store_mb=frame_mb, artifact_store_mb=artifact_mb
-        )
-
-    def test_from_clip_carries_artifact_budget(self):
-        assert self._spec(artifact_mb=96).artifact_store_mb == 96
-        assert self._spec().artifact_store_mb is None
-
-    def test_budgets_validated_independently(self):
-        from repro.parallel import validate_store_budgets
-
-        specs = [
-            self._spec(frame_mb=32, artifact_mb=64),
-            self._spec(frame_mb=32, artifact_mb=128),
-        ]
-        # Frame budgets agree; only the artifact attr conflicts.
-        assert validate_store_budgets(specs) == 32
-        with pytest.raises(ValueError, match="conflicting artifact_store_mb"):
-            validate_store_budgets(specs, attr="artifact_store_mb")
-
-    def test_uniform_artifact_budget_accepted(self):
-        from repro.parallel import validate_store_budgets
-
-        specs = [self._spec(artifact_mb=None), self._spec(artifact_mb=256)]
-        assert validate_store_budgets(specs, attr="artifact_store_mb") == 256

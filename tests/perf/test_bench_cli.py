@@ -101,9 +101,9 @@ class TestRequiredSpeedups:
         assert result.extra["store_hits"] > 0
 
     def test_pyramid_store_sweep_speedup(self, results):
-        """Serving a pyramid from the artifact store must beat rebuilding
+        """Serving a pyramid from the frame store must beat rebuilding
         its level images by a wide margin.  Full-run
-        figure ~114x; the CI floor is 5x, this sits just below."""
+        figure ~395x; the CI floor is 5x, this sits just below."""
         result = results["pyramid_store_sweep"]
         assert result.speedup_vs_reference >= 4.0
         # The filler pass builds once per frame; every timed pass is

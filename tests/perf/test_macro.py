@@ -45,68 +45,44 @@ class TestRunMacroBenchmark:
         assert bench["parallel_best_s"] > 0
 
     def test_frame_store_counters(self, macro_doc):
-        """With a budget that fits the suite, the warm-up pass renders
-        each frame at most once per process: a store miss happens only on
-        a frame's first render, so misses are bounded by unique frames
-        (per worker in the parallel arm), no matter how many methods
-        rescan each clip.  Pipelines skip frames, so accessed frames can
-        be fewer than clip length."""
+        """The warm-up pass renders each frame at most once per process:
+        a frame miss happens only on a frame's first render, so misses are
+        bounded by unique frames (per worker in the parallel arm), no
+        matter how many methods rescan each clip, and pyramids make room
+        before any frame does.  Later arms read the clip's pyramids back,
+        so both kinds hit in both arms.  Pipelines skip frames, so
+        accessed frames can be fewer than clip length."""
         bench = macro_doc["benches"][0]
-        store = bench["frame_store"]
-        assert store["budget_mb"] == 128
+        store = bench["store"]
+        assert store["budget_mb"] == 88
         unique_frames = sum(bench["workload"]["frames_per_clip"])
-        seq = store["sequential"]
-        assert 0 < seq["misses"] <= unique_frames
-        assert seq["evicted_bytes"] == 0
-        par = store["parallel"]
-        assert 0 < par["misses"] <= unique_frames * bench["jobs"]
-        assert par["evicted_bytes"] == 0
+        seq, par = store["sequential"], store["parallel"]
+        assert 0 < seq["frame"]["misses"] <= unique_frames
+        assert 0 < par["frame"]["misses"] <= unique_frames * bench["jobs"]
+        for arm in (seq, par):
+            assert arm["frame"]["evictions"] == 0
+            assert arm["pyramid"]["misses"] > 0
+            assert arm["pyramid"]["hits"] > 0
 
-    def test_arms_record_their_store_mode(self, macro_doc):
-        store = macro_doc["benches"][0]["frame_store"]
-        assert store["sequential"]["store_mode"] == "private"
-        assert store["parallel"]["store_mode"] == "private"
+    def test_pyramid_store_counters(self, macro_doc):
+        """Both arms make the same pyramid reads — the store decides only
+        which are served — and each arm both builds and reuses pyramids.
+        A pyramid miss reads its frame through the store, so frame reads
+        exceed pyramid misses by the same count in both arms."""
+        store = macro_doc["benches"][0]["store"]
+        seq, par = store["sequential"], store["parallel"]
 
-    def test_disabled_store_records_zero_counters(self):
-        doc = run_macro_benchmark(jobs=2, repeats=1, quick=True, frame_store_mb=0)
-        store = doc["benches"][0]["frame_store"]
-        assert store["budget_mb"] == 0
-        zeros = {"store_mode": "none", "hits": 0, "misses": 0, "evicted_bytes": 0}
-        assert store["sequential"] == zeros
-        assert store["parallel"] == zeros
+        def reads(counts):
+            return counts["hits"] + counts["misses"]
 
-    def test_artifact_store_counters(self, macro_doc):
-        """The derived-artifact store block: the enabled warm-up builds
-        each pyramid at most once per arm, and later arms are served from
-        the store (hits > 0 even sequentially, because the grid's method
-        arms revisit the same clips)."""
-        bench = macro_doc["benches"][0]
-        store = bench["artifact_store"]
-        assert store["budget_mb"] == 384
-        assert store["disabled_sequential_best_s"] > 0
-        assert store["enabled_speedup"] > 0
-        for arm in ("sequential", "parallel"):
-            entry = store[arm]
-            assert entry["misses"] > 0
-            assert entry["hits"] >= 0
-            assert entry["pyramid_cache_misses"] > 0
-
-    def test_artifact_store_arms_record_their_mode(self, macro_doc):
-        store = macro_doc["benches"][0]["artifact_store"]
-        assert store["sequential"]["store_mode"] == "private"
-        assert store["parallel"]["store_mode"] == "private"
-
-    def test_disabled_artifact_store_records_zero_counters(self):
-        doc = run_macro_benchmark(
-            jobs=2, repeats=1, quick=True, artifact_store_mb=0
+        assert reads(seq["pyramid"]) == reads(par["pyramid"])
+        assert (
+            reads(seq["frame"]) - seq["pyramid"]["misses"]
+            == reads(par["frame"]) - par["pyramid"]["misses"]
         )
-        store = doc["benches"][0]["artifact_store"]
-        assert store["budget_mb"] == 0
-        for arm in ("sequential", "parallel"):
-            entry = store[arm]
-            assert entry["store_mode"] == "none"
-            assert entry["hits"] == 0 and entry["misses"] == 0
-            assert entry["evicted_bytes"] == 0
+        for arm in (seq, par):
+            assert arm["pyramid"]["misses"] > 0
+            assert arm["pyramid"]["hits"] > 0
 
     def test_document_is_json_serialisable(self, macro_doc, tmp_path):
         path = tmp_path / "BENCH_macro.json"
@@ -155,6 +131,12 @@ class TestValidateMacroDoc:
         with pytest.raises(ValueError, match="non-positive"):
             validate_macro_doc(doc)
 
+    def test_rejects_missing_store_block(self, macro_doc):
+        doc = copy.deepcopy(macro_doc)
+        del doc["benches"][0]["store"]
+        with pytest.raises(ValueError, match="missing key 'store'"):
+            validate_macro_doc(doc)
+
     def test_rejects_missing_effective_parallelism(self, macro_doc):
         doc = copy.deepcopy(macro_doc)
         del doc["benches"][0]["effective_parallelism"]
@@ -188,42 +170,6 @@ class TestValidateMacroDoc:
         with pytest.raises(ValueError, match="below required"):
             validate_macro_doc(doc, min_speedup=1.7)
         assert "skipping" not in capsys.readouterr().err
-
-
-class TestStoreBlockSchema:
-    def test_unknown_store_mode_rejected(self, macro_doc):
-        doc = copy.deepcopy(macro_doc)
-        doc["benches"][0]["frame_store"]["parallel"]["store_mode"] = "global"
-        with pytest.raises(ValueError, match="unknown store_mode"):
-            validate_macro_doc(doc)
-
-    def test_unknown_artifact_store_mode_rejected(self, macro_doc):
-        doc = copy.deepcopy(macro_doc)
-        doc["benches"][0]["artifact_store"]["parallel"]["store_mode"] = "global"
-        with pytest.raises(ValueError, match="unknown store_mode"):
-            validate_macro_doc(doc)
-
-    def test_documents_from_the_shared_store_era_still_validate(self, macro_doc):
-        """Documents written while a cross-process tier existed record
-        ``store_mode: "shared"`` and ``lease_waits``; they stay valid."""
-        doc = copy.deepcopy(macro_doc)
-        for block in ("frame_store", "artifact_store"):
-            doc["benches"][0][block]["parallel"].update(store_mode="shared", lease_waits=4)
-        assert validate_macro_doc(doc) == [MACRO_BENCH_NAME]
-
-    def test_legacy_arms_without_store_mode_still_validate(self, macro_doc):
-        """Documents written before store_mode existed lack it; the
-        schema must keep accepting them."""
-        doc = copy.deepcopy(macro_doc)
-        for arm in ("sequential", "parallel"):
-            doc["benches"][0]["frame_store"][arm].pop("store_mode", None)
-        assert validate_macro_doc(doc) == [MACRO_BENCH_NAME]
-
-    def test_legacy_doc_without_block_still_validates(self, macro_doc):
-        """Documents written before the artifact store lack the block."""
-        doc = copy.deepcopy(macro_doc)
-        del doc["benches"][0]["artifact_store"]
-        assert validate_macro_doc(doc) == [MACRO_BENCH_NAME]
 
 
 class TestMergeSweepBench:

@@ -36,10 +36,10 @@ def _sweep_bench() -> dict:
         "speedup": 2.5,
         "results_identical": True,
         "failures": 0,
-        "frame_store": {
-            "budget_mb": 128,
-            "sequential": {"hits": 1, "misses": 2, "evicted_bytes": 0},
-            "parallel": {"hits": 1, "misses": 2, "evicted_bytes": 0},
+        "store": {
+            "budget_mb": 88,
+            "sequential": {"frame": {"hits": 1, "misses": 2}},
+            "parallel": {"frame": {"hits": 1, "misses": 2}},
         },
     }
 

@@ -138,7 +138,8 @@ class TestCommands:
             ["run", "mpdt-512", "--scenario", "boat", "--frames", "90", "--obs"]
         ) == 0
         out = capsys.readouterr().out
-        assert "render.cache_miss" in out
+        assert "store.frame.miss" in out
+        assert "store.pyramid.miss" in out
 
     def test_profile_smoke(self, capsys):
         assert main(

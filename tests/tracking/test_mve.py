@@ -8,7 +8,6 @@ from repro.geometry import Box, iou
 from repro.tracking.mve import MVETracker, MVETrackerConfig
 from repro.tracking.tracker import ObjectTracker
 from repro.vision.block_motion import BlockMotionParams
-from repro.vision.pyramid_cache import PyramidCache
 from repro.video.dataset import make_clip
 
 
@@ -17,7 +16,7 @@ def clip():
     return make_clip("highway_surveillance", seed=55, num_frames=40)
 
 
-def seed_tracker(clip, config=None, frame=0, pyramid_cache=None):
+def seed_tracker(clip, config=None, frame=0, pyramids=None):
     ann = clip.annotation(frame)
     detections = tuple(Detection(o.label, o.box, 0.9) for o in ann.objects)
     tracker = MVETracker(
@@ -25,7 +24,7 @@ def seed_tracker(clip, config=None, frame=0, pyramid_cache=None):
         clip.config.frame_width,
         clip.config.frame_height,
         config,
-        pyramid_cache=pyramid_cache,
+        pyramids=pyramids,
     )
     tracker.initialize(frame, detections)
     return tracker, detections
@@ -116,7 +115,7 @@ class TestTracking:
 
     def test_pyramid_cache_shared_results_identical(self, clip):
         direct, _ = seed_tracker(clip)
-        cached, _ = seed_tracker(clip, pyramid_cache=PyramidCache(capacity=4))
+        cached, _ = seed_tracker(clip, pyramids=clip.pyramid)
         for j in (2, 4, 6):
             assert direct.track_to(j).detections == cached.track_to(j).detections
 

@@ -1,26 +1,78 @@
-"""The shared frame store: budget accounting, LRU order, renderer wiring."""
+"""The one frame store: budget accounting, eviction order, renderer wiring."""
 
 from __future__ import annotations
+
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.detection.detector import Detection
+from repro.obs import InMemorySink, Telemetry
+from repro.tracking.mve import MVETracker, MVETrackerConfig
+from repro.tracking.tracker import ObjectTracker, TrackerConfig
+from repro.video import framestore
+from repro.video.dataset import make_clip
 from repro.video.framestore import (
+    FRAME,
+    KINDS,
+    PYRAMID,
     BYTES_PER_MB,
+    STORE_BYTES,
     FrameStore,
-    configure_default,
     default_store,
     scene_fingerprint,
 )
 from repro.video.library import make_scenario
 from repro.video.render import FrameRenderer
 from repro.video.scene import Scene
+from repro.vision.optical_flow import FramePyramid
 
 
 def _frame(nbytes: int, fill: int = 1) -> np.ndarray:
     return np.full(nbytes, fill, dtype=np.uint8)
+
+
+def _pyramid(*level_bytes: int, fill: int = 1) -> SimpleNamespace:
+    """A pyramid stand-in: the store reads only a pyramid's ``images``."""
+    return SimpleNamespace(images=[_frame(n, fill) for n in level_bytes])
+
+
+def _image(seed: int, shape: tuple[int, int] = (48, 64)) -> np.ndarray:
+    return np.random.default_rng(seed).random(shape)
+
+
+def _assert_pyramids_equal(left: FramePyramid, right: FramePyramid) -> None:
+    assert left.levels == right.levels
+    for level in range(left.levels):
+        assert np.array_equal(left.images[level], right.images[level])
+
+
+def _key(index: int, kind: str = FRAME, levels: int = 0, fingerprint: str = "fp") -> tuple:
+    return (fingerprint, kind, index, levels)
+
+
+def _counters(obs: Telemetry) -> dict[str, float]:
+    obs.flush()
+    return {
+        record["name"]: record["value"]
+        for record in obs.sink.last_metrics()
+        if record["kind"] == "counter"
+    }
+
+
+def _delta(before: dict, after: dict, kind: str, name: str) -> int:
+    return after[kind][name] - before[kind][name]
+
+
+@pytest.fixture()
+def store():
+    """The process-wide store, emptied, with its counters as they stand."""
+    default_store().clear()
+    return default_store()
 
 
 class TestFrameStoreCore:
@@ -28,127 +80,333 @@ class TestFrameStoreCore:
         with pytest.raises(ValueError, match="non-negative"):
             FrameStore(-1)
 
-    def test_disabled_store_counts_nothing(self):
-        store = FrameStore(0)
-        assert not store.enabled
-        assert store.get("fp", 0) is None
-        store.put("fp", 0, _frame(16))
-        assert len(store) == 0
-        assert store.hits == 0 and store.misses == 0
+    def test_default_store_has_the_constant_budget(self):
+        assert default_store().max_bytes == STORE_BYTES == 88 * (1 << 20)
 
     def test_hit_miss_counters_and_roundtrip(self):
         store = FrameStore(1024)
-        assert store.get("fp", 0) is None
+        assert store.get(_key(0)) is None
         frame = _frame(64)
-        store.put("fp", 0, frame)
-        assert store.get("fp", 0) is frame
-        assert store.misses == 1 and store.hits == 1
+        store.put(_key(0), frame)
+        assert store.get(_key(0)) is frame
+        stats = store.stats()
+        assert stats[FRAME]["misses"] == 1 and stats[FRAME]["hits"] == 1
+        assert stats[PYRAMID]["misses"] == 0 and stats[PYRAMID]["hits"] == 0
 
     def test_stored_frames_are_read_only(self):
         store = FrameStore(1024)
-        store.put("fp", 0, _frame(64))
-        served = store.get("fp", 0)
+        store.put(_key(0), _frame(64))
+        served = store.get(_key(0))
         with pytest.raises(ValueError):
             served[0] = 99
 
     def test_first_insert_wins(self):
         store = FrameStore(1024)
         first = _frame(64, fill=1)
-        store.put("fp", 0, first)
-        store.put("fp", 0, _frame(64, fill=2))
-        assert store.get("fp", 0) is first
+        store.put(_key(0), first)
+        store.put(_key(0), _frame(64, fill=2))
+        assert store.get(_key(0)) is first
         assert store.current_bytes == 64
 
     def test_oversized_frame_not_stored(self):
         store = FrameStore(32)
-        store.put("fp", 0, _frame(64))
+        store.put(_key(0), _frame(64))
+        store.put(_key(0, PYRAMID, 2), _pyramid(24, 16))
         assert len(store) == 0
         assert store.current_bytes == 0
 
     def test_lru_eviction_order_respects_gets(self):
         store = FrameStore(3 * 64)
         for i in range(3):
-            store.put("fp", i, _frame(64))
-        store.get("fp", 0)  # 0 becomes most-recent; 1 is now LRU
-        store.put("fp", 3, _frame(64))
-        assert store.get("fp", 1) is None
-        assert store.get("fp", 0) is not None
-        assert store.evictions == 1
-        assert store.evicted_bytes == 64
+            store.put(_key(i), _frame(64))
+        store.get(_key(0))  # 0 becomes most-recent; 1 is now LRU
+        store.put(_key(3), _frame(64))
+        assert store.get(_key(1)) is None
+        assert store.get(_key(0)) is not None
+        assert store.stats()[FRAME]["evictions"] == 1
+        assert store.stats()[FRAME]["evicted_bytes"] == 64
 
-    def test_set_budget_shrink_evicts(self):
-        store = FrameStore(4 * 64)
-        for i in range(4):
-            store.put("fp", i, _frame(64))
-        store.set_budget(2 * 64)
-        assert len(store) == 2
-        assert store.current_bytes == 2 * 64
-        # The survivors are the most recently inserted.
-        assert store.get("fp", 2) is not None and store.get("fp", 3) is not None
+    def test_budget_is_exact(self):
+        store = FrameStore(128)
+        store.put(_key(0), _frame(64))
+        store.put(_key(1), _frame(64))
+        assert store.stats()[FRAME]["evictions"] == 0  # exactly full fits
+        store.put(_key(2), _frame(1))  # one byte over evicts the LRU frame
+        assert store.get(_key(0)) is None
+        assert store.current_bytes == 65
 
-    def test_set_budget_zero_drops_payload(self):
+    def test_pyramids_are_evicted_before_any_frame(self):
+        store = FrameStore(3 * 64)
+        store.put(_key(0), _frame(64))
+        store.put(_key(0, PYRAMID, 2), _pyramid(32, 32))
+        store.put(_key(1, PYRAMID, 2), _pyramid(32, 32))
+        store.get(_key(0, PYRAMID, 2))
+        # Frame 0 is the least recently used entry, but a pyramid goes
+        # first: the LRU one (frame 1's).
+        store.put(_key(1), _frame(64))
+        assert store.get(_key(1, PYRAMID, 2)) is None
+        assert store.get(_key(0, PYRAMID, 2)) is not None
+        store.put(_key(2), _frame(64))
+        assert store.get(_key(0, PYRAMID, 2)) is None
+        assert store.get(_key(0)) is not None  # now frame 1 is the LRU frame
+        # No pyramid left to give, so the LRU frame goes.
+        store.put(_key(3), _frame(64))
+        stats = store.stats()
+        assert stats[PYRAMID]["entries"] == 0 and stats[PYRAMID]["evictions"] == 2
+        assert stats[FRAME]["evictions"] == 1
+        assert store.get(_key(1)) is None
+        assert store.get(_key(0)) is not None
+
+    def test_key_separates_every_component(self):
         store = FrameStore(1024)
-        store.put("fp", 0, _frame(64))
-        store.set_budget(0)
-        assert len(store) == 0 and store.current_bytes == 0
-        assert not store.enabled
+        stored = _pyramid(16, 8)
+        store.put(_key(3, PYRAMID, 2), stored)
+        assert store.get(_key(3, PYRAMID, 2)) is stored
+        for other in (
+            _key(3, PYRAMID, 3),
+            _key(4, PYRAMID, 2),
+            _key(3, PYRAMID, 2, fingerprint="other"),
+            _key(3, FRAME, 2),
+        ):
+            assert store.get(other) is None
+
+    def test_stored_pyramid_is_canonical_and_read_only(self):
+        store = FrameStore(1024)
+        first = _pyramid(32, 8, fill=1)
+        second = _pyramid(32, 8, fill=2)
+        assert store.put(_key(0, PYRAMID, 2), first) is first
+        assert store.put(_key(0, PYRAMID, 2), second) is first
+        assert all(not image.flags.writeable for image in first.images)
+        assert all(image.flags.writeable for image in second.images)
+        assert store.stats()[PYRAMID]["bytes"] == 40
+
+    def test_pyramid_get_put_roundtrip(self):
+        store = FrameStore(BYTES_PER_MB)
+        key = _key(0, PYRAMID, 3)
+        assert store.get(key) is None
+        pyramid = FramePyramid(_image(8), 3)
+        assert store.put(key, pyramid) is pyramid
+        served = store.get(key)
+        assert served is pyramid
+        _assert_pyramids_equal(served, FramePyramid(_image(8), 3))
+        stats = store.stats()[PYRAMID]
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (1, 1, 1)
+
+    def test_first_pyramid_insert_wins(self):
+        store = FrameStore(BYTES_PER_MB)
+        first = FramePyramid(_image(10), 2)
+        store.put(_key(0, PYRAMID, 2), first)
+        served = store.put(_key(0, PYRAMID, 2), FramePyramid(_image(11), 2))
+        # The racing put converges on the earlier insert's bytes.
+        assert served is first
+        _assert_pyramids_equal(store.get(_key(0, PYRAMID, 2)), FramePyramid(_image(10), 2))
+
+    def test_oversized_pyramid_not_stored(self):
+        store = FrameStore(1024)  # 1 KiB: no 48x64 pyramid fits
+        pyramid = FramePyramid(_image(13), 2)
+        assert store.put(_key(0, PYRAMID, 2), pyramid) is pyramid
+        assert all(image.flags.writeable for image in pyramid.images)
+        assert store.get(_key(0, PYRAMID, 2)) is None
+        stats = store.stats()[PYRAMID]
+        assert stats["entries"] == 0 and stats["evictions"] == 0
+
+    def test_stats_snapshots_diff_per_kind(self):
+        # Callers account a window of work by diffing two snapshots.
+        store = FrameStore(40)
+        store.put(_key(9), _frame(8))
+        before = store.stats()
+        for index in (0, 0, 1):
+            key = _key(index, PYRAMID, 2)
+            if store.get(key) is None:
+                store.put(key, _pyramid(16, 8))
+        after = store.stats()
+        assert _delta(before, after, PYRAMID, "hits") == 1
+        assert _delta(before, after, PYRAMID, "misses") == 2
+        assert _delta(before, after, PYRAMID, "evictions") == 1
+        assert _delta(before, after, PYRAMID, "evicted_bytes") == 24
+        for name in ("hits", "misses", "evictions"):
+            assert _delta(before, after, FRAME, name) == 0
+
+    def test_set_obs_emits_pyramid_counters(self):
+        obs = Telemetry(InMemorySink())
+        store = FrameStore(24)  # room for one pyramid
+        store.set_obs(obs)
+        for index in (0, 0, 1):
+            key = _key(index, PYRAMID, 2)
+            if store.get(key) is None:
+                store.put(key, _pyramid(16, 8))
+        counters = _counters(obs)
+        assert counters["store.pyramid.hit"] == 1
+        assert counters["store.pyramid.miss"] == 2
+        assert counters["store.pyramid.evicted_bytes"] == 24
+        assert counters["store.frame.hit"] == counters["store.frame.miss"] == 0
 
     def test_clear_keeps_budget_and_counters(self):
         store = FrameStore(1024)
-        store.put("fp", 0, _frame(64))
-        store.get("fp", 0)
+        store.put(_key(0), _frame(64))
+        store.get(_key(0))
         store.clear()
         assert len(store) == 0
         assert store.max_bytes == 1024
-        assert store.hits == 1
-        assert store.stats()["entries"] == 0
+        stats = store.stats()
+        assert stats[FRAME]["hits"] == 1
+        assert stats[FRAME]["entries"] == 0 and stats["current_bytes"] == 0
 
     def test_obs_counters_funnelled(self):
-        from repro.obs import InMemorySink, Telemetry
+        obs = Telemetry(InMemorySink())
+        store = FrameStore(96)
+        store.set_obs(obs)
+        store.get(_key(0))
+        store.put(_key(0), _frame(64))
+        store.get(_key(0))
+        store.get(_key(0, PYRAMID, 2))
+        store.put(_key(0, PYRAMID, 2), _pyramid(16, 8))
+        store.put(_key(1), _frame(16))  # evicts the pyramid's 24 bytes
+        counters = _counters(obs)
+        assert counters["store.frame.miss"] == 1
+        assert counters["store.frame.hit"] == 1
+        assert counters["store.pyramid.miss"] == 1
+        assert counters["store.pyramid.evicted_bytes"] == 24
+        assert counters["store.frame.evicted_bytes"] == 0
 
+    def test_set_obs_none_detaches(self):
         obs = Telemetry(InMemorySink())
         store = FrameStore(1024)
         store.set_obs(obs)
-        store.get("fp", 0)
-        store.put("fp", 0, _frame(64))
-        store.get("fp", 0)
-        obs.flush()
-        counters = {
-            record["name"]: record["value"]
-            for record in obs.sink.last_metrics()
-            if record["kind"] == "counter"
-        }
-        assert counters["framestore.miss"] == 1
-        assert counters["framestore.hit"] == 1
+        store.set_obs(None)
+        store.get(_key(0))
+        # Attaching registers the counters at zero; detaching must stop
+        # the increments (the registered zeros remain in the sink).
+        assert set(_counters(obs).values()) == {0}
+
+
+def _pyramid_levels(draw_bytes):
+    return st.lists(draw_bytes, min_size=1, max_size=3)
+
+
+_ENTRY = 64
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"),
+            st.sampled_from(KINDS),
+            st.integers(min_value=0, max_value=5),  # frame index
+            _pyramid_levels(st.integers(min_value=1, max_value=_ENTRY)),
+        ),
+        st.tuples(
+            st.just("race"),  # racing duplicate puts of one key
+            st.sampled_from(KINDS),
+            st.integers(min_value=0, max_value=5),
+            _pyramid_levels(st.integers(min_value=1, max_value=_ENTRY)),
+        ),
+        st.tuples(
+            st.just("get"),
+            st.sampled_from(KINDS),
+            st.integers(min_value=0, max_value=5),
+            _pyramid_levels(st.just(1)),  # only the depth matters
+        ),
+    ),
+    max_size=40,
+)
+
+
+def _value(kind: str, level_bytes: list[int], fill: int):
+    if kind == FRAME:
+        return _frame(level_bytes[0], fill)
+    return _pyramid(*level_bytes, fill=fill)
+
+
+def _nbytes(value) -> int:
+    return sum(int(array.nbytes) for array in framestore._arrays(value))
 
 
 class TestByteBudgetProperty:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        budget=st.integers(min_value=1, max_value=512),
-        puts=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=12),   # frame index
-                st.integers(min_value=1, max_value=256),  # nbytes
-                st.booleans(),                            # get() after put
-            ),
-            max_size=40,
-        ),
-    )
-    def test_never_exceeds_budget_and_accounting_balances(self, budget, puts):
+    """Drawn get/put sequences over both kinds against a plain model."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(budget=st.integers(min_value=0, max_value=4 * _ENTRY), ops=_OPS)
+    def test_never_exceeds_budget_and_accounting_balances(self, budget, ops):
         store = FrameStore(budget)
-        for index, nbytes, touch in puts:
-            store.put("fp", index, _frame(nbytes))
-            if touch:
-                store.get("fp", index)
+        first = {}  # key -> the value whose insert won
+        inserted = {kind: [0, 0] for kind in KINDS}  # [count, bytes]
+        gets = {kind: [0, 0] for kind in KINDS}  # [hits, misses]
+        sizes = {}  # key -> level sizes: one key always holds the same bytes
+        for op, kind, index, level_bytes in ops:
+            key = _key(index, kind, 0 if kind == FRAME else len(level_bytes))
+            frames_evicted = store.stats()[FRAME]["evictions"]
+            if op == "get":
+                got = store.get(key)
+                if got is None:
+                    gets[kind][1] += 1
+                else:
+                    gets[kind][0] += 1
+                    # A hit is the object whose insert won, frozen.
+                    assert got is first[key]
+                    assert all(
+                        not array.flags.writeable for array in framestore._arrays(got)
+                    )
+                continue
+            level_bytes = sizes.setdefault(key, level_bytes)
+            resident = store.get(key) is not None
+            gets[kind][0 if resident else 1] += 1
+            frame_bytes = store.stats()[FRAME]["bytes"]
+            racers = 1 if op == "put" else 3
+            values = [_value(kind, level_bytes, fill) for fill in range(1, racers + 1)]
+            returned = [None] * racers
+            barrier = threading.Barrier(racers)
+
+            def insert(slot: int) -> None:
+                if racers > 1:
+                    barrier.wait()
+                returned[slot] = store.put(key, values[slot])
+
+            threads = [threading.Thread(target=insert, args=(i,)) for i in range(racers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            nbytes = _nbytes(values[0])
+            if resident:
+                # The first insert wins: every racer gets the stored value.
+                assert all(value is first[key] for value in returned)
+            elif nbytes > budget:
+                # Too big to store: each caller keeps its own, writable.
+                assert all(mine is value for mine, value in zip(returned, values))
+                assert all(
+                    array.flags.writeable
+                    for value in values
+                    for array in framestore._arrays(value)
+                )
+            elif kind == PYRAMID and frame_bytes + nbytes > budget:
+                # No room beside the frames: each insert evicts itself
+                # (pyramids go first) and its caller keeps its own value.
+                assert all(mine is value for mine, value in zip(returned, values))
+                inserted[kind][0] += racers
+                inserted[kind][1] += racers * nbytes
+            else:
+                winner = returned[0]
+                assert all(value is winner for value in returned)
+                assert any(winner is value for value in values)
+                first[key] = winner
+                inserted[kind][0] += 1
+                inserted[kind][1] += nbytes
             assert store.current_bytes <= budget
-        # current_bytes must equal the payload actually held.
-        held = sum(
-            store.get("fp", i).nbytes
-            for i in range(13)
-            if store.get("fp", i) is not None
-        )
-        assert store.current_bytes == held
+            if store.stats()[FRAME]["evictions"] > frames_evicted:
+                # A frame only goes once no pyramid is left to evict.
+                assert store.stats()[PYRAMID]["entries"] == 0
+        stats = store.stats()
+        assert stats["max_bytes"] == budget
+        assert stats["current_bytes"] == sum(stats[kind]["bytes"] for kind in KINDS)
+        for kind in KINDS:
+            counts = stats[kind]
+            assert [counts["hits"], counts["misses"]] == gets[kind]
+            # Everything inserted is either resident or was evicted.
+            assert counts["entries"] + counts["evictions"] == inserted[kind][0]
+            assert counts["bytes"] + counts["evicted_bytes"] == inserted[kind][1]
+            assert counts["entries"] == len(store._entries[kind])
+            assert counts["bytes"] == sum(
+                _nbytes(value) for value in store._entries[kind].values()
+            )
 
 
 class TestSceneFingerprint:
@@ -166,50 +424,178 @@ class TestSceneFingerprint:
 
 
 class TestRendererIntegration:
-    def test_store_served_frames_match_direct_render(self):
+    def test_store_served_frames_match_direct_render(self, store):
         scene = Scene(make_scenario("intersection", num_frames=6), seed=5)
-        store = FrameStore(8 * BYTES_PER_MB)
-        writer = FrameRenderer(scene, cache_size=1, frame_store=store)
-        reader = FrameRenderer(scene, cache_size=1, frame_store=store)
-        direct = FrameRenderer(scene, cache_size=1, frame_store=FrameStore(0))
+        writer = FrameRenderer(scene)
+        reader = FrameRenderer(scene)
+        direct = FrameRenderer(scene)
+        before = store.stats()
         for index in range(6):
             writer.render(index)
         for index in range(6):
             assert np.array_equal(reader.render(index), direct.render_frame(index))
-        assert store.misses == 6
-        assert store.hits == 6
+        after = store.stats()
+        assert _delta(before, after, FRAME, "misses") == 6
+        assert _delta(before, after, FRAME, "hits") == 6
 
-    def test_equal_spec_renderers_share_entries(self):
-        store = FrameStore(8 * BYTES_PER_MB)
-        a = FrameRenderer(
-            Scene(make_scenario("boat", num_frames=4), seed=9),
-            cache_size=1, frame_store=store,
-        )
-        b = FrameRenderer(
-            Scene(make_scenario("boat", num_frames=4), seed=9),
-            cache_size=1, frame_store=store,
-        )
-        a.render(0)
-        b.render(0)
-        assert store.misses == 1 and store.hits == 1
+    def test_equal_spec_renderers_share_entries(self, store):
+        a = FrameRenderer(Scene(make_scenario("boat", num_frames=4), seed=9))
+        b = FrameRenderer(Scene(make_scenario("boat", num_frames=4), seed=9))
+        before = store.stats()
+        assert a.render(0) is b.render(0)
+        after = store.stats()
+        assert _delta(before, after, FRAME, "misses") == 1
+        assert _delta(before, after, FRAME, "hits") == 1
 
-    def test_default_store_resolved_lazily(self):
+    def test_default_store_resolved_lazily(self, monkeypatch):
         scene = Scene(make_scenario("boat", num_frames=4), seed=9)
-        renderer = FrameRenderer(scene, cache_size=1)
-        try:
-            configure_default(8 * BYTES_PER_MB)
-            assert renderer.frame_store is default_store()
-            renderer.render(0)
-            assert default_store().misses >= 1
-        finally:
-            configure_default(0)
+        renderer = FrameRenderer(scene)
+        replacement = FrameStore()
+        monkeypatch.setattr(framestore, "_default_store", replacement)
+        renderer.render(0)
+        assert replacement.stats()[FRAME]["misses"] == 1
+
+
+def _detections(clip, frame: int = 0):
+    return tuple(
+        Detection(obj.label, obj.box, 0.9) for obj in clip.annotation(frame).objects
+    )
+
+
+@pytest.fixture()
+def clip():
+    return make_clip("highway_surveillance", seed=55, num_frames=24)
+
+
+class TestRendererPyramids:
+    def test_repeat_pyramid_read_returns_same_object(self, store, clip):
+        first = clip.pyramid(0, 3)
+        assert clip.pyramid(0, 3) is first
+        assert all(not image.flags.writeable for image in first.images)
+
+    def test_second_renderer_is_served_without_building(self, store, clip, monkeypatch):
+        clip.pyramid(0, 3)
+        reader = FrameRenderer(clip.scene)
+
+        def render_frame(_index):
+            raise AssertionError("a stored pyramid was rebuilt")
+
+        monkeypatch.setattr(reader, "render_frame", render_frame)
+        before = store.stats()
+        served = reader.pyramid(0, 3)
+        assert _delta(before, store.stats(), PYRAMID, "hits") == 1
+        direct = FramePyramid(clip.renderer.render_frame(0), 3)
+        for level in range(direct.levels):
+            assert np.array_equal(served.images[level], direct.images[level])
+
+    def test_stored_pyramid_holds_images_only(self, store, clip):
+        # An entry costs the pyramid's own level images: under 4/3 of the
+        # float64 frame.
+        before = store.stats()
+        pyramid = clip.pyramid(0, 3)
+        added = store.stats()[PYRAMID]["bytes"] - before[PYRAMID]["bytes"]
+        assert added == sum(image.nbytes for image in pyramid.images)
+        assert added < 1.34 * clip.frame(0).astype(np.float64).nbytes
+
+    @settings(max_examples=10, deadline=None)
+    @given(levels=st.integers(min_value=1, max_value=4), index=st.integers(0, 5))
+    def test_read_through_matches_direct_build(self, levels, index):
+        clip = make_clip("intersection", seed=3, num_frames=6)
+        served = clip.pyramid(index, levels)
+        direct = FramePyramid(clip.renderer.render_frame(index), levels)
+        assert served.levels == direct.levels
+        for level in range(direct.levels):
+            assert np.array_equal(served.images[level], direct.images[level])
+
+    def test_mve_after_lk_reads_the_stored_pyramid(self, store, clip):
+        width, height = clip.config.frame_width, clip.config.frame_height
+        lk = ObjectTracker(
+            clip.frame, width, height, TrackerConfig(), pyramids=clip.pyramid
+        )
+        lk.initialize(0, _detections(clip))
+        before = store.stats()
+        mve = MVETracker(
+            clip.frame, width, height, MVETrackerConfig(), pyramids=clip.pyramid
+        )
+        mve.initialize(0, _detections(clip))
+        # Both tiers default to 3 levels, so a tier switch on one frame
+        # is a store hit, not a rebuild.
+        assert _delta(before, store.stats(), PYRAMID, "misses") == 0
+        assert _delta(before, store.stats(), PYRAMID, "hits") == 1
+
+    def test_store_served_tiers_track_like_fresh_builds(self, store, clip):
+        width, height = clip.config.frame_width, clip.config.frame_height
+
+        def run_pair(pyramids):
+            lk = ObjectTracker(
+                clip.frame, width, height, TrackerConfig(), seed=0, pyramids=pyramids
+            )
+            lk.initialize(0, _detections(clip))
+            lk_steps = [lk.track_to(j).detections for j in (2, 4)]
+            mve = MVETracker(
+                clip.frame, width, height, MVETrackerConfig(), pyramids=pyramids
+            )
+            mve.initialize(4, _detections(clip, 4))
+            mve_steps = [mve.track_to(j).detections for j in (6, 8)]
+            return lk_steps, mve_steps
+
+        before = store.stats()
+        assert run_pair(clip.pyramid) == run_pair(None)
+        assert _delta(before, store.stats(), PYRAMID, "hits") > 0
+
+    def test_trackers_without_a_read_through_never_touch_pyramids(self, store, clip):
+        # Exported clips offer no read-through: their trackers build
+        # pyramids locally and the store never sees a pyramid key.
+        before = store.stats()
+        tracker = ObjectTracker(
+            clip.frame, clip.config.frame_width, clip.config.frame_height
+        )
+        tracker.initialize(0, _detections(clip))
+        tracker.track_to(2)
+        after = store.stats()
+        assert _delta(before, after, PYRAMID, "misses") == 0
+        assert _delta(before, after, PYRAMID, "hits") == 0
+
+    def test_zero_budget_store_falls_back_to_local_build(self, clip, monkeypatch):
+        # A store that keeps nothing still serves correct pyramids: each
+        # read builds afresh from a fresh render.
+        empty = FrameStore(0)
+        monkeypatch.setattr(framestore, "_default_store", empty)
+        first = clip.pyramid(0, 2)
+        second = clip.pyramid(0, 2)
+        assert first is not second
+        _assert_pyramids_equal(first, FramePyramid(clip.renderer.render_frame(0), 2))
+        _assert_pyramids_equal(second, first)
+        stats = empty.stats()
+        assert stats[PYRAMID]["misses"] == 2 and stats[PYRAMID]["hits"] == 0
+        assert stats["current_bytes"] == 0
+
+
+class TestStoreServedEqualsDirect:
+    """A stored pyramid is np.array_equal to a direct FramePyramid build:
+    the store changes when work happens, never what the arrays are."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        height=st.integers(min_value=8, max_value=56),
+        width=st.integers(min_value=8, max_value=56),
+        levels=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_roundtrip_matches_direct_build(self, height, width, levels, seed):
+        frame = _image(seed, shape=(height, width))
+        store = FrameStore(BYTES_PER_MB)
+        store.put(_key(0, PYRAMID, levels), FramePyramid(frame.copy(), levels))
+        served = store.get(_key(0, PYRAMID, levels))
+        # Small frames clamp the level count identically on both paths.
+        _assert_pyramids_equal(served, FramePyramid(frame, levels))
 
 
 class TestPutReturnContract:
     def test_put_returns_stored_frame_frozen(self):
         store = FrameStore(1024)
         frame = _frame(64)
-        assert store.put("fp", 0, frame) is frame
+        assert store.put(_key(0), frame) is frame
         assert not frame.flags.writeable
 
     def test_rejected_duplicate_stays_writable(self):
@@ -218,19 +604,37 @@ class TestPutReturnContract:
         # insert got its own freshly rendered frame frozen under it.
         store = FrameStore(1024)
         winner = _frame(64, fill=1)
-        store.put("fp", 0, winner)
+        store.put(_key(0), winner)
         loser = _frame(64, fill=2)
-        returned = store.put("fp", 0, loser)
+        returned = store.put(_key(0), loser)
         assert returned is winner
         assert loser.flags.writeable
         loser[0] = 99  # the loser still owns its array
 
+    def test_zero_budget_store_returns_callers_pyramid(self):
+        store = FrameStore(0)
+        pyramid = FramePyramid(_image(12), 2)
+        assert store.put(_key(0, PYRAMID, 2), pyramid) is pyramid
+        assert store.get(_key(0, PYRAMID, 2)) is None
+        assert len(store) == 0
+
+    def test_rejected_duplicate_pyramid_stays_writable(self):
+        store = FrameStore(BYTES_PER_MB)
+        first = FramePyramid(_image(15), 2)
+        second = FramePyramid(_image(15), 2)
+        store.put(_key(0, PYRAMID, 2), first)
+        assert store.put(_key(0, PYRAMID, 2), second) is first
+        assert all(image.flags.writeable for image in second.images)
+
     def test_disabled_and_oversized_puts_leave_frame_writable(self):
-        disabled = FrameStore(0)
+        empty = FrameStore(0)
         frame = _frame(64)
-        assert disabled.put("fp", 0, frame) is frame
+        assert empty.put(_key(0), frame) is frame
         assert frame.flags.writeable
         tiny = FrameStore(32)
         big = _frame(64)
-        assert tiny.put("fp", 0, big) is big
+        assert tiny.put(_key(0), big) is big
         assert big.flags.writeable
+        pyramid = _pyramid(24, 16)
+        assert tiny.put(_key(0, PYRAMID, 2), pyramid) is pyramid
+        assert all(image.flags.writeable for image in pyramid.images)

@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 from repro.video.dataset import make_clip
+from repro.video import framestore
+from repro.video.framestore import FRAME, default_store
 from repro.video.render import FrameRenderer, make_background, make_object_texture
 from repro.video.scene import Scene
 from repro.video.library import make_scenario
+
+
+@pytest.fixture()
+def store():
+    """The process-wide frame store, emptied: renders below are real."""
+    default_store().clear()
+    return default_store()
 
 
 @pytest.fixture(scope="module")
@@ -114,86 +123,112 @@ class TestFrames:
         )
         assert 0.005 < diff.mean() < 0.1
 
-    def test_cache_eviction(self):
-        scene = Scene(make_scenario("boat", num_frames=40), seed=2)
-        renderer = FrameRenderer(scene, cache_size=4)
-        for i in range(10):
-            renderer.render(i)
-        assert len(renderer._cache) <= 4
-
-    def test_cache_eviction_is_true_lru(self):
+    def test_cache_eviction_is_true_lru(self, monkeypatch):
         """A hit must refresh recency: re-reading frame 0 keeps it cached
-        past the next eviction (the seed dropped by insertion order)."""
+        past the next eviction (insertion order would drop it)."""
         scene = Scene(make_scenario("boat", num_frames=40), seed=2)
-        renderer = FrameRenderer(scene, cache_size=4)
+        renderer = FrameRenderer(scene)
+        four_frames = 4 * renderer.render_frame(0).nbytes
+        small = framestore.FrameStore(four_frames)
+        monkeypatch.setattr(framestore, "_default_store", small)
         for i in range(4):
             renderer.render(i)
         renderer.render(0)  # hit: 0 becomes most-recent, 1 is now LRU
-        renderer.render(4)  # evicts exactly one entry: 1, not 0
-        assert 0 in renderer._cache
-        assert 1 not in renderer._cache
-        assert len(renderer._cache) == 4
+        renderer.render(4)  # evicts exactly one frame: 1, not 0
+        stats = small.stats()[FRAME]
+        assert stats["evictions"] == 1 and stats["entries"] == 4
+        misses = stats["misses"]
+        renderer.render(0)
+        assert small.stats()[FRAME]["misses"] == misses
+        renderer.render(1)
+        assert small.stats()[FRAME]["misses"] == misses + 1
 
-    def test_second_pass_all_hits_with_large_cache(self):
+    def test_second_pass_all_hits_with_large_cache(self, store):
         scene = Scene(make_scenario("boat", num_frames=10), seed=2)
-        renderer = FrameRenderer(scene, cache_size=16)
+        renderer = FrameRenderer(scene)
         for i in range(10):
             renderer.render(i)
-        misses = renderer.cache_misses
+        before = store.stats()[FRAME]
         for i in range(10):
             renderer.render(i)
-        assert renderer.cache_misses == misses
-        assert renderer.cache_hits >= 10
-
-    def test_cache_size_must_be_positive(self):
-        scene = Scene(make_scenario("boat", num_frames=4), seed=2)
-        with pytest.raises(ValueError, match="cache_size"):
-            FrameRenderer(scene, cache_size=0)
+        after = store.stats()[FRAME]
+        assert after["misses"] == before["misses"]
+        assert after["hits"] - before["hits"] == 10
 
 
 class TestCacheCounters:
-    def test_hit_miss_counters(self):
+    def test_hit_miss_counters(self, store):
         scene = Scene(make_scenario("boat", num_frames=8), seed=2)
-        renderer = FrameRenderer(scene, cache_size=8)
+        renderer = FrameRenderer(scene)
+        before = store.stats()[FRAME]
         renderer.render(0)
         renderer.render(0)
         renderer.render(1)
-        assert renderer.cache_misses == 2
-        assert renderer.cache_hits == 1
+        after = store.stats()[FRAME]
+        assert after["misses"] - before["misses"] == 2
+        assert after["hits"] - before["hits"] == 1
 
-    def test_counters_recorded_via_obs(self):
+    def test_counters_recorded_via_obs(self, store):
         from repro.obs import InMemorySink, Telemetry
 
         obs = Telemetry(InMemorySink())
         scene = Scene(make_scenario("boat", num_frames=8), seed=2)
-        renderer = FrameRenderer(scene, cache_size=8)
-        renderer.set_obs(obs)
-        renderer.render(0)
-        renderer.render(0)
+        renderer = FrameRenderer(scene)
+        store.set_obs(obs)
+        try:
+            renderer.render(0)
+            renderer.render(0)
+        finally:
+            store.set_obs(None)
         obs.flush()
         counters = {
             record["name"]: record["value"]
             for record in obs.sink.last_metrics()
             if record["kind"] == "counter"
         }
-        assert counters["render.cache_miss"] == 1
-        assert counters["render.cache_hit"] == 1
+        assert counters["store.frame.miss"] == 1
+        assert counters["store.frame.hit"] == 1
 
-    def test_detaching_obs_keeps_plain_counters(self):
+    def test_detaching_obs_keeps_plain_counters(self, store):
         scene = Scene(make_scenario("boat", num_frames=8), seed=2)
-        renderer = FrameRenderer(scene, cache_size=8)
-        renderer.set_obs(None)
+        renderer = FrameRenderer(scene)
+        store.set_obs(None)
+        before = store.stats()[FRAME]["hits"]
         renderer.render(0)
         renderer.render(0)
-        assert renderer.cache_hits == 1
+        assert store.stats()[FRAME]["hits"] - before == 1
 
-    def test_render_cache_size_config_validation(self):
-        from repro.core.config import PipelineConfig
 
-        with pytest.raises(ValueError, match="render_cache_size"):
-            PipelineConfig(render_cache_size=0)
-        assert PipelineConfig(render_cache_size=16).render_cache_size == 16
-        assert PipelineConfig().render_cache_size is None
+class TestBackgroundMemoRace:
+    """The live executor's camera and tracker threads render one clip at
+    once; on a panning scene the background memo must never pair one
+    frame's offset with another frame's pixels."""
+
+    def test_threaded_renders_match_serial_renders(self):
+        import random
+        import threading
+
+        scene = Scene(make_scenario("car_highway", num_frames=12), seed=8)
+        serial = FrameRenderer(scene)
+        expected = [serial.render_frame(index) for index in range(12)]
+        assert len({scene.camera_offset(i) for i in range(12)}) == 12  # panning
+        shared = FrameRenderer(scene)
+        rounds = 4
+        mismatches = []
+
+        def worker(seed: int) -> None:
+            order = [index for index in range(12) for _ in range(rounds)]
+            random.Random(seed).shuffle(order)
+            for index in order:
+                if not np.array_equal(shared.render_frame(index), expected[index]):
+                    mismatches.append(index)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert mismatches == []
 
 
 class TestLazyBackground:
@@ -218,7 +253,7 @@ class TestLazyBackground:
         FrameRenderer(clip.scene)
         assert builds == []
 
-    def test_first_render_builds_once(self, builds):
+    def test_first_render_builds_once(self, builds, store):
         # A panning camera: every frame misses the static-offset memo.
         clip = make_clip("car_highway", seed=5, num_frames=8)
         clip.frame(0)
@@ -227,21 +262,18 @@ class TestLazyBackground:
             clip.frame(index)
         assert len(builds) == 1
 
-    def test_store_served_renderer_never_builds(self, builds):
-        from repro.video.framestore import FrameStore
-
+    def test_store_served_renderer_never_builds(self, builds, store):
         scene = Scene(make_scenario("car_highway", num_frames=6), seed=5)
-        store = FrameStore(max_bytes=16 * 1024 * 1024)
-        first = FrameRenderer(scene, cache_size=1, frame_store=store)
+        first = FrameRenderer(scene)
         for index in range(6):
             first.render(index)
         assert len(builds) == 1
-        repeat = FrameRenderer(scene, cache_size=1, frame_store=store)
+        repeat = FrameRenderer(scene)
         for index in range(6):
             assert repeat.render(index) is first.render(index)
         assert len(builds) == 1
 
-    def test_lazily_built_frame_matches_reference(self, builds):
+    def test_lazily_built_frame_matches_reference(self, builds, store):
         from repro.perf.reference import ReferenceFrameRenderer
 
         scene = Scene(make_scenario("car_highway", num_frames=4), seed=5)

@@ -113,27 +113,9 @@ class TestFramePyramid:
         assert np.array_equal(direct.status, cached.status)
         assert np.allclose(direct.points, cached.points)
 
-    def test_from_arrays_adopts_images_without_copying(self, base_image):
-        built = FramePyramid(base_image, 3)
-        adopted = FramePyramid.from_arrays(tuple(built.images))
-        assert adopted.levels == built.levels and adopted.shape == built.shape
-        assert all(a is b for a, b in zip(adopted.images, built.images))
-        with pytest.raises(ValueError):
-            FramePyramid.from_arrays(())
-
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             FramePyramid(np.zeros((4, 4, 3)), 2)
-
-    def test_prefix_is_a_shallower_pyramid_sharing_images(self, base_image):
-        deep = FramePyramid(base_image, 3)
-        shallow = deep.prefix(2)
-        assert isinstance(shallow, FramePyramid) and shallow.levels == 2
-        assert all(a is b for a, b in zip(shallow.images, deep.images))
-        assert deep.prefix(3) is deep and deep.prefix(5) is deep
-        direct = FramePyramid(base_image, 2)
-        for level in range(2):
-            assert np.array_equal(shallow.images[level], direct.images[level])
 
     def test_repeated_calls_do_not_leak_gradients(self, base_image, base_points):
         """Gradients live in per-thread scratch planes that keep stale
@@ -153,14 +135,15 @@ class TestFramePyramid:
 
 class TestPyramidCacheServing:
     def test_cached_pyramid_tracks_like_fresh(self, base_image, base_points):
-        from repro.vision.pyramid_cache import PyramidCache
+        from repro.video.framestore import PYRAMID, FrameStore
 
         moved = translate(base_image, -1.0, 2.0)
-        cache = PyramidCache(capacity=2)
-        frames = {0: base_image, 1: moved}
+        store = FrameStore()
+        for index, frame in enumerate((base_image, moved)):
+            store.put(("fp", PYRAMID, index, 3), FramePyramid(frame, 3))
         cached = track_features(
-            cache.get(0, 3, frames.__getitem__),
-            cache.get(1, 3, frames.__getitem__),
+            store.get(("fp", PYRAMID, 0, 3)),
+            store.get(("fp", PYRAMID, 1, 3)),
             base_points,
         )
         fresh = track_features(base_image, moved, base_points)
