@@ -44,6 +44,18 @@ def bench_gft_nms(quick: bool) -> BenchResult:
     if not np.array_equal(optimized, ref):
         raise AssertionError("NMS optimisation diverged from reference output")
     repeats, number = _repeats(quick, 20, 3)
+    optimized_arm, reference_arm = time_interleaved(
+        [
+            lambda: suppress_min_distance(
+                wl.candidate_xs, wl.candidate_ys, wl.shape,
+                wl.min_distance, wl.max_corners,
+            ),
+            lambda: reference.suppress_min_distance_reference(
+                wl.candidate_xs, wl.candidate_ys, wl.min_distance, wl.max_corners
+            ),
+        ],
+        repeats, number,
+    )
     return BenchResult(
         name="gft_nms",
         hot_path="repro.vision.features.suppress_min_distance",
@@ -54,19 +66,8 @@ def bench_gft_nms(quick: bool) -> BenchResult:
             "min_distance": wl.min_distance,
             "max_corners": wl.max_corners,
         },
-        optimized=time_callable(
-            lambda: suppress_min_distance(
-                wl.candidate_xs, wl.candidate_ys, wl.shape,
-                wl.min_distance, wl.max_corners,
-            ),
-            repeats, number,
-        ),
-        reference=time_callable(
-            lambda: reference.suppress_min_distance_reference(
-                wl.candidate_xs, wl.candidate_ys, wl.min_distance, wl.max_corners
-            ),
-            repeats, number,
-        ),
+        optimized=optimized_arm,
+        reference=reference_arm,
         notes="disk-stamped blocked raster vs. pure-Python occupancy-grid walk",
     )
 
@@ -74,10 +75,16 @@ def bench_gft_nms(quick: bool) -> BenchResult:
 def bench_lk_track(quick: bool) -> BenchResult:
     """Pyramidal Lucas-Kanade over prebuilt pyramids."""
     wl = workloads.make_lk_workload()
-    optimized = track_features(wl.pyramid_a, wl.pyramid_b, wl.points, wl.params)
-    ref = reference.track_features_reference(
-        wl.pyramid_a, wl.pyramid_b, wl.points, wl.params
-    )
+
+    def optimized_step():
+        return track_features(wl.pyramid_a, wl.pyramid_b, wl.points, wl.params)
+
+    def reference_step():
+        return reference.track_features_reference(
+            wl.pyramid_a, wl.pyramid_b, wl.points, wl.params
+        )
+
+    optimized, ref = optimized_step(), reference_step()
     if not (
         np.array_equal(optimized.points, ref.points)
         and np.array_equal(optimized.status, ref.status)
@@ -85,6 +92,9 @@ def bench_lk_track(quick: bool) -> BenchResult:
     ):
         raise AssertionError("LK optimisation diverged from reference output")
     repeats, number = _repeats(quick, 15)
+    optimized_arm, reference_arm = time_interleaved(
+        [optimized_step, reference_step], repeats, 1
+    )
     return BenchResult(
         name="lk_track",
         hot_path="repro.vision.optical_flow.track_features",
@@ -95,20 +105,14 @@ def bench_lk_track(quick: bool) -> BenchResult:
             "frame_gap": 2,
             "frame_shape": list(wl.frame_a.shape),
         },
-        optimized=time_callable(
-            lambda: track_features(wl.pyramid_a, wl.pyramid_b, wl.points, wl.params),
-            repeats, 1,
-        ),
-        reference=time_callable(
-            lambda: reference.track_features_reference(
-                wl.pyramid_a, wl.pyramid_b, wl.points, wl.params
-            ),
-            repeats, 1,
-        ),
+        optimized=optimized_arm,
+        reference=reference_arm,
         notes=(
-            "active-row gathering + one coordinate pass shared by the level "
-            "image and both gradients + Scharr on the window support vs. "
-            "full-window resampling every iteration + full-level Scharr"
+            "active-row gathering + one per-axis coordinate pass (window "
+            "columns and rows clamped and weighted once, only the flat index "
+            "broadcast) shared by the level image and both gradients + "
+            "Scharr on the window support vs. full-grid resampling every "
+            "iteration + full-level Scharr"
         ),
     )
 
@@ -127,6 +131,17 @@ def bench_block_motion_field(quick: bool) -> BenchResult:
     ):
         raise AssertionError("block matcher diverged from reference output")
     repeats, number = _repeats(quick, 20, 3)
+    optimized_arm, reference_arm = time_interleaved(
+        [
+            lambda: block_motion_field(
+                wl.pyramid_a, wl.pyramid_b, wl.points, wl.params
+            ),
+            lambda: reference.block_motion_field_reference(
+                wl.pyramid_a, wl.pyramid_b, wl.points, wl.params
+            ),
+        ],
+        repeats, number,
+    )
     return BenchResult(
         name="block_motion_field",
         hot_path="repro.vision.block_motion.block_motion_field",
@@ -138,18 +153,8 @@ def bench_block_motion_field(quick: bool) -> BenchResult:
             "block_size": wl.params.block_size,
             "frame_gap": wl.frame_gap,
         },
-        optimized=time_callable(
-            lambda: block_motion_field(
-                wl.pyramid_a, wl.pyramid_b, wl.points, wl.params
-            ),
-            repeats, number,
-        ),
-        reference=time_callable(
-            lambda: reference.block_motion_field_reference(
-                wl.pyramid_a, wl.pyramid_b, wl.points, wl.params
-            ),
-            repeats, number,
-        ),
+        optimized=optimized_arm,
+        reference=reference_arm,
         notes=(
             "one windowed SAD per pyramid level (clamped (N,B+2r,B+2r) "
             "search-window gather, strided candidate views, one reduction, "
@@ -256,6 +261,9 @@ def bench_gaussian_blur(quick: bool) -> BenchResult:
         return out
 
     repeats, number = _repeats(quick, 20, 3)
+    optimized_arm, reference_arm = time_interleaved(
+        [batched, per_channel_reference], repeats, number
+    )
     return BenchResult(
         name="gaussian_blur",
         hot_path="repro.vision.image.gaussian_blur_batched",
@@ -265,8 +273,8 @@ def bench_gaussian_blur(quick: bool) -> BenchResult:
             "stack_shape": list(stack.shape),
             "sigma": sigma,
         },
-        optimized=time_callable(batched, repeats, number),
-        reference=time_callable(per_channel_reference, repeats, number),
+        optimized=optimized_arm,
+        reference=reference_arm,
         notes=(
             "one padded (3,h,w) tap sweep into scratch vs. three frozen "
             "allocate-per-tap separable blurs"
@@ -294,6 +302,13 @@ def bench_pyramid_build(quick: bool) -> BenchResult:
         raise AssertionError("fused pyramid build diverged from reference output")
 
     repeats, number = _repeats(quick, 15)
+    optimized_arm, reference_arm = time_interleaved(
+        [
+            lambda: FramePyramid(frame, levels),
+            lambda: reference.build_pyramid_reference(frame, levels),
+        ],
+        repeats, 1,
+    )
     return BenchResult(
         name="pyramid_build",
         hot_path="repro.vision.image.pyramid_down",
@@ -303,10 +318,8 @@ def bench_pyramid_build(quick: bool) -> BenchResult:
             "frame_shape": list(frame.shape),
             "levels": levels,
         },
-        optimized=time_callable(lambda: FramePyramid(frame, levels), repeats, 1),
-        reference=time_callable(
-            lambda: reference.build_pyramid_reference(frame, levels), repeats, 1
-        ),
+        optimized=optimized_arm,
+        reference=reference_arm,
         notes=(
             "decimated tap sweep (only the kept [::2,::2] samples) vs. "
             "frozen blur-everything-then-subsample"
@@ -342,6 +355,9 @@ def bench_shi_tomasi_response(quick: bool) -> BenchResult:
         return out
 
     repeats, number = _repeats(quick, 20, 3)
+    optimized_arm, reference_arm = time_interleaved(
+        [fused_pass, reference_pass], repeats, number
+    )
     return BenchResult(
         name="shi_tomasi_response",
         hot_path="repro.vision.features.shi_tomasi_response",
@@ -352,8 +368,8 @@ def bench_shi_tomasi_response(quick: bool) -> BenchResult:
             "roi_shapes": [list(roi.shape) for roi in wl.rois],
             "sigma": wl.window_sigma,
         },
-        optimized=time_callable(fused_pass, repeats, number),
-        reference=time_callable(reference_pass, repeats, number),
+        optimized=optimized_arm,
+        reference=reference_arm,
         notes=(
             "per detected-box pass: shared gradient pad + batched tensor "
             "blur + out= eigenvalue arithmetic vs. frozen out-of-place chain"
@@ -397,8 +413,8 @@ def bench_render_frame(quick: bool) -> BenchResult:
 
     Times a fixed pass over the first frames of the render bench clip
     (fixed-camera, like the macro suite — see ``workloads.RENDER_SCENARIO``)
-    through ``FrameRenderer.render_frame``, which bypasses both cache
-    tiers, so this measures the separable-sampling fast path itself.
+    through ``FrameRenderer.render_frame``, which bypasses the frame
+    store, so this measures the separable-sampling fast path itself.
     Reported per frame.
     """
     num_frames = 8
@@ -422,8 +438,9 @@ def bench_render_frame(quick: bool) -> BenchResult:
         return frame
 
     repeats, number = _repeats(quick, 15)
-    optimized = time_callable(optimized_pass, repeats, 1)
-    ref_measure = time_callable(reference_pass, repeats, 1)
+    optimized, ref_measure = time_interleaved(
+        [optimized_pass, reference_pass], repeats, 1
+    )
     optimized.best_s /= num_frames
     optimized.mean_s /= num_frames
     ref_measure.best_s /= num_frames

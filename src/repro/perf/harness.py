@@ -11,7 +11,9 @@ Methodology (documented in DESIGN.md §7):
 - benches that optimise an existing hot path also time the frozen pre-PR
   implementation (:mod:`repro.perf.reference`) on the same workload and
   report ``speedup_vs_reference``, after asserting both produce identical
-  output — a benchmark of a wrong answer is worthless.
+  output — a benchmark of a wrong answer is worthless.  The kernel
+  benches time the two arms with :func:`time_interleaved`, so a burst of
+  host contention slows both alike instead of skewing the ratio.
 
 The JSON document is append-friendly for trend tooling: one file per run,
 schema-versioned, with enough host metadata to explain level shifts.

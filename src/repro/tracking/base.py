@@ -29,6 +29,25 @@ PyramidProvider = Callable[[int, int], FramePyramid]
 _DEPARTURE_VISIBLE_FRACTION = 0.2
 
 
+def median_shift(deltas: np.ndarray) -> float:
+    """The median of a 1-D array, as ``np.median`` computes it: the middle
+    element for odd ``n``, ``(a + b) / 2`` of the two middle ones for
+    even ``n`` (``np.median``'s mean of two elements is that sum and
+    division).  Sorting a few dozen values and picking is several times
+    cheaper than ``np.median``'s partition, NaN check and ``mean``.
+
+    Callers pass finite deltas already masked by tracking status, so the
+    NaN handling ``np.median`` adds is not reproduced.  Where the middle
+    elements are zeros of both signs, the zero returned may carry the
+    other sign than ``np.median``'s.
+    """
+    ordered = np.sort(deltas)
+    middle = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[middle])
+    return (float(ordered[middle - 1]) + float(ordered[middle])) / 2
+
+
 @dataclass
 class _TrackedObject:
     label: str

@@ -25,7 +25,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.detection.detector import Detection
-from repro.tracking.base import BoxTrackerBase, FrameProvider, PyramidProvider
+from repro.tracking.base import (
+    BoxTrackerBase,
+    FrameProvider,
+    PyramidProvider,
+    median_shift,
+)
 from repro.tracking.motion import motion_velocity
 from repro.tracking.tracker import TrackStep
 from repro.vision.block_motion import (
@@ -137,8 +142,8 @@ class MVETracker(BoxTrackerBase):
                 obj = self._objects[obj_index]
                 mask = field_.valid & (owners == slot)
                 if mask.any():
-                    dx = float(np.median(field_.vectors[mask, 0]))
-                    dy = float(np.median(field_.vectors[mask, 1]))
+                    dx = median_shift(field_.vectors[mask, 0])
+                    dy = median_shift(field_.vectors[mask, 1])
                     self._velocities[obj_index] = (dx / gap, dy / gap)
                 elif self.config.extrapolate:
                     vx, vy = self._velocities[obj_index]

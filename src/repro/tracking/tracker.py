@@ -26,7 +26,12 @@ import numpy as np
 
 from repro.geometry import Box
 from repro.detection.detector import Detection
-from repro.tracking.base import BoxTrackerBase, FrameProvider, PyramidProvider
+from repro.tracking.base import (
+    BoxTrackerBase,
+    FrameProvider,
+    PyramidProvider,
+    median_shift,
+)
 from repro.tracking.motion import motion_velocity
 from repro.vision.fast import fast_corners
 from repro.vision.features import good_features_to_track
@@ -339,16 +344,16 @@ class ObjectTracker(BoxTrackerBase):
                 mask = status & (self._owners == index)
                 if not mask.any():
                     continue  # no surviving features: the box goes stale
-                dx = float(np.median(deltas[mask, 0]))
-                dy = float(np.median(deltas[mask, 1]))
+                dx = median_shift(deltas[mask, 0])
+                dy = median_shift(deltas[mask, 1])
                 dx, dy = self._degraded_shift(dx, dy, residuals[mask])
                 obj.box = obj.box.shifted(dx, dy)
         else:
             # Ablation mode: one global motion vector for every object.
             if not status.any():
                 return
-            dx = float(np.median(deltas[status, 0]))
-            dy = float(np.median(deltas[status, 1]))
+            dx = median_shift(deltas[status, 0])
+            dy = median_shift(deltas[status, 1])
             dx, dy = self._degraded_shift(dx, dy, residuals[status])
             for obj in self._objects:
                 if obj.alive:

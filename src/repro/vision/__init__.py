@@ -23,7 +23,6 @@ from repro.vision.image import (
     pyramid_down,
     build_pyramid,
     sample_bilinear,
-    sample_bilinear_pair,
 )
 from repro.vision.features import (
     good_features_to_track,
@@ -46,7 +45,6 @@ __all__ = [
     "pyramid_down",
     "build_pyramid",
     "sample_bilinear",
-    "sample_bilinear_pair",
     "good_features_to_track",
     "suppress_min_distance",
     "shi_tomasi_response",

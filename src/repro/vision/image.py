@@ -376,16 +376,20 @@ def build_pyramid(image: np.ndarray, levels: int) -> list[np.ndarray]:
 class _BilinearTaps(NamedTuple):
     """The coordinate half of bilinear sampling, shareable across images.
 
-    Flat index of each point's top-left neighbour in a ``(h, w)`` image,
-    the fractional weights, the row stride, and the shape to restore on
-    the result.
+    ``x0``/``fx`` and ``y0``/``fy`` are each tap's truncated column and row
+    and their fractional weights, in the callers' shapes: a window grid
+    passes its columns as ``(N, 1, W)`` and its rows as ``(N, W, 1)``, so
+    these hold one value per (point, column) or (point, row).  ``base`` is
+    the flat index of every tap's top-left neighbour in a ``(h, w)``
+    image, broadcast to the full sample shape; ``width`` is the row stride.
     """
 
     base: np.ndarray
     fx: np.ndarray
     fy: np.ndarray
+    x0: np.ndarray
+    y0: np.ndarray
     width: int
-    out_shape: tuple[int, ...]
 
 
 def _bilinear_taps(
@@ -393,59 +397,52 @@ def _bilinear_taps(
 ) -> _BilinearTaps:
     """Clamp, truncate, and weight ``(xs, ys)`` for any image of ``shape``.
 
-    ``ndarray.clip`` is the ``np.clip`` ufunc without the dispatch wrapper,
-    so clamping stays bit-identical — signed zeros included, which
-    ``np.maximum``/``np.minimum`` do not preserve.
+    ``xs`` and ``ys`` broadcast against each other, and each is clamped,
+    truncated and weighted in its own shape; only the flat index is
+    broadcast.  Per sample the float operations are those of the full
+    grid, so the taps are bit-identical to it.  ``ndarray.clip`` is the
+    ``np.clip`` ufunc without the dispatch wrapper, so clamping stays
+    bit-identical — signed zeros included, which ``np.maximum``/
+    ``np.minimum`` do not preserve.
     """
     h, w = shape
     if h < 2 or w < 2:
         raise ValueError("sample_bilinear needs an image of at least 2x2")
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    out_shape = xs.shape
-    xs = xs.ravel().clip(0.0, w - 1.000001)
-    ys = ys.ravel().clip(0.0, h - 1.000001)
+    xs = np.asarray(xs, dtype=np.float64).clip(0.0, w - 1.000001)
+    ys = np.asarray(ys, dtype=np.float64).clip(0.0, h - 1.000001)
     x0 = xs.astype(np.intp)
     y0 = ys.astype(np.intp)
-    return _BilinearTaps(y0 * w + x0, xs - x0, ys - y0, w, out_shape)
+    return _BilinearTaps(y0 * w + x0, xs - x0, ys - y0, x0, y0, w)
 
 
 def _bilinear_gather(image: np.ndarray, taps: _BilinearTaps) -> np.ndarray:
     """Interpolate ``image`` at precomputed taps.
 
-    Flat gather: one fancy-index per corner is measurably faster than 2-D
-    indexing, and this is the hot path of Lucas-Kanade.
+    Flat gather: one ``np.take`` per corner, each from the flattened image
+    offset by that corner's stride, so no shifted copy of ``base`` is
+    built.  The blend runs in place on the gathered corners, computing
+    ``top = tl + (tr - tl) * fx``, ``bottom`` likewise and
+    ``top + (bottom - top) * fy`` with the same operations in the same
+    order as the expression would, without its temporaries.  This is the
+    hot path of Lucas-Kanade.
     """
     flat = image.ravel()
     base = taps.base
     w = taps.width
-    tl = flat[base]
-    tr = flat[base + 1]
-    bl = flat[base + w]
-    br = flat[base + w + 1]
-    top = tl + (tr - tl) * taps.fx
-    bottom = bl + (br - bl) * taps.fx
-    return (top + (bottom - top) * taps.fy).reshape(taps.out_shape)
-
-
-def sample_bilinear_pair(
-    image_a: np.ndarray,
-    image_b: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinearly interpolate two same-shape images at the same points.
-
-    Exactly equivalent to two :func:`sample_bilinear` calls, but the
-    coordinate pass (clamping, truncation, fractional weights, flat
-    indices) — roughly half the cost of a call — happens once.
-    """
-    image_a = np.asarray(image_a, dtype=np.float64)
-    image_b = np.asarray(image_b, dtype=np.float64)
-    if image_a.shape != image_b.shape:
-        raise ValueError("sample_bilinear_pair images must share a shape")
-    taps = _bilinear_taps(image_a.shape, xs, ys)
-    return _bilinear_gather(image_a, taps), _bilinear_gather(image_b, taps)
+    top = np.take(flat, base)
+    right = np.take(flat[1:], base)
+    right -= top
+    right *= taps.fx
+    top += right
+    bottom = np.take(flat[w:], base)
+    corner = np.take(flat[w + 1 :], base)
+    corner -= bottom
+    corner *= taps.fx
+    bottom += corner
+    bottom -= top
+    bottom *= taps.fy
+    top += bottom
+    return top
 
 
 def sample_bilinear(image: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -453,7 +450,8 @@ def sample_bilinear(image: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nda
 
     Coordinates outside the image are clamped to the border, matching the
     behaviour OpenCV uses for patch sampling near edges.  ``xs`` and ``ys``
-    may be any (matching) shape; the result has the same shape.
+    may be any shapes that broadcast together; the result has the
+    broadcast shape.
     """
     image = np.asarray(image, dtype=np.float64)
     return _bilinear_gather(image, _bilinear_taps(image.shape, xs, ys))

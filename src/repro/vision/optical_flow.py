@@ -106,9 +106,25 @@ class FlowResult:
 
 
 def _window_grid(radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The full ``(2r+1, 2r+1)`` offset grid, kept for the frozen
+    reference; :func:`track_features` offsets each axis on its own."""
     offs = np.arange(-radius, radius + 1, dtype=np.float64)
     dx, dy = np.meshgrid(offs, offs)
     return dx, dy
+
+
+def _window_axes(points: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window sample coordinates around ``points``, one array per axis.
+
+    The full grid's ``x`` at row ``i``, column ``j`` is ``p_x + offs[j]``,
+    whatever ``i``, and its ``y`` is ``p_y + offs[i]``, so columns come
+    back as ``(N, 1, W)`` and rows as ``(N, W, 1)``: the same values,
+    each computed once instead of ``W`` times.
+    """
+    offs = np.arange(-radius, radius + 1, dtype=np.float64)
+    wx = points[:, 0, None, None] + offs[None, None, :]
+    wy = points[:, 1, None, None] + offs[None, :, None]
+    return wx, wy
 
 
 # Past this share of a level, its support tiles (halos included) cost
@@ -116,19 +132,22 @@ def _window_grid(radius: int) -> tuple[np.ndarray, np.ndarray]:
 _SUPPORT_MAX_FRACTION = 0.5
 
 
-def _support_tiles(taps: _BilinearTaps, n: int, size: int, shape: tuple[int, int]) -> np.ndarray:
+def _support_tiles(taps: _BilinearTaps, size: int, shape: tuple[int, int]) -> np.ndarray:
     """``(y, x)`` corners of the ``size``-square tiles holding every pixel
-    the ``n`` windows' bilinear ``taps`` read, as a ``(K, 2)`` array.
+    the windows' bilinear ``taps`` read, as a ``(K, 2)`` array.
 
     A tile is at least one window's taps wide, so a window touches at most
     two tiles per axis: those of its first tap and of its last tap's
     bottom-right neighbour (window offsets are sorted, and clamping and
-    truncation are monotone).  Edge tiles are shifted inside the level.
+    truncation are monotone).  The taps hold each window's columns and
+    rows once, so both ends are read off per axis.  Edge tiles are shifted
+    inside the level.
     """
     h, w = shape
-    corners = taps.base.reshape(n, -1)[:, [0, -1]]
-    corners[:, 1] += w + 1
-    ys, xs = np.divmod(corners, w)
+    ys = taps.y0[:, [0, -1], 0]
+    xs = taps.x0[:, 0, [0, -1]]
+    ys[:, 1] += 1
+    xs[:, 1] += 1
     touched = np.zeros((-(-h // size), -(-w // size)), dtype=bool)
     touched[ys[:, :, None] // size, xs[:, None, :] // size] = True
     origins = np.stack(np.nonzero(touched), axis=1) * size
@@ -136,7 +155,7 @@ def _support_tiles(taps: _BilinearTaps, n: int, size: int, shape: tuple[int, int
 
 
 def _window_gradients(
-    images: list[np.ndarray], taps: list[_BilinearTaps], n: int, radius: int
+    images: list[np.ndarray], taps: list[_BilinearTaps], radius: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Scharr ``(Ix, Iy)`` planes per level, exact wherever that level's
     ``taps`` read; elsewhere these per-thread scratch planes hold stale
@@ -153,7 +172,7 @@ def _window_gradients(
         iy = _scratch_buffer("lk.iy", (h, w))
         planes.append((ix, iy))
         if h >= size and w >= size:
-            origins = _support_tiles(level_taps, n, size, (h, w))
+            origins = _support_tiles(level_taps, size, (h, w))
             if origins.shape[0] * (size + 2) ** 2 <= _SUPPORT_MAX_FRACTION * h * w:
                 tiled.append((image, origins, ix, iy))
                 continue
@@ -196,25 +215,23 @@ def track_features(
     next_pyr = next_image.images
     levels = min(prev_image.levels, next_image.levels)
 
-    dx, dy = _window_grid(params.window_radius)
-    window_area = dx.size
+    window_area = (2 * params.window_radius + 1) ** 2
 
     flow = np.zeros((n, 2), dtype=np.float64)
     status = np.ones(n, dtype=bool)
     residual = np.full(n, np.inf, dtype=np.float64)
 
     # Window sample coordinates around each point in the previous frame,
-    # shapes (N, W, W), and their taps, per level: the level image and both
-    # gradients are sampled through one coordinate pass, and the gradients
-    # are computed only where it reads.
+    # per axis ((N, 1, W) columns, (N, W, 1) rows), and their taps, per
+    # level: the level image and both gradients are sampled through one
+    # coordinate pass, and the gradients are computed only where it reads.
     windows = []
     for level in range(levels):
         pts_l = points * 0.5**level
-        wx = pts_l[:, 0, None, None] + dx[None]
-        wy = pts_l[:, 1, None, None] + dy[None]
+        wx, wy = _window_axes(pts_l, params.window_radius)
         windows.append((pts_l, wx, wy, _bilinear_taps(prev_pyr[level].shape, wx, wy)))
     gradients = _window_gradients(
-        prev_pyr[:levels], [window[3] for window in windows], n, params.window_radius
+        prev_pyr[:levels], [window[3] for window in windows], params.window_radius
     )
 
     for level in range(levels - 1, -1, -1):

@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from repro.perf import reference, workloads
 from repro.vision.block_motion import BlockMotionParams, block_motion_field
 from repro.vision.features import suppress_min_distance
-from repro.vision.image import gaussian_blur, sample_bilinear, sample_bilinear_pair
+from repro.vision.image import gaussian_blur, sample_bilinear
 from repro.vision.optical_flow import LKParams, track_features
 
 
@@ -25,11 +25,14 @@ def _textured(shape: tuple[int, int], seed: int) -> np.ndarray:
 
 
 def _assert_same_flow(prev, nxt, points, params):
+    """Every point's position, status and residual equal the reference's
+    bit for bit, failed points included."""
     optimized = track_features(prev, nxt, points, params)
     expected = reference.track_features_reference(prev, nxt, points, params)
-    assert np.array_equal(optimized.points, expected.points)
+    bits = np.uint64
+    assert np.array_equal(optimized.points.view(bits), expected.points.view(bits))
     assert np.array_equal(optimized.status, expected.status)
-    assert np.array_equal(optimized.residual, expected.residual)
+    assert np.array_equal(optimized.residual.view(bits), expected.residual.view(bits))
     return optimized
 
 
@@ -186,23 +189,19 @@ class TestLKWindowGradients:
             build_pyramid,
             image_gradients,
         )
-        from repro.vision.optical_flow import _window_gradients, _window_grid
+        from repro.vision.optical_flow import _window_axes, _window_gradients
 
         prev, _, points, params = case
         radius = params.window_radius
         images = build_pyramid(prev, params.pyramid_levels)
-        dx, dy = _window_grid(radius)
         taps = []
         for level, image in enumerate(images):
-            scaled = points * 0.5**level
-            taps.append(
-                _bilinear_taps(
-                    image.shape, scaled[:, 0, None, None] + dx, scaled[:, 1, None, None] + dy
-                )
-            )
+            # Per-axis window coordinates, as track_features builds them.
+            wx, wy = _window_axes(points * 0.5**level, radius)
+            taps.append(_bilinear_taps(image.shape, wx, wy))
             _scratch_buffer("lk.ix", image.shape)[...] = np.nan
             _scratch_buffer("lk.iy", image.shape)[...] = np.nan
-        planes = _window_gradients(images, taps, points.shape[0], radius)
+        planes = _window_gradients(images, taps, radius)
         bits = np.uint64
         for image, level_taps, level_planes in zip(images, taps, planes):
             offsets = (0, 1, level_taps.width, level_taps.width + 1)
@@ -236,6 +235,78 @@ class TestLKWindowGradients:
         nxt = np.roll(self._FRAME, (1, -1), axis=(0, 1))
         _assert_same_flow(self._FRAME, nxt, points, LKParams(pyramid_levels=1))
         assert calls == ([] if full_sweep else [tiles])
+
+
+@st.composite
+def _per_axis_cases(draw):
+    """LK inputs aimed at the per-axis window coordinates.  Every case has
+    a point past or on each of the four borders, so windows clamp at all
+    of them; the coarsest level is at most three pixels wider than a
+    window (or than 8 pixels, the least a halved level keeps); some
+    coordinates sit within one ulp of an integer, at every level when
+    the integer is a multiple of the coarsest level's scale; and the
+    content shifts by up to six pixels either way, so flows carry
+    windows off the frame."""
+    radius = draw(st.integers(1, 7))
+    levels = draw(st.integers(1, 3))
+    # A pyramid halves (rounding up) only while its level is at least 16
+    # pixels, so coarse levels of multi-level pyramids are at least 8 wide.
+    narrowest = max(2 * radius + 1, 8 if levels > 1 else 2)
+    scale = 2 ** (levels - 1)
+    h, w = (
+        draw(st.integers(narrowest, narrowest + 3)) * scale - draw(st.integers(0, 1))
+        for _ in range(2)
+    )
+    params = LKParams(
+        window_radius=radius,
+        pyramid_levels=levels,
+        max_iterations=draw(st.integers(1, 10)),
+    )
+    margin = 6
+    canvas = _textured((h + 2 * margin, w + 2 * margin), draw(st.integers(0, 2**16)))
+    dy, dx = (draw(st.integers(0, 2 * margin)) for _ in range(2))
+    prev = canvas[margin : h + margin, margin : w + margin]
+    nxt = canvas[dy : h + dy, dx : w + dx]
+
+    def near_integer(extent: int) -> float:
+        step = draw(st.sampled_from([1, scale]))
+        whole = float(step * draw(st.integers(0, (extent - 1) // step)))
+        return float(np.nextafter(whole, draw(st.sampled_from([-np.inf, np.inf]))))
+
+    def near_edge(low: bool, extent: int) -> float:
+        depth = draw(st.floats(-float(radius + 2), float(radius)))
+        return depth if low else extent - 1 - depth
+
+    def anywhere(extent: int) -> float:
+        if draw(st.booleans()):
+            return near_integer(extent)
+        return draw(st.floats(0.0, float(extent - 1)))
+
+    points = [
+        (near_edge(True, w), anywhere(h)),
+        (near_edge(False, w), anywhere(h)),
+        (anywhere(w), near_edge(True, h)),
+        (anywhere(w), near_edge(False, h)),
+        (near_integer(w), near_integer(h)),
+    ]
+    points += draw(
+        st.lists(
+            st.tuples(st.floats(-3.0, w + 2.0), st.floats(-3.0, h + 2.0)),
+            max_size=6,
+        )
+    )
+    return prev, nxt, np.array(points, dtype=np.float64), params
+
+
+class TestPerAxisTaps:
+    """Window coordinates built per axis against the reference's full
+    window grid."""
+
+    @given(_per_axis_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_flow_matches_reference_bit_for_bit(self, case):
+        prev, nxt, points, params = case
+        _assert_same_flow(prev, nxt, points, params)
 
 
 class TestBlockMotionEquivalence:
@@ -329,8 +400,8 @@ def _sampling_cases(draw):
 
 
 class TestSamplerEquivalence:
-    """The split bilinear sampler (shared coordinate pass + gather) against
-    the frozen one-piece sampler, compared as raw bits, so even a flipped
+    """The split bilinear sampler (coordinate pass + gather) against the
+    frozen one-piece sampler, compared as raw bits, so even a flipped
     sign of zero fails."""
 
     @given(_sampling_cases())
@@ -340,16 +411,22 @@ class TestSamplerEquivalence:
     @settings(max_examples=300, deadline=None)
     def test_live_sampler_matches_frozen_bit_for_bit(self, case):
         image, xs, ys = case
-        mirrored = image[::-1].copy()
         expected = reference.sample_bilinear_reference(image, xs, ys)
-        expected_mirrored = reference.sample_bilinear_reference(mirrored, xs, ys)
-        pair = sample_bilinear_pair(image, mirrored, xs, ys)
-        bits = np.uint64
         assert np.array_equal(
-            sample_bilinear(image, xs, ys).view(bits), expected.view(bits)
+            sample_bilinear(image, xs, ys).view(np.uint64), expected.view(np.uint64)
         )
-        assert np.array_equal(pair[0].view(bits), expected.view(bits))
-        assert np.array_equal(pair[1].view(bits), expected_mirrored.view(bits))
+
+    @given(_sampling_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_per_axis_sampling_matches_full_grid(self, case):
+        """Columns passed as ``(1, n)`` and rows as ``(n, 1)``, the way
+        Lucas-Kanade passes its windows, sample exactly what the frozen
+        sampler reads on the meshgrid of the same coordinates."""
+        image, xs, ys = case
+        grid_x, grid_y = np.meshgrid(xs, ys)
+        expected = reference.sample_bilinear_reference(image, grid_x, grid_y)
+        got = sample_bilinear(image, xs[None, :], ys[:, None])
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestRenderEquivalence:

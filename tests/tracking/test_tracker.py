@@ -1,10 +1,13 @@
 """Unit tests for the object tracker (paper §IV-C workflow)."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.detection.detector import Detection
 from repro.geometry import Box, iou
+from repro.tracking.base import median_shift
 from repro.tracking.tracker import (
     TIER_KEYFRAME,
     TIER_LK,
@@ -33,6 +36,26 @@ def seed_tracker(clip, config=None, frame=0):
     )
     tracker.initialize(frame, detections)
     return tracker, detections
+
+
+_MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-1e300, 1e300),
+    st.floats(-50.0, 50.0),
+)
+
+
+class TestMedianShift:
+    @given(st.lists(_MEDIAN_VALUES, min_size=1, max_size=12))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_np_median(self, values):
+        """Sizes 1-12 with duplicates, signed zeros and magnitudes from
+        1e-300 to 1e300.  ``==`` is bit equality for every nonzero result;
+        a zero may carry the other sign where both signs meet in the
+        middle."""
+        deltas = np.array(values)
+        assert median_shift(deltas) == float(np.median(deltas))
 
 
 class TestLatencyModel:
