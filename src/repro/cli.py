@@ -244,7 +244,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
     only = args.only.split(",") if args.only else None
     results = run_benchmarks(quick=args.quick, only=only)
-    doc = build_document(results, quick=args.quick)
+    doc = build_document([r.to_json() for r in results], quick=args.quick)
     validate_bench_doc(doc)
     write_bench_json(doc, args.output)
     print(format_table(doc))
@@ -253,32 +253,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_macrobench(args: argparse.Namespace) -> int:
-    import json
-    import os
-
     from repro.perf import (
         format_macro_table,
         run_macro_benchmark,
         validate_macro_doc,
         write_bench_json,
     )
-    from repro.perf.macro import merge_sweep_bench
 
-    new_doc = run_macro_benchmark(
+    doc = run_macro_benchmark(
         jobs=args.jobs,
         repeats=args.repeats,
         quick=args.quick,
     )
-    # BENCH_macro.json also carries the serve ladder; replace only the
-    # sweep bench (mirrors servebench's merge in the other direction).
-    existing = None
-    if os.path.exists(args.output):
-        try:
-            with open(args.output) as handle:
-                existing = json.load(handle)
-        except (OSError, ValueError):
-            existing = None
-    doc = merge_sweep_bench(existing, new_doc["benches"][0], quick=args.quick)
     validate_macro_doc(doc, min_speedup=args.min_speedup)
     write_bench_json(doc, args.output)
     print(format_macro_table(doc))
@@ -334,24 +320,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_servebench(args: argparse.Namespace) -> int:
-    import json
-    import os
+    from repro.perf import write_bench_json
+    from repro.serve.bench import (
+        format_serve_table,
+        run_serve_benchmark,
+        validate_serve_doc,
+    )
 
-    from repro.perf import format_macro_table, validate_macro_doc, write_bench_json
-    from repro.serve.bench import merge_serve_bench, run_serve_benchmark
-
-    bench = run_serve_benchmark(quick=args.quick, seed=args.seed)
-    existing = None
-    if os.path.exists(args.output):
-        try:
-            with open(args.output) as handle:
-                existing = json.load(handle)
-        except (OSError, ValueError):
-            existing = None
-    doc = merge_serve_bench(existing, bench, quick=args.quick)
-    validate_macro_doc(doc, min_sustained_streams=args.min_sustained)
+    doc = run_serve_benchmark(quick=args.quick, seed=args.seed)
+    validate_serve_doc(doc, min_sustained_streams=args.min_sustained)
     write_bench_json(doc, args.output)
-    print(format_macro_table(doc))
+    print(format_serve_table(doc))
     print(f"\nwrote {args.output}", file=sys.stderr)
     return 0
 
@@ -493,12 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
     servebench = sub.add_parser(
         "servebench",
         help="climb the serving-fleet ladder and record sustained streams "
-             "at the realtime p99 SLO in BENCH_macro.json",
+             "at the realtime p99 SLO in BENCH_serve.json",
     )
     servebench.add_argument("--quick", action="store_true",
                             help="shorter ladder and runs (CI smoke)")
     servebench.add_argument("--seed", type=int, default=7)
-    servebench.add_argument("--output", metavar="PATH", default="BENCH_macro.json")
+    servebench.add_argument("--output", metavar="PATH", default="BENCH_serve.json")
     servebench.add_argument("--min-sustained", type=int, default=None,
                             help="fail unless the ladder sustains at least this "
                                  "many streams (the CI gate; host-independent)")

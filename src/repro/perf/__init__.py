@@ -1,7 +1,8 @@
 """Deterministic benchmark layer.
 
 ``repro bench`` → BENCH_micro.json (vision-kernel microbenchmarks) and
-``repro macrobench`` → BENCH_macro.json (sweep-engine suite benchmark).
+``repro macrobench`` → BENCH_macro.json (sweep-engine suite benchmark),
+both in the document envelope of :func:`build_document`.
 """
 
 from repro.perf.benches import BENCHES, run_benchmarks

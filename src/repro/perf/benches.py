@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import PipelineConfig
-from repro.core.mpdt import FixedSettingPolicy, MPDTPipeline
 from repro.perf import reference, workloads
 from repro.perf.harness import BenchResult, time_callable, time_interleaved
 from repro.tracking.mve import MVETracker, MVETrackerConfig
@@ -377,37 +375,6 @@ def bench_shi_tomasi_response(quick: bool) -> BenchResult:
     )
 
 
-def bench_mpdt_cycle(quick: bool) -> BenchResult:
-    """Full MPDT pipeline run, reported per detection cycle.
-
-    No frozen reference — this is the end-to-end trend metric the ROADMAP
-    asks every perf PR to move; per-cycle cost folds in detection bookkeeping,
-    seeding, tracking, and frame selection.
-    """
-    num_frames = 60
-    clip = workloads.bench_clip(num_frames=num_frames)
-    pipeline = MPDTPipeline(FixedSettingPolicy(512), config=PipelineConfig())
-    run = pipeline.run(clip)
-    cycles = len(run.cycles)
-    repeats, number = _repeats(quick, 5)
-    measurement = time_callable(lambda: pipeline.run(clip), repeats, 1)
-    # Report per-cycle cost: divide the per-run timing through.
-    measurement.best_s /= cycles
-    measurement.mean_s /= cycles
-    return BenchResult(
-        name="mpdt_cycle",
-        hot_path="repro.core.mpdt.MPDTPipeline.run",
-        workload={
-            "scenario": workloads.SCENARIO,
-            "seed": workloads.SEED,
-            "num_frames": num_frames,
-            "cycles": cycles,
-        },
-        optimized=measurement,
-        notes="wall-clock per detection cycle over a full seeded run",
-    )
-
-
 def bench_render_frame(quick: bool) -> BenchResult:
     """Uncached frame rendering vs. the frozen pre-PR renderer.
 
@@ -672,14 +639,7 @@ def bench_serve_scheduler(quick: bool) -> BenchResult:
     )
 
 
-# Registry order is execution order for the default run.  The kernel
-# benches run first and ``mpdt_cycle`` last: a full pipeline run churns
-# enough large transient buffers to shift the allocator's steady state
-# (glibc raises its dynamic mmap threshold), which perturbs later
-# allocation-heavy measurements — the meshgrid render reference most of
-# all.
-# mpdt_cycle stays last: its pipeline run perturbs the allocator state
-# (mmap threshold crossings) enough to bias kernel micro-timings run after it.
+# Registry order is execution order for the default run.
 BENCHES = {
     "gft_nms": bench_gft_nms,
     "lk_track": bench_lk_track,
@@ -692,7 +652,6 @@ BENCHES = {
     "frame_store_sweep": bench_frame_store_sweep,
     "pyramid_store_sweep": bench_pyramid_store_sweep,
     "serve_scheduler": bench_serve_scheduler,
-    "mpdt_cycle": bench_mpdt_cycle,
 }
 
 

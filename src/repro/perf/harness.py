@@ -15,8 +15,11 @@ Methodology (documented in DESIGN.md §7):
   benches time the two arms with :func:`time_interleaved`, so a burst of
   host contention slows both alike instead of skewing the ratio.
 
-The JSON document is append-friendly for trend tooling: one file per run,
-schema-versioned, with enough host metadata to explain level shifts.
+Every bench command writes its own document from scratch —
+``BENCH_micro.json`` here, ``BENCH_macro.json`` from :mod:`repro.perf.macro`,
+``BENCH_serve.json`` from :mod:`repro.serve.bench` — inside the one
+envelope of :func:`build_document`: schema version, suite, clock, and
+enough host metadata to explain level shifts.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SUITE_NAME = "repro-micro"
 
 
@@ -119,10 +122,19 @@ class BenchResult:
         return doc
 
 
-def build_document(results: list[BenchResult], quick: bool) -> dict:
+def build_document(
+    benches: list[dict], quick: bool, suite: str = SUITE_NAME, clock: str = "wall"
+) -> dict:
+    """The envelope every ``BENCH_*.json`` shares around its bench entries.
+
+    ``clock`` says which clock the headline figures are on: ``"wall"`` for
+    the reproduction's own speed, ``"virtual"`` for the paper's model time.
+    The host block is read fresh on every call; no document inherits it.
+    """
     return {
         "schema_version": SCHEMA_VERSION,
-        "suite": SUITE_NAME,
+        "suite": suite,
+        "clock": clock,
         "quick": quick,
         "created_unix": time.time(),
         "host": {
@@ -131,11 +143,13 @@ def build_document(results: list[BenchResult], quick: bool) -> dict:
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
         },
-        "benches": [r.to_json() for r in results],
+        "benches": benches,
     }
 
 
-_REQUIRED_TOP_KEYS = ("schema_version", "suite", "quick", "created_unix", "host", "benches")
+_REQUIRED_TOP_KEYS = (
+    "schema_version", "suite", "clock", "quick", "created_unix", "host", "benches"
+)
 _REQUIRED_BENCH_KEYS = (
     "name",
     "hot_path",
@@ -148,11 +162,20 @@ _REQUIRED_BENCH_KEYS = (
 )
 
 
-def validate_bench_doc(doc: dict) -> list[str]:
-    """Schema check for ``BENCH_micro.json``; returns the bench names.
+def require_keys(bench: dict, keys: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` naming the first of ``keys`` that ``bench`` lacks."""
+    for key in keys:
+        if key not in bench:
+            raise ValueError(
+                f"bench {bench.get('name', '<unnamed>')!r} missing key {key!r}"
+            )
 
-    Raises ``ValueError`` with a readable message on any violation — this
-    is what the CI smoke job runs against the freshly written file.
+
+def validate_envelope(doc: dict, suite: str, clock: str) -> list[str]:
+    """Check the fields :func:`build_document` writes; returns the bench names.
+
+    Raises ``ValueError`` with a readable message on any violation.  Each
+    document's own validator then checks its entries.
     """
     if not isinstance(doc, dict):
         raise ValueError("bench document must be a JSON object")
@@ -163,15 +186,31 @@ def validate_bench_doc(doc: dict) -> list[str]:
         raise ValueError(
             f"schema_version {doc['schema_version']!r} != {SCHEMA_VERSION}"
         )
+    if doc["suite"] != suite:
+        raise ValueError(f"suite {doc['suite']!r} != {suite!r}")
+    if doc["clock"] != clock:
+        raise ValueError(f"clock {doc['clock']!r} != {clock!r}")
+    cpu_count = doc["host"].get("cpu_count")
+    if not isinstance(cpu_count, int) or cpu_count < 1:
+        raise ValueError(f"host cpu_count {cpu_count!r} is not a positive int")
     if not isinstance(doc["benches"], list) or not doc["benches"]:
         raise ValueError("bench document has no benches")
-    names = []
     for bench in doc["benches"]:
-        for key in _REQUIRED_BENCH_KEYS:
-            if key not in bench:
-                raise ValueError(
-                    f"bench {bench.get('name', '<unnamed>')!r} missing key {key!r}"
-                )
+        require_keys(bench, ("name",))
+    names = [bench["name"] for bench in doc["benches"]]
+    if len(set(names)) != len(names):
+        raise ValueError("bench names are not unique")
+    return names
+
+
+def validate_bench_doc(doc: dict) -> list[str]:
+    """Schema check for ``BENCH_micro.json``; returns the bench names.
+
+    This is what the CI smoke job runs against the freshly written file.
+    """
+    names = validate_envelope(doc, SUITE_NAME, "wall")
+    for bench in doc["benches"]:
+        require_keys(bench, _REQUIRED_BENCH_KEYS)
         per_call = bench["optimized_per_call_s"]
         if not isinstance(per_call, (int, float)) or per_call <= 0:
             raise ValueError(f"bench {bench['name']!r} has non-positive timing")
@@ -180,9 +219,6 @@ def validate_bench_doc(doc: dict) -> list[str]:
             not isinstance(speedup, (int, float)) or speedup <= 0
         ):
             raise ValueError(f"bench {bench['name']!r} has invalid speedup")
-        names.append(bench["name"])
-    if len(set(names)) != len(names):
-        raise ValueError("bench names are not unique")
     return names
 
 

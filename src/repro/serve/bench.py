@@ -14,20 +14,22 @@ identity gate reruns the sustained rung and asserts digest equality
 (``results_identical``), the serve analogue of the sweep macrobench's
 bit-identical two-arm check.  Only ``wall_s`` varies across machines.
 
-The bench lands in ``BENCH_macro.json`` next to the sweep bench with
-``kind: "serve"``; :func:`repro.perf.macro.validate_macro_doc`
-dispatches validation (and the CI ``--min-sustained`` gate) on that key.
+``repro servebench`` writes the ladder to its own ``BENCH_serve.json``
+(``clock: "virtual"``) in the shared envelope of
+:func:`repro.perf.harness.build_document`; :func:`validate_serve_doc`
+checks it and applies the CI ``--min-sustained`` gate.
 """
 
 from __future__ import annotations
 
 import time
 
+from repro.perf.harness import build_document, require_keys, validate_envelope
 from repro.serve.report import FleetReport
 from repro.serve.scheduler import ServeConfig, fleet_configs, serve_fleet
 
+SERVE_SUITE_NAME = "repro-serve"
 SERVE_BENCH_NAME = "serve_fleet_ladder"
-SERVE_BENCH_KIND = "serve"
 
 # Rung ladders bracket the knee: p99 holds near one batch service while
 # the realtime subfleet fits the detector, then queueing blows it up.
@@ -79,7 +81,7 @@ def run_serve_benchmark(
     config: ServeConfig | None = None,
     rungs: tuple[int, ...] | None = None,
 ) -> dict:
-    """Climb the fleet ladder and return the serve bench entry.
+    """Climb the fleet ladder and return the ``BENCH_serve.json`` document.
 
     Every rung runs to completion (no early exit past the knee — the
     over-the-knee p99s are the interesting trend data), then the
@@ -110,9 +112,8 @@ def run_serve_benchmark(
     rerun_report, _ = _run_rung(identity_entry["streams"], seed, config)
     results_identical = rerun_report.digest() == identity_entry["digest"]
 
-    return {
+    bench = {
         "name": SERVE_BENCH_NAME,
-        "kind": SERVE_BENCH_KIND,
         "workload": {
             "seed": seed,
             "duration_s": config.duration_s,
@@ -129,21 +130,114 @@ def run_serve_benchmark(
         "results_identical": results_identical,
         "failures": 0 if results_identical else 1,
     }
+    return build_document([bench], quick, suite=SERVE_SUITE_NAME, clock="virtual")
 
 
-def merge_serve_bench(doc: dict | None, bench: dict, quick: bool) -> dict:
-    """Insert/replace the serve bench in a ``BENCH_macro.json`` document.
+_REQUIRED_BENCH_KEYS = (
+    "name",
+    "workload",
+    "slo_realtime_s",
+    "rungs",
+    "sustained_streams",
+    "results_identical",
+    "failures",
+)
+_REQUIRED_RUNG_KEYS = (
+    "streams",
+    "realtime_wait_p99_s",
+    "served_per_sim_second",
+    "wall_s",
+    "digest",
+)
 
-    With no existing document (or a non-mergeable one) a fresh macro doc
-    is built around the bench; otherwise the serve entry is replaced in
-    place so the sweep bench's numbers survive a servebench-only rerun.
+
+def _validate_serve_bench(bench: dict, min_sustained_streams: int | None) -> None:
+    require_keys(bench, _REQUIRED_BENCH_KEYS)
+    if bench["results_identical"] is not True:
+        raise ValueError(
+            f"bench {bench['name']!r} was not asserted result-identical"
+        )
+    if bench["failures"] != 0:
+        raise ValueError(f"bench {bench['name']!r} recorded failures")
+    slo = bench["slo_realtime_s"]
+    if not isinstance(slo, (int, float)) or slo <= 0:
+        raise ValueError(f"bench {bench['name']!r} has non-positive slo_realtime_s")
+    rungs = bench["rungs"]
+    if not isinstance(rungs, list) or not rungs:
+        raise ValueError(f"bench {bench['name']!r} has no rungs")
+    last_streams = 0
+    for rung in rungs:
+        for key in _REQUIRED_RUNG_KEYS:
+            if key not in rung:
+                raise ValueError(
+                    f"bench {bench['name']!r} rung missing key {key!r}"
+                )
+        if rung["streams"] <= last_streams:
+            raise ValueError(
+                f"bench {bench['name']!r} rungs are not strictly increasing"
+            )
+        last_streams = rung["streams"]
+        p99 = rung["realtime_wait_p99_s"]
+        if p99 is not None and (not isinstance(p99, (int, float)) or p99 < 0):
+            raise ValueError(
+                f"bench {bench['name']!r} rung {rung['streams']} has a "
+                f"negative realtime_wait_p99_s"
+            )
+    sustained = bench["sustained_streams"]
+    if not isinstance(sustained, int) or sustained < 0:
+        raise ValueError(
+            f"bench {bench['name']!r} sustained_streams must be a non-negative int"
+        )
+    if sustained and sustained not in {rung["streams"] for rung in rungs}:
+        raise ValueError(
+            f"bench {bench['name']!r} sustained_streams {sustained} "
+            f"is not one of its rungs"
+        )
+    # The ladder runs in virtual time, so unlike the sweep speedup gate
+    # this one never depends on host parallelism — no cpu_count waiver.
+    if min_sustained_streams is not None and sustained < min_sustained_streams:
+        raise ValueError(
+            f"bench {bench['name']!r} sustained {sustained} streams at the "
+            f"realtime p99 SLO, below required {min_sustained_streams}"
+        )
+
+
+def validate_serve_doc(
+    doc: dict, min_sustained_streams: int | None = None
+) -> list[str]:
+    """Schema check for ``BENCH_serve.json``; returns the bench names.
+
+    ``min_sustained_streams`` is the CI gate: the serve-smoke job asserts
+    the scheduler still sustains a floor fleet size at the realtime p99
+    SLO.
     """
-    from repro.perf.macro import new_macro_document
+    names = validate_envelope(doc, SERVE_SUITE_NAME, "virtual")
+    for bench in doc["benches"]:
+        _validate_serve_bench(bench, min_sustained_streams)
+    return names
 
-    if not isinstance(doc, dict) or not isinstance(doc.get("benches"), list):
-        doc = new_macro_document(quick=quick)
-    doc["benches"] = [
-        entry for entry in doc["benches"] if entry.get("name") != bench["name"]
-    ] + [bench]
-    doc["created_unix"] = time.time()
-    return doc
+
+def format_serve_table(doc: dict) -> str:
+    """Human-readable summary of a serve-bench document for the CLI."""
+    lines = []
+    for bench in doc["benches"]:
+        workload = bench["workload"]
+        lines.append(
+            f"{bench['name']:20s} sustains {bench['sustained_streams']} streams "
+            f"at realtime p99 <= {bench['slo_realtime_s']:g}s "
+            f"over {workload['duration_s']:g} virtual s"
+        )
+        for rung in bench["rungs"]:
+            p99 = rung["realtime_wait_p99_s"]
+            p99_text = "   n/a" if p99 is None else f"{p99 * 1e3:5.0f}ms"
+            sustained = (
+                " <- sustained"
+                if rung["streams"] == bench["sustained_streams"]
+                else ""
+            )
+            lines.append(
+                f"  {rung['streams']:>4d} streams: realtime p99 {p99_text}, "
+                f"{rung['served_per_sim_second']:5.1f} served/s, "
+                f"wall {rung['wall_s']:.2f}s{sustained}"
+            )
+    return "\n".join(lines)

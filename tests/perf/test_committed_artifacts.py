@@ -1,8 +1,9 @@
 """The committed bench documents must validate against the current schemas.
 
-``BENCH_micro.json`` and ``BENCH_macro.json`` are checked in and quoted by
-the docs; a schema change that silently orphans them would leave the repo
-citing numbers its own validators reject.
+``BENCH_micro.json``, ``BENCH_macro.json`` and ``BENCH_serve.json`` are
+checked in and quoted by the docs; a schema change that silently orphans
+them would leave the repo citing numbers its own validators reject.  The
+envelope check makes each carry its ``clock`` and ``host.cpu_count``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import re
 from pathlib import Path
 
 from repro.perf import validate_bench_doc, validate_macro_doc
+from repro.serve.bench import validate_serve_doc
 
 _ROOT = Path(__file__).resolve().parents[2]
 
@@ -27,6 +29,10 @@ def test_committed_micro_bench_validates():
 
 def test_committed_macro_bench_validates():
     assert validate_macro_doc(_load("BENCH_macro.json"))
+
+
+def test_committed_serve_bench_validates():
+    assert validate_serve_doc(_load("BENCH_serve.json"))
 
 
 def test_changes_log_has_one_entry_per_pr():

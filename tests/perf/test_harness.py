@@ -72,7 +72,8 @@ class TestBenchResult:
 
 class TestDocumentValidation:
     def _doc(self, **overrides):
-        doc = build_document([_result("a", 0.004), _result("b")], quick=True)
+        results = [_result("a", 0.004), _result("b")]
+        doc = build_document([r.to_json() for r in results], quick=True)
         doc.update(overrides)
         return doc
 
@@ -88,6 +89,10 @@ class TestDocumentValidation:
     def test_wrong_schema_version_rejected(self):
         with pytest.raises(ValueError, match="schema_version"):
             validate_bench_doc(self._doc(schema_version=SCHEMA_VERSION + 1))
+
+    def test_wrong_clock_rejected(self):
+        with pytest.raises(ValueError, match="clock"):
+            validate_bench_doc(self._doc(clock="virtual"))
 
     def test_empty_benches_rejected(self):
         with pytest.raises(ValueError, match="no benches"):
@@ -106,7 +111,8 @@ class TestDocumentValidation:
             validate_bench_doc(doc)
 
     def test_duplicate_names_rejected(self):
-        doc = build_document([_result("same"), _result("same")], quick=True)
+        same = _result("same").to_json()
+        doc = build_document([same, dict(same)], quick=True)
         with pytest.raises(ValueError, match="not unique"):
             validate_bench_doc(doc)
 

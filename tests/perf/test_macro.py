@@ -27,6 +27,7 @@ class TestRunMacroBenchmark:
 
     def test_document_shape(self, macro_doc):
         assert macro_doc["suite"] == MACRO_SUITE_NAME
+        assert macro_doc["clock"] == "wall"
         assert macro_doc["quick"] is True
         assert isinstance(macro_doc["host"]["cpu_count"], int)
         bench = macro_doc["benches"][0]
@@ -143,10 +144,20 @@ class TestValidateMacroDoc:
         with pytest.raises(ValueError, match="effective_parallelism"):
             validate_macro_doc(doc)
 
+    def test_rejects_effective_parallelism_off_the_host(self, macro_doc):
+        """A jobs=2 entry beside a 1-CPU host block is two runs' figures in
+        one document."""
+        doc = copy.deepcopy(macro_doc)
+        doc["host"]["cpu_count"] = 1
+        doc["benches"][0]["effective_parallelism"] = 2
+        with pytest.raises(ValueError, match="effective_parallelism"):
+            validate_macro_doc(doc)
+
     def test_min_speedup_gate(self, macro_doc):
         doc = copy.deepcopy(macro_doc)
         # Pin a multi-core host: the gate only applies where a pool can win.
         doc["host"]["cpu_count"] = 4
+        doc["benches"][0]["effective_parallelism"] = 2
         doc["benches"][0]["speedup"] = 1.2
         with pytest.raises(ValueError, match="below required"):
             validate_macro_doc(doc, min_speedup=1.7)
@@ -157,6 +168,7 @@ class TestValidateMacroDoc:
         waiver is logged so CI transcripts show it was skipped."""
         doc = copy.deepcopy(macro_doc)
         doc["host"]["cpu_count"] = 1
+        doc["benches"][0]["effective_parallelism"] = 1
         doc["benches"][0]["speedup"] = 0.8
         assert validate_macro_doc(doc, min_speedup=1.7) == [MACRO_BENCH_NAME]
         captured = capsys.readouterr()
@@ -166,68 +178,8 @@ class TestValidateMacroDoc:
     def test_min_speedup_gate_enforced_on_multi_core(self, macro_doc, capsys):
         doc = copy.deepcopy(macro_doc)
         doc["host"]["cpu_count"] = 2
+        doc["benches"][0]["effective_parallelism"] = 2
         doc["benches"][0]["speedup"] = 0.8
         with pytest.raises(ValueError, match="below required"):
             validate_macro_doc(doc, min_speedup=1.7)
         assert "skipping" not in capsys.readouterr().err
-
-
-class TestMergeSweepBench:
-    def _serve_stub(self):
-        return {
-            "name": "serve_fleet_ladder",
-            "kind": "serve",
-            "workload": {},
-            "slo_realtime_s": 2.0,
-            "rungs": [
-                {
-                    "streams": 16,
-                    "realtime_wait_p99_s": 0.9,
-                    "served_per_sim_second": 50.0,
-                    "wall_s": 1.0,
-                    "digest": "d",
-                }
-            ],
-            "sustained_streams": 16,
-            "results_identical": True,
-            "failures": 0,
-        }
-
-    def test_merge_into_none_starts_fresh(self, macro_doc):
-        from repro.perf.macro import merge_sweep_bench
-
-        bench = copy.deepcopy(macro_doc["benches"][0])
-        doc = merge_sweep_bench(None, bench, quick=True)
-        assert validate_macro_doc(doc) == [MACRO_BENCH_NAME]
-
-    def test_merge_preserves_serve_bench(self, macro_doc):
-        """Regenerating the sweep bench must not drop the serve ladder
-        that shares BENCH_macro.json."""
-        from repro.perf.macro import merge_sweep_bench
-
-        existing = copy.deepcopy(macro_doc)
-        existing["benches"].append(self._serve_stub())
-        bench = copy.deepcopy(macro_doc["benches"][0])
-        bench["speedup"] = 9.9
-        doc = merge_sweep_bench(existing, bench, quick=True)
-        names = validate_macro_doc(doc)
-        assert set(names) == {MACRO_BENCH_NAME, "serve_fleet_ladder"}
-        sweep = next(b for b in doc["benches"] if b["name"] == MACRO_BENCH_NAME)
-        assert sweep["speedup"] == 9.9
-        assert len(doc["benches"]) == 2
-
-    def test_merge_replaces_same_name_only_once(self, macro_doc):
-        from repro.perf.macro import merge_sweep_bench
-
-        bench = copy.deepcopy(macro_doc["benches"][0])
-        doc = merge_sweep_bench(copy.deepcopy(macro_doc), bench, quick=True)
-        doc = merge_sweep_bench(doc, bench, quick=True)
-        assert [b["name"] for b in doc["benches"]] == [MACRO_BENCH_NAME]
-
-    def test_merge_into_corrupt_doc_starts_fresh(self, macro_doc):
-        from repro.perf.macro import merge_sweep_bench
-
-        bench = copy.deepcopy(macro_doc["benches"][0])
-        doc = merge_sweep_bench({"benches": "not-a-list"}, bench, quick=False)
-        assert doc["quick"] is False
-        assert validate_macro_doc(doc) == [MACRO_BENCH_NAME]

@@ -1,17 +1,15 @@
-"""Servebench document tests: schema, kind dispatch, merge, gates."""
+"""Servebench document tests: schema, gates, table."""
 
 import pytest
 
-from repro.perf.macro import (
-    format_macro_table,
-    new_macro_document,
-    validate_macro_doc,
-)
+from repro.perf.harness import build_document
 from repro.serve import ServeConfig
 from repro.serve.bench import (
     SERVE_BENCH_NAME,
-    merge_serve_bench,
+    SERVE_SUITE_NAME,
+    format_serve_table,
     run_serve_benchmark,
+    validate_serve_doc,
 )
 
 _FAST_CONFIG = ServeConfig(duration_s=2.5, warmup_s=0.5)
@@ -19,35 +17,26 @@ _FAST_RUNGS = (4, 8)
 
 
 @pytest.fixture(scope="module")
-def serve_bench():
+def serve_doc():
     return run_serve_benchmark(seed=7, config=_FAST_CONFIG, rungs=_FAST_RUNGS)
 
 
-def _sweep_bench() -> dict:
-    """A minimal valid sweep-kind bench (pre-`kind` documents omit it)."""
-    return {
-        "name": "fig6_reduced_sweep",
-        "workload": {"shards": 12},
-        "jobs": 4,
-        "effective_parallelism": 4,
-        "repeats": 3,
-        "sequential_best_s": 10.0,
-        "parallel_best_s": 4.0,
-        "speedup": 2.5,
-        "results_identical": True,
-        "failures": 0,
-        "store": {
-            "budget_mb": 88,
-            "sequential": {"frame": {"hits": 1, "misses": 2}},
-            "parallel": {"frame": {"hits": 1, "misses": 2}},
-        },
-    }
+@pytest.fixture(scope="module")
+def serve_bench(serve_doc):
+    return serve_doc["benches"][0]
+
+
+def _doc(bench: dict) -> dict:
+    return build_document([bench], True, suite=SERVE_SUITE_NAME, clock="virtual")
 
 
 class TestRunServeBenchmark:
-    def test_bench_shape(self, serve_bench):
+    def test_bench_shape(self, serve_doc, serve_bench):
+        assert serve_doc["suite"] == SERVE_SUITE_NAME
+        assert serve_doc["clock"] == "virtual"
+        assert validate_serve_doc(serve_doc) == [SERVE_BENCH_NAME]
         assert serve_bench["name"] == SERVE_BENCH_NAME
-        assert serve_bench["kind"] == "serve"
+        assert "kind" not in serve_bench
         assert [r["streams"] for r in serve_bench["rungs"]] == list(_FAST_RUNGS)
         assert serve_bench["results_identical"] is True
         assert serve_bench["failures"] == 0
@@ -70,7 +59,9 @@ class TestRunServeBenchmark:
         assert serve_bench["sustained_streams"] == (max(passing) if passing else 0)
 
     def test_deterministic_across_runs(self, serve_bench):
-        again = run_serve_benchmark(seed=7, config=_FAST_CONFIG, rungs=_FAST_RUNGS)
+        again = run_serve_benchmark(
+            seed=7, config=_FAST_CONFIG, rungs=_FAST_RUNGS
+        )["benches"][0]
         assert [r["digest"] for r in again["rungs"]] == [
             r["digest"] for r in serve_bench["rungs"]
         ]
@@ -84,71 +75,42 @@ class TestRunServeBenchmark:
 
 
 class TestMergeAndValidate:
-    def test_merge_into_empty_builds_fresh_doc(self, serve_bench):
-        doc = merge_serve_bench(None, serve_bench, quick=True)
-        assert validate_macro_doc(doc) == [SERVE_BENCH_NAME]
-
-    def test_merge_preserves_sweep_bench(self, serve_bench):
-        doc = new_macro_document(quick=False, benches=[_sweep_bench()])
-        merged = merge_serve_bench(doc, serve_bench, quick=False)
-        names = validate_macro_doc(merged)
-        assert names == ["fig6_reduced_sweep", SERVE_BENCH_NAME]
-
-    def test_merge_replaces_stale_serve_bench(self, serve_bench):
-        doc = merge_serve_bench(None, dict(serve_bench, sustained_streams=0), True)
-        merged = merge_serve_bench(doc, serve_bench, quick=True)
-        entries = [b for b in merged["benches"] if b["name"] == SERVE_BENCH_NAME]
-        assert len(entries) == 1
-        assert entries[0]["sustained_streams"] == serve_bench["sustained_streams"]
-
-    def test_sweep_without_kind_still_validates(self):
-        doc = new_macro_document(quick=False, benches=[_sweep_bench()])
-        assert validate_macro_doc(doc, min_speedup=2.0) == ["fig6_reduced_sweep"]
-
-    def test_unknown_kind_rejected(self, serve_bench):
-        doc = merge_serve_bench(None, dict(serve_bench, kind="gpu"), True)
-        with pytest.raises(ValueError, match="unknown"):
-            validate_macro_doc(doc)
+    """Entry checks and the ``--min-sustained`` gate of
+    :func:`validate_serve_doc`."""
 
     def test_min_sustained_gate_fails_below_floor(self, serve_bench):
-        doc = merge_serve_bench(None, serve_bench, quick=True)
         floor = serve_bench["sustained_streams"] + 1
         with pytest.raises(ValueError, match="sustained"):
-            validate_macro_doc(doc, min_sustained_streams=floor)
+            validate_serve_doc(_doc(serve_bench), min_sustained_streams=floor)
 
     def test_min_sustained_gate_passes_at_floor(self, serve_bench):
         assert serve_bench["sustained_streams"] > 0
-        doc = merge_serve_bench(None, serve_bench, quick=True)
-        validate_macro_doc(
-            doc, min_sustained_streams=serve_bench["sustained_streams"]
+        validate_serve_doc(
+            _doc(serve_bench),
+            min_sustained_streams=serve_bench["sustained_streams"],
         )
 
     def test_identity_failure_is_fatal(self, serve_bench):
         broken = dict(serve_bench, results_identical=False, failures=1)
-        doc = merge_serve_bench(None, broken, quick=True)
-        with pytest.raises(ValueError):
-            validate_macro_doc(doc)
+        with pytest.raises(ValueError, match="result-identical"):
+            validate_serve_doc(_doc(broken))
 
     def test_non_increasing_rungs_rejected(self, serve_bench):
         broken = dict(serve_bench, rungs=list(reversed(serve_bench["rungs"])))
-        doc = merge_serve_bench(None, broken, quick=True)
         with pytest.raises(ValueError, match="increasing"):
-            validate_macro_doc(doc)
+            validate_serve_doc(_doc(broken))
 
     def test_sustained_must_be_a_rung(self, serve_bench):
         broken = dict(serve_bench, sustained_streams=999)
-        doc = merge_serve_bench(None, broken, quick=True)
         with pytest.raises(ValueError, match="not one of its rungs"):
-            validate_macro_doc(doc)
+            validate_serve_doc(_doc(broken))
 
 
 class TestFormatTable:
-    def test_table_mixes_kinds(self, serve_bench):
-        doc = new_macro_document(quick=False, benches=[_sweep_bench()])
-        doc = merge_serve_bench(doc, serve_bench, quick=False)
-        table = format_macro_table(doc)
-        assert "fig6_reduced_sweep" in table
+    def test_table_lists_every_rung(self, serve_doc):
+        table = format_serve_table(serve_doc)
         assert SERVE_BENCH_NAME in table
         assert "sustains" in table
+        assert f"over {_FAST_CONFIG.duration_s:g} virtual s" in table
         for rung in _FAST_RUNGS:
             assert f"{rung:>4d} streams" in table

@@ -70,7 +70,7 @@ class TestParser:
         assert serve.realtime_frac == 0.25
         assert serve.slo is None
         servebench = parser.parse_args(["servebench"])
-        assert servebench.output == "BENCH_macro.json"
+        assert servebench.output == "BENCH_serve.json"
         assert servebench.min_sustained is None
 
 
@@ -181,6 +181,47 @@ class TestCommands:
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert validate_macro_doc(doc) == ["fig6_reduced_sweep"]
 
+    def test_macrobench_gate_reads_fresh_host(self, monkeypatch, tmp_path):
+        """An old document at --output must not lend its host block to
+        the new run: a 0.5x sweep on a 2-CPU host fails the 2.0x gate even
+        where the file on disk says the host had one CPU."""
+        import json
+        import os
+        import types
+
+        import repro.perf.macro as macro
+
+        clock = [0.0]
+
+        class FakeEngine:
+            def __init__(self, jobs):
+                self.jobs = jobs
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def run(self, methods, suite):
+                clock[0] += 1.0 if self.jobs == 1 else 2.0
+                return types.SimpleNamespace(failures=[], results={}, store={})
+
+        monkeypatch.setattr(macro, "SweepEngine", FakeEngine)
+        fake_time = types.SimpleNamespace(
+            perf_counter=lambda: clock[0], time=lambda: 0.0
+        )
+        monkeypatch.setattr(macro, "time", fake_time)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        path = tmp_path / "BENCH_macro.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "suite": "repro-macro", "quick": True,
+            "created_unix": 0.0, "host": {"cpu_count": 1}, "benches": [],
+        }))
+        with pytest.raises(ValueError, match="below required"):
+            main(["macrobench", "--quick", "--jobs", "2", "--repeats", "1",
+                  "--min-speedup", "2.0", "--output", str(path)])
+
     def test_serve_smoke_replays_identically(self, capsys, tmp_path):
         import json
 
@@ -200,21 +241,24 @@ class TestCommands:
         assert report["submitted"] == report["served"] + report["dropped"]
 
     def test_servebench_writes_and_merges(self, capsys, tmp_path):
+        """Each run writes the whole document: a rerun overwrites it."""
         import json
 
-        from repro.perf import validate_macro_doc
-        from repro.serve.bench import SERVE_BENCH_NAME
+        from repro.serve.bench import SERVE_BENCH_NAME, validate_serve_doc
 
-        path = tmp_path / "BENCH_macro.json"
+        path = tmp_path / "BENCH_serve.json"
         assert main(
             ["servebench", "--quick", "--output", str(path),
              "--min-sustained", "8"]
         ) == 0
         out = capsys.readouterr().out
         assert SERVE_BENCH_NAME in out
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        assert validate_macro_doc(doc) == [SERVE_BENCH_NAME]
-        # Rerunning merges in place: still exactly one serve bench.
+        first = json.loads(path.read_text(encoding="utf-8"))
+        assert validate_serve_doc(first) == [SERVE_BENCH_NAME]
+        assert first["clock"] == "virtual"
+        path.write_text(json.dumps(dict(first, host={"cpu_count": 1})))
         assert main(["servebench", "--quick", "--output", str(path)]) == 0
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        assert validate_macro_doc(doc) == [SERVE_BENCH_NAME]
+        second = json.loads(path.read_text(encoding="utf-8"))
+        assert validate_serve_doc(second) == [SERVE_BENCH_NAME]
+        # The host block is the rerun's own, not the one left on disk.
+        assert second["host"] == first["host"]
