@@ -25,8 +25,9 @@ into its own in-memory telemetry and ships the finished spans plus a
 metrics snapshot back in its :class:`ShardResult`; the parent funnels
 them into its sink in grid order (span ids restart per shard — sinks
 must not assume global uniqueness).  At ``jobs=1`` the engine runs
-shards inline with the parent telemetry, so traces — including the
-golden-trace digests — match the pre-engine sequential path exactly.
+shards inline, clip by clip, with the parent telemetry, so each cell
+records the trace a direct run of it records — the golden-trace digests
+included.
 """
 
 from __future__ import annotations
@@ -391,7 +392,13 @@ class SweepEngine:
         progress: ProgressCallback | None,
         shard_runner: Callable[..., ShardResult],
     ) -> dict[int, ShardResult]:
-        """Sequential path: grid order, caller's clips, parent telemetry."""
+        """Sequential path: clip by clip, caller's clips, parent telemetry.
+
+        Each clip's cells run back to back, in method order, as the pool's
+        clip units run them, so the clip's frames and pyramids are reused
+        while the store still holds them; reduction is by grid index, so
+        the order does not change results.
+        """
 
         def attempt(spec: ShardSpec) -> ShardResult:
             return _run_cell(
@@ -399,7 +406,7 @@ class SweepEngine:
             )
 
         settled: dict[int, ShardResult] = {}
-        for spec in shards:
+        for spec in sorted(shards, key=lambda s: (s.clip_index, s.index)):
             result = attempt(spec)
             while result.error is not None and spec.attempt < self.retries:
                 spec = replace(spec, attempt=spec.attempt + 1)

@@ -79,7 +79,7 @@ def bench_lk_track(quick: bool) -> BenchResult:
 
     def reference_step():
         return reference.track_features_reference(
-            wl.pyramid_a, wl.pyramid_b, wl.points, wl.params
+            *wl.reference_pyramids, wl.points, wl.params
         )
 
     optimized, ref = optimized_step(), reference_step()
@@ -120,7 +120,7 @@ def bench_block_motion_field(quick: bool) -> BenchResult:
     wl = workloads.make_mve_workload()
     optimized = block_motion_field(wl.pyramid_a, wl.pyramid_b, wl.points, wl.params)
     ref = reference.block_motion_field_reference(
-        wl.pyramid_a, wl.pyramid_b, wl.points, wl.params
+        *wl.reference_pyramids, wl.points, wl.params
     )
     if not (
         np.array_equal(optimized.vectors, ref.vectors)
@@ -135,7 +135,7 @@ def bench_block_motion_field(quick: bool) -> BenchResult:
                 wl.pyramid_a, wl.pyramid_b, wl.points, wl.params
             ),
             lambda: reference.block_motion_field_reference(
-                wl.pyramid_a, wl.pyramid_b, wl.points, wl.params
+                *wl.reference_pyramids, wl.points, wl.params
             ),
         ],
         repeats, number,
@@ -171,20 +171,18 @@ def bench_mve_track(quick: bool) -> BenchResult:
     the whole lifecycle slice is the per-step cost.  There is no frozen
     ``reference`` arm (the tier is new); instead ``extra`` records the LK
     tier's step — ``track_features`` over the same frame pair, the
-    ``lk_track`` bench's exact computation — and the resulting
-    ``speedup_vs_lk_track``, which CI floors at 5x.
+    ``lk_track`` bench's exact computation, timed in turn with the MVE
+    step — and the resulting ``speedup_vs_lk_track``, which CI floors
+    at 5x.
     """
     wl = workloads.make_mve_workload()
     lk = workloads.make_lk_workload()
-    levels = wl.params.pyramid_levels
 
     def provider(index: int) -> np.ndarray:
         return wl.frame_a if index == 0 else wl.frame_b
 
     # Prebuilt, as the frame store serves them: timed steps never rebuild.
-    prebuilt = {
-        index: FramePyramid(provider(index), levels) for index in (0, wl.frame_gap)
-    }
+    prebuilt = {0: wl.pyramid_a, wl.frame_gap: wl.pyramid_b}
     config = MVETrackerConfig(block=wl.params)
 
     def mve_step():
@@ -205,9 +203,10 @@ def bench_mve_track(quick: bool) -> BenchResult:
     def lk_step():
         return track_features(lk.pyramid_a, lk.pyramid_b, lk.points, lk.params)
 
+    # The two steps take turns within each repeat, so host contention
+    # moves both and not their ratio.
     repeats, number = _repeats(quick, 15)
-    optimized = time_callable(mve_step, repeats, 1)
-    lk_measure = time_callable(lk_step, repeats, 1)
+    optimized, lk_measure = time_interleaved([mve_step, lk_step], repeats, 1)
     return BenchResult(
         name="mve_track",
         hot_path="repro.tracking.mve.MVETracker.track_to",
@@ -288,11 +287,13 @@ def bench_pyramid_build(quick: bool) -> BenchResult:
     ``pyramid_down`` computes only the retained ``[::2, ::2]`` samples
     (~4x fewer MACs per level) through reused scratch; the reference blurs
     every sample at full resolution, then subsamples.  Gradients are
-    lazy on both sides and not part of construction.
+    lazy on both sides and not part of construction.  The live arm builds
+    from the ``float32`` frame as the store serves it, the reference from
+    its ``float64`` widening.
     """
     wl = workloads.make_conv_workload()
     frame, levels = wl.frame, wl.levels
-    optimized = FramePyramid(frame, levels)
+    optimized = FramePyramid(wl.served_frame, levels)
     expected = reference.build_pyramid_reference(frame, levels)
     if len(optimized.images) != len(expected) or not all(
         np.array_equal(a, b) for a, b in zip(optimized.images, expected)
@@ -302,7 +303,7 @@ def bench_pyramid_build(quick: bool) -> BenchResult:
     repeats, number = _repeats(quick, 15)
     optimized_arm, reference_arm = time_interleaved(
         [
-            lambda: FramePyramid(frame, levels),
+            lambda: FramePyramid(wl.served_frame, levels),
             lambda: reference.build_pyramid_reference(frame, levels),
         ],
         repeats, 1,

@@ -48,10 +48,17 @@ class NMSWorkload:
 
 @dataclass(frozen=True)
 class LKWorkload:
-    """Prebuilt pyramids + points so the bench isolates the LK iteration."""
+    """Prebuilt pyramids + points so the bench isolates the LK iteration.
+
+    ``pyramid_a``/``pyramid_b`` hold the ``float32`` frames as their level
+    0, as the frame store serves them to every pipeline.  The frozen
+    reference arm reads ``reference_pyramids``, built as it always was
+    from the frames widened to ``float64``.
+    """
 
     pyramid_a: FramePyramid
     pyramid_b: FramePyramid
+    reference_pyramids: tuple[FramePyramid, FramePyramid]
     frame_a: np.ndarray
     frame_b: np.ndarray
     points: np.ndarray
@@ -64,11 +71,13 @@ class MVEWorkload:
 
     Mirrors :class:`LKWorkload` — same clip, same gap-2 frame pair — so the
     ``mve_track``-vs-``lk_track`` speedup compares the two tracker tiers on
-    identical content.
+    identical content, and splits its pyramids the same way: ``float32``
+    level 0 for the live arm, ``float64`` for the frozen reference.
     """
 
     pyramid_a: FramePyramid
     pyramid_b: FramePyramid
+    reference_pyramids: tuple[FramePyramid, FramePyramid]
     frame_a: np.ndarray
     frame_b: np.ndarray
     points: np.ndarray
@@ -85,13 +94,16 @@ class ConvWorkload:
     """Inputs for the fused-convolution benches, at the scales the
     pipeline actually runs them.
 
-    ``frame`` feeds the pyramid-build bench (full frame, the per-frame
-    cost); ``rois`` are the frame's annotated object boxes — the tracker
-    runs Shi-Tomasi per box (paper §IV-C), so the response bench sweeps
-    exactly those crops; ``product_stack`` is one ROI's ``(3, h, w)``
+    ``served_frame`` is frame 0 as the frame store serves it (``float32``)
+    and feeds the pyramid-build bench's live arm (full frame, the
+    per-frame cost); ``frame`` is its ``float64`` widening, which the
+    frozen references read.  ``rois`` are the frame's annotated object
+    boxes — the tracker runs Shi-Tomasi per box (paper §IV-C), so the
+    response bench sweeps exactly those crops; ``product_stack`` is one ROI's ``(3, h, w)``
     structure-tensor products — the batched-blur bench's input.
     """
 
+    served_frame: np.ndarray
     frame: np.ndarray
     levels: int
     rois: tuple[np.ndarray, ...]
@@ -103,7 +115,8 @@ def make_conv_workload(window_sigma: float = 1.5) -> ConvWorkload:
     """Frame 0 of the bench clip plus its annotated-object ROIs."""
     params = LKParams()
     clip = bench_clip()
-    frame = np.asarray(clip.frame(0), dtype=np.float64)
+    served_frame = clip.frame(0)
+    frame = np.asarray(served_frame, dtype=np.float64)
     rois = []
     for obj in clip.annotation(0).objects:
         rows, cols = obj.box.pixel_slice(frame.shape)
@@ -115,6 +128,7 @@ def make_conv_workload(window_sigma: float = 1.5) -> ConvWorkload:
     ix, iy = image_gradients(rois[0])
     product_stack = np.stack([ix * ix, iy * iy, ix * iy])
     return ConvWorkload(
+        served_frame=served_frame,
         frame=frame,
         levels=params.pyramid_levels,
         rois=tuple(rois),
@@ -125,6 +139,19 @@ def make_conv_workload(window_sigma: float = 1.5) -> ConvWorkload:
 
 def bench_clip(num_frames: int = 12) -> VideoClip:
     return make_clip(SCENARIO, seed=SEED, num_frames=num_frames)
+
+
+def _pyramid_fields(frame_a: np.ndarray, frame_b: np.ndarray, levels: int) -> dict:
+    """Both arms' pyramids of a frame pair: the live arm's on the frames as
+    served, the frozen reference's on their ``float64`` widening."""
+    return {
+        "pyramid_a": FramePyramid(frame_a, levels),
+        "pyramid_b": FramePyramid(frame_b, levels),
+        "reference_pyramids": tuple(
+            FramePyramid(np.asarray(frame, dtype=np.float64), levels)
+            for frame in (frame_a, frame_b)
+        ),
+    }
 
 
 def render_bench_clip(num_frames: int = 12) -> VideoClip:
@@ -166,8 +193,8 @@ def make_mve_workload(
     same gap-2 frame pair the LK bench tracks."""
     params = params or BlockMotionParams()
     clip = bench_clip()
-    frame_a = np.asarray(clip.frame(0), dtype=np.float64)
-    frame_b = np.asarray(clip.frame(frame_gap), dtype=np.float64)
+    frame_a = clip.frame(0)
+    frame_b = clip.frame(frame_gap)
     annotation = clip.annotation(0)
     detections = tuple(
         Detection(obj.label, obj.box, 0.9) for obj in annotation.objects
@@ -180,8 +207,7 @@ def make_mve_workload(
     if points.shape[0] == 0:
         raise RuntimeError("MVE workload found no annotation blocks")
     return MVEWorkload(
-        pyramid_a=FramePyramid(frame_a, params.pyramid_levels),
-        pyramid_b=FramePyramid(frame_b, params.pyramid_levels),
+        **_pyramid_fields(frame_a, frame_b, params.pyramid_levels),
         frame_a=frame_a,
         frame_b=frame_b,
         points=points,
@@ -203,14 +229,13 @@ def make_lk_workload(
     (the executor's steady-state "track every other frame" stride)."""
     params = params or LKParams()
     clip = bench_clip()
-    frame_a = np.asarray(clip.frame(0), dtype=np.float64)
-    frame_b = np.asarray(clip.frame(frame_gap), dtype=np.float64)
+    frame_a = clip.frame(0)
+    frame_b = clip.frame(frame_gap)
     points = good_features_to_track(
         frame_a, max_corners=num_points, quality_level=0.02, min_distance=3.0
     )
     return LKWorkload(
-        pyramid_a=FramePyramid(frame_a, params.pyramid_levels),
-        pyramid_b=FramePyramid(frame_b, params.pyramid_levels),
+        **_pyramid_fields(frame_a, frame_b, params.pyramid_levels),
         frame_a=frame_a,
         frame_b=frame_b,
         points=points,

@@ -17,6 +17,11 @@ read and write the same entries.  A stored value is bit-identical to a
 fresh render or build: the store changes *when* work happens, never
 *what* it computes.
 
+A pyramid built from a stored frame holds that frame as its level 0
+(:class:`~repro.vision.optical_flow.FramePyramid` does not copy it), so
+the store charges such a pyramid only for levels 1 and up: 144,000
+bytes at 180x320, beside the frame's 230,400.
+
 :meth:`repro.video.render.FrameRenderer.render` and
 :meth:`~repro.video.render.FrameRenderer.pyramid` are the only callers,
 so the key format lives in that module.  See DESIGN.md §9.
@@ -68,6 +73,12 @@ def _arrays(value: Any) -> tuple[np.ndarray, ...]:
     return (value,) if isinstance(value, np.ndarray) else tuple(value.images)
 
 
+def _frame_key(key: tuple) -> tuple:
+    """The key of the frame a pyramid key's pyramid is built from."""
+    fingerprint, _kind, frame_index, _levels = key
+    return (fingerprint, FRAME, frame_index, 0)
+
+
 class FrameStore:
     """Byte-budgeted LRU of frames and pyramids, shared across renderers.
 
@@ -76,10 +87,18 @@ class FrameStore:
     arrays' ``nbytes`` — the budget bounds pixel payload, not Python
     object overhead.
 
+    A pyramid whose level 0 *is* its resident stored frame is charged for
+    levels 1 and up only; any other pyramid for all its levels.  Each
+    entry keeps the bytes it was charged, and eviction refunds exactly
+    those.
+
     Over budget, the least recently used *pyramid* goes first; a frame is
-    evicted only when no pyramid is resident.  A frame saves 11-17x more
-    time per byte than a pyramid: rendering 230,400 bytes (one 180x320
-    float32 frame) takes 2.3-4.1 ms, building its 604,800-byte pyramid
+    evicted only when no pyramid is resident.  So no frame is evicted
+    while a resident pyramid holds it as level 0, and the bytes a shared
+    pyramid was not charged stay resident — and charged to the frame —
+    for as long as the pyramid is.  A frame also saves 2-5x more time per
+    byte than a pyramid: rendering 230,400 bytes (one 180x320 float32
+    frame) takes 2.3-4.1 ms, building the 144,000 bytes its pyramid adds
     0.55-0.66 ms, and a pyramid miss on a resident frame skips the render
     anyway.  A plain LRU across both kinds re-renders 604 instead of 399
     clip-stream frames at every budget up to 192 MiB.
@@ -94,7 +113,8 @@ class FrameStore:
             raise ValueError("max_bytes must be non-negative")
         self.max_bytes = int(max_bytes)
         self._lock = threading.Lock()
-        self._entries: dict[str, OrderedDict[tuple, Any]] = {
+        # key -> (value, bytes charged for it)
+        self._entries: dict[str, OrderedDict[tuple, tuple[Any, int]]] = {
             kind: OrderedDict() for kind in KINDS
         }
         self._bytes = dict.fromkeys(KINDS, 0)
@@ -134,15 +154,15 @@ class FrameStore:
         kind = key[1]
         entries = self._entries[kind]
         with self._lock:
-            value = entries.get(key)
-            if value is None:
+            entry = entries.get(key)
+            if entry is None:
                 self._counts[kind]["misses"] += 1
                 self._obs[kind]["miss"].inc()
                 return None
             entries.move_to_end(key)
             self._counts[kind]["hits"] += 1
             self._obs[kind]["hit"].inc()
-            return value
+            return entry[0]
 
     def put(self, key: tuple, value: Any) -> Any:
         """Insert a fresh frame or pyramid, evicting over budget.
@@ -154,29 +174,39 @@ class FrameStore:
         untouched when nothing was stored.  Only stored values are frozen;
         a rejected duplicate stays writable, because its caller owns it.
         """
-        arrays = _arrays(value)
-        nbytes = sum(int(array.nbytes) for array in arrays)
-        if nbytes > self.max_bytes:
-            return value
         kind = key[1]
         entries = self._entries[kind]
+        arrays = _arrays(value)
         with self._lock:
             existing = entries.get(key)
             if existing is not None:
-                return existing
+                return existing[0]
+            if kind == PYRAMID and self._holds_frame(key, arrays[0]):
+                arrays = arrays[1:]
+            nbytes = sum(int(array.nbytes) for array in arrays)
+            if nbytes > self.max_bytes:
+                return value
             for array in arrays:
                 array.setflags(write=False)
-            entries[key] = value
+            entries[key] = (value, nbytes)
             self._bytes[kind] += nbytes
             self._evict_over_budget()
         return value
 
+    def _holds_frame(self, key: tuple, level0: np.ndarray) -> bool:
+        """Whether ``level0`` is the stored frame of pyramid ``key`` (lock held)."""
+        frame = self._entries[FRAME].get(_frame_key(key))
+        return frame is not None and frame[0] is level0
+
     def _evict_over_budget(self) -> None:
-        """Evict LRU pyramids, then LRU frames, until within budget (lock held)."""
+        """Evict LRU pyramids, then LRU frames, until within budget (lock held).
+
+        Pyramids first is what keeps every shared level 0 resident: a
+        frame goes only once no pyramid, and so none holding it, is left.
+        """
         while self.current_bytes > self.max_bytes:
             kind = PYRAMID if self._entries[PYRAMID] else FRAME
-            _, evicted = self._entries[kind].popitem(last=False)
-            nbytes = sum(int(array.nbytes) for array in _arrays(evicted))
+            _, (_, nbytes) = self._entries[kind].popitem(last=False)
             self._bytes[kind] -= nbytes
             self._counts[kind]["evictions"] += 1
             self._counts[kind]["evicted_bytes"] += nbytes

@@ -425,7 +425,11 @@ class FrameRenderer:
         return frame
 
     def pyramid(self, frame_index: int, levels: int) -> FramePyramid:
-        """The ``levels``-level pyramid of frame ``frame_index``, read through the store."""
+        """The ``levels``-level pyramid of frame ``frame_index``, read through the store.
+
+        Built on the frame :meth:`render` serves, which becomes its level 0
+        uncopied, so the store charges it only for the levels above.
+        """
         store = framestore.default_store()
         key = (self._fingerprint, framestore.PYRAMID, frame_index, levels)
         pyramid = store.get(key)

@@ -134,7 +134,10 @@ def _match_level(
     candidates = sliding_window_view(windows, (block_size, block_size), axis=(1, 2))
     # (N, 2r+1, 2r+1, B, B) in C order, so each candidate's SAD reduces B*B
     # contiguous values: the same pairwise sum the reference takes per patch.
-    diff = np.subtract(candidates, prev_patches[:, None, None], order="C")
+    # A float32 level 0 is widened by the subtraction itself, exactly.
+    diff = np.subtract(
+        candidates, prev_patches[:, None, None], order="C", dtype=np.float64
+    )
     np.abs(diff, out=diff)
     sad = diff.reshape(n, side * side, block_size * block_size).sum(axis=2)
     winner = sad.argmin(axis=1)

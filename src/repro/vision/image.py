@@ -3,6 +3,11 @@
 Images are 2-D ``float64`` (or ``float32``) numpy arrays with values in
 ``[0, 1]`` indexed as ``image[row, col]`` — i.e. ``image[y, x]``.  Points
 are ``(x, y)`` pairs, matching the OpenCV convention the paper's code used.
+A ``float32`` image (a rendered frame, kept as a pyramid's level 0) is
+widened to ``float64`` where it is read — in the pads' copies into
+scratch and in the bilinear gather's corner samples — never as a whole
+frame.  The widening is exact, so every result is the one the widened
+image would give.
 
 The separable convolutions here are the *fused engine* of DESIGN.md §10:
 every kernel (blur, gradients, pyramid decimation, the batched
@@ -97,13 +102,14 @@ def _reflect_pad(array: np.ndarray, radius: int, axis: int, tag: str) -> np.ndar
     right block ``array[n-2 : n-2-radius : -1]`` along the axis.  That
     formula needs ``radius <= n - 1``; wider pads (tiny images under a
     big sigma) fall back to ``np.pad``, whose repeated reflection the
-    original implementation relied on.
+    original implementation relied on.  Either way the pad is ``float64``:
+    a ``float32`` array is widened by the copy.
     """
     n = array.shape[axis]
     if radius > n - 1:
         pad = [(0, 0)] * array.ndim
         pad[axis] = (radius, radius)
-        return np.pad(array, pad, mode="reflect")
+        return np.pad(array.astype(np.float64, copy=False), pad, mode="reflect")
     shape = list(array.shape)
     shape[axis] = n + 2 * radius
     padded = _SCRATCH.get(tag, tuple(shape))
@@ -228,7 +234,8 @@ _SCHARR_SMOOTH = np.array([3.0, 10.0, 3.0]) / 16.0
 
 
 def _scharr_pad(image: np.ndarray, tag: str) -> np.ndarray:
-    """``image`` reflect-padded by one pixel, corners too, into scratch."""
+    """``image`` reflect-padded by one pixel, corners too, into ``float64``
+    scratch — the copy that widens a ``float32`` level."""
     h, w = image.shape
     padded = _SCRATCH.get(tag, (h + 2, w + 2))
     padded[1 : h + 1, 1 : w + 1] = image
@@ -331,6 +338,14 @@ def image_gradients(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _image_gradients_into(image, ix, iy)
 
 
+def _as_image(image: np.ndarray) -> np.ndarray:
+    """``image`` itself if ``float32`` or ``float64``, else widened to ``float64``."""
+    image = np.asarray(image)
+    if image.dtype == np.float32:
+        return image
+    return image.astype(np.float64, copy=False)
+
+
 def pyramid_down(image: np.ndarray) -> np.ndarray:
     """One pyramid level: Gaussian blur then 2x subsampling, fused.
 
@@ -339,9 +354,10 @@ def pyramid_down(image: np.ndarray) -> np.ndarray:
     (``padded[i : i + H : 2]``), the second down the columns.  Each kept
     sample sees exactly the taps, order, and padding it would in
     blur-everything-then-slice, so the result is bit-identical at ~4x
-    fewer multiply-accumulates.
+    fewer multiply-accumulates.  A ``float32`` image is widened by the
+    first pad's copy into scratch; the result is ``float64``.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = _as_image(image)
     if min(image.shape) < 2:
         raise ValueError("image too small to downsample")
     kernel = _gaussian_kernel1d(1.0)
@@ -359,12 +375,15 @@ def pyramid_down(image: np.ndarray) -> np.ndarray:
 def build_pyramid(image: np.ndarray, levels: int) -> list[np.ndarray]:
     """An image pyramid ``[full, half, quarter, ...]`` with ``levels`` entries.
 
-    Stops early (returning fewer levels) if the image becomes too small for
-    a useful Lucas-Kanade window, rather than failing.
+    Level 0 is ``image`` itself when it is ``float32`` or ``float64`` (no
+    copy; other dtypes are widened to ``float64``); levels 1 and up are
+    ``float64``.  Stops early (returning fewer levels) if the image
+    becomes too small for a useful Lucas-Kanade window, rather than
+    failing.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    pyramid = [np.asarray(image, dtype=np.float64)]
+    pyramid = [_as_image(image)]
     for _ in range(levels - 1):
         current = pyramid[-1]
         if min(current.shape) < 16:
@@ -415,6 +434,12 @@ def _bilinear_taps(
     return _BilinearTaps(y0 * w + x0, xs - x0, ys - y0, x0, y0, w)
 
 
+def _take_widened(flat: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """``np.take(flat, base)`` as ``float64``: a ``float32`` level is widened
+    sample by sample, exactly; a ``float64`` one is returned uncopied."""
+    return np.take(flat, base).astype(np.float64, copy=False)
+
+
 def _bilinear_gather(image: np.ndarray, taps: _BilinearTaps) -> np.ndarray:
     """Interpolate ``image`` at precomputed taps.
 
@@ -423,19 +448,21 @@ def _bilinear_gather(image: np.ndarray, taps: _BilinearTaps) -> np.ndarray:
     built.  The blend runs in place on the gathered corners, computing
     ``top = tl + (tr - tl) * fx``, ``bottom`` likewise and
     ``top + (bottom - top) * fy`` with the same operations in the same
-    order as the expression would, without its temporaries.  This is the
-    hot path of Lucas-Kanade.
+    order as the expression would, without its temporaries.  Each corner
+    is widened to ``float64`` as it is gathered, so a ``float32`` image
+    blends exactly as its widened copy would.  This is the hot path of
+    Lucas-Kanade.
     """
     flat = image.ravel()
     base = taps.base
     w = taps.width
-    top = np.take(flat, base)
-    right = np.take(flat[1:], base)
+    top = _take_widened(flat, base)
+    right = _take_widened(flat[1:], base)
     right -= top
     right *= taps.fx
     top += right
-    bottom = np.take(flat[w:], base)
-    corner = np.take(flat[w + 1 :], base)
+    bottom = _take_widened(flat[w:], base)
+    corner = _take_widened(flat[w + 1 :], base)
     corner -= bottom
     corner *= taps.fx
     bottom += corner
@@ -451,7 +478,9 @@ def sample_bilinear(image: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nda
     Coordinates outside the image are clamped to the border, matching the
     behaviour OpenCV uses for patch sampling near edges.  ``xs`` and ``ys``
     may be any shapes that broadcast together; the result has the
-    broadcast shape.
+    broadcast shape and is ``float64``.  A ``float32`` image is read as
+    is — only the sampled corners are widened — so sampling a frame
+    costs no ``float64`` copy of it.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = _as_image(image)
     return _bilinear_gather(image, _bilinear_taps(image.shape, xs, ys))

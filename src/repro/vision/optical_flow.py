@@ -74,10 +74,18 @@ class FramePyramid:
     middle frame's pyramid, which roughly halves per-step cost — the same
     optimisation OpenCV exposes via ``buildOpticalFlowPyramid``.  Gradients
     are not held: :func:`track_features` computes them where it reads.
+
+    Level 0 is the frame itself, uncopied (see :func:`build_pyramid`): a
+    rendered ``float32`` frame stays ``float32``, and a pyramid the frame
+    store builds holds the store's own read-only frame.  Levels 1 and up
+    are ``float64``.  Every reader widens level 0 to ``float64`` where it
+    reads it — the Scharr and decimation pads, the bilinear gather's
+    corners, the block matcher's SAD — and the widening is exact, so a
+    ``float32`` level 0 gives bit for bit the results of its widened copy.
     """
 
     def __init__(self, image: np.ndarray, levels: int) -> None:
-        image = np.asarray(image, dtype=np.float64)
+        image = np.asarray(image)
         if image.ndim != 2:
             raise ValueError("FramePyramid expects a 2-D grayscale frame")
         self.shape = image.shape

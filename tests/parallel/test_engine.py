@@ -87,7 +87,7 @@ class TestSequentialPath:
             assert sweep.results[name].per_video_accuracy == direct.per_video_accuracy
             assert sweep.results[name].per_video_mean_f1 == direct.per_video_mean_f1
 
-    def test_progress_callback_sees_every_shard_in_grid_order(self):
+    def test_progress_callback_sees_every_shard_clip_by_clip(self):
         suite = _small_suite(frames=24)
         events = []
         run_sweep(
@@ -99,7 +99,30 @@ class TestSequentialPath:
         total = len(_METHODS) * len(suite)
         assert [e[0] for e in events] == list(range(1, total + 1))
         assert all(e[1] == total for e in events)
-        assert [e[2] for e in events] == list(range(total))
+        # Grid index is method-major: mi * clips + ci.
+        clips, methods = len(suite), len(_METHODS)
+        assert [e[2] for e in events] == [
+            mi * clips + ci for ci in range(clips) for mi in range(methods)
+        ]
+
+    def test_each_clips_cells_run_back_to_back(self):
+        # The store reuse of a sequential sweep rests on this order: a
+        # clip's frames and pyramids are read by all its method arms
+        # before the next clip's push them out.
+        suite = _small_suite(frames=12)
+        methods = ("adavp", "mpdt-320", "mve")
+        ran = []
+
+        def recording_runner(spec, clip=None, obs=None):
+            ran.append((spec.clip_index, spec.method.name))
+            return run_shard(spec, clip=clip, obs=obs)
+
+        sweep = run_sweep(methods, suite, jobs=1, shard_runner=recording_runner)
+        assert sweep.ok, sweep.summary()
+        assert ran == [(ci, name) for ci in range(len(suite)) for name in methods]
+        # Reduction is by grid index: per-video lists stay in suite order.
+        for name in methods:
+            assert len(sweep.results[name].per_video_accuracy) == len(suite)
 
     def test_keep_runs_in_suite_order(self):
         suite = _small_suite(frames=24)

@@ -24,11 +24,14 @@ def _textured(shape: tuple[int, int], seed: int) -> np.ndarray:
     return gaussian_blur(np.random.default_rng(seed).random(shape), sigma=1.5)
 
 
-def _assert_same_flow(prev, nxt, points, params):
+def _assert_same_flow(prev, nxt, points, params, reference_inputs=None):
     """Every point's position, status and residual equal the reference's
-    bit for bit, failed points included."""
+    bit for bit, failed points included.  ``reference_inputs`` gives the
+    reference its own frame pair (a workload's ``float64`` pyramids)."""
     optimized = track_features(prev, nxt, points, params)
-    expected = reference.track_features_reference(prev, nxt, points, params)
+    expected = reference.track_features_reference(
+        *(reference_inputs or (prev, nxt)), points, params
+    )
     bits = np.uint64
     assert np.array_equal(optimized.points.view(bits), expected.points.view(bits))
     assert np.array_equal(optimized.status, expected.status)
@@ -36,9 +39,11 @@ def _assert_same_flow(prev, nxt, points, params):
     return optimized
 
 
-def _assert_same_field(prev, nxt, points, params):
+def _assert_same_field(prev, nxt, points, params, reference_inputs=None):
     optimized = block_motion_field(prev, nxt, points, params)
-    expected = reference.block_motion_field_reference(prev, nxt, points, params)
+    expected = reference.block_motion_field_reference(
+        *(reference_inputs or (prev, nxt)), points, params
+    )
     assert np.array_equal(optimized.vectors, expected.vectors)
     assert np.array_equal(optimized.cost, expected.cost)
     assert np.array_equal(optimized.valid, expected.valid)
@@ -84,7 +89,9 @@ class TestLKEquivalence:
         wl = workloads.make_lk_workload(
             num_points=num_points, frame_gap=frame_gap, params=params
         )
-        _assert_same_flow(wl.pyramid_a, wl.pyramid_b, wl.points, wl.params)
+        _assert_same_flow(
+            wl.pyramid_a, wl.pyramid_b, wl.points, wl.params, wl.reference_pyramids
+        )
 
     # Content moves by (+3, +2) between two 60x80 crops of one canvas.  The
     # points sit on, or within window_radius of, the frame border, so their
@@ -115,7 +122,9 @@ class TestLKEquivalence:
 
     def test_single_point(self):
         wl = workloads.make_lk_workload(num_points=40)
-        _assert_same_flow(wl.pyramid_a, wl.pyramid_b, wl.points[:1], wl.params)
+        _assert_same_flow(
+            wl.pyramid_a, wl.pyramid_b, wl.points[:1], wl.params, wl.reference_pyramids
+        )
 
     def test_no_points(self):
         wl = workloads.make_lk_workload(num_points=40)
@@ -328,7 +337,9 @@ class TestBlockMotionEquivalence:
     )
     def test_bitwise_identical_field(self, frame_gap, params):
         wl = workloads.make_mve_workload(frame_gap=frame_gap, params=params)
-        _assert_same_field(wl.pyramid_a, wl.pyramid_b, wl.points, wl.params)
+        _assert_same_field(
+            wl.pyramid_a, wl.pyramid_b, wl.points, wl.params, wl.reference_pyramids
+        )
 
     # 32x40 frames keep three pyramid levels, the coarsest 8x10: narrower
     # than the (B+2r)-wide search window of most block sizes and radii
@@ -366,7 +377,9 @@ class TestBlockMotionEquivalence:
 
     def test_single_block(self):
         wl = workloads.make_mve_workload()
-        _assert_same_field(wl.pyramid_a, wl.pyramid_b, wl.points[:1], wl.params)
+        _assert_same_field(
+            wl.pyramid_a, wl.pyramid_b, wl.points[:1], wl.params, wl.reference_pyramids
+        )
 
     def test_no_blocks(self):
         wl = workloads.make_mve_workload()

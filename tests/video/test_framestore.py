@@ -157,6 +157,40 @@ class TestFrameStoreCore:
         assert store.get(_key(1)) is None
         assert store.get(_key(0)) is not None
 
+    def test_pyramid_on_its_stored_frame_is_charged_above_level0(self):
+        store = FrameStore(1024)
+        frame = store.put(_key(0), _frame(64))
+        pyramid = SimpleNamespace(images=[frame, _frame(16), _frame(4)])
+        store.put(_key(0, PYRAMID, 3), pyramid)
+        assert store.stats()[PYRAMID]["bytes"] == 20
+        assert store.current_bytes == 84
+
+    def test_pyramid_on_an_unstored_frame_is_charged_in_full(self):
+        store = FrameStore(1024)
+        store.put(_key(0), _frame(64))
+        # Equal bytes, but not the stored array: nothing is shared.
+        store.put(_key(0, PYRAMID, 2), _pyramid(64, 16))
+        # The frame of another index is not this pyramid's level 0 either.
+        frame = store.get(_key(0))
+        store.put(_key(1, PYRAMID, 2), SimpleNamespace(images=[frame, _frame(16)]))
+        assert store.stats()[PYRAMID]["bytes"] == 2 * (64 + 16)
+
+    def test_no_frame_is_evicted_while_a_pyramid_holds_it(self):
+        store = FrameStore(3 * 64 + 20)
+        frame = store.put(_key(0), _frame(64))
+        store.put(_key(0, PYRAMID, 2), SimpleNamespace(images=[frame, _frame(20)]))
+        store.put(_key(1), _frame(64))
+        store.put(_key(2), _frame(64))
+        assert store.current_bytes == store.max_bytes
+        # Frame 0 is the LRU entry, but its pyramid is resident: the
+        # pyramid goes first, then the frame.
+        store.put(_key(3), _frame(64))
+        stats = store.stats()
+        assert stats[PYRAMID]["evictions"] == 1 and stats[PYRAMID]["evicted_bytes"] == 20
+        assert stats[FRAME]["evictions"] == 1 and stats[FRAME]["evicted_bytes"] == 64
+        assert store.get(_key(0, PYRAMID, 2)) is None and store.get(_key(0)) is None
+        assert stats["current_bytes"] == 3 * 64
+
     def test_key_separates_every_component(self):
         store = FrameStore(1024)
         stored = _pyramid(16, 8)
@@ -300,6 +334,12 @@ _OPS = st.lists(
             _pyramid_levels(st.integers(min_value=1, max_value=_ENTRY)),
         ),
         st.tuples(
+            st.just("share"),  # a pyramid whose level 0 is the stored frame
+            st.just(PYRAMID),
+            st.integers(min_value=0, max_value=5),
+            _pyramid_levels(st.integers(min_value=1, max_value=_ENTRY)),
+        ),
+        st.tuples(
             st.just("get"),
             st.sampled_from(KINDS),
             st.integers(min_value=0, max_value=5),
@@ -320,8 +360,23 @@ def _nbytes(value) -> int:
     return sum(int(array.nbytes) for array in framestore._arrays(value))
 
 
+def _assert_shared_frames_resident(store: FrameStore) -> None:
+    """Every pyramid charged less than its arrays shares its level 0 with
+    its frame, and that frame is resident: eviction never strands one."""
+    frames = store._entries[FRAME]
+    for key, (pyramid, charged) in store._entries[PYRAMID].items():
+        if charged < _nbytes(pyramid):
+            frame = frames.get(framestore._frame_key(key))
+            assert frame is not None and frame[0] is pyramid.images[0]
+            assert charged == _nbytes(pyramid) - pyramid.images[0].nbytes
+
+
 class TestByteBudgetProperty:
-    """Drawn get/put sequences over both kinds against a plain model."""
+    """Drawn get/put sequences over both kinds against a plain model.
+
+    A ``share`` op inserts a pyramid built on the frame stored at its
+    index, when one is, and the model charges it for levels 1 and up.
+    """
 
     @settings(max_examples=80, deadline=None)
     @given(budget=st.integers(min_value=0, max_value=4 * _ENTRY), ops=_OPS)
@@ -331,6 +386,7 @@ class TestByteBudgetProperty:
         inserted = {kind: [0, 0] for kind in KINDS}  # [count, bytes]
         gets = {kind: [0, 0] for kind in KINDS}  # [hits, misses]
         sizes = {}  # key -> level sizes: one key always holds the same bytes
+        charged = {}  # key -> bytes its resident value was charged
         for op, kind, index, level_bytes in ops:
             key = _key(index, kind, 0 if kind == FRAME else len(level_bytes))
             frames_evicted = store.stats()[FRAME]["evictions"]
@@ -350,8 +406,13 @@ class TestByteBudgetProperty:
             resident = store.get(key) is not None
             gets[kind][0 if resident else 1] += 1
             frame_bytes = store.stats()[FRAME]["bytes"]
-            racers = 1 if op == "put" else 3
+            racers = 3 if op == "race" else 1
             values = [_value(kind, level_bytes, fill) for fill in range(1, racers + 1)]
+            stored_frame = store._entries[FRAME].get(_key(index))
+            shared = op == "share" and stored_frame is not None
+            if shared:
+                for value in values:
+                    value.images[0] = stored_frame[0]
             returned = [None] * racers
             barrier = threading.Barrier(racers)
 
@@ -366,6 +427,8 @@ class TestByteBudgetProperty:
             for thread in threads:
                 thread.join()
             nbytes = _nbytes(values[0])
+            if shared:
+                nbytes -= values[0].images[0].nbytes
             if resident:
                 # The first insert wins: every racer gets the stored value.
                 assert all(value is first[key] for value in returned)
@@ -375,7 +438,7 @@ class TestByteBudgetProperty:
                 assert all(
                     array.flags.writeable
                     for value in values
-                    for array in framestore._arrays(value)
+                    for array in framestore._arrays(value)[1 if shared else 0 :]
                 )
             elif kind == PYRAMID and frame_bytes + nbytes > budget:
                 # No room beside the frames: each insert evicts itself
@@ -388,9 +451,11 @@ class TestByteBudgetProperty:
                 assert all(value is winner for value in returned)
                 assert any(winner is value for value in values)
                 first[key] = winner
+                charged[key] = nbytes
                 inserted[kind][0] += 1
                 inserted[kind][1] += nbytes
             assert store.current_bytes <= budget
+            _assert_shared_frames_resident(store)
             if store.stats()[FRAME]["evictions"] > frames_evicted:
                 # A frame only goes once no pyramid is left to evict.
                 assert store.stats()[PYRAMID]["entries"] == 0
@@ -404,9 +469,7 @@ class TestByteBudgetProperty:
             assert counts["entries"] + counts["evictions"] == inserted[kind][0]
             assert counts["bytes"] + counts["evicted_bytes"] == inserted[kind][1]
             assert counts["entries"] == len(store._entries[kind])
-            assert counts["bytes"] == sum(
-                _nbytes(value) for value in store._entries[kind].values()
-            )
+            assert counts["bytes"] == sum(charged[key] for key in store._entries[kind])
 
 
 class TestSceneFingerprint:
@@ -489,13 +552,30 @@ class TestRendererPyramids:
             assert np.array_equal(served.images[level], direct.images[level])
 
     def test_stored_pyramid_holds_images_only(self, store, clip):
-        # An entry costs the pyramid's own level images: under 4/3 of the
-        # float64 frame.
+        # An entry costs the pyramid's own level images above level 0,
+        # which is the stored frame and is charged as a frame.
         before = store.stats()
         pyramid = clip.pyramid(0, 3)
         added = store.stats()[PYRAMID]["bytes"] - before[PYRAMID]["bytes"]
-        assert added == sum(image.nbytes for image in pyramid.images)
-        assert added < 1.34 * clip.frame(0).astype(np.float64).nbytes
+        assert added == sum(image.nbytes for image in pyramid.images[1:])
+        assert added < 0.67 * clip.frame(0).nbytes
+
+    def test_level0_is_the_stored_frame(self, store, clip):
+        pyramid = clip.pyramid(0, 3)
+        frame = clip.frame(0)
+        assert pyramid.images[0] is frame
+        assert frame.dtype == np.float32
+        assert not frame.flags.writeable
+        assert all(image.dtype == np.float64 for image in pyramid.images[1:])
+
+    def test_store_built_pyramid_is_charged_144000_bytes(self, store, clip):
+        assert (clip.config.frame_height, clip.config.frame_width) == (180, 320)
+        before = store.stats()
+        clip.pyramid(0, 3)
+        after = store.stats()
+        assert _delta(before, after, FRAME, "bytes") == 180 * 320 * 4
+        assert _delta(before, after, PYRAMID, "bytes") == 90 * 160 * 8 + 45 * 80 * 8
+        assert _delta(before, after, PYRAMID, "bytes") == 144_000
 
     @settings(max_examples=10, deadline=None)
     @given(levels=st.integers(min_value=1, max_value=4), index=st.integers(0, 5))
