@@ -98,8 +98,8 @@ class MarlinPipeline:
         )
         board = ResultBoard(clip.num_frames)
         activity = ActivityLog()
-        # The clip's store read-through; exported clips have none and build.
-        pyramids = getattr(clip, "pyramid", None)
+        # The clip's store read-through; exported clips have none and solve.
+        flows = getattr(clip, "flow", None)
         cycles: list[CycleRecord] = []
 
         # Tracking stride so the tracker keeps camera pace on average:
@@ -133,7 +133,7 @@ class MarlinPipeline:
             tracker = ObjectTracker(
                 clip.frame, width, height, cfg.tracker,
                 seed=cfg.detector_seed * 1_000_003 + detect_frame,
-                pyramids=pyramids,
+                flows=flows,
             )
             tracker.initialize(detect_frame, detection.detections)
             t += cfg.latency.feature_extraction

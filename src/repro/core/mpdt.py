@@ -113,8 +113,10 @@ class MPDTPipeline:
         )
         board = ResultBoard(clip.num_frames)
         activity = ActivityLog()
-        # The clip's store read-through; exported clips have none and build.
+        # The clip's store read-throughs; exported clips have neither and
+        # build and solve locally.
         pyramids = getattr(clip, "pyramid", None)
+        flows = getattr(clip, "flow", None)
         cycles: list[CycleRecord] = []
         velocity_samples: list[tuple[int, float]] = []
         if cfg.fixed_tracking_fraction is not None:
@@ -208,7 +210,7 @@ class MPDTPipeline:
                 tracker = ObjectTracker(
                     clip.frame, width, height, cfg.tracker,
                     seed=cfg.detector_seed * 1_000_003 + prev_frame,
-                    pyramids=pyramids,
+                    flows=flows,
                 )
             estimator = MotionVelocityEstimator()
             tracker_time = t

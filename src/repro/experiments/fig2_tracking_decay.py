@@ -66,7 +66,8 @@ def _decay_series(
         ann0 = clip.annotation(0)
         detection = detector.detect(ann0)
         tracker = ObjectTracker(
-            clip.frame, clip.config.frame_width, clip.config.frame_height, seed=rep
+            clip.frame, clip.config.frame_width, clip.config.frame_height,
+            seed=rep, flows=clip.flow,
         )
         tracker.initialize(0, detection.detections)
         scores = [f1_score(detection.detections, ann0)]

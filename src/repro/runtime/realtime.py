@@ -145,8 +145,8 @@ class LiveExecutor:
         detection_ready = threading.Event()
         camera_done = threading.Event()
         detector_done = threading.Event()
-        # The clip's store read-through; exported clips have none and build.
-        pyramids = getattr(clip, "pyramid", None)
+        # The clip's store read-through; exported clips have none and solve.
+        flows = getattr(clip, "flow", None)
 
         def now() -> float:
             return (time.monotonic() - start) / self.time_scale
@@ -218,7 +218,7 @@ class LiveExecutor:
                     clip.config.frame_height,
                     cfg.tracker,
                     seed=cfg.detector_seed * 1_000_003 + seed_frame,
-                    pyramids=pyramids,
+                    flows=flows,
                 )
                 with obs.span("live.seed_features", frame=seed_frame):
                     tracker.initialize(seed_frame, detections)

@@ -64,9 +64,11 @@ class BoxTrackerBase:
     :meth:`_kill_departed_objects` after applying motion, and
     :meth:`_current_detections` to emit results.
 
-    ``pyramids`` serves frame pyramids (the pipelines pass the clip's
-    store read-through, so tracker generations and method arms share
-    them); without it each pyramid is built from ``frame_provider``.
+    ``pyramids`` serves frame pyramids (the pipelines pass the MVE tier
+    the clip's store read-through, so tracker generations and method arms
+    share them); without it each pyramid is built from ``frame_provider``.
+    The LK tier passes none: it reads its steps from a flow provider and
+    builds pyramids only to solve a step itself.
     """
 
     def __init__(

@@ -12,6 +12,14 @@ Workflow, mirroring the paper's six steps:
    motion, not a global average — the paper is explicit about this);
 6. move on to the next selected frame.
 
+Step 4 goes through a *flow provider*, ``(prev_index, next_index,
+points, params) -> FlowResult``.  The pipelines pass the clip's store
+read-through (:meth:`repro.video.dataset.VideoClip.flow`), so method arms
+that track the same points between the same two frames share one solve.
+Without a provider the tracker runs :func:`track_features` on the two
+frames' pyramids itself.  Either way it holds no pyramid between steps,
+and seeding or a step with no points reads none.
+
 The tracker is *time-free*: its numpy runtime is not the Jetson TX2's.
 The :class:`TrackerLatencyModel` carries the paper's measured costs
 (Table II) and is charged by the pipeline simulator instead.
@@ -20,22 +28,21 @@ The :class:`TrackerLatencyModel` carries the paper's measured costs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.geometry import Box
 from repro.detection.detector import Detection
-from repro.tracking.base import (
-    BoxTrackerBase,
-    FrameProvider,
-    PyramidProvider,
-    median_shift,
-)
+from repro.tracking.base import BoxTrackerBase, FrameProvider, median_shift
 from repro.tracking.motion import motion_velocity
 from repro.vision.fast import fast_corners
 from repro.vision.features import good_features_to_track
-from repro.vision.optical_flow import FramePyramid, LKParams, track_features
+from repro.vision.optical_flow import FlowResult, LKParams, track_features
+
+# ``(prev_index, next_index, points, params) -> flow``: a clip's store
+# read-through (:meth:`repro.video.dataset.VideoClip.flow`).
+FlowProvider = Callable[[int, int, np.ndarray, LKParams], FlowResult]
 
 # Tracker cost/fidelity tiers, cheapest last.  ``lk`` is the paper's
 # pyramidal Lucas-Kanade tracker, ``mve`` the block-motion extrapolation
@@ -195,6 +202,10 @@ class ObjectTracker(BoxTrackerBase):
     detector output, then ``track_to`` each selected frame in increasing
     order.  A new cycle creates a fresh instance (matching the paper, where
     each DNN result re-seeds the tracker).
+
+    ``flows`` solves each step (see the module docstring); without it the
+    tracker builds both frames' pyramids from ``frame_provider`` and
+    solves.
     """
 
     def __init__(
@@ -204,14 +215,14 @@ class ObjectTracker(BoxTrackerBase):
         frame_height: int,
         config: TrackerConfig | None = None,
         seed: int = 0,
-        pyramids: PyramidProvider | None = None,
+        flows: FlowProvider | None = None,
     ) -> None:
-        super().__init__(frame_provider, frame_width, frame_height, pyramids)
+        super().__init__(frame_provider, frame_width, frame_height)
         self.config = config or TrackerConfig()
+        self._flows = flows or self._solve_flow
         self._rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
         self._points = np.zeros((0, 2), dtype=np.float64)
         self._owners = np.zeros(0, dtype=np.intp)
-        self._pyramid: FramePyramid | None = None
 
     # -- setup -------------------------------------------------------------------
 
@@ -249,7 +260,6 @@ class ObjectTracker(BoxTrackerBase):
     def initialize(self, frame_index: int, detections: Sequence[Detection]) -> None:
         """Seed the tracker with the detector's output for ``frame_index``."""
         frame = self._frames(frame_index)
-        self._pyramid = self._build_pyramid(frame_index, self.config.lk.pyramid_levels)
         self._frame_index = frame_index
         self._objects = []
         points: list[np.ndarray] = []
@@ -276,21 +286,32 @@ class ObjectTracker(BoxTrackerBase):
 
     # -- tracking ----------------------------------------------------------------
 
+    def _solve_flow(
+        self, prev_index: int, next_index: int, points: np.ndarray, params: LKParams
+    ) -> FlowResult:
+        """The default flow provider: solve on the two frames' pyramids."""
+        levels = params.pyramid_levels
+        return track_features(
+            self._build_pyramid(prev_index, levels),
+            self._build_pyramid(next_index, levels),
+            points,
+            params,
+        )
+
     def track_to(self, frame_index: int) -> TrackStep:
         """Propagate all objects to ``frame_index`` (must be ahead of current)."""
-        if self._pyramid is None or self._frame_index is None:
+        if self._frame_index is None:
             raise RuntimeError("tracker not initialised; call initialize() first")
         gap = frame_index - self._frame_index
         if gap <= 0:
             raise ValueError(
                 f"can only track forwards: at {self._frame_index}, asked {frame_index}"
             )
-        next_pyramid = self._build_pyramid(frame_index, self.config.lk.pyramid_levels)
 
         velocity: float | None = None
         if self._points.shape[0] > 0:
-            result = track_features(
-                self._pyramid, next_pyramid, self._points, self.config.lk
+            result = self._flows(
+                self._frame_index, frame_index, self._points, self.config.lk
             )
             velocity = motion_velocity(
                 self._points, result.points, gap, status=result.status
@@ -302,7 +323,6 @@ class ObjectTracker(BoxTrackerBase):
             self._owners = self._owners[keep]
         self._kill_departed_objects()
 
-        self._pyramid = next_pyramid
         self._frame_index = frame_index
         return TrackStep(
             frame_index=frame_index,

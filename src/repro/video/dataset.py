@@ -18,7 +18,7 @@ from repro.video.library import make_scenario
 from repro.video.render import FrameRenderer
 from repro.video.scenario import ScenarioConfig
 from repro.video.scene import FrameAnnotation, Scene
-from repro.vision.optical_flow import FramePyramid
+from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams
 
 
 @dataclass
@@ -48,6 +48,12 @@ class VideoClip:
     def pyramid(self, index: int, levels: int) -> FramePyramid:
         """The ``levels``-level pyramid of the frame at ``index``."""
         return self.renderer.pyramid(index, levels)
+
+    def flow(
+        self, prev_index: int, next_index: int, points: np.ndarray, params: LKParams
+    ) -> FlowResult:
+        """Lucas-Kanade flow of ``points`` between two frames of this clip."""
+        return self.renderer.flow(prev_index, next_index, points, params)
 
     def annotation(self, index: int) -> FrameAnnotation:
         """Ground truth at ``index``."""

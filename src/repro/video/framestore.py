@@ -1,30 +1,40 @@
-"""The process's one cache of rendered frames and their pyramids.
+"""The process's one cache of rendered frames, their pyramids and LK flows.
 
 A sweep runs many method arms over the same clips — fig6 alone runs 13
 arms over each clip — and every arm walks its clip from frame 0, renders
-frames and builds the pyramids its tracker reads.  Both are pure
-functions of the scene and the frame index, so one process-wide
-:class:`FrameStore` holds them for every renderer in the process.  Keys
-are
+frames, builds the pyramids its tracker reads and solves Lucas-Kanade
+between them.  All three are pure functions of the scene and their
+inputs, so one process-wide :class:`FrameStore` holds them for every
+renderer in the process.  There are three kinds of key:
 
-    ``(scene fingerprint, kind, frame_index, levels)``
+    ``(scene fingerprint, FRAME, frame_index, 0)``
+    ``(scene fingerprint, PYRAMID, frame_index, levels)``
+    ``(scene fingerprint, FLOW, prev_index, next_index, params, point bytes)``
 
-where ``kind`` is :data:`FRAME` (``levels`` 0) or :data:`PYRAMID`.  The
-fingerprint digests everything that determines a scene's pixel stream
-(scenario config + seed), so two renderers built from the same spec —
-the worker clip LRU rebuilding a clip, or two arms sharing a suite clip —
-read and write the same entries.  A stored value is bit-identical to a
-fresh render or build: the store changes *when* work happens, never
+where a :data:`FLOW` key's ``params`` is the frozen
+:class:`~repro.vision.optical_flow.LKParams` and its point bytes are
+``points.tobytes()`` of the contiguous float64 ``(N, 2)`` points tracked.
+Every key is content-based, never ``id``-based.  The fingerprint digests
+everything that determines a scene's pixel stream (scenario config +
+seed), so two renderers built from the same spec — the worker clip LRU
+rebuilding a clip, or two arms sharing a suite clip — read and write the
+same entries, and two arms tracking the same points between the same
+two frames share one solve.  A stored value is bit-identical to a fresh
+render, build or solve: the store changes *when* work happens, never
 *what* it computes.
 
 A pyramid built from a stored frame holds that frame as its level 0
 (:class:`~repro.vision.optical_flow.FramePyramid` does not copy it), so
 the store charges such a pyramid only for levels 1 and up: 144,000
-bytes at 180x320, beside the frame's 230,400.
+bytes at 180x320, beside the frame's 230,400.  A flow is charged its
+:class:`~repro.vision.optical_flow.FlowResult` arrays plus its key's
+point bytes: 25 bytes of arrays and 16 key bytes per point, 1.3 KiB
+for the average 34-point step of a fig6 sweep.
 
-:meth:`repro.video.render.FrameRenderer.render` and
-:meth:`~repro.video.render.FrameRenderer.pyramid` are the only callers,
-so the key format lives in that module.  See DESIGN.md §9.
+:meth:`repro.video.render.FrameRenderer.render`,
+:meth:`~repro.video.render.FrameRenderer.pyramid` and
+:meth:`~repro.video.render.FrameRenderer.flow` are the only callers, so
+the key format lives in that module.  See DESIGN.md §9.
 """
 
 from __future__ import annotations
@@ -36,6 +46,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.vision.optical_flow import FlowResult
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (render imports us)
     from repro.video.scene import Scene
 
@@ -43,7 +55,11 @@ BYTES_PER_MB = 1 << 20
 
 FRAME = "frame"
 PYRAMID = "pyramid"
-KINDS = (FRAME, PYRAMID)
+FLOW = "flow"
+KINDS = (FRAME, PYRAMID, FLOW)
+# Over budget, the least recently used entry of the first resident kind
+# here goes: see :meth:`FrameStore._evict_over_budget`.
+EVICTION_ORDER = (PYRAMID, FLOW, FRAME)
 
 # One budget for the process, not an option.  Replaying the logged frame
 # and pyramid reads of the fig6-reuse, eval-wide and clip-stream
@@ -69,8 +85,13 @@ def scene_fingerprint(scene: "Scene") -> str:
 
 
 def _arrays(value: Any) -> tuple[np.ndarray, ...]:
-    """The arrays a stored value holds: a frame, or a pyramid's level images."""
-    return (value,) if isinstance(value, np.ndarray) else tuple(value.images)
+    """The arrays a stored value holds: a frame, a pyramid's level images,
+    or a flow's points, status and residual."""
+    if isinstance(value, np.ndarray):
+        return (value,)
+    if isinstance(value, FlowResult):
+        return (value.points, value.status, value.residual)
+    return tuple(value.images)
 
 
 def _frame_key(key: tuple) -> tuple:
@@ -80,28 +101,32 @@ def _frame_key(key: tuple) -> tuple:
 
 
 class FrameStore:
-    """Byte-budgeted LRU of frames and pyramids, shared across renderers.
+    """Byte-budgeted LRU of frames, pyramids and flows, shared across renderers.
 
     Thread-safe: the live executor renders and tracks from several
     threads through the one process-wide instance.  Accounting is by the
-    arrays' ``nbytes`` — the budget bounds pixel payload, not Python
-    object overhead.
+    arrays' ``nbytes`` — the budget bounds pixel and point payload, not
+    Python object overhead.
 
     A pyramid whose level 0 *is* its resident stored frame is charged for
-    levels 1 and up only; any other pyramid for all its levels.  Each
-    entry keeps the bytes it was charged, and eviction refunds exactly
-    those.
+    levels 1 and up only; any other pyramid for all its levels.  A flow
+    is charged its three arrays plus its key's point bytes.  Each entry
+    keeps the bytes it was charged, and eviction refunds exactly those.
 
-    Over budget, the least recently used *pyramid* goes first; a frame is
-    evicted only when no pyramid is resident.  So no frame is evicted
-    while a resident pyramid holds it as level 0, and the bytes a shared
-    pyramid was not charged stay resident — and charged to the frame —
-    for as long as the pyramid is.  A frame also saves 2-5x more time per
-    byte than a pyramid: rendering 230,400 bytes (one 180x320 float32
-    frame) takes 2.3-4.1 ms, building the 144,000 bytes its pyramid adds
-    0.55-0.66 ms, and a pyramid miss on a resident frame skips the render
-    anyway.  A plain LRU across both kinds re-renders 604 instead of 399
-    clip-stream frames at every budget up to 192 MiB.
+    Over budget, the least recently used *pyramid* goes first, then the
+    least recently used flow; a frame is evicted only when no pyramid and
+    no flow is resident.  So no frame is evicted while a resident pyramid
+    holds it as level 0, and the bytes a shared pyramid was not charged
+    stay resident — and charged to the frame — for as long as the pyramid
+    is.  Flows hold no frame, so they leave that rule alone.  Per byte, a
+    flow saves the most time: about 1.3 KiB skips a ~5 ms solve, where
+    rendering 230,400 bytes (one 180x320 float32 frame) takes 2.3-4.1 ms
+    and building the 144,000 bytes its pyramid adds 0.55-0.66 ms.  Flows
+    still go before frames: a flow serves only an arm that repeats its
+    exact solve, while a frame serves every arm that seeds features on it
+    or rebuilds a pyramid from it.  A plain LRU across frames and
+    pyramids re-renders 604 instead of 399 clip-stream frames at every
+    budget up to 192 MiB.
 
     Stored values are made read-only: every renderer (and every arm
     sharing the store) gets the *same* arrays, so an in-place mutation
@@ -150,7 +175,7 @@ class FrameStore:
         return sum(len(entries) for entries in self._entries.values())
 
     def get(self, key: tuple) -> Any:
-        """The stored value for ``(fingerprint, kind, frame_index, levels)``, or ``None``."""
+        """The stored value for ``key`` (see the module docstring), or ``None``."""
         kind = key[1]
         entries = self._entries[kind]
         with self._lock:
@@ -165,7 +190,7 @@ class FrameStore:
             return entry[0]
 
     def put(self, key: tuple, value: Any) -> Any:
-        """Insert a fresh frame or pyramid, evicting over budget.
+        """Insert a fresh frame, pyramid or flow, evicting over budget.
 
         A value larger than the whole budget is not stored.  On a racing
         double insert the first entry wins — both hold identical bytes.
@@ -184,6 +209,8 @@ class FrameStore:
             if kind == PYRAMID and self._holds_frame(key, arrays[0]):
                 arrays = arrays[1:]
             nbytes = sum(int(array.nbytes) for array in arrays)
+            if kind == FLOW:
+                nbytes += len(key[-1])
             if nbytes > self.max_bytes:
                 return value
             for array in arrays:
@@ -199,13 +226,13 @@ class FrameStore:
         return frame is not None and frame[0] is level0
 
     def _evict_over_budget(self) -> None:
-        """Evict LRU pyramids, then LRU frames, until within budget (lock held).
+        """Evict LRU entries in :data:`EVICTION_ORDER` until within budget (lock held).
 
         Pyramids first is what keeps every shared level 0 resident: a
         frame goes only once no pyramid, and so none holding it, is left.
         """
         while self.current_bytes > self.max_bytes:
-            kind = PYRAMID if self._entries[PYRAMID] else FRAME
+            kind = next(kind for kind in EVICTION_ORDER if self._entries[kind])
             _, (_, nbytes) = self._entries[kind].popitem(last=False)
             self._bytes[kind] -= nbytes
             self._counts[kind]["evictions"] += 1

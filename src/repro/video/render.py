@@ -29,7 +29,7 @@ from repro.video import framestore
 from repro.video.objects import SceneObject
 from repro.video.scene import Scene
 from repro.vision.image import gaussian_blur
-from repro.vision.optical_flow import FramePyramid
+from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams, track_features
 
 _TEXTURE_TILE = 48
 _BACKGROUND_TILE = 256
@@ -227,12 +227,13 @@ def _sample_texture_warped(
 class FrameRenderer:
     """Renders frames of a :class:`Scene` on demand, through the frame store.
 
-    :meth:`render` and :meth:`pyramid` read through the process-wide
-    :class:`~repro.video.framestore.FrameStore`, keyed by the scene
-    fingerprint, so every renderer of the same scene in the process —
-    e.g. 13 sweep arms over one clip — renders each frame and builds each
-    pyramid once while the store holds it.  They are the store's only
-    callers, so the key format lives here.
+    :meth:`render`, :meth:`pyramid` and :meth:`flow` read through the
+    process-wide :class:`~repro.video.framestore.FrameStore`, keyed by the
+    scene fingerprint, so every renderer of the same scene in the process
+    — e.g. 13 sweep arms over one clip — renders each frame, builds each
+    pyramid and solves each repeated Lucas-Kanade step once while the
+    store holds it.  They are the store's only callers, so the key format
+    lives here.
 
     Construction is cheap: the blurred background canvas is built by the
     first frame this renderer actually rasterises, so a renderer whose
@@ -436,3 +437,34 @@ class FrameRenderer:
         if pyramid is None:
             pyramid = store.put(key, FramePyramid(self.render(frame_index), levels))
         return pyramid
+
+    def flow(
+        self, prev_index: int, next_index: int, points: np.ndarray, params: LKParams
+    ) -> FlowResult:
+        """Lucas-Kanade flow of ``points`` from frame ``prev_index`` to
+        ``next_index``, read through the store.
+
+        Keyed by content: the scene, both indices, the frozen ``params``
+        and the bytes of the float64 ``(N, 2)`` points, so method arms
+        that track the same points between the same frames pay for one
+        solve.  A miss builds both pyramids through :meth:`pyramid`.
+        """
+        points = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 2)
+        store = framestore.default_store()
+        key = (
+            self._fingerprint, framestore.FLOW, prev_index, next_index,
+            params, points.tobytes(),
+        )
+        flow = store.get(key)
+        if flow is None:
+            levels = params.pyramid_levels
+            flow = store.put(
+                key,
+                track_features(
+                    self.pyramid(prev_index, levels),
+                    self.pyramid(next_index, levels),
+                    points,
+                    params,
+                ),
+            )
+        return flow

@@ -94,3 +94,49 @@ class TestBudgetedStoreDeterminism:
             assert seq.activity.duration == par.activity.duration
             assert dict(seq.activity.gpu_busy) == dict(par.activity.gpu_busy)
             assert seq.energy().as_dict() == par.energy().as_dict()
+
+
+def _cell_records(methods, suite) -> tuple[list, dict]:
+    """Every cell's outputs as exact ``repr`` floats, and the sweep's store counts."""
+    from repro.parallel import run_sweep
+
+    cells = []
+    sweep = run_sweep(
+        methods, suite, jobs=1, progress=lambda done, total, r: cells.append(r)
+    )
+    assert sweep.ok, sweep.summary()
+    records = sorted(
+        (
+            r.index,
+            r.method,
+            r.clip_name,
+            repr(float(r.accuracy)),
+            repr(float(r.mean_f1)),
+            repr(float(r.activity.duration)),
+            sorted((name, repr(float(s))) for name, s in r.activity.gpu_busy.items()),
+            sorted((name, repr(float(s))) for name, s in r.activity.cpu_busy.items()),
+        )
+        for r in cells
+    )
+    return records, sweep.store
+
+
+class TestSharedFlowDeterminism:
+    """Arms that share Lucas-Kanade solves through the store compute what
+    arms solving alone compute: every fig6 method at ``--jobs 1`` through
+    the process store reproduces a zero-byte store's cells exactly."""
+
+    @pytest.mark.parametrize("base_seed", [303, 1303])
+    def test_store_on_matches_store_off(self, base_seed, monkeypatch):
+        from repro.experiments.fig6_overall import FIG6_METHODS
+        from repro.video import framestore
+
+        framestore.default_store().clear()
+        stored, on = _cell_records(FIG6_METHODS, quick_suite(base_seed, frames=24))
+        # A zero-byte store keeps nothing: every flow is solved afresh.
+        monkeypatch.setattr(framestore, "_default_store", framestore.FrameStore(0))
+        plain, off = _cell_records(FIG6_METHODS, quick_suite(base_seed, frames=24))
+        assert stored == plain
+        assert on["flow"]["hits"] > 0
+        assert off["flow"]["hits"] == 0
+        assert off["flow"]["misses"] == on["flow"]["hits"] + on["flow"]["misses"]

@@ -15,7 +15,7 @@ from repro.experiments.workloads import quick_suite
 from repro.obs import InMemorySink, Telemetry
 from repro.parallel import SweepEngine, run_shard, run_sweep
 from repro.video.dataset import VideoSuite
-from repro.video.framestore import default_store
+from repro.video.framestore import KINDS, default_store
 
 _METHODS = ("adavp", "mpdt-320")
 
@@ -354,7 +354,8 @@ class TestStoreModes:
 class TestClipAffinity:
     """The pool's unit of work is one clip, so a worker's store sees every
     reuse the clip offers: the working set fits the store, so a jobs=2
-    sweep misses exactly as often, per kind, as a jobs=1 sweep."""
+    sweep misses exactly as often, per kind (frames, pyramids and flows),
+    as a jobs=1 sweep."""
 
     @pytest.fixture(scope="class")
     def sweeps(self):
@@ -381,7 +382,7 @@ class TestClipAffinity:
 
     def test_misses_equal_the_sequential_sweep(self, sweeps):
         sequential, parallel, _ = sweeps
-        for kind in ("frame", "pyramid"):
+        for kind in KINDS:
             assert sequential.store[kind]["misses"] > 0
             assert parallel.store[kind]["misses"] == sequential.store[kind]["misses"]
             assert parallel.store[kind]["evictions"] == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +18,8 @@ from repro.tracking.tracker import ObjectTracker, TrackerConfig
 from repro.video import framestore
 from repro.video.dataset import make_clip
 from repro.video.framestore import (
+    EVICTION_ORDER,
+    FLOW,
     FRAME,
     KINDS,
     PYRAMID,
@@ -29,7 +32,7 @@ from repro.video.framestore import (
 from repro.video.library import make_scenario
 from repro.video.render import FrameRenderer
 from repro.video.scene import Scene
-from repro.vision.optical_flow import FramePyramid
+from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams, track_features
 
 
 def _frame(nbytes: int, fill: int = 1) -> np.ndarray:
@@ -53,6 +56,20 @@ def _assert_pyramids_equal(left: FramePyramid, right: FramePyramid) -> None:
 
 def _key(index: int, kind: str = FRAME, levels: int = 0, fingerprint: str = "fp") -> tuple:
     return (fingerprint, kind, index, levels)
+
+
+def _flow(num_points: int, fill: int = 1) -> FlowResult:
+    return FlowResult(
+        points=np.full((num_points, 2), fill, dtype=np.float64),
+        status=np.ones(num_points, dtype=bool),
+        residual=np.full(num_points, fill, dtype=np.float64),
+    )
+
+
+def _flow_key(index: int, num_points: int, fingerprint: str = "fp") -> tuple:
+    """A flow key from ``index`` to ``index + 1``, as the renderer builds one."""
+    points = np.arange(2 * num_points, dtype=np.float64).reshape(-1, 2)
+    return (fingerprint, FLOW, index, index + 1, LKParams(), points.tobytes())
 
 
 def _counters(obs: Telemetry) -> dict[str, float]:
@@ -314,6 +331,62 @@ class TestFrameStoreCore:
         assert set(_counters(obs).values()) == {0}
 
 
+class TestFlowEntries:
+    def test_stored_flow_arrays_are_read_only(self):
+        store = FrameStore(1024)
+        flow = _flow(4)
+        assert store.put(_flow_key(0, 4), flow) is flow
+        served = store.get(_flow_key(0, 4))
+        assert served is flow
+        for array in (served.points, served.status, served.residual):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            served.points[0, 0] = 9.0
+
+    def test_flow_is_charged_its_arrays_and_key_bytes(self):
+        store = FrameStore(1024)
+        key = _flow_key(0, 4)
+        store.put(key, _flow(4))
+        # Four points: 64 bytes of points, 4 of status, 32 of residual,
+        # and the key's 64 point bytes.
+        assert len(key[-1]) == 64
+        assert store.stats()[FLOW]["bytes"] == 64 + 4 + 32 + 64 == 41 * 4
+        assert store.current_bytes == 41 * 4
+
+    def test_rejected_duplicate_flow_stays_writable(self):
+        store = FrameStore(1024)
+        first, second = _flow(2, fill=1), _flow(2, fill=2)
+        store.put(_flow_key(0, 2), first)
+        assert store.put(_flow_key(0, 2), second) is first
+        assert second.points.flags.writeable and second.residual.flags.writeable
+
+    def test_flows_go_after_pyramids_and_before_frames(self):
+        store = FrameStore(64 + 2 * 41 + 24)
+        store.put(_key(0), _frame(64))
+        store.put(_flow_key(0, 1), _flow(1))
+        store.put(_flow_key(1, 1), _flow(1))
+        store.put(_key(1, PYRAMID, 2), _pyramid(16, 8))
+        assert store.current_bytes == store.max_bytes
+        store.get(_flow_key(0, 1))  # flow 1 is now the LRU flow
+        # 41 bytes over: the pyramid goes first, then the LRU flow; the
+        # frame, the least recently used entry of all, stays.
+        store.put(_flow_key(2, 1), _flow(1))
+        assert store.get(_key(1, PYRAMID, 2)) is None
+        assert store.get(_flow_key(1, 1)) is None
+        assert store.get(_flow_key(0, 1)) is not None
+        assert store.get(_key(0)) is not None
+        # A new frame evicts flows before any frame.
+        store.put(_key(1), _frame(64))
+        stats = store.stats()
+        assert stats[FLOW]["evictions"] == 2 and stats[FRAME]["evictions"] == 0
+        # With no pyramid or flow left, the LRU frame goes.
+        store.put(_key(2), _frame(64))
+        stats = store.stats()
+        assert stats[FLOW]["entries"] == 0 and stats[FLOW]["evictions"] == 3
+        assert stats[FRAME]["evictions"] == 1
+        assert stats[FLOW]["evicted_bytes"] == 3 * 41
+
+
 def _pyramid_levels(draw_bytes):
     return st.lists(draw_bytes, min_size=1, max_size=3)
 
@@ -353,7 +426,16 @@ _OPS = st.lists(
 def _value(kind: str, level_bytes: list[int], fill: int):
     if kind == FRAME:
         return _frame(level_bytes[0], fill)
+    if kind == FLOW:
+        return _flow(len(level_bytes), fill)
     return _pyramid(*level_bytes, fill=fill)
+
+
+def _model_key(kind: str, index: int, level_bytes: list[int]) -> tuple:
+    """One key per (kind, index, depth): a flow of ``len(level_bytes)`` points."""
+    if kind == FLOW:
+        return _flow_key(index, len(level_bytes))
+    return _key(index, kind, 0 if kind == FRAME else len(level_bytes))
 
 
 def _nbytes(value) -> int:
@@ -372,10 +454,12 @@ def _assert_shared_frames_resident(store: FrameStore) -> None:
 
 
 class TestByteBudgetProperty:
-    """Drawn get/put sequences over both kinds against a plain model.
+    """Drawn get/put sequences over all three kinds against a plain model.
 
     A ``share`` op inserts a pyramid built on the frame stored at its
-    index, when one is, and the model charges it for levels 1 and up.
+    index, when one is, and the model charges it for levels 1 and up.  A
+    flow of ``n`` points is charged its arrays plus its key's ``16 n``
+    point bytes.  Eviction takes pyramids, then flows, then frames.
     """
 
     @settings(max_examples=80, deadline=None)
@@ -388,8 +472,8 @@ class TestByteBudgetProperty:
         sizes = {}  # key -> level sizes: one key always holds the same bytes
         charged = {}  # key -> bytes its resident value was charged
         for op, kind, index, level_bytes in ops:
-            key = _key(index, kind, 0 if kind == FRAME else len(level_bytes))
-            frames_evicted = store.stats()[FRAME]["evictions"]
+            key = _model_key(kind, index, level_bytes)
+            evicted = {k: store.stats()[k]["evictions"] for k in KINDS}
             if op == "get":
                 got = store.get(key)
                 if got is None:
@@ -405,7 +489,12 @@ class TestByteBudgetProperty:
             level_bytes = sizes.setdefault(key, level_bytes)
             resident = store.get(key) is not None
             gets[kind][0 if resident else 1] += 1
-            frame_bytes = store.stats()[FRAME]["bytes"]
+            # Bytes of the kinds evicted after this one: an insert that
+            # does not fit beside them evicts itself.
+            kept_bytes = sum(
+                store.stats()[later]["bytes"]
+                for later in EVICTION_ORDER[EVICTION_ORDER.index(kind) + 1 :]
+            )
             racers = 3 if op == "race" else 1
             values = [_value(kind, level_bytes, fill) for fill in range(1, racers + 1)]
             stored_frame = store._entries[FRAME].get(_key(index))
@@ -429,6 +518,8 @@ class TestByteBudgetProperty:
             nbytes = _nbytes(values[0])
             if shared:
                 nbytes -= values[0].images[0].nbytes
+            if kind == FLOW:
+                nbytes += len(key[-1])
             if resident:
                 # The first insert wins: every racer gets the stored value.
                 assert all(value is first[key] for value in returned)
@@ -440,9 +531,9 @@ class TestByteBudgetProperty:
                     for value in values
                     for array in framestore._arrays(value)[1 if shared else 0 :]
                 )
-            elif kind == PYRAMID and frame_bytes + nbytes > budget:
-                # No room beside the frames: each insert evicts itself
-                # (pyramids go first) and its caller keeps its own value.
+            elif kept_bytes + nbytes > budget:
+                # No room beside the kinds evicted later: each insert
+                # evicts itself and its caller keeps its own value.
                 assert all(mine is value for mine, value in zip(returned, values))
                 inserted[kind][0] += racers
                 inserted[kind][1] += racers * nbytes
@@ -456,9 +547,11 @@ class TestByteBudgetProperty:
                 inserted[kind][1] += nbytes
             assert store.current_bytes <= budget
             _assert_shared_frames_resident(store)
-            if store.stats()[FRAME]["evictions"] > frames_evicted:
-                # A frame only goes once no pyramid is left to evict.
-                assert store.stats()[PYRAMID]["entries"] == 0
+            for rank, evicted_kind in enumerate(EVICTION_ORDER):
+                if store.stats()[evicted_kind]["evictions"] > evicted[evicted_kind]:
+                    # A kind only goes once no entry of an earlier kind is left.
+                    for earlier in EVICTION_ORDER[:rank]:
+                        assert store.stats()[earlier]["entries"] == 0
         stats = store.stats()
         assert stats["max_bytes"] == budget
         assert stats["current_bytes"] == sum(stats[kind]["bytes"] for kind in KINDS)
@@ -589,15 +682,15 @@ class TestRendererPyramids:
 
     def test_mve_after_lk_reads_the_stored_pyramid(self, store, clip):
         width, height = clip.config.frame_width, clip.config.frame_height
-        lk = ObjectTracker(
-            clip.frame, width, height, TrackerConfig(), pyramids=clip.pyramid
-        )
+        lk = ObjectTracker(clip.frame, width, height, TrackerConfig(), flows=clip.flow)
         lk.initialize(0, _detections(clip))
+        # The LK step's solve builds frames 0 and 2's pyramids.
+        lk.track_to(2)
         before = store.stats()
         mve = MVETracker(
             clip.frame, width, height, MVETrackerConfig(), pyramids=clip.pyramid
         )
-        mve.initialize(0, _detections(clip))
+        mve.initialize(2, _detections(clip, 2))
         # Both tiers default to 3 levels, so a tier switch on one frame
         # is a store hit, not a rebuild.
         assert _delta(before, store.stats(), PYRAMID, "misses") == 0
@@ -606,9 +699,9 @@ class TestRendererPyramids:
     def test_store_served_tiers_track_like_fresh_builds(self, store, clip):
         width, height = clip.config.frame_width, clip.config.frame_height
 
-        def run_pair(pyramids):
+        def run_pair(flows, pyramids):
             lk = ObjectTracker(
-                clip.frame, width, height, TrackerConfig(), seed=0, pyramids=pyramids
+                clip.frame, width, height, TrackerConfig(), seed=0, flows=flows
             )
             lk.initialize(0, _detections(clip))
             lk_steps = [lk.track_to(j).detections for j in (2, 4)]
@@ -620,7 +713,7 @@ class TestRendererPyramids:
             return lk_steps, mve_steps
 
         before = store.stats()
-        assert run_pair(clip.pyramid) == run_pair(None)
+        assert run_pair(clip.flow, clip.pyramid) == run_pair(None, None)
         assert _delta(before, store.stats(), PYRAMID, "hits") > 0
 
     def test_trackers_without_a_read_through_never_touch_pyramids(self, store, clip):
@@ -649,6 +742,100 @@ class TestRendererPyramids:
         stats = empty.stats()
         assert stats[PYRAMID]["misses"] == 2 and stats[PYRAMID]["hits"] == 0
         assert stats["current_bytes"] == 0
+
+
+_POINTS = np.array([[100.5, 60.25], [160.0, 90.0], [40.0, 120.0]])
+
+
+class TestRendererFlows:
+    def test_repeat_flow_is_a_hit_and_matches_a_direct_solve(self, store, clip):
+        params = LKParams()
+        before = store.stats()
+        first = clip.flow(0, 2, _POINTS, params)
+        served = FrameRenderer(clip.scene).flow(0, 2, _POINTS.copy(), params)
+        assert served is first
+        after = store.stats()
+        assert _delta(before, after, FLOW, "misses") == 1
+        assert _delta(before, after, FLOW, "hits") == 1
+        direct = track_features(
+            FramePyramid(clip.renderer.render_frame(0), params.pyramid_levels),
+            FramePyramid(clip.renderer.render_frame(2), params.pyramid_levels),
+            _POINTS,
+            params,
+        )
+        assert np.array_equal(served.points, direct.points)
+        assert np.array_equal(served.status, direct.status)
+        assert np.array_equal(served.residual, direct.residual)
+
+    def test_one_bit_of_one_point_misses(self, store, clip):
+        params = LKParams()
+        clip.flow(0, 2, _POINTS, params)
+        nudged = _POINTS.copy()
+        nudged.view(np.uint64)[1, 0] ^= 1  # the lowest mantissa bit
+        before = store.stats()
+        clip.flow(0, 2, nudged, params)
+        after = store.stats()
+        assert _delta(before, after, FLOW, "misses") == 1
+        assert _delta(before, after, FLOW, "hits") == 0
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(LKParams)])
+    def test_every_lk_param_is_in_the_key(self, store, clip, name):
+        params = LKParams()
+        clip.flow(0, 2, _POINTS, params)
+        value = getattr(params, name)
+        changed = replace(params, **{name: value + 1 if isinstance(value, int) else value * 2})
+        before = store.stats()
+        clip.flow(0, 2, _POINTS, changed)
+        after = store.stats()
+        assert _delta(before, after, FLOW, "misses") == 1
+        assert _delta(before, after, FLOW, "hits") == 0
+
+    def test_indices_and_scene_are_in_the_key(self, store, clip):
+        params = LKParams()
+        clip.flow(0, 2, _POINTS, params)
+        other = make_clip("highway_surveillance", seed=56, num_frames=24)
+        before = store.stats()
+        clip.flow(0, 1, _POINTS, params)
+        clip.flow(1, 2, _POINTS, params)
+        other.flow(0, 2, _POINTS, params)
+        assert _delta(before, store.stats(), FLOW, "misses") == 3
+        assert _delta(before, store.stats(), FLOW, "hits") == 0
+
+
+class TestTrackerFlows:
+    def test_seeding_and_pointless_steps_read_no_pyramid(self, store, clip):
+        width, height = clip.config.frame_width, clip.config.frame_height
+        tracker = ObjectTracker(clip.frame, width, height, flows=clip.flow)
+        before = store.stats()
+        tracker.initialize(0, _detections(clip))
+        empty = ObjectTracker(clip.frame, width, height, flows=clip.flow)
+        empty.initialize(0, ())
+        empty.track_to(2)
+        after = store.stats()
+        for kind in (PYRAMID, FLOW):
+            assert _delta(before, after, kind, "hits") == 0
+            assert _delta(before, after, kind, "misses") == 0
+
+    def test_arms_tracking_the_same_points_share_one_solve(self, store, clip):
+        width, height = clip.config.frame_width, clip.config.frame_height
+
+        def arm(flows):
+            tracker = ObjectTracker(clip.frame, width, height, seed=4, flows=flows)
+            tracker.initialize(0, _detections(clip))
+            return [tracker.track_to(j).detections for j in (2, 4, 5)]
+
+        before = store.stats()
+        first = arm(clip.flow)
+        middle = store.stats()
+        second = arm(clip.flow)
+        after = store.stats()
+        assert _delta(before, middle, FLOW, "misses") == 3
+        assert _delta(middle, after, FLOW, "hits") == 3
+        assert _delta(middle, after, FLOW, "misses") == 0
+        # A served step reads no pyramid.
+        assert _delta(middle, after, PYRAMID, "hits") == 0
+        assert _delta(middle, after, PYRAMID, "misses") == 0
+        assert first == second == arm(None)
 
 
 class TestStoreServedEqualsDirect:
