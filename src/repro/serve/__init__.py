@@ -5,7 +5,9 @@ production-scale counterpart — an event-driven scheduler that multiplexes
 hundreds of :class:`SimStream` instances over a shared detector through a
 QoS-classed :class:`AdmissionQueue` with batching and watermark-driven
 backpressure, all on the deterministic runtime clock so a seeded
-500-stream run is bit-identically replayable.  See DESIGN.md §11.
+500-stream run is bit-identically replayable.  The scheduler is the
+queue's one consumer and drives it from a single thread.  See DESIGN.md
+§11.
 """
 
 from repro.serve.admission import (
@@ -22,7 +24,6 @@ from repro.serve.detector import (
     SharedDetectorModel,
     SpikyDetectorModel,
 )
-from repro.serve.live import BatchServeExecutor
 from repro.serve.report import ClassReport, FleetReport, StreamReport, nearest_rank
 from repro.serve.scheduler import (
     ServeConfig,
@@ -35,7 +36,6 @@ from repro.serve.streams import SimStream, StreamConfig, StreamWorkload
 __all__ = [
     "AdmissionQueue",
     "BatchDetectorModel",
-    "BatchServeExecutor",
     "ClassReport",
     "DetectionRequest",
     "FleetReport",

@@ -25,19 +25,16 @@ sheds the *newest* queued ``best_effort`` request (freshest work has the
 least sunk waiting time); if no ``best_effort`` request is queued the
 realtime request is rejected too.  Nothing is ever dropped silently.
 
-The queue is lock-protected so the threaded frontend
-(:mod:`repro.serve.live`) can feed it from many producer threads; the
-deterministic scheduler uses it single-threaded and pays one uncontended
-lock per call.  Total depth is a running count kept under that lock
-(admit adds one, a shed victim takes one away, a batch pop takes its
-length), so :meth:`AdmissionQueue.depth` is O(1);
+The queue is driven from one thread, by the deterministic scheduler,
+and takes no locks.  Total depth is a running count (admit adds one, a
+shed victim takes one away, a batch pop takes its length), so
+:meth:`AdmissionQueue.depth` is O(1);
 :meth:`AdmissionQueue.check_conservation` cross-checks it against the
 class queues' lengths.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -88,8 +85,6 @@ class AdmissionQueue:
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         self.max_depth = max_depth
-        self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
         self._queues: dict[str, deque[DetectionRequest]] = {
             qos: deque() for qos in QOS_CLASSES
         }
@@ -99,12 +94,10 @@ class AdmissionQueue:
     # -- depth -----------------------------------------------------------------
 
     def depth(self) -> int:
-        with self._lock:
-            return self._depth
+        return self._depth
 
     def depth_of(self, qos: str) -> int:
-        with self._lock:
-            return len(self._queues[qos])
+        return len(self._queues[qos])
 
     # -- admission -------------------------------------------------------------
 
@@ -119,28 +112,26 @@ class AdmissionQueue:
         caller must notify the victim's stream, which is what makes the
         drop explicit rather than silent.
         """
-        with self._not_empty:
-            self.counters.submitted += 1
-            shed: DetectionRequest | None = None
-            if self._depth >= self.max_depth:
-                best_effort = self._queues[QOS_BEST_EFFORT]
-                if request.qos == QOS_REALTIME and best_effort:
-                    shed = best_effort.pop()  # newest: least sunk waiting time
-                    self._depth -= 1
-                    self.counters.shed += 1
-                else:
-                    self.counters.rejected += 1
-                    return False, None
-            self._queues[request.qos].append(request)
-            self._depth += 1
-            self.counters.admitted += 1
-            self._not_empty.notify()
-            return True, shed
+        self.counters.submitted += 1
+        shed: DetectionRequest | None = None
+        if self._depth >= self.max_depth:
+            best_effort = self._queues[QOS_BEST_EFFORT]
+            if request.qos == QOS_REALTIME and best_effort:
+                shed = best_effort.pop()  # newest: least sunk waiting time
+                self._depth -= 1
+                self.counters.shed += 1
+            else:
+                self.counters.rejected += 1
+                return False, None
+        self._queues[request.qos].append(request)
+        self._depth += 1
+        self.counters.admitted += 1
+        return True, shed
 
     # -- batch assembly --------------------------------------------------------
 
     def next_batch(self, max_batch: int) -> list[DetectionRequest]:
-        """Pop the next batch (possibly empty) without blocking.
+        """Pop the next batch (possibly empty).
 
         The batch comes from the highest-priority non-empty class and is
         the longest consecutive prefix of that class's queue sharing one
@@ -150,21 +141,6 @@ class AdmissionQueue:
         """
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        with self._lock:
-            return self._pop_batch_locked(max_batch)
-
-    def next_batch_blocking(
-        self, max_batch: int, timeout: float
-    ) -> list[DetectionRequest]:
-        """Like :meth:`next_batch` but waits up to ``timeout`` for work."""
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        with self._not_empty:
-            if self._depth == 0:
-                self._not_empty.wait(timeout)
-            return self._pop_batch_locked(max_batch)
-
-    def _pop_batch_locked(self, max_batch: int) -> list[DetectionRequest]:
         for qos in QOS_CLASSES:
             queue = self._queues[qos]
             if not queue:
@@ -187,20 +163,19 @@ class AdmissionQueue:
         means a request was lost or double-counted somewhere, or that the
         running depth drifted from the class queues it counts.
         """
-        with self._lock:
-            c = self.counters
-            if c.submitted != c.admitted + c.rejected:
-                raise AssertionError(
-                    f"admission ledger broken: submitted={c.submitted} != "
-                    f"admitted={c.admitted} + rejected={c.rejected}"
-                )
-            depth = sum(len(queue) for queue in self._queues.values())
-            if self._depth != depth:
-                raise AssertionError(
-                    f"running depth {self._depth} != queued requests {depth}"
-                )
-            if c.admitted != c.dispatched + c.shed + depth:
-                raise AssertionError(
-                    f"conservation broken: admitted={c.admitted} != "
-                    f"dispatched={c.dispatched} + shed={c.shed} + depth={depth}"
-                )
+        c = self.counters
+        if c.submitted != c.admitted + c.rejected:
+            raise AssertionError(
+                f"admission ledger broken: submitted={c.submitted} != "
+                f"admitted={c.admitted} + rejected={c.rejected}"
+            )
+        depth = sum(len(queue) for queue in self._queues.values())
+        if self._depth != depth:
+            raise AssertionError(
+                f"running depth {self._depth} != queued requests {depth}"
+            )
+        if c.admitted != c.dispatched + c.shed + depth:
+            raise AssertionError(
+                f"conservation broken: admitted={c.admitted} != "
+                f"dispatched={c.dispatched} + shed={c.shed} + depth={depth}"
+            )

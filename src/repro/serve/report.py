@@ -149,9 +149,6 @@ class FleetReport:
     def served_per_sim_second(self) -> float:
         return self.served / self.duration_s if self.duration_s > 0 else 0.0
 
-    def class_report(self, qos: str) -> ClassReport:
-        return self.classes[qos]
-
     def to_dict(self) -> dict:
         """Canonical JSON-able form; the digest hashes exactly this."""
         return {

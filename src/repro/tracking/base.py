@@ -91,10 +91,6 @@ class BoxTrackerBase:
         return self._pyramids(frame_index, levels)
 
     @property
-    def current_frame_index(self) -> int | None:
-        return self._frame_index
-
-    @property
     def num_objects(self) -> int:
         return sum(1 for obj in self._objects if obj.alive)
 

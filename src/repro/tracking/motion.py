@@ -85,19 +85,6 @@ class MotionVelocityEstimator:
             return None
         return float(np.mean(self._samples))
 
-    def peak_velocity(self) -> float | None:
-        """The cycle's highest per-step velocity, or ``None``.
-
-        Fast objects shed tracked features quickly, so later steps of a
-        cycle measure mostly the slow survivors; the mean then
-        under-reports exactly the content the adaptation must react to.
-        The peak is robust to that survivor bias, and is what the AdaVP
-        pipeline feeds to the adaptation module.
-        """
-        if not self._samples:
-            return None
-        return float(np.max(self._samples))
-
     def last_sample(self) -> float | None:
         return self._samples[-1] if self._samples else None
 

@@ -321,9 +321,6 @@ class Scene:
         """Ground truth for every frame of the video."""
         return [self.annotation(i) for i in range(self.config.num_frames)]
 
-    def visible_object_ids(self, frame_index: int) -> set[int]:
-        return {o.object_id for o in self.annotation(frame_index).objects}
-
     def mean_object_count(self, sample_every: int = 10) -> float:
         """Average number of visible objects (sampled), for workload stats."""
         frames = range(0, self.config.num_frames, max(1, sample_every))

@@ -109,9 +109,6 @@ class FlowResult:
     status: np.ndarray
     residual: np.ndarray
 
-    def good_points(self) -> np.ndarray:
-        return self.points[self.status]
-
 
 def _window_grid(radius: int) -> tuple[np.ndarray, np.ndarray]:
     """The full ``(2r+1, 2r+1)`` offset grid, kept for the frozen

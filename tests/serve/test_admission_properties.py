@@ -7,6 +7,8 @@ sequence drives the real queue and a mirror model side by side; any
 divergence or ledger imbalance is a bug in the queue, not the test.
 """
 
+from dataclasses import replace
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -163,3 +165,23 @@ def test_best_effort_is_rejected_not_shed_when_full():
     assert not admitted and shed is None
     assert queue.depth() == 1
     queue.check_conservation()
+
+
+_VALID = _request(0, QOS_REALTIME, "yolov3-512")
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: AdmissionQueue(max_depth=0), "max_depth"),
+        (lambda: AdmissionQueue().next_batch(0), "max_batch"),
+        (lambda: replace(_VALID, qos="bogus"), "unknown QoS class"),
+        (lambda: replace(_VALID, num_objects=-1), "num_objects"),
+    ],
+    ids=["max_depth_zero", "max_batch_zero", "unknown_qos", "negative_objects"],
+)
+def test_admission_inputs_are_checked(build, match):
+    # ServeConfig validates max_batch and queue_depth before building a
+    # queue, so the scheduler tests never reach these checks.
+    with pytest.raises(ValueError, match=match):
+        build()
