@@ -225,7 +225,8 @@ class SweepResult:
     retried_shards: int = 0
     elapsed_s: float = 0.0
     # Per-kind frame-store counters summed over the settled cells:
-    # ``{kind: {"hits", "misses", "evictions", "evicted_bytes"}}``.
+    # ``{kind: {"hits", "misses", "evictions", "evicted_bytes"}}``.  Flow
+    # counters count points: a flow miss is one point solved.
     store: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @property

@@ -27,17 +27,21 @@ from repro.experiments.fig6_overall import FIG6_METHODS
 from repro.experiments.workloads import quick_suite
 from repro.parallel import SweepEngine, SweepResult
 from repro.perf.harness import build_document, require_keys, validate_envelope
-from repro.video.framestore import BYTES_PER_MB, STORE_BYTES
+from repro.video.framestore import BYTES_PER_MB, FLOW, STORE_BYTES
 
 MACRO_SUITE_NAME = "repro-macro"
 MACRO_BENCH_NAME = "fig6_reduced_sweep"
 
 # AdaVP starts at 512, so until its first switch it repeats MPDT-512's
-# Lucas-Kanade solves: CI's quick run then has flow-store hits to gate.
+# Lucas-Kanade points: CI's quick run then has flow-store hits to gate.
 _QUICK_METHODS = ("adavp", "mve", "mpdt-320", "mpdt-512", "no-tracking-320")
 
+# The warm-up pass runs on ``quick_suite(_SEED)``, timed repeat ``r`` on
+# ``quick_suite(_SEED + r)``: every suite's clips are distinct scenes.
+_SEED = 303
 
-def _workload(quick: bool):
+
+def _workload(quick: bool, seed: int = _SEED):
     """(methods, suite) for the reduced fig6 sweep.
 
     Reduced = the real fig6 method grid over the quick suite's three
@@ -45,8 +49,8 @@ def _workload(quick: bool):
     a small pool busy, small enough for a CI smoke job.
     """
     if quick:
-        return _QUICK_METHODS, quick_suite(frames=60)
-    return FIG6_METHODS, quick_suite(frames=120)
+        return _QUICK_METHODS, quick_suite(seed, frames=60)
+    return FIG6_METHODS, quick_suite(seed, frames=120)
 
 
 def _assert_identical(sequential: SweepResult, parallel: SweepResult) -> None:
@@ -81,19 +85,25 @@ def _assert_identical(sequential: SweepResult, parallel: SweepResult) -> None:
 def run_macro_benchmark(jobs: int = 4, repeats: int = 3, quick: bool = False) -> dict:
     """Time the reduced fig6 sweep sequentially and at ``jobs`` workers.
 
-    Returns the ``BENCH_macro.json`` document.  Timings interleave the
-    two arms repeat by repeat so drift in background load hits both
-    equally; the identity check doubles as the warm-up for each arm
-    (worker processes imported, frame stores populated).  The ``store``
-    block records each arm's frame-store hits and misses per kind from
-    that warm-up pass: misses are the frames rendered and pyramids
-    built.
+    Returns the ``BENCH_macro.json`` document.  A first pass over the
+    workload checks identity and warms each arm up (worker processes
+    started and imported).  Each timed repeat then runs both arms on a
+    suite neither has seen, so both start with cold frame stores, as a
+    first sweep does: a repeat of a seen suite would hit every stored
+    frame, pyramid and flow point in the sequential arm, while a pool
+    worker handed another clip misses.  Timings interleave the two arms
+    repeat by repeat so drift in background load hits both equally, and
+    every timed pair is checked for identity too.  The ``store`` block
+    records each arm's frame-store counters per kind from the first
+    pass: misses are the frames rendered, pyramids built and flow points
+    solved.
     """
     if jobs < 2:
         raise ValueError("macro-bench needs jobs >= 2 (it compares against jobs=1)")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     methods, suite = _workload(quick)
+    timed_suites = [_workload(quick, _SEED + r)[1] for r in range(1, repeats + 1)]
 
     with SweepEngine(jobs=1) as seq_engine, SweepEngine(jobs=jobs) as par_engine:
         sequential = seq_engine.run(methods, suite)
@@ -101,13 +111,14 @@ def run_macro_benchmark(jobs: int = 4, repeats: int = 3, quick: bool = False) ->
         _assert_identical(sequential, parallel)
 
         seq_times, par_times = [], []
-        for _ in range(repeats):
+        for timed in timed_suites:
             start = time.perf_counter()
-            seq_engine.run(methods, suite)
+            seq_run = seq_engine.run(methods, timed)
             seq_times.append(time.perf_counter() - start)
             start = time.perf_counter()
-            par_engine.run(methods, suite)
+            par_run = par_engine.run(methods, timed)
             par_times.append(time.perf_counter() - start)
+            _assert_identical(seq_run, par_run)
 
     sequential_best = min(seq_times)
     parallel_best = min(par_times)
@@ -118,6 +129,7 @@ def run_macro_benchmark(jobs: int = 4, repeats: int = 3, quick: bool = False) ->
             "clips": [clip.name for clip in suite],
             "frames_per_clip": [clip.num_frames for clip in suite],
             "shards": len(methods) * len(suite),
+            "timed_suites": [timed.name for timed in timed_suites],
         },
         "jobs": jobs,
         # The parallelism the host could actually deliver: a jobs=4 pool on
@@ -215,6 +227,10 @@ def validate_macro_doc(doc: dict, min_speedup: float | None = None) -> list[str]
     return names
 
 
+# Flow counters count points, and a flow miss is a point solved.
+_COUNT_LABELS = {FLOW: ("point hits", "point solves")}
+
+
 def format_macro_table(doc: dict) -> str:
     """Human-readable summary of a macro-bench document for the CLI."""
     lines = [
@@ -228,10 +244,10 @@ def format_macro_table(doc: dict) -> str:
         )
         store = bench["store"]
         for arm in ("sequential", "parallel"):
-            counts = "; ".join(
-                f"{kind} {c['hits']} hits / {c['misses']} misses"
-                for kind, c in store[arm].items()
-            )
-            lines.append(f"  store ({store['budget_mb']} MiB) {arm}: {counts}")
+            counts = []
+            for kind, c in store[arm].items():
+                hits, misses = _COUNT_LABELS.get(kind, ("hits", "misses"))
+                counts.append(f"{kind} {c['hits']} {hits} / {c['misses']} {misses}")
+            lines.append(f"  store ({store['budget_mb']} MiB) {arm}: {'; '.join(counts)}")
     lines.append(f"(host cpu_count={doc['host']['cpu_count']})")
     return "\n".join(lines)

@@ -15,10 +15,11 @@ Workflow, mirroring the paper's six steps:
 Step 4 goes through a *flow provider*, ``(prev_index, next_index,
 points, params) -> FlowResult``.  The pipelines pass the clip's store
 read-through (:meth:`repro.video.dataset.VideoClip.flow`), so method arms
-that track the same points between the same two frames share one solve.
+that track the same point between the same two frames share its solve.
 Without a provider the tracker runs :func:`track_features` on the two
-frames' pyramids itself.  Either way it holds no pyramid between steps,
-and seeding or a step with no points reads none.
+frames' pyramids itself, and keeps the next frame's pyramid for the step
+after, whose previous frame it is: ``k`` steps build ``k + 1`` pyramids.
+Seeding or a step with no points reads none.
 
 The tracker is *time-free*: its numpy runtime is not the Jetson TX2's.
 The :class:`TrackerLatencyModel` carries the paper's measured costs
@@ -38,7 +39,7 @@ from repro.tracking.base import BoxTrackerBase, FrameProvider, median_shift
 from repro.tracking.motion import motion_velocity
 from repro.vision.fast import fast_corners
 from repro.vision.features import good_features_to_track
-from repro.vision.optical_flow import FlowResult, LKParams, track_features
+from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams, track_features
 
 # ``(prev_index, next_index, points, params) -> flow``: a clip's store
 # read-through (:meth:`repro.video.dataset.VideoClip.flow`).
@@ -204,8 +205,8 @@ class ObjectTracker(BoxTrackerBase):
     each DNN result re-seeds the tracker).
 
     ``flows`` solves each step (see the module docstring); without it the
-    tracker builds both frames' pyramids from ``frame_provider`` and
-    solves.
+    tracker builds the frames' pyramids from ``frame_provider`` and
+    solves, reusing the last step's next-frame pyramid.
     """
 
     def __init__(
@@ -220,6 +221,8 @@ class ObjectTracker(BoxTrackerBase):
         super().__init__(frame_provider, frame_width, frame_height)
         self.config = config or TrackerConfig()
         self._flows = flows or self._solve_flow
+        # ``(frame_index, pyramid)`` of the last step's next frame.
+        self._held_pyramid: tuple[int, FramePyramid] | None = None
         self._rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
         self._points = np.zeros((0, 2), dtype=np.float64)
         self._owners = np.zeros(0, dtype=np.intp)
@@ -289,14 +292,20 @@ class ObjectTracker(BoxTrackerBase):
     def _solve_flow(
         self, prev_index: int, next_index: int, points: np.ndarray, params: LKParams
     ) -> FlowResult:
-        """The default flow provider: solve on the two frames' pyramids."""
+        """The default flow provider: solve on the two frames' pyramids.
+
+        The previous frame's pyramid is the one the last step built as
+        its next frame, when there was such a step.
+        """
         levels = params.pyramid_levels
-        return track_features(
-            self._build_pyramid(prev_index, levels),
-            self._build_pyramid(next_index, levels),
-            points,
-            params,
-        )
+        held = self._held_pyramid
+        if held is not None and held[0] == prev_index:
+            prev_pyramid = held[1]
+        else:
+            prev_pyramid = self._build_pyramid(prev_index, levels)
+        next_pyramid = self._build_pyramid(next_index, levels)
+        self._held_pyramid = (next_index, next_pyramid)
+        return track_features(prev_pyramid, next_pyramid, points, params)
 
     def track_to(self, frame_index: int) -> TrackStep:
         """Propagate all objects to ``frame_index`` (must be ahead of current)."""

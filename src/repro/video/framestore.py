@@ -12,29 +12,30 @@ renderer in the process.  There are three kinds of key:
     ``(scene fingerprint, FLOW, prev_index, next_index, params, point bytes)``
 
 where a :data:`FLOW` key's ``params`` is the frozen
-:class:`~repro.vision.optical_flow.LKParams` and its point bytes are
-``points.tobytes()`` of the contiguous float64 ``(N, 2)`` points tracked.
-Every key is content-based, never ``id``-based.  The fingerprint digests
+:class:`~repro.vision.optical_flow.LKParams` and its point bytes are the
+16 bytes of *one* float64 ``(x, y)`` point.  Lucas-Kanade solves every
+point independently of the others, so a flow entry is one point's
+result, and two arms that track the same point between the same two
+frames share its solve whatever else either of them tracks.  Every key
+is content-based, never ``id``-based.  The fingerprint digests
 everything that determines a scene's pixel stream (scenario config +
 seed), so two renderers built from the same spec — the worker clip LRU
 rebuilding a clip, or two arms sharing a suite clip — read and write the
-same entries, and two arms tracking the same points between the same
-two frames share one solve.  A stored value is bit-identical to a fresh
-render, build or solve: the store changes *when* work happens, never
-*what* it computes.
+same entries.  A stored value is bit-identical to a fresh render, build
+or solve: the store changes *when* work happens, never *what* it
+computes.
 
 A pyramid built from a stored frame holds that frame as its level 0
 (:class:`~repro.vision.optical_flow.FramePyramid` does not copy it), so
 the store charges such a pyramid only for levels 1 and up: 144,000
-bytes at 180x320, beside the frame's 230,400.  A flow is charged its
-:class:`~repro.vision.optical_flow.FlowResult` arrays plus its key's
-point bytes: 25 bytes of arrays and 16 key bytes per point, 1.3 KiB
-for the average 34-point step of a fig6 sweep.
+bytes at 180x320, beside the frame's 230,400.  A flow entry's value is
+its point's packed 25-byte row (tracked position, residual, status), and
+it is charged that row plus its key's 16 point bytes: 41 bytes a point.
 
 :meth:`repro.video.render.FrameRenderer.render`,
 :meth:`~repro.video.render.FrameRenderer.pyramid` and
 :meth:`~repro.video.render.FrameRenderer.flow` are the only callers, so
-the key format lives in that module.  See DESIGN.md §9.
+the key and row formats live in that module.  See DESIGN.md §9.
 """
 
 from __future__ import annotations
@@ -42,11 +43,9 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 import numpy as np
-
-from repro.vision.optical_flow import FlowResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (render imports us)
     from repro.video.scene import Scene
@@ -85,12 +84,10 @@ def scene_fingerprint(scene: "Scene") -> str:
 
 
 def _arrays(value: Any) -> tuple[np.ndarray, ...]:
-    """The arrays a stored value holds: a frame, a pyramid's level images,
-    or a flow's points, status and residual."""
+    """The arrays a stored frame or pyramid holds: the frame, or the
+    pyramid's level images.  A flow row is ``bytes`` and holds none."""
     if isinstance(value, np.ndarray):
         return (value,)
-    if isinstance(value, FlowResult):
-        return (value.points, value.status, value.residual)
     return tuple(value.images)
 
 
@@ -101,7 +98,7 @@ def _frame_key(key: tuple) -> tuple:
 
 
 class FrameStore:
-    """Byte-budgeted LRU of frames, pyramids and flows, shared across renderers.
+    """Byte-budgeted LRU of frames, pyramids and flow points, shared across renderers.
 
     Thread-safe: the live executor renders and tracks from several
     threads through the one process-wide instance.  Accounting is by the
@@ -110,27 +107,29 @@ class FrameStore:
 
     A pyramid whose level 0 *is* its resident stored frame is charged for
     levels 1 and up only; any other pyramid for all its levels.  A flow
-    is charged its three arrays plus its key's point bytes.  Each entry
+    point is charged its row plus its key's point bytes.  Each entry
     keeps the bytes it was charged, and eviction refunds exactly those.
 
     Over budget, the least recently used *pyramid* goes first, then the
-    least recently used flow; a frame is evicted only when no pyramid and
-    no flow is resident.  So no frame is evicted while a resident pyramid
-    holds it as level 0, and the bytes a shared pyramid was not charged
-    stay resident — and charged to the frame — for as long as the pyramid
-    is.  Flows hold no frame, so they leave that rule alone.  Per byte, a
-    flow saves the most time: about 1.3 KiB skips a ~5 ms solve, where
-    rendering 230,400 bytes (one 180x320 float32 frame) takes 2.3-4.1 ms
-    and building the 144,000 bytes its pyramid adds 0.55-0.66 ms.  Flows
-    still go before frames: a flow serves only an arm that repeats its
-    exact solve, while a frame serves every arm that seeds features on it
-    or rebuilds a pyramid from it.  A plain LRU across frames and
-    pyramids re-renders 604 instead of 399 clip-stream frames at every
-    budget up to 192 MiB.
+    least recently used flow point; a frame is evicted only when no
+    pyramid and no flow point is resident.  So no frame is evicted while
+    a resident pyramid holds it as level 0, and the bytes a shared
+    pyramid was not charged stay resident — and charged to the frame —
+    for as long as the pyramid is.  Flow points hold no frame, so they
+    leave that rule alone.  Per byte, a flow point saves the most time:
+    its 41 bytes skip a ~0.09 ms point solve, where rendering 230,400
+    bytes (one 180x320 float32 frame) takes 2.3-4.1 ms and building the
+    144,000 bytes its pyramid adds 0.55-0.66 ms.  Flow points still go
+    before frames: a point serves only an arm that tracks that exact
+    point between the same two frames, while a frame serves every arm
+    that seeds features on it or rebuilds a pyramid from it.  A plain
+    LRU across frames and pyramids re-renders 604 instead of 399
+    clip-stream frames at every budget up to 192 MiB.
 
-    Stored values are made read-only: every renderer (and every arm
+    Stored arrays are made read-only: every renderer (and every arm
     sharing the store) gets the *same* arrays, so an in-place mutation
-    would silently corrupt other arms' inputs.
+    would silently corrupt other arms' inputs.  Flow rows are ``bytes``,
+    immutable already.
     """
 
     def __init__(self, max_bytes: int = STORE_BYTES) -> None:
@@ -176,21 +175,38 @@ class FrameStore:
 
     def get(self, key: tuple) -> Any:
         """The stored value for ``key`` (see the module docstring), or ``None``."""
-        kind = key[1]
+        return self.get_many((key,))[0]
+
+    def get_many(self, keys: Sequence[tuple]) -> list[Any]:
+        """``[get(key) for key in keys]`` under one lock acquisition.
+
+        The keys are of one kind: a flow call looks up all its points at
+        once, so the bookkeeping stays a small share of a point solve.
+        """
+        if not keys:
+            return []
+        kind = keys[0][1]
         entries = self._entries[kind]
+        values = []
+        misses = 0
         with self._lock:
-            entry = entries.get(key)
-            if entry is None:
-                self._counts[kind]["misses"] += 1
-                self._obs[kind]["miss"].inc()
-                return None
-            entries.move_to_end(key)
-            self._counts[kind]["hits"] += 1
-            self._obs[kind]["hit"].inc()
-            return entry[0]
+            for key in keys:
+                entry = entries.get(key)
+                if entry is None:
+                    values.append(None)
+                    misses += 1
+                else:
+                    entries.move_to_end(key)
+                    values.append(entry[0])
+            hits = len(values) - misses
+            self._counts[kind]["hits"] += hits
+            self._counts[kind]["misses"] += misses
+        self._obs[kind]["hit"].inc(hits)
+        self._obs[kind]["miss"].inc(misses)
+        return values
 
     def put(self, key: tuple, value: Any) -> Any:
-        """Insert a fresh frame, pyramid or flow, evicting over budget.
+        """Insert a fresh frame, pyramid or flow row, evicting over budget.
 
         A value larger than the whole budget is not stored.  On a racing
         double insert the first entry wins — both hold identical bytes.
@@ -199,25 +215,47 @@ class FrameStore:
         untouched when nothing was stored.  Only stored values are frozen;
         a rejected duplicate stays writable, because its caller owns it.
         """
+        return self.put_many(((key, value),))[0]
+
+    def put_many(self, items: Iterable[tuple[tuple, Any]]) -> list[Any]:
+        """:meth:`put` each ``(key, value)`` under one lock acquisition.
+
+        For distinct keys of one kind that the store does not hold — a
+        flow call's solved points — evicting once after the last insert
+        evicts what evicting after each insert would.  Eviction takes the head of the first
+        non-empty kind in :data:`EVICTION_ORDER`, the inserts only append
+        to their kind's tail, and once eviction reaches the newest insert
+        the store is back within the budget it kept before.
+        """
+        with self._lock:
+            stored = [self._insert(key, value) for key, value in items]
+            self._evict_over_budget()
+        return stored
+
+    def _insert(self, key: tuple, value: Any) -> Any:
+        """One :meth:`put` without the eviction (lock held)."""
         kind = key[1]
         entries = self._entries[kind]
-        arrays = _arrays(value)
-        with self._lock:
-            existing = entries.get(key)
-            if existing is not None:
-                return existing[0]
+        if kind == FLOW:
+            arrays = ()
+            nbytes = len(value) + len(key[-1])
+        else:
+            arrays = _arrays(value)
             if kind == PYRAMID and self._holds_frame(key, arrays[0]):
                 arrays = arrays[1:]
             nbytes = sum(int(array.nbytes) for array in arrays)
-            if kind == FLOW:
-                nbytes += len(key[-1])
-            if nbytes > self.max_bytes:
-                return value
-            for array in arrays:
-                array.setflags(write=False)
-            entries[key] = (value, nbytes)
-            self._bytes[kind] += nbytes
-            self._evict_over_budget()
+        if nbytes > self.max_bytes:
+            existing = entries.get(key)
+            return value if existing is None else existing[0]
+        # One hash of the key, not two: a flow call inserts every point
+        # it solved.
+        entry = (value, nbytes)
+        stored = entries.setdefault(key, entry)
+        if stored is not entry:
+            return stored[0]
+        for array in arrays:
+            array.setflags(write=False)
+        self._bytes[kind] += nbytes
         return value
 
     def _holds_frame(self, key: tuple, level0: np.ndarray) -> bool:
@@ -231,9 +269,11 @@ class FrameStore:
         Pyramids first is what keeps every shared level 0 resident: a
         frame goes only once no pyramid, and so none holding it, is left.
         """
-        while self.current_bytes > self.max_bytes:
+        over = self.current_bytes - self.max_bytes
+        while over > 0:
             kind = next(kind for kind in EVICTION_ORDER if self._entries[kind])
             _, (_, nbytes) = self._entries[kind].popitem(last=False)
+            over -= nbytes
             self._bytes[kind] -= nbytes
             self._counts[kind]["evictions"] += 1
             self._counts[kind]["evicted_bytes"] += nbytes
@@ -249,6 +289,9 @@ class FrameStore:
     def stats(self) -> dict:
         """Counter snapshot: the budget, and per kind the resident entries
         and bytes, hits, misses, evictions and evicted bytes.
+
+        Flow counters count points: a flow call with 30 points makes 30
+        lookups, and each of its entries is one point.
 
         Taken under the store lock, so a snapshot is consistent even while
         other threads hit the store — callers that need deltas (the sweep

@@ -34,6 +34,13 @@ from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams, track_
 _TEXTURE_TILE = 48
 _BACKGROUND_TILE = 256
 
+# A flow-store key holds one float64 (x, y) point's bytes, and its value
+# is that point's packed row: 16 + 8 + 1 = 25 bytes, read back bit for bit.
+_POINT_BYTES = 16
+_FLOW_ROW = np.dtype(
+    [("point", np.float64, (2,)), ("residual", np.float64), ("status", np.bool_)]
+)
+
 
 @lru_cache(maxsize=4096)
 def _warp_tables(seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,9 +238,9 @@ class FrameRenderer:
     process-wide :class:`~repro.video.framestore.FrameStore`, keyed by the
     scene fingerprint, so every renderer of the same scene in the process
     — e.g. 13 sweep arms over one clip — renders each frame, builds each
-    pyramid and solves each repeated Lucas-Kanade step once while the
-    store holds it.  They are the store's only callers, so the key format
-    lives here.
+    pyramid and solves each repeated Lucas-Kanade point once while the
+    store holds it.  They are the store's only callers, so the key and
+    flow-row formats live here.
 
     Construction is cheap: the blurred background canvas is built by the
     first frame this renderer actually rasterises, so a renderer whose
@@ -442,29 +449,59 @@ class FrameRenderer:
         self, prev_index: int, next_index: int, points: np.ndarray, params: LKParams
     ) -> FlowResult:
         """Lucas-Kanade flow of ``points`` from frame ``prev_index`` to
-        ``next_index``, read through the store.
+        ``next_index``, read through the store point by point.
 
-        Keyed by content: the scene, both indices, the frozen ``params``
-        and the bytes of the float64 ``(N, 2)`` points, so method arms
-        that track the same points between the same frames pay for one
-        solve.  A miss builds both pyramids through :meth:`pyramid`.
+        Lucas-Kanade solves every point independently of the others, so
+        each point is keyed on its own: the scene, both indices, the
+        frozen ``params`` and the point's 16 float64 bytes.  Method arms
+        that track a point between the same two frames then pay for one
+        solve of it, whatever else each arm tracks.  The call looks up
+        each distinct point once and solves the ones the store misses in
+        one :func:`track_features` call on both frames' pyramids (built
+        through :meth:`pyramid`); a call whose points all hit builds and
+        reads no pyramid.  The result is assembled afresh, in input order.
         """
         points = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 2)
+        raw = points.tobytes()
+        # Each input point's slot among the call's distinct points.
+        distinct: dict[bytes, int] = {}
+        slots = [
+            distinct.setdefault(raw[at : at + _POINT_BYTES], len(distinct))
+            for at in range(0, len(raw), _POINT_BYTES)
+        ]
+        step = (self._fingerprint, framestore.FLOW, prev_index, next_index, params)
+        keys = [step + (point,) for point in distinct]
         store = framestore.default_store()
-        key = (
-            self._fingerprint, framestore.FLOW, prev_index, next_index,
-            params, points.tobytes(),
-        )
-        flow = store.get(key)
-        if flow is None:
+        rows = store.get_many(keys)
+        missing = [slot for slot, row in enumerate(rows) if row is None]
+        if missing:
+            todo = [keys[slot] for slot in missing]
+            todo_points = np.frombuffer(b"".join([key[-1] for key in todo]), dtype=np.float64)
             levels = params.pyramid_levels
-            flow = store.put(
-                key,
-                track_features(
-                    self.pyramid(prev_index, levels),
-                    self.pyramid(next_index, levels),
-                    points,
-                    params,
-                ),
+            solved = track_features(
+                self.pyramid(prev_index, levels),
+                self.pyramid(next_index, levels),
+                todo_points.reshape(-1, 2),
+                params,
             )
-        return flow
+            fresh = _flow_rows(solved)
+            store.put_many(zip(todo, fresh))
+            for slot, row in zip(missing, fresh):
+                rows[slot] = row
+        table = np.frombuffer(b"".join([rows[slot] for slot in slots]), dtype=_FLOW_ROW)
+        return FlowResult(
+            points=table["point"].copy(),
+            status=table["status"].copy(),
+            residual=table["residual"].copy(),
+        )
+
+
+def _flow_rows(flow: FlowResult) -> list[bytes]:
+    """One packed :data:`_FLOW_ROW` per point of ``flow``: its flow-store values."""
+    table = np.empty(len(flow.status), dtype=_FLOW_ROW)
+    table["point"] = flow.points
+    table["residual"] = flow.residual
+    table["status"] = flow.status
+    raw = table.tobytes()
+    size = _FLOW_ROW.itemsize
+    return [raw[at : at + size] for at in range(0, len(raw), size)]

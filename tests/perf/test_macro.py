@@ -13,6 +13,7 @@ from repro.perf import (
     validate_macro_doc,
     write_bench_json,
 )
+from repro.experiments.workloads import quick_suite
 from repro.perf.macro import MACRO_BENCH_NAME, MACRO_SUITE_NAME
 
 
@@ -85,6 +86,24 @@ class TestRunMacroBenchmark:
             assert arm["pyramid"]["misses"] > 0
             assert arm["pyramid"]["hits"] > 0
 
+    def test_flow_store_counters(self, macro_doc):
+        """Flow counters count points.  Arms share solved points in both
+        arms, the sequential arm solves no more points than the pool, and
+        both look up the same points: a lookup does not depend on which
+        worker runs the cell."""
+        store = macro_doc["benches"][0]["store"]
+        seq, par = store["sequential"]["flow"], store["parallel"]["flow"]
+        assert seq["hits"] > 0 and par["hits"] > 0
+        assert seq["misses"] <= par["misses"]
+        assert seq["hits"] + seq["misses"] == par["hits"] + par["misses"]
+
+    def test_timed_repeats_run_on_unseen_suites(self, macro_doc):
+        # Repeat r runs quick_suite(303 + r): neither arm's stores or
+        # worker clips hold any of its scenes when the clock starts.
+        workload = macro_doc["benches"][0]["workload"]
+        assert workload["timed_suites"] == ["quick-304"]
+        assert not set(workload["clips"]) & {clip.name for clip in quick_suite(304)}
+
     def test_document_is_json_serialisable(self, macro_doc, tmp_path):
         path = tmp_path / "BENCH_macro.json"
         write_bench_json(macro_doc, str(path))
@@ -95,6 +114,9 @@ class TestRunMacroBenchmark:
         text = format_macro_table(macro_doc)
         assert MACRO_BENCH_NAME in text
         assert "cpu_count" in text
+        flow = macro_doc["benches"][0]["store"]["sequential"]["flow"]
+        assert f"flow {flow['hits']} point hits / {flow['misses']} point solves" in text
+        assert " misses" in text  # frames and pyramids keep their labels
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 
 from repro.detection.detector import Detection
 from repro.geometry import Box, iou
+from repro.tracking import base as tracking_base
+from repro.tracking import tracker as tracking_tracker
 from repro.tracking.base import median_shift
 from repro.tracking.tracker import (
     TIER_KEYFRAME,
@@ -17,6 +19,7 @@ from repro.tracking.tracker import (
     TrackerLatencyModel,
 )
 from repro.video.dataset import make_clip
+from repro.vision.optical_flow import FramePyramid, track_features
 
 
 @pytest.fixture()
@@ -214,6 +217,37 @@ class TestTracking:
         tracker, _ = seed_tracker(clip)
         assert tracker.track_to(3).frame_gap == 3
         assert tracker.track_to(5).frame_gap == 2
+
+    def test_steps_reuse_the_last_next_frame_pyramid(self, clip, monkeypatch):
+        """Without a flow provider, ``k`` steps build ``k + 1`` pyramids:
+        each step's previous frame is the last step's next frame.  The
+        boxes are those of a provider solving each step from scratch."""
+        built, solves = [], []
+        monkeypatch.setattr(
+            tracking_base,
+            "FramePyramid",
+            lambda image, levels: built.append(levels) or FramePyramid(image, levels),
+        )
+        monkeypatch.setattr(
+            tracking_tracker,
+            "track_features",
+            lambda *args: solves.append(args) or track_features(*args),
+        )
+        tracker, detections = seed_tracker(clip)
+        steps = [tracker.track_to(j).detections for j in (2, 4, 5, 8)]
+        assert len(solves) == 4
+        assert len(built) == len(solves) + 1
+        monkeypatch.undo()
+
+        def from_scratch(prev_index, next_index, points, params):
+            return track_features(clip.frame(prev_index), clip.frame(next_index), points, params)
+
+        fresh = ObjectTracker(
+            clip.frame, clip.config.frame_width, clip.config.frame_height,
+            seed=1, flows=from_scratch,
+        )
+        fresh.initialize(0, detections)
+        assert steps == [fresh.track_to(j).detections for j in (2, 4, 5, 8)]
 
 
 class TestMotionModes:
