@@ -1,8 +1,8 @@
 """Shard cost estimation and clip-affine work units for sweep scheduling.
 
 The pool's unit of work is one *clip*: every (method, clip) cell of a
-clip runs on one worker, in turn, so that worker's private frame and
-artifact stores render each frame and build each pyramid once for all
+clip runs on one worker, in turn, so that worker's frame store renders
+each frame, builds each pyramid and solves each flow point once for all
 the clip's method arms — no cross-process store is needed for that
 reuse.  Units are ordered longest-first (LPT) by their summed cell cost
 and fed to idle workers from a shared queue, the classic

@@ -35,7 +35,6 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -57,15 +56,6 @@ from repro.video.framestore import KINDS, default_store
 # Callback invoked after every shard settles: (done, total, result).
 ProgressCallback = Callable[[int, int, ShardResult], None]
 
-# How many reconstructed clips one worker keeps alive.  A clip holds its
-# scene and its renderer's texture state (pixels live in the frame
-# store); methods sharing a clip land on warm state, but the cache stays
-# bounded so a long sweep over many clips cannot grow worker memory
-# without limit.
-_WORKER_CLIP_CAPACITY = 8
-
-_worker_clips: OrderedDict[ClipSpec, VideoClip] = OrderedDict()
-
 # The frame-store counters a cell reports, per kind.
 _STORE_COUNTS = ("hits", "misses", "evictions", "evicted_bytes")
 
@@ -85,19 +75,6 @@ def _add_store_counts(total: dict[str, dict[str, int]], delta: dict) -> None:
             into[name] += value
 
 
-def _clip_for(spec: ClipSpec) -> VideoClip:
-    """Worker-local clip reconstruction with a small LRU."""
-    clip = _worker_clips.get(spec)
-    if clip is None:
-        clip = spec.build()
-        _worker_clips[spec] = clip
-        while len(_worker_clips) > _WORKER_CLIP_CAPACITY:
-            _worker_clips.popitem(last=False)
-    else:
-        _worker_clips.move_to_end(spec)
-    return clip
-
-
 def run_shard(
     spec: ShardSpec,
     clip: VideoClip | None = None,
@@ -105,11 +82,12 @@ def run_shard(
 ) -> ShardResult:
     """Execute one (method, clip) cell; never raises.
 
-    Workers call it once per cell of a unit (see :func:`run_unit`; it is
-    a module-level function and ``spec`` is plain picklable data, so it
-    is spawn-safe).  The inline ``jobs=1`` path calls it too, passing the
-    caller's live ``clip`` and telemetry so sequential sweeps share
-    sinks exactly like the pre-engine code did.  Any exception is
+    Workers call it once per cell of a unit, with the unit's clip (see
+    :func:`run_unit`; it is a module-level function and ``spec`` is plain
+    picklable data, so it is spawn-safe).  The inline ``jobs=1`` path
+    calls it too, passing the caller's live ``clip`` and telemetry so
+    sequential sweeps share sinks exactly like the pre-engine code did.
+    Without a ``clip`` it builds one from ``spec.clip``.  Any exception is
     captured into :attr:`ShardResult.error` — failure isolation happens
     here, on the worker side, so a crashing pipeline reports instead of
     killing the pool.
@@ -139,7 +117,7 @@ def run_shard(
 
             telemetry = Telemetry(InMemorySink())
         if clip is None:
-            clip = _clip_for(spec.clip)
+            clip = spec.clip.build()
         store = default_store()
         # Lock-held snapshots at both ends: reading bare counters tears
         # when the threaded live executor shares the store with this cell.
@@ -204,8 +182,24 @@ def _run_cell(
 def run_unit(
     shard_runner: Callable[..., ShardResult], unit: list[ShardSpec]
 ) -> list[ShardResult]:
-    """Worker entry point: run one work unit's cells in turn, one result each."""
-    return [_run_cell(shard_runner, spec) for spec in unit]
+    """Worker entry point: run one work unit's cells in turn, one result each.
+
+    A unit is one clip's cells (:func:`~repro.parallel.costs.clip_units`),
+    so the clip is built once and handed to every cell.  Nothing later
+    in the sweep reads this clip's frames, pyramids or flows in this
+    worker, so the store is emptied when the unit ends, however it ends:
+    a worker holds one clip at a time.  A clip that fails to build fails
+    every cell, and the engine's retry path takes them.
+    """
+    try:
+        try:
+            clip = unit[0].clip.build()
+        except Exception:
+            error = traceback.format_exc()
+            return [_failed_result(spec, error) for spec in unit]
+        return [_run_cell(shard_runner, spec, clip=clip) for spec in unit]
+    finally:
+        default_store().clear()
 
 
 @dataclass
@@ -269,9 +263,10 @@ class SweepEngine:
     """Owns the process pool; reusable across sweeps.
 
     Reuse matters: spawned workers pay a Python + numpy import on start,
-    and keep their clip caches warm between sweeps — the macro-bench
-    measures steady-state sweeps on one engine.  Use as a context manager
-    or call :meth:`close`.  ``jobs=1`` never creates a pool.
+    and the macro-bench times sweeps on one engine whose workers have
+    already paid it.  Workers keep no clip state between units (see
+    :func:`run_unit`).  Use as a context manager or call :meth:`close`.
+    ``jobs=1`` never creates a pool.
     """
 
     def __init__(self, jobs: int = 1, retries: int = 1) -> None:
@@ -291,9 +286,10 @@ class SweepEngine:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def close(self) -> None:
+    def close(self, wait: bool = True) -> None:
+        """Shut the pool down; ``wait=False`` abandons a broken one."""
         if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool.shutdown(wait=wait, cancel_futures=True)
             self._pool = None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -309,11 +305,6 @@ class SweepEngine:
             )
         return self._pool
 
-    def _reset_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
     # -- sweep ---------------------------------------------------------------
 
     def run(
@@ -327,7 +318,7 @@ class SweepEngine:
         obs: Telemetry | None = None,
         progress: ProgressCallback | None = None,
         method_kwargs: dict[str, dict[str, Any]] | None = None,
-        shard_runner: Callable[[ShardSpec], ShardResult] = run_shard,
+        shard_runner: Callable[..., ShardResult] = run_shard,
     ) -> SweepResult:
         """Run ``methods × suite`` and reduce to per-method results."""
         methods = list(methods)
@@ -400,18 +391,13 @@ class SweepEngine:
         while the store still holds them; reduction is by grid index, so
         the order does not change results.
         """
-
-        def attempt(spec: ShardSpec) -> ShardResult:
-            return _run_cell(
-                shard_runner, spec, clip=suite.clips[spec.clip_index], obs=obs
-            )
-
         settled: dict[int, ShardResult] = {}
         for spec in sorted(shards, key=lambda s: (s.clip_index, s.index)):
-            result = attempt(spec)
+            clip = suite.clips[spec.clip_index]
+            result = _run_cell(shard_runner, spec, clip=clip, obs=obs)
             while result.error is not None and spec.attempt < self.retries:
                 spec = replace(spec, attempt=spec.attempt + 1)
-                result = attempt(spec)
+                result = _run_cell(shard_runner, spec, clip=clip, obs=obs)
             settled[spec.index] = result
             if progress is not None:
                 progress(len(settled), len(shards), result)
@@ -421,7 +407,7 @@ class SweepEngine:
         self,
         shards: list[ShardSpec],
         progress: ProgressCallback | None,
-        shard_runner: Callable[[ShardSpec], ShardResult],
+        shard_runner: Callable[..., ShardResult],
     ) -> dict[int, ShardResult]:
         """Fan clip units out over the pool; retry failed cells once each.
 
@@ -490,7 +476,7 @@ class SweepEngine:
                         "(5 consecutive rebuilds with no progress)"
                     )
             if pool_broken:
-                self._reset_pool()
+                self.close(wait=False)
         return settled
 
     def _reduce(
@@ -560,7 +546,7 @@ def run_sweep(
     obs: Telemetry | None = None,
     progress: ProgressCallback | None = None,
     method_kwargs: dict[str, dict[str, Any]] | None = None,
-    shard_runner: Callable[[ShardSpec], ShardResult] = run_shard,
+    shard_runner: Callable[..., ShardResult] = run_shard,
 ) -> SweepResult:
     """One-shot sweep on a transient :class:`SweepEngine`."""
     if jobs < 1:

@@ -20,6 +20,7 @@ multi-core CI runners are where the speedup gate is enforced — see the
 from __future__ import annotations
 
 import os
+import resource
 import sys
 import time
 
@@ -82,6 +83,11 @@ def _assert_identical(sequential: SweepResult, parallel: SweepResult) -> None:
                 )
 
 
+def _peak_rss_mb(who: int) -> float:
+    """``ru_maxrss`` (KiB on Linux) in MiB."""
+    return resource.getrusage(who).ru_maxrss / 1024
+
+
 def run_macro_benchmark(jobs: int = 4, repeats: int = 3, quick: bool = False) -> dict:
     """Time the reduced fig6 sweep sequentially and at ``jobs`` workers.
 
@@ -96,7 +102,14 @@ def run_macro_benchmark(jobs: int = 4, repeats: int = 3, quick: bool = False) ->
     every timed pair is checked for identity too.  The ``store`` block
     records each arm's frame-store counters per kind from the first
     pass: misses are the frames rendered, pyramids built and flow points
-    solved.
+    solved.  ``sequential_peak_rss_mb`` is this process's peak RSS, which
+    the sequential arm runs in; ``parallel_worker_peak_rss_mb`` is the
+    largest pool worker's, read as ``RUSAGE_CHILDREN`` once the pool has
+    shut down and its workers have been reaped (so it also covers any
+    child this process reaped before, and it is never below this
+    process's peak when the pool started).  It is read before the
+    document's host block, whose ``platform.platform()`` forks a child
+    from this process at its peak.
     """
     if jobs < 2:
         raise ValueError("macro-bench needs jobs >= 2 (it compares against jobs=1)")
@@ -106,8 +119,11 @@ def run_macro_benchmark(jobs: int = 4, repeats: int = 3, quick: bool = False) ->
     timed_suites = [_workload(quick, _SEED + r)[1] for r in range(1, repeats + 1)]
 
     with SweepEngine(jobs=1) as seq_engine, SweepEngine(jobs=jobs) as par_engine:
-        sequential = seq_engine.run(methods, suite)
+        # The pool first: a spawned worker's ru_maxrss starts at this
+        # process's peak so far (Linux carries it across exec), which is
+        # then only its imports, not a sequential sweep's store.
         parallel = par_engine.run(methods, suite)
+        sequential = seq_engine.run(methods, suite)
         _assert_identical(sequential, parallel)
 
         seq_times, par_times = [], []
@@ -150,9 +166,13 @@ def run_macro_benchmark(jobs: int = 4, repeats: int = 3, quick: bool = False) ->
             "sequential": sequential.store,
             "parallel": parallel.store,
         },
+        "sequential_peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
+        "parallel_worker_peak_rss_mb": _peak_rss_mb(resource.RUSAGE_CHILDREN),
     }
     return build_document([bench], quick, suite=MACRO_SUITE_NAME, clock="wall")
 
+
+_PEAK_RSS_KEYS = ("sequential_peak_rss_mb", "parallel_worker_peak_rss_mb")
 
 _REQUIRED_SWEEP_BENCH_KEYS = (
     "name",
@@ -166,6 +186,7 @@ _REQUIRED_SWEEP_BENCH_KEYS = (
     "results_identical",
     "failures",
     "store",
+    *_PEAK_RSS_KEYS,
 )
 
 
@@ -179,7 +200,7 @@ def _validate_sweep_bench(
         )
     if bench["failures"] != 0:
         raise ValueError(f"bench {bench['name']!r} recorded failures")
-    for key in ("sequential_best_s", "parallel_best_s", "speedup"):
+    for key in ("sequential_best_s", "parallel_best_s", "speedup", *_PEAK_RSS_KEYS):
         value = bench[key]
         if not isinstance(value, (int, float)) or value <= 0:
             raise ValueError(f"bench {bench['name']!r} has non-positive {key}")
@@ -249,5 +270,9 @@ def format_macro_table(doc: dict) -> str:
                 hits, misses = _COUNT_LABELS.get(kind, ("hits", "misses"))
                 counts.append(f"{kind} {c['hits']} {hits} / {c['misses']} {misses}")
             lines.append(f"  store ({store['budget_mb']} MiB) {arm}: {'; '.join(counts)}")
+        lines.append(
+            f"  peak RSS: sequential process {bench['sequential_peak_rss_mb']:.1f} MiB;"
+            f" largest pool worker {bench['parallel_worker_peak_rss_mb']:.1f} MiB"
+        )
     lines.append(f"(host cpu_count={doc['host']['cpu_count']})")
     return "\n".join(lines)

@@ -19,9 +19,9 @@ result, and two arms that track the same point between the same two
 frames share its solve whatever else either of them tracks.  Every key
 is content-based, never ``id``-based.  The fingerprint digests
 everything that determines a scene's pixel stream (scenario config +
-seed), so two renderers built from the same spec — the worker clip LRU
-rebuilding a clip, or two arms sharing a suite clip — read and write the
-same entries.  A stored value is bit-identical to a fresh render, build
+seed), so two renderers built from the same spec — a worker rebuilding
+a clip from its spec, or two arms sharing a suite clip — read and write
+the same entries.  A stored value is bit-identical to a fresh render, build
 or solve: the store changes *when* work happens, never *what* it
 computes.
 

@@ -10,6 +10,8 @@ fraction of the global maximum, then thinned with a minimum-distance rule
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.vision.image import (
@@ -131,14 +133,22 @@ def good_features_to_track(
     )
 
 
+@lru_cache(maxsize=64)
 def _disk_offsets(min_distance: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integer offsets ``(dx, dy)`` with ``dx² + dy² < min_distance²``."""
+    """Integer offsets ``(dx, dy)`` with ``dx² + dy² < min_distance²``.
+
+    Memoised by ``min_distance`` (every caller passes one of a handful of
+    values); the returned arrays are read-only.
+    """
     min_dist_sq = min_distance * min_distance
     radius = int(np.sqrt(max(min_dist_sq - 1e-9, 0.0)))
     offs = np.arange(-radius, radius + 1, dtype=np.intp)
     dx, dy = np.meshgrid(offs, offs)
     inside = dx * dx + dy * dy < min_dist_sq
-    return dx[inside], dy[inside]
+    dx, dy = dx[inside], dy[inside]
+    dx.setflags(write=False)  # cached: shared across callers and threads
+    dy.setflags(write=False)
+    return dx, dy
 
 
 def suppress_min_distance(

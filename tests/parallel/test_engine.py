@@ -13,8 +13,17 @@ import pytest
 
 from repro.experiments.workloads import quick_suite
 from repro.obs import InMemorySink, Telemetry
-from repro.parallel import SweepEngine, run_shard, run_sweep
-from repro.video.dataset import VideoSuite
+from repro.parallel import (
+    ClipSpec,
+    MethodSpec,
+    ShardResult,
+    ShardSpec,
+    SweepEngine,
+    run_shard,
+    run_sweep,
+)
+from repro.parallel.engine import run_unit
+from repro.video.dataset import VideoSuite, make_clip
 from repro.video.framestore import KINDS, default_store
 
 _METHODS = ("adavp", "mpdt-320")
@@ -47,6 +56,37 @@ def hard_crash_runner(spec, clip=None, obs=None):
     if spec.method.name == "mpdt-320" and spec.attempt == 0:
         os._exit(17)
     return run_shard(spec, clip=clip, obs=obs)
+
+
+def probe_runner(spec, clip=None, obs=None):
+    """Runs the cell; records the store's size and the clip it was handed."""
+    probe = {
+        "store_entries": len(default_store()),
+        "clip_id": id(clip),
+        "clip": clip is not None,
+    }
+    result = run_shard(spec, clip=clip, obs=obs)
+    result.probe = probe
+    return result
+
+
+def _unbuildable_clip():
+    """A suite clip whose spec no worker can rebuild: no scene takes seed -1."""
+    clip = make_clip("racetrack", seed=5, num_frames=12, name="unbuildable")
+    clip.scene.seed = -1
+    return clip
+
+
+def _unit(clip, methods=_METHODS) -> list[ShardSpec]:
+    return [
+        ShardSpec(
+            index=i,
+            method=MethodSpec(name=name),
+            clip=ClipSpec.from_clip(clip),
+            clip_index=0,
+        )
+        for i, name in enumerate(methods)
+    ]
 
 
 class TestValidation:
@@ -402,3 +442,103 @@ class TestClipAffinity:
         assert sweep.ok, sweep.summary()
         assert sweep.total_shards == 4
         assert len(pids) == 2
+
+
+class TestUnitIsolation:
+    """A work unit owns its clip and the store's entries while it runs:
+    the clip is built once for all its cells, and the store is empty
+    when the unit ends, however it ends."""
+
+    @pytest.fixture(scope="class")
+    def settled(self):
+        settled = []
+        sweep = run_sweep(
+            _METHODS,
+            _small_suite(frames=24),
+            jobs=2,
+            shard_runner=probe_runner,
+            progress=lambda done, total, r: settled.append(r),
+        )
+        assert sweep.ok, sweep.summary()
+        return settled
+
+    def test_first_cell_of_every_unit_sees_an_empty_store(self, settled):
+        # Three clip units on two workers: one worker runs two of them,
+        # so an empty store at its second unit's start is the previous
+        # unit's doing, not a fresh process's.
+        clips_per_worker: dict[int, set[int]] = {}
+        for result in settled:
+            clips_per_worker.setdefault(result.worker_pid, set()).add(result.clip_index)
+        assert max(len(clips) for clips in clips_per_worker.values()) >= 2
+        for result in settled:
+            # Cells run in grid order within a unit: adavp, then mpdt-320.
+            if result.method == _METHODS[0]:
+                assert result.probe["store_entries"] == 0, result
+            else:
+                assert result.probe["store_entries"] > 0, result
+
+    def test_all_cells_of_a_unit_get_one_clip(self, settled):
+        clips: dict[int, set[int]] = {}
+        for result in settled:
+            assert result.probe["clip"]
+            clips.setdefault(result.clip_index, set()).add(result.probe["clip_id"])
+        assert len(clips) == 3
+        assert all(len(ids) == 1 for ids in clips.values()), clips
+
+    def test_a_unit_with_a_raising_cell_leaves_the_store_empty(self):
+        def raising_runner(spec, clip=None, obs=None):
+            result = run_shard(spec, clip=clip, obs=obs)
+            if spec.method.name == _METHODS[0]:
+                raise RuntimeError("injected shard crash")
+            return result
+
+        results = run_unit(raising_runner, _unit(_small_suite(frames=12).clips[0]))
+        assert "injected shard crash" in results[0].error
+        assert results[1].ok
+        assert len(default_store()) == 0
+
+    def test_a_cell_that_exits_still_empties_the_store(self):
+        def exiting_runner(spec, clip=None, obs=None):
+            run_shard(spec, clip=clip, obs=obs)
+            raise SystemExit(3)
+
+        with pytest.raises(SystemExit):
+            run_unit(exiting_runner, _unit(_small_suite(frames=12).clips[0]))
+        assert len(default_store()) == 0
+
+    def test_a_clip_that_fails_to_build_fails_every_cell_unrun(self):
+        ran = []
+
+        def recording_runner(spec, clip=None, obs=None):
+            ran.append(spec.index)
+            return ShardResult(
+                index=spec.index,
+                method=spec.method.name,
+                clip_name=spec.clip.name,
+                clip_index=spec.clip_index,
+            )
+
+        results = run_unit(recording_runner, _unit(_unbuildable_clip()))
+        assert ran == []
+        assert [r.index for r in results] == [0, 1]
+        assert all("non-negative" in r.error for r in results)
+
+    def test_clip_build_failures_go_through_the_retry_path(self):
+        good = _small_suite(frames=12, clips=1).clips[0]
+        suite = VideoSuite(name="one-unbuildable", clips=[good, _unbuildable_clip()])
+        settled = []
+        sweep = run_sweep(
+            _METHODS,
+            suite,
+            jobs=2,
+            shard_runner=probe_runner,
+            progress=lambda done, total, r: settled.append(r),
+        )
+        assert {(f.method, f.clip_name) for f in sweep.failures} == {
+            (name, "unbuildable") for name in _METHODS
+        }
+        assert all(f.attempts == 2 for f in sweep.failures)
+        assert all("non-negative" in f.error for f in sweep.failures)
+        assert sweep.retried_shards == len(_METHODS)
+        for name in _METHODS:
+            assert len(sweep.results[name].per_video_accuracy) == 1

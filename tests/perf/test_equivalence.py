@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.perf import reference, workloads
 from repro.vision.block_motion import BlockMotionParams, block_motion_field
-from repro.vision.features import suppress_min_distance
+from repro.vision.features import _disk_offsets, suppress_min_distance
 from repro.vision.image import gaussian_blur, sample_bilinear
 from repro.vision.optical_flow import LKParams, track_features
 
@@ -71,6 +71,24 @@ class TestNMSEquivalence:
         empty = np.array([], dtype=np.intp)
         out = suppress_min_distance(empty, empty, (32, 32), 4.0, 10)
         assert out.shape == (0, 2)
+
+    def test_disk_stamp_is_memoised_and_read_only(self):
+        dx, dy = _disk_offsets(4.0)
+        again = _disk_offsets(4.0)
+        assert again[0] is dx and again[1] is dy
+        for offsets in (dx, dy):
+            with pytest.raises(ValueError, match="read-only"):
+                offsets[0] = 99
+        # A cached stamp selects what a fresh one does, call after call.
+        wl = workloads.make_nms_workload(min_distance=4.0, max_corners=100)
+        expected = reference.suppress_min_distance_reference(
+            wl.candidate_xs, wl.candidate_ys, 4.0, 100
+        )
+        for _ in range(2):
+            got = suppress_min_distance(
+                wl.candidate_xs, wl.candidate_ys, wl.shape, 4.0, 100
+            )
+            assert np.array_equal(got, expected)
 
 
 class TestLKEquivalence:

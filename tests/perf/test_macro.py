@@ -98,11 +98,16 @@ class TestRunMacroBenchmark:
         assert seq["hits"] + seq["misses"] == par["hits"] + par["misses"]
 
     def test_timed_repeats_run_on_unseen_suites(self, macro_doc):
-        # Repeat r runs quick_suite(303 + r): neither arm's stores or
-        # worker clips hold any of its scenes when the clock starts.
+        # Repeat r runs quick_suite(303 + r): no arm's store holds any
+        # of its scenes when the clock starts.
         workload = macro_doc["benches"][0]["workload"]
         assert workload["timed_suites"] == ["quick-304"]
         assert not set(workload["clips"]) & {clip.name for clip in quick_suite(304)}
+
+    def test_peak_rss_of_both_arms(self, macro_doc):
+        bench = macro_doc["benches"][0]
+        assert bench["sequential_peak_rss_mb"] > 0
+        assert bench["parallel_worker_peak_rss_mb"] > 0
 
     def test_document_is_json_serialisable(self, macro_doc, tmp_path):
         path = tmp_path / "BENCH_macro.json"
@@ -117,6 +122,8 @@ class TestRunMacroBenchmark:
         flow = macro_doc["benches"][0]["store"]["sequential"]["flow"]
         assert f"flow {flow['hits']} point hits / {flow['misses']} point solves" in text
         assert " misses" in text  # frames and pyramids keep their labels
+        worker = macro_doc["benches"][0]["parallel_worker_peak_rss_mb"]
+        assert f"largest pool worker {worker:.1f} MiB" in text
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -158,6 +165,18 @@ class TestValidateMacroDoc:
         doc = copy.deepcopy(macro_doc)
         del doc["benches"][0]["store"]
         with pytest.raises(ValueError, match="missing key 'store'"):
+            validate_macro_doc(doc)
+
+    @pytest.mark.parametrize(
+        "key", ["sequential_peak_rss_mb", "parallel_worker_peak_rss_mb"]
+    )
+    def test_rejects_missing_or_zero_peak_rss(self, macro_doc, key):
+        doc = copy.deepcopy(macro_doc)
+        doc["benches"][0][key] = 0
+        with pytest.raises(ValueError, match=f"non-positive {key}"):
+            validate_macro_doc(doc)
+        del doc["benches"][0][key]
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
             validate_macro_doc(doc)
 
     def test_rejects_missing_effective_parallelism(self, macro_doc):

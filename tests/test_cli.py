@@ -212,6 +212,8 @@ class TestCommands:
             perf_counter=lambda: clock[0], time=lambda: 0.0
         )
         monkeypatch.setattr(macro, "time", fake_time)
+        # No worker runs, so none is reaped: report a peak for each arm.
+        monkeypatch.setattr(macro, "_peak_rss_mb", lambda who: 64.0)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         path = tmp_path / "BENCH_macro.json"
         path.write_text(json.dumps({
