@@ -31,7 +31,7 @@ def _decay_auc(
     for rep in range(4):
         clip = make_clip(scenario, seed=818 + 13 * rep, num_frames=24)
         ann0 = clip.annotation(0)
-        tracker = ObjectTracker(clip.frame, 320, 180, config, seed=rep)
+        tracker = ObjectTracker(clip, config, seed=rep)
         tracker.initialize(
             0, tuple(Detection(o.label, o.box, 0.9) for o in ann0.objects)
         )

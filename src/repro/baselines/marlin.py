@@ -90,16 +90,13 @@ class MarlinPipeline:
         obs = self.obs
         marlin = self.marlin
         source = CameraSource(clip)
-        width = clip.config.frame_width
-        height = clip.config.frame_height
         detector = SimulatedYOLOv3(
             self.setting, seed=cfg.detector_seed,
-            frame_width=width, frame_height=height,
+            frame_width=clip.config.frame_width,
+            frame_height=clip.config.frame_height,
         )
         board = ResultBoard(clip.num_frames)
         activity = ActivityLog()
-        # The clip's store read-through; exported clips have none and solve.
-        flows = getattr(clip, "flow", None)
         cycles: list[CycleRecord] = []
 
         # Tracking stride so the tracker keeps camera pace on average:
@@ -131,9 +128,8 @@ class MarlinPipeline:
 
             # ---- tracking phase (detector idle) --------------------------------
             tracker = ObjectTracker(
-                clip.frame, width, height, cfg.tracker,
+                clip, cfg.tracker,
                 seed=cfg.detector_seed * 1_000_003 + detect_frame,
-                flows=flows,
             )
             tracker.initialize(detect_frame, detection.detections)
             t += cfg.latency.feature_extraction

@@ -105,18 +105,13 @@ class MPDTPipeline:
         cfg = self.config
         obs = self.obs
         source = CameraSource(clip)
-        width = clip.config.frame_width
-        height = clip.config.frame_height
         detector = SimulatedYOLOv3(
             self.policy.initial(), seed=cfg.detector_seed,
-            frame_width=width, frame_height=height,
+            frame_width=clip.config.frame_width,
+            frame_height=clip.config.frame_height,
         )
         board = ResultBoard(clip.num_frames)
         activity = ActivityLog()
-        # The clip's store read-throughs; exported clips have neither and
-        # build and solve locally.
-        pyramids = getattr(clip, "pyramid", None)
-        flows = getattr(clip, "flow", None)
         cycles: list[CycleRecord] = []
         velocity_samples: list[tuple[int, float]] = []
         if cfg.fixed_tracking_fraction is not None:
@@ -202,15 +197,11 @@ class MPDTPipeline:
 
             # --- tracker runs on the CPU during [t, detect_end) ---------------
             if cfg.tracker_tier == TIER_MVE:
-                tracker = MVETracker(
-                    clip.frame, width, height, cfg.mve_tracker,
-                    pyramids=pyramids,
-                )
+                tracker = MVETracker(clip, cfg.mve_tracker)
             else:
                 tracker = ObjectTracker(
-                    clip.frame, width, height, cfg.tracker,
+                    clip, cfg.tracker,
                     seed=cfg.detector_seed * 1_000_003 + prev_frame,
-                    flows=flows,
                 )
             estimator = MotionVelocityEstimator()
             tracker_time = t

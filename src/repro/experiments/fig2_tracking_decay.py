@@ -65,10 +65,7 @@ def _decay_series(
         detector = SimulatedYOLOv3("yolov3-608", seed=rep)
         ann0 = clip.annotation(0)
         detection = detector.detect(ann0)
-        tracker = ObjectTracker(
-            clip.frame, clip.config.frame_width, clip.config.frame_height,
-            seed=rep, flows=clip.flow,
-        )
+        tracker = ObjectTracker(clip, seed=rep)
         tracker.initialize(0, detection.detections)
         scores = [f1_score(detection.detections, ann0)]
         for frame in range(1, horizon):

@@ -38,6 +38,7 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.config import PipelineConfig
@@ -171,11 +172,13 @@ def _run_cell(
     """One cell through ``shard_runner``; a raising runner becomes a failure.
 
     :func:`run_shard` captures its own exceptions; a custom runner that
-    raises gets the same isolation.
+    raises gets the same isolation.  A runner's ``SystemExit`` fails its
+    cell too, rather than ending the worker's unit and with it the
+    sweep; ``KeyboardInterrupt`` still stops everything.
     """
     try:
         return shard_runner(spec, **kwargs)
-    except Exception:
+    except (Exception, SystemExit):
         return _failed_result(spec, traceback.format_exc())
 
 
@@ -386,21 +389,29 @@ class SweepEngine:
     ) -> dict[int, ShardResult]:
         """Sequential path: clip by clip, caller's clips, parent telemetry.
 
-        Each clip's cells run back to back, in method order, as the pool's
-        clip units run them, so the clip's frames and pyramids are reused
-        while the store still holds them; reduction is by grid index, so
-        the order does not change results.
+        Each clip's cells and their retries run back to back, in method
+        order, as the pool's clip units run them, so the clip's frames and
+        pyramids are reused while the store holds them.  Then the store is
+        emptied, however the clip's cells ended, as :func:`run_unit`
+        empties a worker's: nothing later in the sweep reads that clip, so
+        its entries would only crowd the next clip's out.  Reduction is by
+        grid index, so the order does not change results.
         """
         settled: dict[int, ShardResult] = {}
-        for spec in sorted(shards, key=lambda s: (s.clip_index, s.index)):
-            clip = suite.clips[spec.clip_index]
-            result = _run_cell(shard_runner, spec, clip=clip, obs=obs)
-            while result.error is not None and spec.attempt < self.retries:
-                spec = replace(spec, attempt=spec.attempt + 1)
-                result = _run_cell(shard_runner, spec, clip=clip, obs=obs)
-            settled[spec.index] = result
-            if progress is not None:
-                progress(len(settled), len(shards), result)
+        ordered = sorted(shards, key=lambda s: (s.clip_index, s.index))
+        for clip_index, specs in groupby(ordered, key=lambda s: s.clip_index):
+            clip = suite.clips[clip_index]
+            try:
+                for spec in specs:
+                    result = _run_cell(shard_runner, spec, clip=clip, obs=obs)
+                    while result.error is not None and spec.attempt < self.retries:
+                        spec = replace(spec, attempt=spec.attempt + 1)
+                        result = _run_cell(shard_runner, spec, clip=clip, obs=obs)
+                    settled[spec.index] = result
+                    if progress is not None:
+                        progress(len(settled), len(shards), result)
+            finally:
+                default_store().clear()
         return settled
 
     def _execute_pool(

@@ -15,6 +15,7 @@ floor sits closest to its figure, keeps its full repeats.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import Iterator
 
 import numpy as np
@@ -182,6 +183,20 @@ def bench_block_motion_field(quick: bool) -> BenchResult:
     )
 
 
+class _PrebuiltClip:
+    """The MVE bench's stand-in clip: its pyramids are prebuilt, as the
+    frame store serves them, so timed steps neither rebuild nor look up."""
+
+    def __init__(self, wl: workloads.MVEWorkload) -> None:
+        self.config = SimpleNamespace(
+            frame_width=wl.frame_width, frame_height=wl.frame_height
+        )
+        self._pyramids = {0: wl.pyramid_a, wl.frame_gap: wl.pyramid_b}
+
+    def pyramid(self, index: int, levels: int) -> FramePyramid:
+        return self._pyramids[index]
+
+
 def bench_mve_track(quick: bool) -> BenchResult:
     """One full MVE tracker step, with the LK tier's step as the yardstick.
 
@@ -197,22 +212,11 @@ def bench_mve_track(quick: bool) -> BenchResult:
     """
     wl = workloads.make_mve_workload()
     lk = workloads.make_lk_workload()
-
-    def provider(index: int) -> np.ndarray:
-        return wl.frame_a if index == 0 else wl.frame_b
-
-    # Prebuilt, as the frame store serves them: timed steps never rebuild.
-    prebuilt = {0: wl.pyramid_a, wl.frame_gap: wl.pyramid_b}
+    clip = _PrebuiltClip(wl)
     config = MVETrackerConfig(block=wl.params)
 
     def mve_step():
-        tracker = MVETracker(
-            provider,
-            wl.frame_width,
-            wl.frame_height,
-            config,
-            pyramids=lambda index, _levels: prebuilt[index],
-        )
+        tracker = MVETracker(clip, config)
         tracker.initialize(0, wl.detections)
         return tracker.track_to(wl.frame_gap)
 

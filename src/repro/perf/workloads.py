@@ -78,8 +78,6 @@ class MVEWorkload:
     pyramid_a: FramePyramid
     pyramid_b: FramePyramid
     reference_pyramids: tuple[FramePyramid, FramePyramid]
-    frame_a: np.ndarray
-    frame_b: np.ndarray
     points: np.ndarray
     owners: np.ndarray
     detections: tuple[Detection, ...]
@@ -208,8 +206,6 @@ def make_mve_workload(
         raise RuntimeError("MVE workload found no annotation blocks")
     return MVEWorkload(
         **_pyramid_fields(frame_a, frame_b, params.pyramid_levels),
-        frame_a=frame_a,
-        frame_b=frame_b,
         points=points,
         owners=owners,
         detections=detections,

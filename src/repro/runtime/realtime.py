@@ -145,8 +145,6 @@ class LiveExecutor:
         detection_ready = threading.Event()
         camera_done = threading.Event()
         detector_done = threading.Event()
-        # The clip's store read-through; exported clips have none and solve.
-        flows = getattr(clip, "flow", None)
 
         def now() -> float:
             return (time.monotonic() - start) / self.time_scale
@@ -213,12 +211,7 @@ class LiveExecutor:
                 seed_frame = snapshot.frame
                 detections = snapshot.detections
                 tracker = ObjectTracker(
-                    clip.frame,
-                    clip.config.frame_width,
-                    clip.config.frame_height,
-                    cfg.tracker,
-                    seed=cfg.detector_seed * 1_000_003 + seed_frame,
-                    flows=flows,
+                    clip, cfg.tracker, seed=cfg.detector_seed * 1_000_003 + seed_frame
                 )
                 with obs.span("live.seed_features", frame=seed_frame):
                     tracker.initialize(seed_frame, detections)

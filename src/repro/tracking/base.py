@@ -12,18 +12,12 @@ subclasses differ only in *how* they estimate per-object motion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.detection.detector import Detection
 from repro.geometry import Box, clip_box
-from repro.vision.optical_flow import FramePyramid
-
-FrameProvider = Callable[[int], np.ndarray]
-# ``(frame_index, levels) -> pyramid``: a clip's store read-through
-# (:meth:`repro.video.dataset.VideoClip.pyramid`).
-PyramidProvider = Callable[[int, int], FramePyramid]
+from repro.video.dataset import VideoClip
 
 # Fraction of a box that must remain in-frame for the object to stay alive.
 _DEPARTURE_VISIBLE_FRACTION = 0.2
@@ -64,31 +58,19 @@ class BoxTrackerBase:
     :meth:`_kill_departed_objects` after applying motion, and
     :meth:`_current_detections` to emit results.
 
-    ``pyramids`` serves frame pyramids (the pipelines pass the MVE tier
-    the clip's store read-through, so tracker generations and method arms
-    share them); without it each pyramid is built from ``frame_provider``.
-    The LK tier passes none: it reads its steps from a flow provider and
-    builds pyramids only to solve a step itself.
+    A tracker reads everything from its ``clip``: the frame size from
+    ``clip.config``, frames from ``clip.frame``, and pyramids and
+    Lucas-Kanade flows from the clip's read-throughs ``clip.pyramid`` and
+    ``clip.flow``, so tracker generations and method arms share them
+    through the clip's store.
     """
 
-    def __init__(
-        self,
-        frame_provider: FrameProvider,
-        frame_width: int,
-        frame_height: int,
-        pyramids: PyramidProvider | None = None,
-    ) -> None:
-        self._frames = frame_provider
-        self._pyramids = pyramids
-        self.frame_width = frame_width
-        self.frame_height = frame_height
+    def __init__(self, clip: VideoClip) -> None:
+        self._clip = clip
+        self.frame_width = clip.config.frame_width
+        self.frame_height = clip.config.frame_height
         self._objects: list[_TrackedObject] = []
         self._frame_index: int | None = None
-
-    def _build_pyramid(self, frame_index: int, levels: int) -> FramePyramid:
-        if self._pyramids is None:
-            return FramePyramid(self._frames(frame_index), levels)
-        return self._pyramids(frame_index, levels)
 
     @property
     def num_objects(self) -> int:

@@ -51,42 +51,20 @@ class MotionVelocityEstimator:
     """Accumulates per-step velocity samples over one detection cycle.
 
     AdaVP decides the *next* DNN setting from the velocity measured during
-    the *current* cycle (§IV-D3), so the pipeline resets this estimator at
-    each cycle boundary and reads the aggregate at the end.
+    the *current* cycle (§IV-D3), so the pipeline starts a fresh estimator
+    at each cycle boundary and reads the aggregate at the end.
     """
 
     def __init__(self) -> None:
         self._samples: list[float] = []
-
-    def add_step(
-        self,
-        prev_points: np.ndarray,
-        next_points: np.ndarray,
-        frame_gap: int,
-        status: np.ndarray | None = None,
-    ) -> float | None:
-        sample = motion_velocity(prev_points, next_points, frame_gap, status)
-        if sample is not None:
-            self._samples.append(sample)
-        return sample
 
     def add_sample(self, velocity: float) -> None:
         if velocity < 0:
             raise ValueError("velocity must be non-negative")
         self._samples.append(velocity)
 
-    @property
-    def num_samples(self) -> int:
-        return len(self._samples)
-
     def cycle_velocity(self) -> float | None:
         """Mean velocity over the cycle, or ``None`` if nothing was tracked."""
         if not self._samples:
             return None
         return float(np.mean(self._samples))
-
-    def last_sample(self) -> float | None:
-        return self._samples[-1] if self._samples else None
-
-    def reset(self) -> None:
-        self._samples.clear()

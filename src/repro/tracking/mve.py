@@ -22,15 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from repro.detection.detector import Detection
-from repro.tracking.base import (
-    BoxTrackerBase,
-    FrameProvider,
-    PyramidProvider,
-    median_shift,
-)
+from repro.tracking.base import BoxTrackerBase, median_shift
 from repro.tracking.motion import motion_velocity
 from repro.tracking.tracker import TrackStep
 from repro.vision.block_motion import (
@@ -38,6 +31,7 @@ from repro.vision.block_motion import (
     block_motion_field,
     box_block_centers,
 )
+from repro.video.dataset import VideoClip
 from repro.vision.optical_flow import FramePyramid
 
 
@@ -63,15 +57,8 @@ class MVETracker(BoxTrackerBase):
     pipeline swaps tiers without touching its cycle loop.
     """
 
-    def __init__(
-        self,
-        frame_provider: FrameProvider,
-        frame_width: int,
-        frame_height: int,
-        config: MVETrackerConfig | None = None,
-        pyramids: PyramidProvider | None = None,
-    ) -> None:
-        super().__init__(frame_provider, frame_width, frame_height, pyramids)
+    def __init__(self, clip: VideoClip, config: MVETrackerConfig | None = None) -> None:
+        super().__init__(clip)
         self.config = config or MVETrackerConfig()
         self._pyramid: FramePyramid | None = None
         # Per-object last measured velocity in pixels/frame, index-aligned
@@ -101,7 +88,7 @@ class MVETracker(BoxTrackerBase):
 
     def initialize(self, frame_index: int, detections: Sequence[Detection]) -> None:
         """Seed the tracker with the detector's output for ``frame_index``."""
-        self._pyramid = self._build_pyramid(frame_index, self.config.block.pyramid_levels)
+        self._pyramid = self._clip.pyramid(frame_index, self.config.block.pyramid_levels)
         self._frame_index = frame_index
         self._objects = []
         self._velocities = []
@@ -119,7 +106,7 @@ class MVETracker(BoxTrackerBase):
             raise ValueError(
                 f"can only track forwards: at {self._frame_index}, asked {frame_index}"
             )
-        next_pyramid = self._build_pyramid(frame_index, self.config.block.pyramid_levels)
+        next_pyramid = self._clip.pyramid(frame_index, self.config.block.pyramid_levels)
 
         velocity: float | None = None
         valid_blocks = 0

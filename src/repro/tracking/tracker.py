@@ -12,14 +12,12 @@ Workflow, mirroring the paper's six steps:
    motion, not a global average — the paper is explicit about this);
 6. move on to the next selected frame.
 
-Step 4 goes through a *flow provider*, ``(prev_index, next_index,
-points, params) -> FlowResult``.  The pipelines pass the clip's store
-read-through (:meth:`repro.video.dataset.VideoClip.flow`), so method arms
-that track the same point between the same two frames share its solve.
-Without a provider the tracker runs :func:`track_features` on the two
-frames' pyramids itself, and keeps the next frame's pyramid for the step
-after, whose previous frame it is: ``k`` steps build ``k + 1`` pyramids.
-Seeding or a step with no points reads none.
+The tracker takes the clip it tracks.  Step 2 reads the detected
+frame through ``clip.frame``, and step 4 asks the clip's store
+read-through :meth:`repro.video.dataset.VideoClip.flow` for each step, so
+method arms that track the same point between the same two frames share
+its solve.  The tracker builds and holds no pyramid of its own; a step
+with no points asks for no flow.
 
 The tracker is *time-free*: its numpy runtime is not the Jetson TX2's.
 The :class:`TrackerLatencyModel` carries the paper's measured costs
@@ -29,21 +27,18 @@ The :class:`TrackerLatencyModel` carries the paper's measured costs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.geometry import Box
 from repro.detection.detector import Detection
-from repro.tracking.base import BoxTrackerBase, FrameProvider, median_shift
+from repro.tracking.base import BoxTrackerBase, median_shift
 from repro.tracking.motion import motion_velocity
 from repro.vision.fast import fast_corners
 from repro.vision.features import good_features_to_track
-from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams, track_features
-
-# ``(prev_index, next_index, points, params) -> flow``: a clip's store
-# read-through (:meth:`repro.video.dataset.VideoClip.flow`).
-FlowProvider = Callable[[int, int, np.ndarray, LKParams], FlowResult]
+from repro.video.dataset import VideoClip
+from repro.vision.optical_flow import LKParams
 
 # Tracker cost/fidelity tiers, cheapest last.  ``lk`` is the paper's
 # pyramidal Lucas-Kanade tracker, ``mve`` the block-motion extrapolation
@@ -203,26 +198,16 @@ class ObjectTracker(BoxTrackerBase):
     detector output, then ``track_to`` each selected frame in increasing
     order.  A new cycle creates a fresh instance (matching the paper, where
     each DNN result re-seeds the tracker).
-
-    ``flows`` solves each step (see the module docstring); without it the
-    tracker builds the frames' pyramids from ``frame_provider`` and
-    solves, reusing the last step's next-frame pyramid.
     """
 
     def __init__(
         self,
-        frame_provider: FrameProvider,
-        frame_width: int,
-        frame_height: int,
+        clip: VideoClip,
         config: TrackerConfig | None = None,
         seed: int = 0,
-        flows: FlowProvider | None = None,
     ) -> None:
-        super().__init__(frame_provider, frame_width, frame_height)
+        super().__init__(clip)
         self.config = config or TrackerConfig()
-        self._flows = flows or self._solve_flow
-        # ``(frame_index, pyramid)`` of the last step's next frame.
-        self._held_pyramid: tuple[int, FramePyramid] | None = None
         self._rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
         self._points = np.zeros((0, 2), dtype=np.float64)
         self._owners = np.zeros(0, dtype=np.intp)
@@ -262,7 +247,7 @@ class ObjectTracker(BoxTrackerBase):
 
     def initialize(self, frame_index: int, detections: Sequence[Detection]) -> None:
         """Seed the tracker with the detector's output for ``frame_index``."""
-        frame = self._frames(frame_index)
+        frame = self._clip.frame(frame_index)
         self._frame_index = frame_index
         self._objects = []
         points: list[np.ndarray] = []
@@ -289,24 +274,6 @@ class ObjectTracker(BoxTrackerBase):
 
     # -- tracking ----------------------------------------------------------------
 
-    def _solve_flow(
-        self, prev_index: int, next_index: int, points: np.ndarray, params: LKParams
-    ) -> FlowResult:
-        """The default flow provider: solve on the two frames' pyramids.
-
-        The previous frame's pyramid is the one the last step built as
-        its next frame, when there was such a step.
-        """
-        levels = params.pyramid_levels
-        held = self._held_pyramid
-        if held is not None and held[0] == prev_index:
-            prev_pyramid = held[1]
-        else:
-            prev_pyramid = self._build_pyramid(prev_index, levels)
-        next_pyramid = self._build_pyramid(next_index, levels)
-        self._held_pyramid = (next_index, next_pyramid)
-        return track_features(prev_pyramid, next_pyramid, points, params)
-
     def track_to(self, frame_index: int) -> TrackStep:
         """Propagate all objects to ``frame_index`` (must be ahead of current)."""
         if self._frame_index is None:
@@ -319,7 +286,7 @@ class ObjectTracker(BoxTrackerBase):
 
         velocity: float | None = None
         if self._points.shape[0] > 0:
-            result = self._flows(
+            result = self._clip.flow(
                 self._frame_index, frame_index, self._points, self.config.lk
             )
             velocity = motion_velocity(

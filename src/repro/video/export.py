@@ -17,6 +17,7 @@ import numpy as np
 from repro.geometry import Box
 from repro.video.dataset import VideoClip
 from repro.video.scene import FrameAnnotation, GroundTruthObject
+from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams, track_features
 
 _FORMAT_VERSION = 1
 
@@ -58,11 +59,12 @@ def export_clip(clip: VideoClip, path: str | Path) -> Path:
 class ExportedClip:
     """Read-only view over an exported clip archive.
 
-    Provides the same ``frame``/``annotation``/``num_frames`` surface the
-    pipelines consume, so an exported workload can be re-run without the
-    generator (``MPDTPipeline(...).run(exported)`` works via duck typing —
-    except that ``scene`` is a lightweight shim exposing ``annotations()``
-    and ``difficulty()`` only).
+    Provides the same ``frame``/``pyramid``/``flow``/``annotation``/
+    ``num_frames`` surface the pipelines consume, so an exported workload
+    can be re-run without the generator (``MPDTPipeline(...).run(exported)``
+    works via duck typing — except that ``scene`` is a lightweight shim
+    exposing ``annotations()`` and ``difficulty()`` only).  ``pyramid`` and
+    ``flow`` build and solve on every call: an exported clip has no store.
     """
 
     class _SceneShim:
@@ -129,6 +131,14 @@ class ExportedClip:
 
     def frame(self, index: int) -> np.ndarray:
         return self._frames[index]
+
+    def pyramid(self, index: int, levels: int) -> FramePyramid:
+        return FramePyramid(self.frame(index), levels)
+
+    def flow(
+        self, prev_index: int, next_index: int, points: np.ndarray, params: LKParams
+    ) -> FlowResult:
+        return track_features(self.frame(prev_index), self.frame(next_index), points, params)
 
     def annotation(self, index: int) -> FrameAnnotation:
         return self._annotations[index]

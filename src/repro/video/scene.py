@@ -320,9 +320,3 @@ class Scene:
     def annotations(self) -> list[FrameAnnotation]:
         """Ground truth for every frame of the video."""
         return [self.annotation(i) for i in range(self.config.num_frames)]
-
-    def mean_object_count(self, sample_every: int = 10) -> float:
-        """Average number of visible objects (sampled), for workload stats."""
-        frames = range(0, self.config.num_frames, max(1, sample_every))
-        counts = [len(self.annotation(i).objects) for i in frames]
-        return float(np.mean(counts)) if counts else 0.0

@@ -55,9 +55,3 @@ class CameraSource:
             raise ValueError("time must be non-negative")
         index = int(math.floor(time * self.fps + 1e-9))
         return min(index, self.num_frames - 1)
-
-    def frames_between(self, start_time: float, end_time: float) -> int:
-        """How many new frames arrive in ``(start_time, end_time]``."""
-        if end_time < start_time:
-            raise ValueError("end_time must be >= start_time")
-        return self.newest_frame_at(end_time) - self.newest_frame_at(start_time)

@@ -85,9 +85,6 @@ class BlockMotionField:
     def num_blocks(self) -> int:
         return int(self.points.shape[0])
 
-    def good_vectors(self) -> np.ndarray:
-        return self.vectors[self.valid]
-
 
 def _clamped_windows(
     image: np.ndarray, cx: np.ndarray, cy: np.ndarray, first: int, span: int

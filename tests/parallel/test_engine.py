@@ -43,6 +43,13 @@ def flaky_runner(spec, clip=None, obs=None):
     return run_shard(spec, clip=clip, obs=obs)
 
 
+def exiting_runner(spec, clip=None, obs=None):
+    """Exits on the first attempt of mpdt-320, then behaves."""
+    if spec.method.name == "mpdt-320" and spec.attempt == 0:
+        raise SystemExit(3)
+    return run_shard(spec, clip=clip, obs=obs)
+
+
 def dead_runner(spec, clip=None, obs=None):
     """One method fails every attempt."""
     if spec.method.name == "mpdt-320":
@@ -164,6 +171,28 @@ class TestSequentialPath:
         for name in methods:
             assert len(sweep.results[name].per_video_accuracy) == len(suite)
 
+    def test_each_clip_starts_and_leaves_an_empty_store(self):
+        # The store's lifetime is the clip, as a pool worker's unit: the
+        # next clip's first cell finds nothing, and the sweep leaves
+        # nothing behind.  So the sweep misses, per kind, as the pool does.
+        suite = _small_suite(frames=24, clips=2)
+        settled = []
+        default_store().clear()
+        sequential = run_sweep(
+            _METHODS,
+            suite,
+            jobs=1,
+            shard_runner=probe_runner,
+            progress=lambda done, total, r: settled.append(r),
+        )
+        assert sequential.ok, sequential.summary()
+        assert len(default_store()) == 0
+        assert [r.clip_index for r in settled if r.probe["store_entries"] == 0] == [0, 1]
+        parallel = run_sweep(_METHODS, suite, jobs=2)
+        for kind in KINDS:
+            assert sequential.store[kind]["misses"] > 0
+            assert sequential.store[kind]["misses"] == parallel.store[kind]["misses"]
+
     def test_keep_runs_in_suite_order(self):
         suite = _small_suite(frames=24)
         sweep = run_sweep(["adavp"], suite, jobs=1, keep_runs=True)
@@ -182,6 +211,20 @@ class TestFailureIsolation:
             sweep.results["mpdt-320"].per_video_accuracy
             == clean.results["mpdt-320"].per_video_accuracy
         )
+
+    def test_a_cell_that_exits_in_a_worker_is_retried(self):
+        # SystemExit is not an Exception: uncaught, it came back through
+        # the executor and ended the whole sweep in the parent.
+        suite = _small_suite(clips=1)
+        sweep = run_sweep(_METHODS, suite, jobs=2, shard_runner=exiting_runner)
+        assert sweep.ok, sweep.summary()
+        assert sweep.retried_shards == 1
+        clean = run_sweep(_METHODS, suite, jobs=1)
+        for name in _METHODS:
+            assert (
+                sweep.results[name].per_video_accuracy
+                == clean.results[name].per_video_accuracy
+            )
 
     def test_dead_method_reported_without_sinking_the_sweep(self):
         suite = _small_suite(frames=24)
@@ -498,12 +541,24 @@ class TestUnitIsolation:
         assert len(default_store()) == 0
 
     def test_a_cell_that_exits_still_empties_the_store(self):
+        # An exit fails its cell and the unit goes on; an interrupt ends
+        # the unit.  Either way the store is empty afterwards.
+        unit = _unit(_small_suite(frames=12).clips[0])
+
         def exiting_runner(spec, clip=None, obs=None):
             run_shard(spec, clip=clip, obs=obs)
             raise SystemExit(3)
 
-        with pytest.raises(SystemExit):
-            run_unit(exiting_runner, _unit(_small_suite(frames=12).clips[0]))
+        results = run_unit(exiting_runner, unit)
+        assert all("SystemExit: 3" in r.error for r in results)
+        assert len(default_store()) == 0
+
+        def interrupted_runner(spec, clip=None, obs=None):
+            run_shard(spec, clip=clip, obs=obs)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_unit(interrupted_runner, unit)
         assert len(default_store()) == 0
 
     def test_a_clip_that_fails_to_build_fails_every_cell_unrun(self):

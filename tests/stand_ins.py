@@ -1,0 +1,30 @@
+"""Test stand-ins for the clip a tracker reads."""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+from repro.vision.optical_flow import FramePyramid, track_features
+
+
+class FrameClip:
+    """A clip over a frame function, with no store behind it.
+
+    Trackers read a clip's ``config`` frame size, ``frame``, ``pyramid``
+    and ``flow``.  Here each pyramid is built and each flow solved afresh
+    from ``frame``, so a test can track synthetic frames, or compare the
+    store's read-throughs against fresh builds of the same frames.
+    """
+
+    def __init__(self, frame, width: int, height: int) -> None:
+        self.frame = frame
+        self.config = SimpleNamespace(frame_width=width, frame_height=height)
+
+    def pyramid(self, index, levels):
+        return FramePyramid(self.frame(index), levels)
+
+    def flow(self, prev_index, next_index, points, params):
+        levels = params.pyramid_levels
+        return track_features(
+            self.pyramid(prev_index, levels), self.pyramid(next_index, levels), points, params
+        )

@@ -63,39 +63,10 @@ class TestEstimator:
         estimator.add_sample(2.0)
         estimator.add_sample(4.0)
         assert estimator.cycle_velocity() == pytest.approx(3.0)
-        assert estimator.num_samples == 2
 
     def test_empty_cycle_is_none(self):
         assert MotionVelocityEstimator().cycle_velocity() is None
 
-    def test_reset(self):
-        estimator = MotionVelocityEstimator()
-        estimator.add_sample(1.0)
-        estimator.reset()
-        assert estimator.cycle_velocity() is None
-
-    def test_add_step_integrates(self):
-        estimator = MotionVelocityEstimator()
-        prev = np.array([[0.0, 0.0]])
-        sample = estimator.add_step(prev, prev + [3.0, 0.0], frame_gap=1)
-        assert sample == pytest.approx(3.0)
-        assert estimator.cycle_velocity() == pytest.approx(3.0)
-
-    def test_add_step_none_not_recorded(self):
-        estimator = MotionVelocityEstimator()
-        result = estimator.add_step(
-            np.zeros((2, 2)), np.zeros((2, 2)), 1, np.zeros(2, dtype=bool)
-        )
-        assert result is None
-        assert estimator.num_samples == 0
-
     def test_negative_sample_rejected(self):
         with pytest.raises(ValueError):
             MotionVelocityEstimator().add_sample(-1.0)
-
-    def test_last_sample(self):
-        estimator = MotionVelocityEstimator()
-        assert estimator.last_sample() is None
-        estimator.add_sample(1.0)
-        estimator.add_sample(2.5)
-        assert estimator.last_sample() == 2.5

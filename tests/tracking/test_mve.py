@@ -9,6 +9,7 @@ from repro.tracking.mve import MVETracker, MVETrackerConfig
 from repro.tracking.tracker import ObjectTracker
 from repro.vision.block_motion import BlockMotionParams
 from repro.video.dataset import make_clip
+from tests.stand_ins import FrameClip
 
 
 @pytest.fixture()
@@ -16,16 +17,12 @@ def clip():
     return make_clip("highway_surveillance", seed=55, num_frames=40)
 
 
-def seed_tracker(clip, config=None, frame=0, pyramids=None):
+def seed_tracker(clip, config=None, frame=0, tracked=None):
+    """An MVE tracker seeded from ``clip``'s annotation at ``frame``; it
+    tracks ``tracked`` (default ``clip``), which must show the same frames."""
     ann = clip.annotation(frame)
     detections = tuple(Detection(o.label, o.box, 0.9) for o in ann.objects)
-    tracker = MVETracker(
-        clip.frame,
-        clip.config.frame_width,
-        clip.config.frame_height,
-        config,
-        pyramids=pyramids,
-    )
+    tracker = MVETracker(tracked or clip, config)
     tracker.initialize(frame, detections)
     return tracker, detections
 
@@ -39,13 +36,13 @@ class TestLifecycle:
         assert tracker.planned_blocks() > 0
 
     def test_tiny_boxes_skipped(self, clip):
-        tracker = MVETracker(clip.frame, 320, 180)
+        tracker = MVETracker(clip)
         tracker.initialize(0, [Detection("car", Box(10, 10, 1.0, 1.0), 0.9)])
         assert tracker.num_objects == 0
         assert tracker.planned_blocks() == 0
 
     def test_track_before_initialize_raises(self, clip):
-        tracker = MVETracker(clip.frame, 320, 180)
+        tracker = MVETracker(clip)
         with pytest.raises(RuntimeError):
             tracker.track_to(1)
 
@@ -58,7 +55,7 @@ class TestLifecycle:
             tracker.track_to(3)
 
     def test_empty_seed_tracks_nothing(self, clip):
-        tracker = MVETracker(clip.frame, 320, 180)
+        tracker = MVETracker(clip)
         tracker.initialize(0, [])
         step = tracker.track_to(1)
         assert step.detections == ()
@@ -114,10 +111,10 @@ class TestTracking:
         assert run() == run()
 
     def test_pyramid_cache_shared_results_identical(self, clip):
-        direct, _ = seed_tracker(clip)
-        cached, _ = seed_tracker(clip, pyramids=clip.pyramid)
+        stored, _ = seed_tracker(clip)
+        fresh, _ = seed_tracker(clip, tracked=FrameClip(clip.frame, 320, 180))
         for j in (2, 4, 6):
-            assert direct.track_to(j).detections == cached.track_to(j).detections
+            assert stored.track_to(j).detections == fresh.track_to(j).detections
 
 
 class TestExtrapolation:
@@ -136,7 +133,7 @@ class TestExtrapolation:
             # Frames >= 2 are destroyed: no block can match.
             return np.zeros((120, 160))
 
-        tracker = MVETracker(frame, 160, 120)
+        tracker = MVETracker(FrameClip(frame, 160, 120))
         tracker.initialize(0, [Detection("car", Box(60, 40, 24, 24), 0.9)])
         measured = tracker.track_to(1)
         assert measured.detections[0].box.left == pytest.approx(60 - shift)
@@ -156,7 +153,7 @@ class TestExtrapolation:
                 return canvas[20:140, 20 + offset : 180 + offset]
             return np.zeros((120, 160))
 
-        tracker = MVETracker(frame, 160, 120, MVETrackerConfig(extrapolate=False))
+        tracker = MVETracker(FrameClip(frame, 160, 120), MVETrackerConfig(extrapolate=False))
         tracker.initialize(0, [Detection("car", Box(60, 40, 24, 24), 0.9)])
         tracker.track_to(1)
         stale = tracker.track_to(2)
@@ -168,7 +165,7 @@ class TestCostScaling:
         small, _ = seed_tracker(
             clip, MVETrackerConfig(block=BlockMotionParams(block_size=8))
         )
-        tracker = MVETracker(clip.frame, 320, 180)
+        tracker = MVETracker(clip)
         tracker.initialize(
             0, [Detection("bus", Box(40, 40, 120, 80), 0.9)]
         )
@@ -179,9 +176,9 @@ class TestCostScaling:
         """Sanity: per-step numpy work is far below LK's (not a timed bench)."""
         ann = clip.annotation(0)
         detections = tuple(Detection(o.label, o.box, 0.9) for o in ann.objects)
-        lk = ObjectTracker(clip.frame, 320, 180, seed=1)
+        lk = ObjectTracker(clip, seed=1)
         lk.initialize(0, detections)
-        mve = MVETracker(clip.frame, 320, 180)
+        mve = MVETracker(clip)
         mve.initialize(0, detections)
         # The MVE tier matches ~an order of magnitude fewer "units" than
         # LK samples: blocks ~ area/64 vs features * window * iterations.

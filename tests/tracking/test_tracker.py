@@ -7,8 +7,6 @@ from hypothesis import given, settings
 
 from repro.detection.detector import Detection
 from repro.geometry import Box, iou
-from repro.tracking import base as tracking_base
-from repro.tracking import tracker as tracking_tracker
 from repro.tracking.base import median_shift
 from repro.tracking.tracker import (
     TIER_KEYFRAME,
@@ -19,7 +17,6 @@ from repro.tracking.tracker import (
     TrackerLatencyModel,
 )
 from repro.video.dataset import make_clip
-from repro.vision.optical_flow import FramePyramid, track_features
 
 
 @pytest.fixture()
@@ -30,13 +27,7 @@ def clip():
 def seed_tracker(clip, config=None, frame=0):
     ann = clip.annotation(frame)
     detections = tuple(Detection(o.label, o.box, 0.9) for o in ann.objects)
-    tracker = ObjectTracker(
-        clip.frame,
-        clip.config.frame_width,
-        clip.config.frame_height,
-        config,
-        seed=1,
-    )
+    tracker = ObjectTracker(clip, config, seed=1)
     tracker.initialize(frame, detections)
     return tracker, detections
 
@@ -152,14 +143,14 @@ class TestInitialization:
         assert tracker.num_features <= 3 * len(detections)
 
     def test_tiny_boxes_skipped(self, clip):
-        tracker = ObjectTracker(clip.frame, 320, 180, seed=1)
+        tracker = ObjectTracker(clip, seed=1)
         tracker.initialize(
             0, [Detection("car", Box(10, 10, 1.0, 1.0), 0.9)]
         )
         assert tracker.num_objects == 0
 
     def test_track_before_initialize_raises(self, clip):
-        tracker = ObjectTracker(clip.frame, 320, 180)
+        tracker = ObjectTracker(clip)
         with pytest.raises(RuntimeError):
             tracker.track_to(1)
 
@@ -195,7 +186,7 @@ class TestTracking:
             tracker.track_to(3)
 
     def test_empty_seed_tracks_nothing(self, clip):
-        tracker = ObjectTracker(clip.frame, 320, 180, seed=1)
+        tracker = ObjectTracker(clip, seed=1)
         tracker.initialize(0, [])
         step = tracker.track_to(1)
         assert step.detections == ()
@@ -217,37 +208,6 @@ class TestTracking:
         tracker, _ = seed_tracker(clip)
         assert tracker.track_to(3).frame_gap == 3
         assert tracker.track_to(5).frame_gap == 2
-
-    def test_steps_reuse_the_last_next_frame_pyramid(self, clip, monkeypatch):
-        """Without a flow provider, ``k`` steps build ``k + 1`` pyramids:
-        each step's previous frame is the last step's next frame.  The
-        boxes are those of a provider solving each step from scratch."""
-        built, solves = [], []
-        monkeypatch.setattr(
-            tracking_base,
-            "FramePyramid",
-            lambda image, levels: built.append(levels) or FramePyramid(image, levels),
-        )
-        monkeypatch.setattr(
-            tracking_tracker,
-            "track_features",
-            lambda *args: solves.append(args) or track_features(*args),
-        )
-        tracker, detections = seed_tracker(clip)
-        steps = [tracker.track_to(j).detections for j in (2, 4, 5, 8)]
-        assert len(solves) == 4
-        assert len(built) == len(solves) + 1
-        monkeypatch.undo()
-
-        def from_scratch(prev_index, next_index, points, params):
-            return track_features(clip.frame(prev_index), clip.frame(next_index), points, params)
-
-        fresh = ObjectTracker(
-            clip.frame, clip.config.frame_width, clip.config.frame_height,
-            seed=1, flows=from_scratch,
-        )
-        fresh.initialize(0, detections)
-        assert steps == [fresh.track_to(j).detections for j in (2, 4, 5, 8)]
 
 
 class TestMotionModes:
@@ -325,7 +285,7 @@ class TestLagModel:
         def run(seed):
             ann = clip.annotation(0)
             detections = tuple(Detection(o.label, o.box, 0.9) for o in ann.objects)
-            tracker = ObjectTracker(clip.frame, 320, 180, seed=seed)
+            tracker = ObjectTracker(clip, seed=seed)
             tracker.initialize(0, detections)
             return tracker.track_to(3).detections
 

@@ -40,13 +40,16 @@ class TestRoundtrip:
                 assert a.box.as_tuple() == pytest.approx(b.box.as_tuple())
             assert restored.difficulty == pytest.approx(original.difficulty)
 
-    def test_pipeline_runs_on_exported_clip(self, roundtrip):
-        """An exported workload re-runs through MPDT with identical results."""
+    @pytest.mark.parametrize("method", ["mpdt-512", "marlin-512", "mve"])
+    def test_pipeline_runs_on_exported_clip(self, roundtrip, method):
+        """An exported workload re-runs with identical results: the
+        archive's pyramids and flows track as the store's do, on both
+        tracker tiers (``mve`` runs the block-motion tier)."""
         clip, loaded = roundtrip
-        from repro.core.mpdt import FixedSettingPolicy, MPDTPipeline
+        from repro.experiments.runners import make_method, run_method_on_clip
 
-        original = MPDTPipeline(FixedSettingPolicy(512)).run(clip)
-        replayed = MPDTPipeline(FixedSettingPolicy(512)).run(loaded)
+        original = run_method_on_clip(make_method(method), clip)
+        replayed = run_method_on_clip(make_method(method), loaded)
         assert [r.detections for r in original.results] == [
             r.detections for r in replayed.results
         ]

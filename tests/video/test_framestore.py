@@ -34,6 +34,7 @@ from repro.video.library import make_scenario
 from repro.video.render import FrameRenderer
 from repro.video.scene import Scene
 from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams, track_features
+from tests.stand_ins import FrameClip
 
 
 def _frame(nbytes: int, fill: int = 1) -> np.ndarray:
@@ -725,15 +726,12 @@ class TestRendererPyramids:
             assert np.array_equal(served.images[level], direct.images[level])
 
     def test_mve_after_lk_reads_the_stored_pyramid(self, store, clip):
-        width, height = clip.config.frame_width, clip.config.frame_height
-        lk = ObjectTracker(clip.frame, width, height, TrackerConfig(), flows=clip.flow)
+        lk = ObjectTracker(clip, TrackerConfig())
         lk.initialize(0, _detections(clip))
         # The LK step's solve builds frames 0 and 2's pyramids.
         lk.track_to(2)
         before = store.stats()
-        mve = MVETracker(
-            clip.frame, width, height, MVETrackerConfig(), pyramids=clip.pyramid
-        )
+        mve = MVETracker(clip, MVETrackerConfig())
         mve.initialize(2, _detections(clip, 2))
         # Both tiers default to 3 levels, so a tier switch on one frame
         # is a store hit, not a rebuild.
@@ -741,37 +739,18 @@ class TestRendererPyramids:
         assert _delta(before, store.stats(), PYRAMID, "hits") == 1
 
     def test_store_served_tiers_track_like_fresh_builds(self, store, clip):
-        width, height = clip.config.frame_width, clip.config.frame_height
-
-        def run_pair(flows, pyramids):
-            lk = ObjectTracker(
-                clip.frame, width, height, TrackerConfig(), seed=0, flows=flows
-            )
+        def run_pair(tracked):
+            lk = ObjectTracker(tracked, TrackerConfig(), seed=0)
             lk.initialize(0, _detections(clip))
             lk_steps = [lk.track_to(j).detections for j in (2, 4)]
-            mve = MVETracker(
-                clip.frame, width, height, MVETrackerConfig(), pyramids=pyramids
-            )
+            mve = MVETracker(tracked, MVETrackerConfig())
             mve.initialize(4, _detections(clip, 4))
             mve_steps = [mve.track_to(j).detections for j in (6, 8)]
             return lk_steps, mve_steps
 
         before = store.stats()
-        assert run_pair(clip.flow, clip.pyramid) == run_pair(None, None)
+        assert run_pair(clip) == run_pair(_fresh(clip))
         assert _delta(before, store.stats(), PYRAMID, "hits") > 0
-
-    def test_trackers_without_a_read_through_never_touch_pyramids(self, store, clip):
-        # Exported clips offer no read-through: their trackers build
-        # pyramids locally and the store never sees a pyramid key.
-        before = store.stats()
-        tracker = ObjectTracker(
-            clip.frame, clip.config.frame_width, clip.config.frame_height
-        )
-        tracker.initialize(0, _detections(clip))
-        tracker.track_to(2)
-        after = store.stats()
-        assert _delta(before, after, PYRAMID, "misses") == 0
-        assert _delta(before, after, PYRAMID, "hits") == 0
 
     def test_zero_budget_store_falls_back_to_local_build(self, clip, monkeypatch):
         # A store that keeps nothing still serves correct pyramids: each
@@ -791,14 +770,14 @@ class TestRendererPyramids:
 _POINTS = np.array([[100.5, 60.25], [160.0, 90.0], [40.0, 120.0]])
 
 
+def _fresh(clip) -> FrameClip:
+    """``clip``'s frames, rendered, built and solved afresh on every read."""
+    width, height = clip.config.frame_width, clip.config.frame_height
+    return FrameClip(clip.renderer.render_frame, width, height)
+
+
 def _direct_flow(clip, prev_index: int, next_index: int, points, params) -> FlowResult:
-    levels = params.pyramid_levels
-    return track_features(
-        FramePyramid(clip.renderer.render_frame(prev_index), levels),
-        FramePyramid(clip.renderer.render_frame(next_index), levels),
-        points,
-        params,
-    )
+    return _fresh(clip).flow(prev_index, next_index, points, params)
 
 
 def _assert_flows_equal(left: FlowResult, right: FlowResult) -> None:
@@ -970,11 +949,10 @@ class TestRendererFlows:
 
 class TestTrackerFlows:
     def test_seeding_and_pointless_steps_read_no_pyramid(self, store, clip):
-        width, height = clip.config.frame_width, clip.config.frame_height
-        tracker = ObjectTracker(clip.frame, width, height, flows=clip.flow)
+        tracker = ObjectTracker(clip)
         before = store.stats()
         tracker.initialize(0, _detections(clip))
-        empty = ObjectTracker(clip.frame, width, height, flows=clip.flow)
+        empty = ObjectTracker(clip)
         empty.initialize(0, ())
         empty.track_to(2)
         after = store.stats()
@@ -983,17 +961,15 @@ class TestTrackerFlows:
             assert _delta(before, after, kind, "misses") == 0
 
     def test_arms_tracking_the_same_points_share_one_solve(self, store, clip, solves):
-        width, height = clip.config.frame_width, clip.config.frame_height
-
-        def arm(flows):
-            tracker = ObjectTracker(clip.frame, width, height, seed=4, flows=flows)
+        def arm(tracked):
+            tracker = ObjectTracker(tracked, seed=4)
             tracker.initialize(0, _detections(clip))
             return [tracker.track_to(j).detections for j in (2, 4, 5)]
 
         before = store.stats()
-        first = arm(clip.flow)
+        first = arm(clip)
         middle = store.stats()
-        second = arm(clip.flow)
+        second = arm(clip)
         after = store.stats()
         solved = sum(len(points) for points in solves)
         assert len(solves) == 3 and solved > 0
@@ -1004,7 +980,7 @@ class TestTrackerFlows:
         assert len(solves) == 3
         assert _delta(middle, after, PYRAMID, "hits") == 0
         assert _delta(middle, after, PYRAMID, "misses") == 0
-        assert first == second == arm(None)
+        assert first == second == arm(_fresh(clip))
 
 
 class TestStoreServedEqualsDirect:

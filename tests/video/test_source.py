@@ -36,12 +36,6 @@ class TestTiming:
         with pytest.raises(ValueError):
             source.newest_frame_at(-0.1)
 
-    def test_frames_between(self, source):
-        assert source.frames_between(0.0, 1.0) == 30
-        assert source.frames_between(0.5, 0.5) == 0
-        with pytest.raises(ValueError):
-            source.frames_between(1.0, 0.5)
-
     def test_duration(self, source):
         assert source.duration == pytest.approx(3.0)
 
@@ -58,14 +52,3 @@ class TestProperties:
         # And the next frame (if any) strictly after t.
         if index < 89:
             assert source.capture_time(index + 1) > t - 1e-6
-
-    @given(
-        t0=st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
-        dt=st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_frames_between_nonnegative_monotone(self, t0, dt):
-        source = CameraSource(make_clip("boat", seed=1, num_frames=90))
-        count = source.frames_between(t0, t0 + dt)
-        assert count >= 0
-        assert count <= int(dt * source.fps) + 1

@@ -92,7 +92,6 @@ def test_empty_points_returns_empty_field():
     field = block_motion_field(prev, nxt, np.zeros((0, 2)))
     assert field.num_blocks == 0
     assert field.vectors.shape == (0, 2)
-    assert field.good_vectors().shape == (0, 2)
 
 
 def test_mismatched_shapes_rejected():

@@ -87,9 +87,7 @@ class TestFastCorners:
 
         clip = make_clip("highway_surveillance", seed=31, num_frames=10)
         ann = clip.annotation(0)
-        tracker = ObjectTracker(
-            clip.frame, 320, 180, TrackerConfig(feature_detector="fast"), seed=0
-        )
+        tracker = ObjectTracker(clip, TrackerConfig(feature_detector="fast"), seed=0)
         tracker.initialize(
             0, tuple(Detection(o.label, o.box, 0.9) for o in ann.objects)
         )
