@@ -77,18 +77,6 @@ class Box:
         cx, cy = self.center
         return Box.from_center(cx, cy, self.width * sx, self.height * sy)
 
-    def expanded(self, margin: float) -> Box:
-        """Grow the box by ``margin`` pixels on every side (clamped at zero size)."""
-        return Box.from_corners(
-            self.left - margin,
-            self.top - margin,
-            self.right + margin,
-            self.bottom + margin,
-        )
-
-    def contains_point(self, x: float, y: float) -> bool:
-        return self.left <= x < self.right and self.top <= y < self.bottom
-
     def intersection(self, other: Box) -> Box:
         """The overlapping region of two boxes (zero-size if disjoint)."""
         return Box.from_corners(

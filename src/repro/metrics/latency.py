@@ -24,15 +24,6 @@ class LatencyStats:
     minimum: float
     maximum: float
 
-    def as_milliseconds(self) -> dict[str, float]:
-        return {
-            "mean_ms": self.mean * 1e3,
-            "p50_ms": self.p50 * 1e3,
-            "p95_ms": self.p95 * 1e3,
-            "min_ms": self.minimum * 1e3,
-            "max_ms": self.maximum * 1e3,
-        }
-
 
 def summarize_latencies(samples: Sequence[float]) -> LatencyStats:
     """Summarise a latency sample list; raises on empty input."""

@@ -55,10 +55,6 @@ class InMemorySink:
         with self._lock:
             self.metric_snapshots.append(snapshot)
 
-    def spans_named(self, name: str) -> list[Span]:
-        with self._lock:
-            return [span for span in self.spans if span.name == name]
-
     def last_metrics(self) -> list[dict[str, Any]]:
         with self._lock:
             return self.metric_snapshots[-1] if self.metric_snapshots else []

@@ -11,7 +11,10 @@ one, because every shard is a pure function of its spec.
 
 Scheduling: the pool's unit of work is one clip — a worker runs every
 cell of its clip in turn, so its frame store serves all of the clip's
-method arms (see :func:`~repro.parallel.costs.clip_units`).
+method arms (see :func:`~repro.parallel.costs.clip_units`).  The arms of
+a unit run in lockstep (:mod:`repro.parallel.lockstep`), so each frame
+pair's Lucas-Kanade step is solved in one call for all of them; the
+cells are still run, and timed, one after another.
 
 Failure policy: a shard that raises is retried once, alone; a worker
 death fails (and retries) every cell of the unit it was running, on a
@@ -33,17 +36,21 @@ included.
 from __future__ import annotations
 
 import os
+import threading
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import groupby
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.config import PipelineConfig
 from repro.obs import Telemetry
 from repro.parallel.costs import clip_units
+from repro.parallel.lockstep import Lockstep, flow_counts
 from repro.parallel.specs import (
     ClipSpec,
     MethodSpec,
@@ -53,6 +60,7 @@ from repro.parallel.specs import (
 )
 from repro.video.dataset import VideoClip, VideoSuite
 from repro.video.framestore import KINDS, default_store
+from repro.video.render import solve_count
 
 # Callback invoked after every shard settles: (done, total, result).
 ProgressCallback = Callable[[int, int, ShardResult], None]
@@ -76,6 +84,84 @@ def _add_store_counts(total: dict[str, dict[str, int]], delta: dict) -> None:
             into[name] += value
 
 
+def _flow_counts() -> dict[str, int]:
+    """Lockstep flow requests and steps, and ``track_features`` calls, so far."""
+    return {**flow_counts(), "solves": solve_count()}
+
+
+def _cell_telemetry(spec: ShardSpec, obs: Telemetry | None) -> Telemetry | None:
+    """The caller's telemetry, or an in-memory one when the spec collects its own."""
+    if obs is not None or not spec.collect_obs:
+        return obs
+    from repro.obs import InMemorySink
+
+    return Telemetry(InMemorySink())
+
+
+def _run_method(spec: ShardSpec, telemetry: Telemetry | None, clip: Any):
+    """Build the cell's method and run it over ``clip``: the cell's ``PipelineRun``."""
+    # Imported here: repro.experiments.runners imports this package for
+    # its ``jobs`` parameter.
+    from repro.experiments.runners import make_method, run_method_on_clip
+
+    kwargs = dict(spec.method.kwargs)
+    if telemetry is not None:
+        kwargs.setdefault("obs", telemetry)
+    method = make_method(spec.method.name, spec.method.config, **kwargs)
+    return run_method_on_clip(method, clip)
+
+
+@dataclass
+class _Unit:
+    """A clip unit's lockstep session, as the thread driving it sees it."""
+
+    clip: VideoClip
+    obs: Telemetry | None
+    # Grid index -> (spec, telemetry) of the arms no cell has joined yet.
+    arms: dict[int, tuple[ShardSpec, Telemetry | None]]
+    session: Lockstep
+
+
+# The unit the calling thread is running, if any (see :func:`_lockstep`).
+_units = threading.local()
+
+
+@contextmanager
+def _lockstep(clip: VideoClip, specs: Iterable[ShardSpec], obs: Telemetry | None):
+    """Run ``specs``' arms on ``clip`` in one lockstep session while open.
+
+    Inside, :func:`run_shard` called with this ``clip`` and ``obs`` for one
+    of ``specs`` joins the session: it drives it until that spec's arm is
+    done.  Any other call (a retry, another clip) runs its cell alone.
+    On exit the arms no cell finished are cancelled and every thread is
+    joined, however the block ends.
+    """
+    arms = {spec.index: (spec, _cell_telemetry(spec, obs)) for spec in specs}
+    session = Lockstep(
+        clip,
+        {index: partial(_run_method, *arm) for index, arm in arms.items()},
+    )
+    outer = getattr(_units, "unit", None)
+    _units.unit = _Unit(clip=clip, obs=obs, arms=arms, session=session)
+    try:
+        with session:
+            yield
+    finally:
+        _units.unit = outer
+
+
+def _join(spec: ShardSpec, clip: VideoClip | None, obs: Telemetry | None):
+    """The running unit and this cell's arm telemetry, if ``spec`` joins it."""
+    unit = getattr(_units, "unit", None)
+    if unit is None or clip is not unit.clip or obs is not unit.obs:
+        return None
+    arm = unit.arms.get(spec.index)
+    if arm is None or arm[0] != spec:
+        return None
+    del unit.arms[spec.index]
+    return unit, arm[1]
+
+
 def run_shard(
     spec: ShardSpec,
     clip: VideoClip | None = None,
@@ -92,6 +178,11 @@ def run_shard(
     captured into :attr:`ShardResult.error` — failure isolation happens
     here, on the worker side, so a crashing pipeline reports instead of
     killing the pool.
+
+    Inside a unit's lockstep session the cell joins it: it drives the
+    unit's arms until its own is done, so the other arms' work up to
+    that point runs, and is counted, in this cell.  The store deltas and
+    flow counts cover what ran during the cell, whichever arm ran it.
     """
     result = ShardResult(
         index=spec.index,
@@ -102,36 +193,31 @@ def run_shard(
         attempt=spec.attempt,
     )
     start = time.perf_counter()
-    telemetry = obs
+    joined = _join(spec, clip, obs)
+    telemetry = joined[1] if joined else _cell_telemetry(spec, obs)
     try:
         # Imported here: repro.experiments.runners imports this package
         # for its ``jobs`` parameter, and workers should pay the import
         # only once per process anyway.
-        from repro.experiments.runners import (
-            evaluate_run,
-            make_method,
-            run_method_on_clip,
-        )
+        from repro.experiments.runners import evaluate_run
 
-        if telemetry is None and spec.collect_obs:
-            from repro.obs import InMemorySink
-
-            telemetry = Telemetry(InMemorySink())
         if clip is None:
             clip = spec.clip.build()
         store = default_store()
         # Lock-held snapshots at both ends: reading bare counters tears
         # when the threaded live executor shares the store with this cell.
         before = store.stats()
+        flows = _flow_counts()
         store.set_obs(telemetry)
         try:
-            kwargs = dict(spec.method.kwargs)
-            if telemetry is not None:
-                kwargs.setdefault("obs", telemetry)
-            method = make_method(spec.method.name, spec.method.config, **kwargs)
-            run = run_method_on_clip(method, clip)
+            if joined:
+                run = joined[0].session.finish(spec.index)
+            else:
+                run = _run_method(spec, telemetry, clip)
         finally:
             store.set_obs(None)
+            after = _flow_counts()
+            result.flow = {name: after[name] - flows[name] for name in after}
         result.store = _store_delta(before, store.stats())
         accuracy, f1 = evaluate_run(
             run, clip, alpha=spec.alpha, iou_threshold=spec.iou_threshold
@@ -188,19 +274,22 @@ def run_unit(
     """Worker entry point: run one work unit's cells in turn, one result each.
 
     A unit is one clip's cells (:func:`~repro.parallel.costs.clip_units`),
-    so the clip is built once and handed to every cell.  Nothing later
+    so the clip is built once and handed to every cell, and the cells'
+    arms run in one lockstep session (:func:`_lockstep`).  Nothing later
     in the sweep reads this clip's frames, pyramids or flows in this
     worker, so the store is emptied when the unit ends, however it ends:
-    a worker holds one clip at a time.  A clip that fails to build fails
-    every cell, and the engine's retry path takes them.
+    a worker holds one clip at a time.  A clip that fails to build, even
+    by ``SystemExit``, fails every cell, and the engine's retry path
+    takes them.
     """
     try:
         try:
             clip = unit[0].clip.build()
-        except Exception:
+        except (Exception, SystemExit):
             error = traceback.format_exc()
             return [_failed_result(spec, error) for spec in unit]
-        return [_run_cell(shard_runner, spec, clip=clip) for spec in unit]
+        with _lockstep(clip, unit, None):
+            return [_run_cell(shard_runner, spec, clip=clip) for spec in unit]
     finally:
         default_store().clear()
 
@@ -225,6 +314,10 @@ class SweepResult:
     # ``{kind: {"hits", "misses", "evictions", "evicted_bytes"}}``.  Flow
     # counters count points: a flow miss is one point solved.
     store: dict[str, dict[str, int]] = field(default_factory=dict)
+    # Flow counts summed over the settled cells: the arms' lockstep flow
+    # ``requests``, the merged ``steps`` that served them, and ``solves``,
+    # the ``track_features`` calls made.
+    flow: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -391,25 +484,29 @@ class SweepEngine:
 
         Each clip's cells and their retries run back to back, in method
         order, as the pool's clip units run them, so the clip's frames and
-        pyramids are reused while the store holds them.  Then the store is
-        emptied, however the clip's cells ended, as :func:`run_unit`
-        empties a worker's: nothing later in the sweep reads that clip, so
-        its entries would only crowd the next clip's out.  Reduction is by
-        grid index, so the order does not change results.
+        pyramids are reused while the store holds them, and the cells'
+        arms run in one lockstep session, as a unit's do (a retry runs
+        alone).  Then the store is emptied, however the clip's cells
+        ended, as :func:`run_unit` empties a worker's: nothing later in
+        the sweep reads that clip, so its entries would only crowd the
+        next clip's out.  Reduction is by grid index, so the order does
+        not change results.
         """
         settled: dict[int, ShardResult] = {}
         ordered = sorted(shards, key=lambda s: (s.clip_index, s.index))
-        for clip_index, specs in groupby(ordered, key=lambda s: s.clip_index):
+        for clip_index, group in groupby(ordered, key=lambda s: s.clip_index):
             clip = suite.clips[clip_index]
+            specs = list(group)
             try:
-                for spec in specs:
-                    result = _run_cell(shard_runner, spec, clip=clip, obs=obs)
-                    while result.error is not None and spec.attempt < self.retries:
-                        spec = replace(spec, attempt=spec.attempt + 1)
+                with _lockstep(clip, specs, obs):
+                    for spec in specs:
                         result = _run_cell(shard_runner, spec, clip=clip, obs=obs)
-                    settled[spec.index] = result
-                    if progress is not None:
-                        progress(len(settled), len(shards), result)
+                        while result.error is not None and spec.attempt < self.retries:
+                            spec = replace(spec, attempt=spec.attempt + 1)
+                            result = _run_cell(shard_runner, spec, clip=clip, obs=obs)
+                        settled[spec.index] = result
+                        if progress is not None:
+                            progress(len(settled), len(shards), result)
             finally:
                 default_store().clear()
         return settled
@@ -525,6 +622,8 @@ class SweepEngine:
                 if shard.run is not None:
                     method_result.runs.append(shard.run)
                 _add_store_counts(out.store, shard.store)
+                for count, value in shard.flow.items():
+                    out.flow[count] = out.flow.get(count, 0) + value
                 if obs is not None and (shard.spans or shard.metrics):
                     for span in shard.spans:
                         obs.sink.record_span(span)

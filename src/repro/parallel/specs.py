@@ -97,6 +97,9 @@ class ShardResult:
     # Per-kind frame-store counter deltas over the cell:
     # ``{kind: {"hits", "misses", "evictions", "evicted_bytes"}}``.
     store: dict[str, dict[str, int]] = field(default_factory=dict)
+    # Flow counts over the cell: lockstep ``requests`` (arms' flow calls)
+    # and merged ``steps``, and ``solves`` (``track_features`` calls).
+    flow: dict[str, int] = field(default_factory=dict)
     elapsed_s: float = 0.0
     worker_pid: int = 0
     attempt: int = 0

@@ -34,7 +34,7 @@ MACRO_SUITE_NAME = "repro-macro"
 MACRO_BENCH_NAME = "fig6_reduced_sweep"
 
 # AdaVP starts at 512, so until its first switch it repeats MPDT-512's
-# Lucas-Kanade points: CI's quick run then has flow-store hits to gate.
+# Lucas-Kanade points: CI's quick run then has arms' steps to merge.
 _QUICK_METHODS = ("adavp", "mve", "mpdt-320", "mpdt-512", "no-tracking-320")
 
 # The warm-up pass runs on ``quick_suite(_SEED)``, timed repeat ``r`` on
@@ -102,8 +102,12 @@ def run_macro_benchmark(jobs: int = 4, repeats: int = 3, quick: bool = False) ->
     every timed pair is checked for identity too.  The ``store`` block
     records each arm's frame-store counters per kind from the first
     pass: misses are the frames rendered, pyramids built and flow points
-    solved.  ``sequential_peak_rss_mb`` is this process's peak RSS, which
-    the sequential arm runs in; ``parallel_worker_peak_rss_mb`` is the
+    solved.  The ``flow`` block records each arm's flow counts from the
+    same pass: the method arms' lockstep ``requests``, the merged
+    ``steps`` that served them and the ``track_features`` ``solves``
+    (see :attr:`~repro.parallel.SweepResult.flow`).
+    ``sequential_peak_rss_mb`` is this process's peak RSS, which the
+    sequential arm runs in; ``parallel_worker_peak_rss_mb`` is the
     largest pool worker's, read as ``RUSAGE_CHILDREN`` once the pool has
     shut down and its workers have been reaped (so it also covers any
     child this process reaped before, and it is never below this
@@ -166,6 +170,7 @@ def run_macro_benchmark(jobs: int = 4, repeats: int = 3, quick: bool = False) ->
             "sequential": sequential.store,
             "parallel": parallel.store,
         },
+        "flow": {"sequential": sequential.flow, "parallel": parallel.flow},
         "sequential_peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
         "parallel_worker_peak_rss_mb": _peak_rss_mb(resource.RUSAGE_CHILDREN),
     }
@@ -186,6 +191,7 @@ _REQUIRED_SWEEP_BENCH_KEYS = (
     "results_identical",
     "failures",
     "store",
+    "flow",
     *_PEAK_RSS_KEYS,
 )
 
@@ -270,6 +276,11 @@ def format_macro_table(doc: dict) -> str:
                 hits, misses = _COUNT_LABELS.get(kind, ("hits", "misses"))
                 counts.append(f"{kind} {c['hits']} {hits} / {c['misses']} {misses}")
             lines.append(f"  store ({store['budget_mb']} MiB) {arm}: {'; '.join(counts)}")
+            flow = bench["flow"][arm]
+            lines.append(
+                f"  flow {arm}: {flow['requests']} arm requests, {flow['steps']}"
+                f" merged steps, {flow['solves']} track_features calls"
+            )
         lines.append(
             f"  peak RSS: sequential process {bench['sequential_peak_rss_mb']:.1f} MiB;"
             f" largest pool worker {bench['parallel_worker_peak_rss_mb']:.1f} MiB"

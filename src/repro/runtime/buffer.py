@@ -59,13 +59,6 @@ class FrameBuffer:
                 return None
             return next(reversed(self._frames))
 
-    def oldest_index(self) -> int | None:
-        """The oldest retained frame index (monotone under eviction)."""
-        with self._lock:
-            if not self._frames:
-                return None
-            return next(iter(self._frames))
-
     def fetch_newest(self, timeout: float | None = None) -> tuple[int, np.ndarray] | None:
         """The most recent frame, blocking up to ``timeout`` for one to exist."""
         with self._not_empty:

@@ -20,6 +20,7 @@ never a different computation.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -40,6 +41,16 @@ _POINT_BYTES = 16
 _FLOW_ROW = np.dtype(
     [("point", np.float64, (2,)), ("residual", np.float64), ("status", np.bool_)]
 )
+
+# Solving calls FrameRenderer.flow has made in this process, one per
+# track_features call; the sweep engine reports each cell's share.
+_solves = 0
+_solves_lock = threading.Lock()
+
+
+def solve_count() -> int:
+    """How many ``track_features`` calls :meth:`FrameRenderer.flow` has made."""
+    return _solves
 
 
 @lru_cache(maxsize=4096)
@@ -461,6 +472,7 @@ class FrameRenderer:
         through :meth:`pyramid`); a call whose points all hit builds and
         reads no pyramid.  The result is assembled afresh, in input order.
         """
+        global _solves
         points = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 2)
         raw = points.tobytes()
         # Each input point's slot among the call's distinct points.
@@ -484,6 +496,8 @@ class FrameRenderer:
                 todo_points.reshape(-1, 2),
                 params,
             )
+            with _solves_lock:
+                _solves += 1
             fresh = _flow_rows(solved)
             store.put_many(zip(todo, fresh))
             for slot, row in zip(missing, fresh):

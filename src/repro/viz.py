@@ -87,18 +87,3 @@ def _draw_box(canvas: list[list[str]], box: Box, label: str, sx: float, sy: floa
     for y, x in ((y0, x1), (y1, x0), (y1, x1)):
         if 0 <= y < height and 0 <= x < width:
             canvas[y][x] = "+"
-
-
-def side_by_side(left: str, right: str, gap: int = 4) -> str:
-    """Join two ASCII blocks horizontally (for before/after comparisons)."""
-    left_lines = left.splitlines()
-    right_lines = right.splitlines()
-    height = max(len(left_lines), len(right_lines))
-    left_width = max((len(line) for line in left_lines), default=0)
-    pad = " " * gap
-    out = []
-    for i in range(height):
-        l = left_lines[i] if i < len(left_lines) else ""
-        r = right_lines[i] if i < len(right_lines) else ""
-        out.append(l.ljust(left_width) + pad + r)
-    return "\n".join(out)

@@ -154,7 +154,7 @@ class TestReloadTelemetryReconciliation:
 
     def test_reload_spans_match_counter(self, reload_run):
         run, obs = reload_run
-        spans = obs.sink.spans_named("mpdt.model_reload")
+        spans = [s for s in obs.sink.spans if s.name == "mpdt.model_reload"]
         assert len(spans) == obs.metrics.find("mpdt.model_reloads").value
         # Each recorded reload belongs to a cycle that actually detected:
         # its window ends at/before that cycle's detection starts.

@@ -58,20 +58,6 @@ class TestTransforms:
         assert box.width == 20.0
         assert box.height == 5.0
 
-    def test_expanded(self):
-        box = Box(5.0, 5.0, 10.0, 10.0).expanded(2.0)
-        assert box.as_tuple() == (3.0, 3.0, 14.0, 14.0)
-
-    def test_expanded_negative_margin_clamps(self):
-        box = Box(0.0, 0.0, 4.0, 4.0).expanded(-3.0)
-        assert box.area == 0.0
-
-    def test_contains_point_half_open(self):
-        box = Box(0.0, 0.0, 10.0, 10.0)
-        assert box.contains_point(0.0, 0.0)
-        assert box.contains_point(9.999, 9.999)
-        assert not box.contains_point(10.0, 5.0)
-        assert not box.contains_point(-0.001, 5.0)
 
 
 class TestIntersection:

@@ -18,11 +18,6 @@ class TestSummaries:
         stats = summarize_latencies(list(range(1, 101)))
         assert stats.minimum <= stats.p50 <= stats.p95 <= stats.maximum
 
-    def test_milliseconds_conversion(self):
-        stats = summarize_latencies([0.25])
-        as_ms = stats.as_milliseconds()
-        assert as_ms["mean_ms"] == pytest.approx(250.0)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize_latencies([])

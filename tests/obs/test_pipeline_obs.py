@@ -28,7 +28,7 @@ def adavp_instrumented():
 class TestMPDTReconciliation:
     def test_every_cycle_emits_a_span(self, adavp_instrumented):
         run, _, sink = adavp_instrumented
-        spans = sink.spans_named("mpdt.detect")
+        spans = [s for s in sink.spans if s.name == "mpdt.detect"]
         assert len(spans) == len(run.cycles)
         assert [s.attrs["frame"] for s in spans] == [
             c.detect_frame for c in run.cycles
@@ -39,7 +39,8 @@ class TestMPDTReconciliation:
 
     def test_span_times_match_cycle_records(self, adavp_instrumented):
         run, _, sink = adavp_instrumented
-        for span, cycle in zip(sink.spans_named("mpdt.detect"), run.cycles):
+        detects = [s for s in sink.spans if s.name == "mpdt.detect"]
+        for span, cycle in zip(detects, run.cycles):
             assert span.start == cycle.detect_start
             assert span.end == cycle.detect_end
 
@@ -75,7 +76,7 @@ class TestMPDTReconciliation:
             c.tracked for c in run.cycles
         )
         assert len(
-            adavp_instrumented[2].spans_named("mpdt.track_step")
+            [s for s in adavp_instrumented[2].spans if s.name == "mpdt.track_step"]
         ) == sum(c.tracked for c in run.cycles)
 
     def test_switch_counter_matches_cycle_records(self, adavp_instrumented):
@@ -100,12 +101,12 @@ class TestBaselineTelemetry:
     def test_marlin_emits_cycle_spans(self, tiny_clip):
         sink = InMemorySink()
         run = MarlinPipeline(obs=Telemetry(sink)).run(tiny_clip)
-        assert len(sink.spans_named("marlin.detect")) == len(run.cycles)
+        assert len([s for s in sink.spans if s.name == "marlin.detect"]) == len(run.cycles)
 
     def test_no_tracking_emits_cycle_spans(self, tiny_clip):
         sink = InMemorySink()
         run = NoTrackingPipeline(obs=Telemetry(sink)).run(tiny_clip)
-        assert len(sink.spans_named("no_tracking.detect")) == len(run.cycles)
+        assert len([s for s in sink.spans if s.name == "no_tracking.detect"]) == len(run.cycles)
 
 
 class TestAdaptationTelemetry:
@@ -116,7 +117,7 @@ class TestAdaptationTelemetry:
         table = train_threshold_table(records, obs=obs)
         # One wall-clock span + one counter tick per (clip, setting) run.
         assert obs.metrics.find("adaptation.training_runs").value == 4
-        assert len(sink.spans_named("adaptation.collect")) == 4
+        assert len([s for s in sink.spans if s.name == "adaptation.collect"]) == 4
         assert obs.metrics.find("adaptation.settings_trained").value == len(table)
         for name, thresholds in table.items():
             gauge = obs.metrics.find("adaptation.threshold", setting=name, boundary="v1")

@@ -118,13 +118,16 @@ def _cell_records(methods, suite) -> tuple[list, dict]:
         )
         for r in cells
     )
-    return records, sweep.store
+    return records, sweep
 
 
 class TestSharedFlowDeterminism:
-    """Arms that share Lucas-Kanade solves through the store compute what
-    arms solving alone compute: every fig6 method at ``--jobs 1`` through
-    the process store reproduces a zero-byte store's cells exactly."""
+    """Arms that share Lucas-Kanade solves compute what arms solving alone
+    compute: every fig6 method at ``--jobs 1`` through the process store
+    reproduces a zero-byte store's cells exactly.  The arms run in
+    lockstep, so they share each step inside one merged call, which the
+    store cannot change: it serves no flow point back, and either way
+    every merged step is one solve, fewer than the arms asked for."""
 
     @pytest.mark.parametrize("base_seed", [303, 1303])
     def test_store_on_matches_store_off(self, base_seed, monkeypatch):
@@ -137,6 +140,7 @@ class TestSharedFlowDeterminism:
         monkeypatch.setattr(framestore, "_default_store", framestore.FrameStore(0))
         plain, off = _cell_records(FIG6_METHODS, quick_suite(base_seed, frames=24))
         assert stored == plain
-        assert on["flow"]["hits"] > 0
-        assert off["flow"]["hits"] == 0
-        assert off["flow"]["misses"] == on["flow"]["hits"] + on["flow"]["misses"]
+        assert on.flow == off.flow
+        assert 0 < on.flow["solves"] == on.flow["steps"] < on.flow["requests"]
+        assert on.store["flow"]["hits"] == off.store["flow"]["hits"] == 0
+        assert off.store["flow"]["misses"] == on.store["flow"]["misses"]

@@ -84,6 +84,16 @@ def _unbuildable_clip():
     return clip
 
 
+class _ExitingSeed(int):
+    """A scene seed whose first use raises ``SystemExit(3)``: a clip built
+    from it exits mid-build, wherever it is rebuilt."""
+
+    def __index__(self):
+        raise SystemExit(3)
+
+    __int__ = __index__
+
+
 def _unit(clip, methods=_METHODS) -> list[ShardSpec]:
     return [
         ShardSpec(
@@ -316,7 +326,7 @@ class TestObsFunneling:
         obs = Telemetry(InMemorySink())
         sweep = run_sweep(["mpdt-320"], suite, jobs=2, obs=obs)
         assert sweep.ok
-        assert obs.sink.spans_named("mpdt.detect")
+        assert [s for s in obs.sink.spans if s.name == "mpdt.detect"]
         obs.flush()
         counters = {
             record["name"]: record["value"]
@@ -341,8 +351,8 @@ class TestObsFunneling:
 
         inline = Telemetry(InMemorySink())
         run_sweep(["mpdt-320"], _small_suite(frames=24, clips=1), jobs=1, obs=inline)
-        assert [s.name for s in funneled.sink.spans_named("mpdt.detect")] == [
-            s.name for s in inline.sink.spans_named("mpdt.detect")
+        assert [s.name for s in funneled.sink.spans if s.name == "mpdt.detect"] == [
+            s.name for s in inline.sink.spans if s.name == "mpdt.detect"
         ]
 
 
@@ -595,5 +605,22 @@ class TestUnitIsolation:
         assert all(f.attempts == 2 for f in sweep.failures)
         assert all("non-negative" in f.error for f in sweep.failures)
         assert sweep.retried_shards == len(_METHODS)
+        for name in _METHODS:
+            assert len(sweep.results[name].per_video_accuracy) == 1
+
+    def test_a_clip_build_that_exits_fails_only_its_cells(self):
+        # A build that raises SystemExit in a worker fails the unit's
+        # cells into the retry path, as an exception does, instead of
+        # ending the sweep.
+        good = _small_suite(frames=12, clips=1).clips[0]
+        exiting = make_clip("racetrack", seed=5, num_frames=12, name="exiting")
+        exiting.scene.seed = _ExitingSeed(5)
+        suite = VideoSuite(name="one-exiting", clips=[good, exiting])
+        sweep = run_sweep(_METHODS, suite, jobs=2)
+        assert {(f.method, f.clip_name) for f in sweep.failures} == {
+            (name, "exiting") for name in _METHODS
+        }
+        assert all(f.attempts == 2 for f in sweep.failures)
+        assert all("SystemExit: 3" in f.error for f in sweep.failures)
         for name in _METHODS:
             assert len(sweep.results[name].per_video_accuracy) == 1

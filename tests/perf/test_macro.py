@@ -87,15 +87,28 @@ class TestRunMacroBenchmark:
             assert arm["pyramid"]["hits"] > 0
 
     def test_flow_store_counters(self, macro_doc):
-        """Flow counters count points.  Arms share solved points in both
-        arms, the sequential arm solves no more points than the pool, and
-        both look up the same points: a lookup does not depend on which
-        worker runs the cell."""
+        """Flow counters count points.  The sequential arm solves no more
+        points than the pool, and both look up the same points: a lookup
+        does not depend on which worker runs the cell.  Arms share solves
+        inside the merged call, so the store serves no point back."""
         store = macro_doc["benches"][0]["store"]
         seq, par = store["sequential"]["flow"], store["parallel"]["flow"]
-        assert seq["hits"] > 0 and par["hits"] > 0
-        assert seq["misses"] <= par["misses"]
+        assert 0 < seq["misses"] <= par["misses"]
         assert seq["hits"] + seq["misses"] == par["hits"] + par["misses"]
+        assert seq["hits"] == par["hits"] == 0
+
+    def test_each_merged_step_is_one_solve(self, macro_doc):
+        """Lockstep arms: each merged step is one track_features call, the
+        arms asked for more steps than were solved, and at jobs=2 the
+        quick suite's three clips split no unit, so both arms make the
+        same requests, steps and calls."""
+        flow = macro_doc["benches"][0]["flow"]
+        seq, par = flow["sequential"], flow["parallel"]
+        assert 0 < seq["solves"] == seq["steps"] < seq["requests"]
+        assert par == seq
+        assert f"flow sequential: {seq['requests']} arm requests" in format_macro_table(
+            macro_doc
+        )
 
     def test_timed_repeats_run_on_unseen_suites(self, macro_doc):
         # Repeat r runs quick_suite(303 + r): no arm's store holds any

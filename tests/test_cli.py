@@ -205,7 +205,7 @@ class TestCommands:
 
             def run(self, methods, suite):
                 clock[0] += 1.0 if self.jobs == 1 else 2.0
-                return types.SimpleNamespace(failures=[], results={}, store={})
+                return types.SimpleNamespace(failures=[], results={}, store={}, flow={})
 
         monkeypatch.setattr(macro, "SweepEngine", FakeEngine)
         fake_time = types.SimpleNamespace(

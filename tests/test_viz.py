@@ -5,7 +5,7 @@ import pytest
 
 from repro.detection.detector import Detection
 from repro.geometry import Box
-from repro.viz import frame_to_ascii, side_by_side
+from repro.viz import frame_to_ascii
 
 
 class TestFrameToAscii:
@@ -42,16 +42,3 @@ class TestFrameToAscii:
         with pytest.raises(ValueError):
             frame_to_ascii(np.zeros((10, 10)), width=4)
 
-
-class TestSideBySide:
-    def test_join(self):
-        joined = side_by_side("ab\ncd", "XY\nZW", gap=2)
-        lines = joined.splitlines()
-        assert lines[0] == "ab  XY"
-        assert lines[1] == "cd  ZW"
-
-    def test_uneven_heights(self):
-        joined = side_by_side("ab", "X\nY\nZ", gap=1)
-        lines = joined.splitlines()
-        assert len(lines) == 3
-        assert lines[2].endswith("Z")
