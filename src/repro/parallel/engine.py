@@ -13,8 +13,8 @@ Scheduling: the pool's unit of work is one clip — a worker runs every
 cell of its clip in turn, so its frame store serves all of the clip's
 method arms (see :func:`~repro.parallel.costs.clip_units`).  The arms of
 a unit run in lockstep (:mod:`repro.parallel.lockstep`), so each frame
-pair's Lucas-Kanade step is solved in one call for all of them; the
-cells are still run, and timed, one after another.
+pair's Lucas-Kanade step is solved in one call for all of them, and each
+box seeded once; the cells are still run, and timed, one after another.
 
 Failure policy: a shard that raises is retried once, alone; a worker
 death fails (and retries) every cell of the unit it was running, on a
@@ -61,6 +61,7 @@ from repro.parallel.specs import (
 from repro.video.dataset import VideoClip, VideoSuite
 from repro.video.framestore import KINDS, default_store
 from repro.video.render import solve_count
+from repro.vision.features import seed_count
 
 # Callback invoked after every shard settles: (done, total, result).
 ProgressCallback = Callable[[int, int, ShardResult], None]
@@ -85,8 +86,9 @@ def _add_store_counts(total: dict[str, dict[str, int]], delta: dict) -> None:
 
 
 def _flow_counts() -> dict[str, int]:
-    """Lockstep flow requests and steps, and ``track_features`` calls, so far."""
-    return {**flow_counts(), "solves": solve_count()}
+    """Lockstep flow requests and steps, ``track_features`` calls, lockstep
+    seed requests and boxes seeded, so far."""
+    return {**flow_counts(), "solves": solve_count(), "seeded": seed_count()}
 
 
 def _cell_telemetry(spec: ShardSpec, obs: Telemetry | None) -> Telemetry | None:
@@ -315,8 +317,10 @@ class SweepResult:
     # counters count points: a flow miss is one point solved.
     store: dict[str, dict[str, int]] = field(default_factory=dict)
     # Flow counts summed over the settled cells: the arms' lockstep flow
-    # ``requests``, the merged ``steps`` that served them, and ``solves``,
-    # the ``track_features`` calls made.
+    # ``requests``, the merged ``steps`` that served them, ``solves``, the
+    # ``track_features`` calls made, the boxes the arms asked seeds for
+    # (``seed_requests``) and the boxes whose seeds were computed
+    # (``seeded``).
     flow: dict[str, int] = field(default_factory=dict)
 
     @property

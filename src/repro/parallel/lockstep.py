@@ -10,9 +10,11 @@ exactly one at a time, and turns each arm's ``clip.flow`` into a park.
 When every live arm is parked or done, the session takes the smallest
 pending ``(prev, next, params)`` step, solves it once over the waiting
 arms' points with one ``clip.flow`` call on the driving thread, hands
-each arm its own rows and resumes the arms in order.  An arm's frame and
-pyramid reads park too, and the driving thread makes them, so all pixel
-work stays on one thread (see :class:`_ArmClip`).
+each arm its own rows and resumes the arms in order.  An arm's seeding
+and block-matching reads park too, and the driving thread makes them, so
+all pixel work stays on one thread (see :class:`_ArmClip`).  Seeds are
+memoised for the session by (frame, box pixel slice, seeding params), so
+arms that seed the same box on the same frame share one computation.
 
 Outputs do not move: Lucas-Kanade solves every point independently of
 the others (``tests/vision/test_flow_properties.py``), so an arm's rows
@@ -28,18 +30,22 @@ disjoint timed spans and every CPU second lands in exactly one of them.
 
 from __future__ import annotations
 
+import copy
 import threading
-from typing import Any, Callable, Hashable, Mapping
+from typing import Any, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from repro.vision.image import scratch_pool, share_scratch_pool
+from repro.geometry import Box
+from repro.vision.block_motion import BlockMotionField, BlockMotionParams
+from repro.vision.features import SeedParams
 from repro.vision.optical_flow import FlowResult, LKParams
 
-# Process-wide counts of the arms' flow requests and of the merged steps
-# the sessions solved for them.  Only a session's one running thread
-# changes them; the engine reports each cell's share.
-_COUNTS = {"requests": 0, "steps": 0}
+# Process-wide counts of the arms' flow requests, of the merged steps the
+# sessions solved for them, and of the boxes the arms asked seeds for.
+# Only a session's one running thread changes them; the engine reports
+# each cell's share.
+_COUNTS = {"requests": 0, "steps": 0, "seed_requests": 0}
 
 
 def flow_counts() -> dict[str, int]:
@@ -54,6 +60,24 @@ class _Cancelled(BaseException):
     """
 
 
+def _own(exc: Exception) -> Exception:
+    """A copy of ``exc`` holding the traceback it was caught with, for one
+    arm to raise.
+
+    Raising an instance prepends the raising frames to its traceback, so
+    arms re-raising one shared failure would each carry, and keep alive,
+    the stacks of the arms that raised it before them.
+    """
+    try:
+        fresh = copy.copy(exc)
+    except Exception:  # an exception type that cannot be rebuilt from its args
+        return exc
+    fresh.__cause__ = exc.__cause__
+    fresh.__context__ = exc.__context__
+    fresh.__suppress_context__ = exc.__suppress_context__
+    return fresh.with_traceback(exc.__traceback__)
+
+
 def _closed_lock() -> threading.Lock:
     """A lock held from the start: its ``release`` hands a turn over."""
     lock = threading.Lock()
@@ -64,12 +88,15 @@ def _closed_lock() -> threading.Lock:
 class _ArmClip:
     """The clip as one arm sees it: its pixel reads park, the rest delegates.
 
-    ``flow`` parks until the session solves the step; ``frame`` and
-    ``pyramid`` park until the driving thread has read them.  So every
-    render, pyramid build and solve runs on one thread: glibc gives each
-    thread that allocates its own malloc arena, and arms that rendered
-    their own frames kept ~3.5 MiB each, +48 MiB of peak RSS on a 13-arm
-    jobs=1 sweep of the fig6-reuse inputs.
+    ``flow`` parks until the session solves the step; ``features`` and
+    ``motion`` park until the driving thread has made them.  So every
+    render, pyramid build, seeding, block match and solve runs on one
+    thread, and an arm's thread allocates only its pipeline's bookkeeping:
+    glibc gives each thread that allocates its own malloc arena, which
+    keeps what it freed.  Arms that rendered their own frames kept
+    ~3.5 MiB each, +48 MiB of peak RSS on a 13-arm jobs=1 sweep of the
+    fig6-reuse inputs, and arms that seeded boxes and matched blocks
+    themselves another ~11 MiB.
     """
 
     def __init__(self, clip: Any, arm: "_Arm") -> None:
@@ -79,11 +106,15 @@ class _ArmClip:
     def __getattr__(self, name: str) -> Any:
         return getattr(self._clip, name)
 
-    def frame(self, index: int) -> np.ndarray:
-        return self._arm.call(self._clip.frame, index)
+    def features(
+        self, index: int, boxes: Sequence[Box], params: SeedParams
+    ) -> list[np.ndarray]:
+        return self._arm.call(self._arm.session.features, index, boxes, params)
 
-    def pyramid(self, index: int, levels: int) -> Any:
-        return self._arm.call(self._clip.pyramid, index, levels)
+    def motion(
+        self, prev_index: int, next_index: int, points: np.ndarray, params: BlockMotionParams
+    ) -> BlockMotionField:
+        return self._arm.call(self._clip.motion, prev_index, next_index, points, params)
 
     def flow(
         self, prev_index: int, next_index: int, points: np.ndarray, params: LKParams
@@ -139,7 +170,6 @@ class _Arm:
         return reply
 
     def main(self) -> None:
-        share_scratch_pool(self.session.scratch)
         self.turn.acquire()
         try:
             if not self.session.closing:
@@ -159,15 +189,16 @@ class Lockstep:
     ``bodies`` maps a key to a callable that runs one arm on the clip it
     is given (a proxy whose pixel reads park) and returns the arm's result.
     Threads start at the first :meth:`finish`; :meth:`close` cancels the
-    arms nobody finished and joins every thread.  Use as a context manager.
+    arms nobody finished, joins every thread and drops the session's seeds.
+    Use as a context manager.
     """
 
     def __init__(self, clip: Any, bodies: Mapping[Hashable, Callable[[Any], Any]]) -> None:
         self.clip = clip
         self.closing = False
-        # The creating thread's scratch pool, which every arm shares: one
-        # thread runs at a time and none parks inside a kernel.
-        self.scratch = scratch_pool()
+        # (frame, box pixel slice, params) -> that box's seeds, or the
+        # failure computing them raised.
+        self._seeds: dict[tuple, np.ndarray | Exception] = {}
         self.back = _closed_lock()  # released when the running arm parks or ends
         self._arms = {
             key: _Arm(self, order, body) for order, (key, body) in enumerate(bodies.items())
@@ -208,6 +239,40 @@ class Lockstep:
                 arm.turn.release()
                 self.back.acquire()
             arm.thread.join()
+        self._seeds.clear()
+
+    def features(
+        self, index: int, boxes: Sequence[Box], params: SeedParams
+    ) -> list[np.ndarray]:
+        """Called on the driving thread: the seeds of ``boxes`` on frame
+        ``index``, computing only those no arm has asked for yet.
+
+        A box's seeds depend only on the frame's pixels under its pixel
+        slice and on ``params``, so that is the key.  The served arrays
+        are read-only: arms that drew the same box share them.
+        """
+        config = self.clip.config
+        shape = (config.frame_height, config.frame_width)
+        keys = []
+        for box in boxes:
+            rows, cols = box.pixel_slice(shape)
+            keys.append((index, rows.start, rows.stop, cols.start, cols.stop, params))
+        _COUNTS["seed_requests"] += len(keys)
+        missing = {key: box for key, box in zip(keys, boxes) if key not in self._seeds}
+        if missing:
+            try:
+                seeds = self.clip.features(index, list(missing.values()), params)
+            except Exception as exc:
+                seeds = [exc] * len(missing)
+            for key, seed in zip(missing, seeds):
+                if isinstance(seed, np.ndarray):
+                    seed.setflags(write=False)
+                self._seeds[key] = seed
+        replies = [self._seeds[key] for key in keys]
+        for reply in replies:
+            if isinstance(reply, Exception):
+                raise _own(reply)
+        return replies
 
     def _start(self) -> None:
         self._started = True
@@ -254,8 +319,9 @@ class Lockstep:
         try:
             flow = self.clip.flow(*step[:2], points, step[2])
         except Exception as exc:
-            # Each arm meets the failure where its own call would have.
-            replies = [exc] * len(waiting)
+            # Each arm meets the failure where its own call would have,
+            # as an instance of its own.
+            replies = [_own(exc) for _ in waiting]
         else:
             bounds = np.cumsum([0] + [len(arm.points) for arm in waiting])
             replies = [

@@ -25,7 +25,7 @@ from repro.perf.harness import BenchResult, time_callable, time_interleaved
 from repro.tracking.mve import MVETracker, MVETrackerConfig
 from repro.video import framestore
 from repro.video.render import FrameRenderer
-from repro.vision.block_motion import block_motion_field
+from repro.vision.block_motion import BlockMotionField, BlockMotionParams, block_motion_field
 from repro.vision.features import shi_tomasi_response, suppress_min_distance
 from repro.vision.image import gaussian_blur_batched
 from repro.vision.optical_flow import FramePyramid, LKParams, track_features
@@ -185,7 +185,8 @@ def bench_block_motion_field(quick: bool) -> BenchResult:
 
 class _PrebuiltClip:
     """The MVE bench's stand-in clip: its pyramids are prebuilt, as the
-    frame store serves them, so timed steps neither rebuild nor look up."""
+    frame store serves them, so timed steps match blocks but neither
+    rebuild nor look up."""
 
     def __init__(self, wl: workloads.MVEWorkload) -> None:
         self.config = SimpleNamespace(
@@ -193,8 +194,12 @@ class _PrebuiltClip:
         )
         self._pyramids = {0: wl.pyramid_a, wl.frame_gap: wl.pyramid_b}
 
-    def pyramid(self, index: int, levels: int) -> FramePyramid:
-        return self._pyramids[index]
+    def motion(
+        self, prev_index: int, next_index: int, points: np.ndarray, params: BlockMotionParams
+    ) -> BlockMotionField:
+        return block_motion_field(
+            self._pyramids[prev_index], self._pyramids[next_index], points, params
+        )
 
 
 def bench_mve_track(quick: bool) -> BenchResult:

@@ -104,8 +104,9 @@ def run_macro_benchmark(jobs: int = 4, repeats: int = 3, quick: bool = False) ->
     pass: misses are the frames rendered, pyramids built and flow points
     solved.  The ``flow`` block records each arm's flow counts from the
     same pass: the method arms' lockstep ``requests``, the merged
-    ``steps`` that served them and the ``track_features`` ``solves``
-    (see :attr:`~repro.parallel.SweepResult.flow`).
+    ``steps`` that served them and the ``track_features`` ``solves``,
+    and the boxes the arms asked seeds for (``seed_requests``) against
+    the boxes ``seeded`` (see :attr:`~repro.parallel.SweepResult.flow`).
     ``sequential_peak_rss_mb`` is this process's peak RSS, which the
     sequential arm runs in; ``parallel_worker_peak_rss_mb`` is the
     largest pool worker's, read as ``RUSAGE_CHILDREN`` once the pool has
@@ -279,7 +280,8 @@ def format_macro_table(doc: dict) -> str:
             flow = bench["flow"][arm]
             lines.append(
                 f"  flow {arm}: {flow['requests']} arm requests, {flow['steps']}"
-                f" merged steps, {flow['solves']} track_features calls"
+                f" merged steps, {flow['solves']} track_features calls;"
+                f" seeding {flow['seed_requests']} box requests, {flow['seeded']} seeded"
             )
         lines.append(
             f"  peak RSS: sequential process {bench['sequential_peak_rss_mb']:.1f} MiB;"

@@ -58,11 +58,13 @@ class BoxTrackerBase:
     :meth:`_kill_departed_objects` after applying motion, and
     :meth:`_current_detections` to emit results.
 
-    A tracker reads everything from its ``clip``: the frame size from
-    ``clip.config``, frames from ``clip.frame``, and pyramids and
-    Lucas-Kanade flows from the clip's read-throughs ``clip.pyramid`` and
-    ``clip.flow``, so tracker generations and method arms share them
-    through the clip's store.
+    A tracker reads everything from its ``clip`` and touches no pixels:
+    the frame size from ``clip.config``, seeds from ``clip.features``,
+    Lucas-Kanade flows from ``clip.flow`` and block-motion vectors from
+    ``clip.motion``.  The clip computes them on its stored frames and
+    pyramids, so tracker generations and method arms share those, and a
+    lockstep session (:mod:`repro.parallel.lockstep`) makes every such
+    call on its driving thread.
     """
 
     def __init__(self, clip: VideoClip) -> None:

@@ -26,13 +26,8 @@ from repro.detection.detector import Detection
 from repro.tracking.base import BoxTrackerBase, median_shift
 from repro.tracking.motion import motion_velocity
 from repro.tracking.tracker import TrackStep
-from repro.vision.block_motion import (
-    BlockMotionParams,
-    block_motion_field,
-    box_block_centers,
-)
+from repro.vision.block_motion import BlockMotionParams, box_block_centers
 from repro.video.dataset import VideoClip
-from repro.vision.optical_flow import FramePyramid
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,13 +49,16 @@ class MVETracker(BoxTrackerBase):
     Same lifecycle as :class:`~repro.tracking.tracker.ObjectTracker` —
     ``initialize`` with detector output, ``track_to`` each selected frame
     forwards — and the same :class:`TrackStep` result type, so the MPDT
-    pipeline swaps tiers without touching its cycle loop.
+    pipeline swaps tiers without touching its cycle loop.  Like it, the
+    tracker touches no pixels: each step asks
+    :meth:`repro.video.dataset.VideoClip.motion` for the block vectors
+    between its frame and the next, and a step with no live box asks for
+    none.
     """
 
     def __init__(self, clip: VideoClip, config: MVETrackerConfig | None = None) -> None:
         super().__init__(clip)
         self.config = config or MVETrackerConfig()
-        self._pyramid: FramePyramid | None = None
         # Per-object last measured velocity in pixels/frame, index-aligned
         # with ``self._objects``; zero until the first successful match.
         self._velocities: list[tuple[float, float]] = []
@@ -88,7 +86,6 @@ class MVETracker(BoxTrackerBase):
 
     def initialize(self, frame_index: int, detections: Sequence[Detection]) -> None:
         """Seed the tracker with the detector's output for ``frame_index``."""
-        self._pyramid = self._clip.pyramid(frame_index, self.config.block.pyramid_levels)
         self._frame_index = frame_index
         self._objects = []
         self._velocities = []
@@ -99,14 +96,13 @@ class MVETracker(BoxTrackerBase):
 
     def track_to(self, frame_index: int) -> TrackStep:
         """Propagate all objects to ``frame_index`` (must be ahead of current)."""
-        if self._pyramid is None or self._frame_index is None:
+        if self._frame_index is None:
             raise RuntimeError("tracker not initialised; call initialize() first")
         gap = frame_index - self._frame_index
         if gap <= 0:
             raise ValueError(
                 f"can only track forwards: at {self._frame_index}, asked {frame_index}"
             )
-        next_pyramid = self._clip.pyramid(frame_index, self.config.block.pyramid_levels)
 
         velocity: float | None = None
         valid_blocks = 0
@@ -118,8 +114,8 @@ class MVETracker(BoxTrackerBase):
             points, owners = box_block_centers(
                 boxes, self.frame_width, self.frame_height, self.config.block.block_size
             )
-            field_ = block_motion_field(
-                self._pyramid, next_pyramid, points, self.config.block
+            field_ = self._clip.motion(
+                self._frame_index, frame_index, points, self.config.block
             )
             valid_blocks = int(field_.valid.sum())
             velocity = motion_velocity(
@@ -140,7 +136,6 @@ class MVETracker(BoxTrackerBase):
                 obj.box = obj.box.shifted(dx, dy)
         self._kill_departed_objects()
 
-        self._pyramid = next_pyramid
         self._frame_index = frame_index
         self._last_valid_blocks = valid_blocks
         return TrackStep(

@@ -12,11 +12,12 @@ Workflow, mirroring the paper's six steps:
    motion, not a global average — the paper is explicit about this);
 6. move on to the next selected frame.
 
-The tracker takes the clip it tracks.  Step 2 reads the detected
-frame through ``clip.frame``, and step 4 asks the clip's store
+The tracker takes the clip it tracks and touches no pixels itself.
+Step 2 asks :meth:`repro.video.dataset.VideoClip.features` for the seeds
+of every admitted box in one call, and step 4 asks the clip's store
 read-through :meth:`repro.video.dataset.VideoClip.flow` for each step, so
 method arms that track the same point between the same two frames share
-its solve.  The tracker builds and holds no pyramid of its own; a step
+its solve.  A cycle with no admitted box asks for no seeds, and a step
 with no points asks for no flow.
 
 The tracker is *time-free*: its numpy runtime is not the Jetson TX2's.
@@ -31,12 +32,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.geometry import Box
 from repro.detection.detector import Detection
 from repro.tracking.base import BoxTrackerBase, median_shift
 from repro.tracking.motion import motion_velocity
-from repro.vision.fast import fast_corners
-from repro.vision.features import good_features_to_track
+from repro.vision.features import SeedParams
 from repro.video.dataset import VideoClip
 from repro.vision.optical_flow import LKParams
 
@@ -104,6 +103,17 @@ class TrackerConfig:
             raise ValueError("propagation_lag must be in [0, 1)")
         if self.lag_jitter < 0:
             raise ValueError("lag_jitter must be non-negative")
+
+    @property
+    def seeding(self) -> SeedParams:
+        """The seeding knobs above, as the clip's :meth:`features` takes them."""
+        return SeedParams(
+            detector=self.feature_detector,
+            max_corners=self.max_features_per_object,
+            quality_level=self.quality_level,
+            min_distance=self.min_distance,
+            border=self.feature_border,
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,46 +228,17 @@ class ObjectTracker(BoxTrackerBase):
     def num_features(self) -> int:
         return int(self._points.shape[0])
 
-    def _extract_box_features(
-        self, frame: np.ndarray, box: Box
-    ) -> np.ndarray:
-        """Good features inside one box (coordinates in full-frame space)."""
-        rows, cols = box.pixel_slice(frame.shape)
-        roi = frame[rows, cols]
-        if roi.shape[0] < 6 or roi.shape[1] < 6:
-            return np.zeros((0, 2), dtype=np.float64)
-        if self.config.feature_detector == "fast":
-            corners = fast_corners(
-                roi,
-                max_corners=self.config.max_features_per_object,
-                min_distance=self.config.min_distance,
-            )
-        else:
-            corners = good_features_to_track(
-                roi,
-                max_corners=self.config.max_features_per_object,
-                quality_level=self.config.quality_level,
-                min_distance=self.config.min_distance,
-                border=self.config.feature_border,
-            )
-        if corners.shape[0] == 0:
-            return corners
-        corners = corners + np.asarray([cols.start, rows.start], dtype=np.float64)
-        return corners
-
     def initialize(self, frame_index: int, detections: Sequence[Detection]) -> None:
         """Seed the tracker with the detector's output for ``frame_index``."""
-        frame = self._clip.frame(frame_index)
         self._frame_index = frame_index
         self._objects = []
+        for det in detections:
+            self._admit_detection(det, self.config.min_box_dim)
+        boxes = [obj.box for obj in self._objects]
+        seeds = self._clip.features(frame_index, boxes, self.config.seeding) if boxes else []
         points: list[np.ndarray] = []
         owners: list[np.ndarray] = []
-        for det in detections:
-            obj = self._admit_detection(det, self.config.min_box_dim)
-            if obj is None:
-                continue
-            index = len(self._objects) - 1
-            corners = self._extract_box_features(frame, obj.box)
+        for index, (obj, corners) in enumerate(zip(self._objects, seeds)):
             if corners.shape[0] == 0:
                 # Texture-poor object: fall back to its centre point so it
                 # still has a motion estimate (the paper guarantees one

@@ -10,14 +10,17 @@ what a CPU-only environment can process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.geometry import Box
 from repro.video.library import make_scenario
 from repro.video.render import FrameRenderer
 from repro.video.scenario import ScenarioConfig
 from repro.video.scene import FrameAnnotation, Scene
+from repro.vision.block_motion import BlockMotionField, BlockMotionParams, block_motion_field
+from repro.vision.features import SeedParams, seed_features
 from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams
 
 
@@ -54,6 +57,22 @@ class VideoClip:
     ) -> FlowResult:
         """Lucas-Kanade flow of ``points`` between two frames of this clip."""
         return self.renderer.flow(prev_index, next_index, points, params)
+
+    def features(
+        self, index: int, boxes: Sequence[Box], params: SeedParams
+    ) -> list[np.ndarray]:
+        """The seeding features inside each of ``boxes`` on frame ``index``."""
+        return seed_features(self.frame(index), boxes, params)
+
+    def motion(
+        self, prev_index: int, next_index: int, points: np.ndarray, params: BlockMotionParams
+    ) -> BlockMotionField:
+        """Block-motion vectors at ``points`` between two frames of this clip,
+        matched on their stored pyramids."""
+        levels = params.pyramid_levels
+        return block_motion_field(
+            self.pyramid(prev_index, levels), self.pyramid(next_index, levels), points, params
+        )
 
     def annotation(self, index: int) -> FrameAnnotation:
         """Ground truth at ``index``."""

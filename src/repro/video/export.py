@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from repro.geometry import Box
 from repro.video.dataset import VideoClip
 from repro.video.scene import FrameAnnotation, GroundTruthObject
-from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams, track_features
+from repro.vision.block_motion import BlockMotionField, BlockMotionParams, block_motion_field
+from repro.vision.features import SeedParams, seed_features
+from repro.vision.optical_flow import FlowResult, LKParams, track_features
 
 _FORMAT_VERSION = 1
 
@@ -59,12 +62,13 @@ def export_clip(clip: VideoClip, path: str | Path) -> Path:
 class ExportedClip:
     """Read-only view over an exported clip archive.
 
-    Provides the same ``frame``/``pyramid``/``flow``/``annotation``/
-    ``num_frames`` surface the pipelines consume, so an exported workload
-    can be re-run without the generator (``MPDTPipeline(...).run(exported)``
-    works via duck typing — except that ``scene`` is a lightweight shim
-    exposing ``annotations()`` and ``difficulty()`` only).  ``pyramid`` and
-    ``flow`` build and solve on every call: an exported clip has no store.
+    Provides the same ``frame``/``flow``/``features``/``motion``/
+    ``annotation``/``num_frames`` surface the pipelines consume, so an
+    exported workload can be re-run without the generator
+    (``MPDTPipeline(...).run(exported)`` works via duck typing — except
+    that ``scene`` is a lightweight shim exposing ``annotations()`` and
+    ``difficulty()`` only).  ``flow``, ``features`` and ``motion`` build
+    and compute on every call: an exported clip has no store.
     """
 
     class _SceneShim:
@@ -132,13 +136,20 @@ class ExportedClip:
     def frame(self, index: int) -> np.ndarray:
         return self._frames[index]
 
-    def pyramid(self, index: int, levels: int) -> FramePyramid:
-        return FramePyramid(self.frame(index), levels)
-
     def flow(
         self, prev_index: int, next_index: int, points: np.ndarray, params: LKParams
     ) -> FlowResult:
         return track_features(self.frame(prev_index), self.frame(next_index), points, params)
+
+    def features(
+        self, index: int, boxes: Sequence[Box], params: SeedParams
+    ) -> list[np.ndarray]:
+        return seed_features(self.frame(index), boxes, params)
+
+    def motion(
+        self, prev_index: int, next_index: int, points: np.ndarray, params: BlockMotionParams
+    ) -> BlockMotionField:
+        return block_motion_field(self.frame(prev_index), self.frame(next_index), points, params)
 
     def annotation(self, index: int) -> FrameAnnotation:
         return self._annotations[index]

@@ -6,14 +6,22 @@ gradient structure tensor; points are kept when their response exceeds a
 fraction of the global maximum, then thinned with a minimum-distance rule
 (greedy non-maximum suppression), exactly like OpenCV's
 ``goodFeaturesToTrack``.
+
+:func:`seed_features` is what a tracker's clip runs to seed it: the
+features inside each detected box, under one frozen :class:`SeedParams`.
 """
 
 from __future__ import annotations
 
+import threading
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
+from repro.geometry import Box
+from repro.vision.fast import fast_corners
 from repro.vision.image import (
     _image_gradients_into,
     _scratch_buffer,
@@ -189,3 +197,69 @@ def suppress_min_distance(
         blocked[py[inside], px[inside]] = True
         remaining = remaining[1:]
     return np.asarray(selected, dtype=np.float64).reshape(-1, 2)
+
+
+@dataclass(frozen=True, slots=True)
+class SeedParams:
+    """How a tracker seeds the features of one box: frozen and hashable,
+    so seeds can be keyed on them, as flows are on
+    :class:`~repro.vision.optical_flow.LKParams`.
+
+    ``detector`` is ``"good_features"`` (Shi-Tomasi, the paper's choice)
+    or ``"fast"``; FAST reads only ``max_corners`` and ``min_distance``.
+    ``border`` pixels at each box edge are excluded from Shi-Tomasi.
+    """
+
+    detector: str = "good_features"
+    max_corners: int = 10
+    quality_level: float = 0.05
+    min_distance: float = 3.0
+    border: int = 1
+
+
+# Boxes :func:`seed_features` has seeded in this process; the sweep
+# engine reports each cell's share.
+_seeded = 0
+_seeded_lock = threading.Lock()
+
+
+def seed_count() -> int:
+    """How many boxes :func:`seed_features` has seeded."""
+    return _seeded
+
+
+def seed_features(
+    frame: np.ndarray, boxes: Sequence[Box], params: SeedParams
+) -> list[np.ndarray]:
+    """The features inside each of ``boxes``, in full-frame ``(x, y)``.
+
+    A box's features depend only on the frame's pixels under its
+    :meth:`~repro.geometry.Box.pixel_slice` and on ``params``.  A box
+    whose slice is under 6 pixels on a side gets none.
+    """
+    global _seeded
+    with _seeded_lock:
+        _seeded += len(boxes)
+    return [_box_features(frame, box, params) for box in boxes]
+
+
+def _box_features(frame: np.ndarray, box: Box, params: SeedParams) -> np.ndarray:
+    rows, cols = box.pixel_slice(frame.shape)
+    roi = frame[rows, cols]
+    if roi.shape[0] < 6 or roi.shape[1] < 6:
+        return np.zeros((0, 2), dtype=np.float64)
+    if params.detector == "fast":
+        corners = fast_corners(
+            roi, max_corners=params.max_corners, min_distance=params.min_distance
+        )
+    else:
+        corners = good_features_to_track(
+            roi,
+            max_corners=params.max_corners,
+            quality_level=params.quality_level,
+            min_distance=params.min_distance,
+            border=params.border,
+        )
+    if corners.shape[0] == 0:
+        return corners
+    return corners + np.asarray([cols.start, rows.start], dtype=np.float64)

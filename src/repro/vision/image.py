@@ -89,21 +89,6 @@ class _ScratchPool(threading.local):
 _SCRATCH = _ScratchPool()
 
 
-def scratch_pool() -> dict:
-    """The calling thread's scratch buffers, for :func:`share_scratch_pool`."""
-    return _SCRATCH._buffers
-
-
-def share_scratch_pool(buffers: dict) -> None:
-    """Make the calling thread use ``buffers``, another thread's pool, as its own.
-
-    Safe only for threads that never run at the same time as each other
-    and hand over only between kernels, as a lockstep session's arms do
-    (:mod:`repro.parallel.lockstep`): nothing outlives a kernel in scratch.
-    """
-    _SCRATCH._buffers = buffers
-
-
 def _scratch_buffer(tag: str, shape: tuple[int, ...]) -> np.ndarray:
     """Package-internal access to the scratch pool (see features.py)."""
     return _SCRATCH.get(tag, shape)

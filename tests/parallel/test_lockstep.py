@@ -1,18 +1,22 @@
 """Lockstep clip units: merged Lucas-Kanade steps, disjoint cells, no leaked threads.
 
 A unit's method arms run as threads of one session, one at a time, and
-every frame pair's flow step is solved once for all of them.  Three
-contracts are pinned here: the cells compute what the arms compute one
-at a time (a differential over generated scenarios), each distinct step
-is solved by exactly one ``track_features`` call, and the cells' timed
-spans stay disjoint with no session thread outliving its unit, however
-the unit ends.
+every frame pair's flow step is solved once for all of them.  The
+contracts pinned here: the cells compute what the arms compute one at a
+time (a differential over generated scenarios), each distinct step is
+solved by exactly one ``track_features`` call, each distinct box is
+seeded once, every pixel kernel runs on the driving thread, each arm
+meets a failure as an exception of its own, and the cells' timed spans
+stay disjoint with no session thread outliving its unit, however the
+unit ends.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import traceback
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -22,14 +26,18 @@ from hypothesis import strategies as st
 
 from repro.experiments.fig6_overall import FIG6_METHODS
 from repro.experiments.runners import evaluate_run, make_method, run_method_on_clip
+from repro.experiments.workloads import quick_suite
+from repro.geometry import Box
 from repro.parallel import ShardResult, run_shard, run_sweep
 from repro.parallel.engine import run_unit
 from repro.parallel.lockstep import Lockstep
 from repro.tracking.tracker import ObjectTracker
-from repro.video import render
-from repro.video.dataset import VideoSuite, make_clip
+from repro.video import dataset, render
+from repro.video.dataset import VideoClip, VideoSuite, make_clip
 from repro.video.framestore import default_store
 from repro.video.library import list_scenarios
+from repro.vision import features, optical_flow
+from repro.vision.features import SeedParams
 from repro.vision.optical_flow import FlowResult, LKParams
 
 from tests.parallel.test_engine import _small_suite, _unit
@@ -156,6 +164,138 @@ class TestLockstepDifferential:
         assert sequential.store["flow"]["hits"] == parallel.store["flow"]["hits"] == 0
 
 
+class _PixelLog:
+    """The thread every pixel kernel runs on, and every box asked seeds for.
+
+    Kernels are patched where their callers look them up: rendering and
+    pyramid builds on their classes, ``track_features`` in the renderer,
+    the corner detectors in the seeding code, and the block matcher in
+    the clip.  Seed requests are logged at :meth:`VideoClip.features`,
+    keyed as the session's memo keys them.
+    """
+
+    def __init__(self) -> None:
+        self.threads: dict[str, set] = {}
+        self.requests: list[tuple] = []
+
+    def _wrap(self, name: str, real):
+        def kernel(*args, **kwargs):
+            self.threads.setdefault(name, set()).add(threading.current_thread())
+            return real(*args, **kwargs)
+
+        return kernel
+
+    def __enter__(self) -> "_PixelLog":
+        real_features = VideoClip.features
+
+        def seed(clip, index, boxes, params):
+            shape = (clip.config.frame_height, clip.config.frame_width)
+            for box in boxes:
+                rows, cols = box.pixel_slice(shape)
+                self.requests.append(
+                    (clip.name, index, rows.start, rows.stop, cols.start, cols.stop, params)
+                )
+            return real_features(clip, index, boxes, params)
+
+        self._patches = [
+            mock.patch.object(VideoClip, "features", seed),
+            *(
+                mock.patch.object(owner, name, self._wrap(name, getattr(owner, name)))
+                for owner, name in (
+                    (render.FrameRenderer, "render_frame"),
+                    (optical_flow.FramePyramid, "__init__"),
+                    (render, "track_features"),
+                    (features, "good_features_to_track"),
+                    (features, "fast_corners"),
+                    (dataset, "block_motion_field"),
+                )
+            ),
+        ]
+        for patch in self._patches:
+            patch.start()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        for patch in self._patches:
+            patch.stop()
+
+
+_PLACED_METHODS = (*FIG6_METHODS, "mve")
+
+
+class TestPixelWorkStaysOnTheDrivingThread:
+    """Arms hold no pixels: every kernel runs on the thread driving the
+    session, and each distinct box is seeded once per unit."""
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        return VideoSuite(
+            name="placed",
+            clips=[
+                make_clip("highway_surveillance", seed=41, num_frames=16),
+                make_clip("residential", seed=42, num_frames=13),
+            ],
+        )
+
+    @pytest.fixture(scope="class")
+    def alone(self, suite):
+        """Cell records and seed requests of every arm run alone."""
+        records = {}
+        with _PixelLog() as log:
+            for clip in suite:
+                for name in _PLACED_METHODS:
+                    run = run_method_on_clip(make_method(name), clip)
+                    accuracy, f1 = evaluate_run(run, clip)
+                    records[(name, clip.name)] = _record(accuracy, f1.mean(), run.activity)
+                default_store().clear()
+        return records, log.requests
+
+    def _check(self, log: _PixelLog, results, alone) -> None:
+        records, requests = alone
+        assert all(r.ok for r in results), [r.error for r in results]
+        assert {
+            (r.method, r.clip_name): _record(r.accuracy, r.mean_f1, r.activity)
+            for r in results
+        } == records
+        driving = threading.current_thread()
+        assert set(log.threads) == {
+            "render_frame",
+            "__init__",
+            "track_features",
+            "good_features_to_track",
+            "block_motion_field",
+        }
+        for name, threads in log.threads.items():
+            assert threads == {driving}, name
+        # Each distinct (clip, frame, pixel slice, params) is seeded once,
+        # and arms asked for more boxes than that.
+        distinct = set(requests)
+        assert len(log.requests) == len(set(log.requests))
+        assert set(log.requests) == distinct
+        assert sum(r.flow["seeded"] for r in results) == len(distinct)
+        assert sum(r.flow["seed_requests"] for r in results) == len(requests)
+        assert len(distinct) < len(requests)
+
+    def test_run_unit(self, suite, alone):
+        results = []
+        with _PixelLog() as log:
+            for clip in suite:
+                results += run_unit(run_shard, _unit(clip, _PLACED_METHODS))
+        self._check(log, results, alone)
+
+    def test_inline(self, suite, alone):
+        results = []
+        with _PixelLog() as log:
+            sweep = run_sweep(
+                _PLACED_METHODS,
+                suite,
+                jobs=1,
+                progress=lambda done, total, r: results.append(r),
+            )
+        assert sweep.ok, sweep.summary()
+        self._check(log, results, alone)
+
+
 def _session_threads() -> list[threading.Thread]:
     return [t for t in threading.enumerate() if t.name.startswith("lockstep-arm")]
 
@@ -252,6 +392,53 @@ class TestCellsAndThreads:
         assert {r.method for r in results if r.flow} == set(_UNIT_METHODS) - {"mpdt-320"}
         runner.assert_disjoint()
         assert not _session_threads()
+
+
+class TestFailuresAreOwnedPerArm:
+    """An arm re-raises a failure the driving thread met for it; each arm
+    gets an instance of its own, so no stack carries another arm's frames."""
+
+    def test_a_failed_merged_step_gives_each_arm_one_park_frame(self):
+        real = render.FrameRenderer.flow
+
+        def flow(renderer, prev_index, next_index, points, params):
+            if prev_index >= 1:
+                raise RuntimeError("flow failed")
+            return real(renderer, prev_index, next_index, points, params)
+
+        suite = VideoSuite(name="one", clips=quick_suite(303, frames=12).clips[:1])
+        with mock.patch.object(render.FrameRenderer, "flow", flow):
+            sweep = run_sweep(
+                ["mpdt-320", "marlin-320", "mpdt-416"], suite, jobs=1, retries=0
+            )
+        assert len(sweep.failures) == 3
+        for failure in sweep.failures:
+            assert "RuntimeError: flow failed" in failure.error
+            assert failure.error.count(", in park\n") == 1, failure.error
+
+    def test_a_memoised_failed_seeding_is_raised_afresh_in_each_arm(self):
+        class Clip:
+            config = SimpleNamespace(frame_width=64, frame_height=48)
+            calls = 0
+
+            def features(self, index, boxes, params):
+                self.calls += 1
+                raise ValueError("no pixels")
+
+        def body(clip):
+            clip.features(0, [Box(4.0, 4.0, 20.0, 20.0)], SeedParams())
+
+        clip, errors = Clip(), []
+        with Lockstep(clip, {"a": body, "b": body}) as session:
+            for key in ("a", "b"):
+                with pytest.raises(ValueError, match="no pixels") as info:
+                    session.finish(key)
+                errors.append(info.value)
+        # Both arms drew the same box: one computation, two instances.
+        assert clip.calls == 1
+        assert errors[0] is not errors[1]
+        for error in errors:
+            assert "".join(traceback.format_exception(error)).count(", in call\n") == 1
 
 
 class TestSession:

@@ -110,6 +110,17 @@ class TestRunMacroBenchmark:
             macro_doc
         )
 
+    def test_each_distinct_box_is_seeded_once(self, macro_doc):
+        """AdaVP starts at 512, so MPDT-512 seeds the same boxes on the
+        same frames: a session seeds each once, for fewer boxes than the
+        arms asked for."""
+        seq = macro_doc["benches"][0]["flow"]["sequential"]
+        assert 0 < seq["seeded"] < seq["seed_requests"]
+        assert (
+            f"seeding {seq['seed_requests']} box requests, {seq['seeded']} seeded"
+            in format_macro_table(macro_doc)
+        )
+
     def test_timed_repeats_run_on_unseen_suites(self, macro_doc):
         # Repeat r runs quick_suite(303 + r): no arm's store holds any
         # of its scenes when the clock starts.

@@ -733,9 +733,12 @@ class TestRendererPyramids:
         before = store.stats()
         mve = MVETracker(clip, MVETrackerConfig())
         mve.initialize(2, _detections(clip, 2))
+        # Seeding this tier reads no pixels.
+        assert store.stats() == before
+        mve.track_to(4)
         # Both tiers default to 3 levels, so a tier switch on one frame
-        # is a store hit, not a rebuild.
-        assert _delta(before, store.stats(), PYRAMID, "misses") == 0
+        # is a store hit, not a rebuild: the step builds frame 4's only.
+        assert _delta(before, store.stats(), PYRAMID, "misses") == 1
         assert _delta(before, store.stats(), PYRAMID, "hits") == 1
 
     def test_store_served_tiers_track_like_fresh_builds(self, store, clip):
