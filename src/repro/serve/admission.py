@@ -24,6 +24,9 @@ request is rejected outright, while an incoming ``realtime`` request
 sheds the *newest* queued ``best_effort`` request (freshest work has the
 least sunk waiting time); if no ``best_effort`` request is queued the
 realtime request is rejected too.  Nothing is ever dropped silently.
+:meth:`AdmissionQueue.refuses` is that rejection rule, so a caller can
+ask it before it builds a request and count the refusal with
+:meth:`AdmissionQueue.reject`.
 
 The queue is driven from one thread, by the deterministic scheduler,
 and takes no locks.  Total depth is a running count (admit adds one, a
@@ -101,6 +104,23 @@ class AdmissionQueue:
 
     # -- admission -------------------------------------------------------------
 
+    def refuses(self, qos: str) -> bool:
+        """Whether a request of class ``qos`` submitted now is rejected:
+        the queue is full and the request cannot shed a ``best_effort``
+        one (it is ``best_effort`` itself, or none is queued).
+
+        The single admission rule: :meth:`submit` applies it, and a
+        caller that asks first can refuse without building a request.
+        """
+        return self._depth >= self.max_depth and (
+            qos != QOS_REALTIME or not self._queues[QOS_BEST_EFFORT]
+        )
+
+    def reject(self) -> None:
+        """Count one refused submission (see :meth:`refuses`)."""
+        self.counters.submitted += 1
+        self.counters.rejected += 1
+
     def submit(
         self, request: DetectionRequest
     ) -> tuple[bool, DetectionRequest | None]:
@@ -112,17 +132,17 @@ class AdmissionQueue:
         caller must notify the victim's stream, which is what makes the
         drop explicit rather than silent.
         """
+        if self.refuses(request.qos):
+            self.reject()
+            return False, None
         self.counters.submitted += 1
         shed: DetectionRequest | None = None
         if self._depth >= self.max_depth:
-            best_effort = self._queues[QOS_BEST_EFFORT]
-            if request.qos == QOS_REALTIME and best_effort:
-                shed = best_effort.pop()  # newest: least sunk waiting time
-                self._depth -= 1
-                self.counters.shed += 1
-            else:
-                self.counters.rejected += 1
-                return False, None
+            # Full, and not refused: a realtime request sheds the newest
+            # best_effort one (least sunk waiting time).
+            shed = self._queues[QOS_BEST_EFFORT].pop()
+            self._depth -= 1
+            self.counters.shed += 1
         self._queues[request.qos].append(request)
         self._depth += 1
         self.counters.admitted += 1

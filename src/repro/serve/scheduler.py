@@ -19,8 +19,14 @@ of its interval on a degraded tier), and none while its request is in
 flight.  Every other arrival only counts a frame and buffers it, which is
 closed-form in the arrival index, so those arrivals are applied in one
 :meth:`SimStream.on_frame` catch-up at the moment something reads them:
-the stream's result, its next submit, a shed or reject that makes it idle
-again, a tier change, and the end of the run.  Same-instant events fire
+the stream's result, its next admitted submit, a shed that makes it idle
+again, a tier change, and the end of the run.  A refused submit is no
+catch-up point.  The queue decides the refusal first
+(:meth:`~repro.serve.admission.AdmissionQueue.refuses`), and a refusal
+changes no depth, tier or in-flight state, so it costs one count, one
+``drop`` line in the stream's log and one re-arm at the stream's next
+submitting arrival; it builds no request, attempts no dispatch and leaves
+backpressure alone.  Same-instant events fire
 in their *causal* order (see :class:`_Arrival`), the order a queue with
 one event per arrival and insertion-order ties fires them in, so reports
 equal those of that per-frame model
@@ -367,15 +373,18 @@ class ServeScheduler:
 
     # -- event actions ---------------------------------------------------------
     #
-    # Queue depth changes only on a submit or a dispatch, and every event
-    # that does either recomputes backpressure before it returns.  An event
-    # that does neither skips the recompute: at an unchanged depth it
+    # Queue depth changes only on an admitted submit or a dispatch, and
+    # every event that does either recomputes backpressure before it
+    # returns.  An event that does neither (a refused submit, a completion
+    # with nothing queued) skips the recompute: at an unchanged depth it
     # would change nothing (each overload level is a fixed point of its own
     # rule, the peak cannot rise, the gauge would be set to the same value).
     # Between events the detector is idle only when the queue is empty
-    # (every submit is followed by a dispatch attempt and every completion
-    # dispatches again), so a frame that submits nothing dispatches nothing,
-    # which is why such frames need no event of their own.
+    # (every admitted submit is followed by a dispatch attempt and every
+    # completion dispatches again), so a frame that submits nothing
+    # dispatches nothing, which is why such frames need no event of their
+    # own, and a refused submit, which meets a full queue, finds the
+    # detector busy.
 
     def _catch_up(self, lane: _Lane, now: float) -> None:
         """Apply the lane's arrivals that fire before the current event."""
@@ -389,14 +398,17 @@ class ServeScheduler:
         if index >= lane.stream.frames_arrived:
             lane.stream.on_frame(index)
 
-    def _schedule_next(self, lane: _Lane) -> None:
+    def _schedule_next(self, lane: _Lane, first: int | None = None) -> None:
         """Give an idle stream a heap entry at its next submitting arrival.
 
-        Every arrival before the current event has been applied, so the
-        search starts at the first one after it.
+        The search starts at arrival ``first``, the first one after the
+        current event.  It defaults to the first arrival not yet applied,
+        which is that one once the stream has been caught up.
         """
         stream = lane.stream
-        index = stream.next_submit(stream.frames_arrived)
+        if first is None:
+            first = stream.frames_arrived
+        index = stream.next_submit(first)
         lane.generation += 1
         if index < lane.count:
             event = _Arrival(lane, index, lane.generation)
@@ -408,19 +420,34 @@ class ServeScheduler:
         lane = event.lane
         if event.generation != lane.generation:
             return  # superseded by a later push
+        stream = lane.stream
+        qos = stream.config.qos
+        if self.queue.refuses(qos):
+            # A refusal changes no depth, tier or in-flight state, so it
+            # builds no request, dispatches nothing and leaves backpressure
+            # alone; its arrivals wait for the stream's next catch-up.
+            self.queue.reject()
+            self._class_submitted[qos] += 1
+            self._class_dropped[qos] += 1
+            self.obs.counter("serve.submitted", qos=qos).inc()
+            self.obs.counter("serve.dropped", qos=qos, reason="rejected").inc()
+            stream.on_dropped(event.index, now, "rejected")
+            self._schedule_next(lane, event.index + 1)
+            return
         self._current = event
         # Catch up the skipped arrivals and buffer this one, which submits.
-        lane.stream.on_frame(event.index)
-        self._submit(lane.stream, event.index, now)
+        stream.on_frame(event.index)
+        self._submit(stream, event.index, now)
         if not self._busy:
             self._maybe_dispatch(now)
         self._update_backpressure(now)
 
     def _submit(self, stream: SimStream, frame_index: int, now: float) -> None:
+        """Admit the stream's request; the caller has ruled out a refusal."""
         request = stream.make_request(frame_index, now)
         self._class_submitted[request.qos] += 1
         self.obs.counter("serve.submitted", qos=request.qos).inc()
-        admitted, shed = self.queue.submit(request)
+        _, shed = self.queue.submit(request)
         if shed is not None:
             victim = self._lanes[shed.stream_id]
             self._catch_up(victim, now)
@@ -428,15 +455,7 @@ class ServeScheduler:
             self._schedule_next(victim)
             self._class_dropped[shed.qos] += 1
             self.obs.counter("serve.dropped", qos=shed.qos, reason="shed").inc()
-        if admitted:
-            stream.on_submitted(frame_index, now)
-        else:
-            stream.on_dropped(frame_index, now, "rejected")
-            self._schedule_next(self._lanes[stream.config.stream_id])
-            self._class_dropped[request.qos] += 1
-            self.obs.counter(
-                "serve.dropped", qos=request.qos, reason="rejected"
-            ).inc()
+        stream.on_submitted(frame_index, now)
 
     def _maybe_dispatch(self, now: float) -> bool:
         """Dispatch the next batch to the idle detector; True if one went."""

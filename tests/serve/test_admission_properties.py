@@ -7,6 +7,7 @@ sequence drives the real queue and a mirror model side by side; any
 divergence or ledger imbalance is a bug in the queue, not the test.
 """
 
+from copy import deepcopy
 from dataclasses import replace
 
 import hypothesis.strategies as st
@@ -49,6 +50,39 @@ _ops = st.lists(
 )
 
 _depths = st.integers(1, 12)
+
+
+@given(_ops, _depths)
+@settings(max_examples=200, deadline=None)
+def test_refusal_predicate_is_the_admission_rule(ops, max_depth):
+    """After any operation sequence, :meth:`AdmissionQueue.refuses` says
+    exactly whether ``submit`` would reject a request of that class, and
+    counting a refusal with ``reject`` (as the scheduler does, without
+    building a request) keeps the ledger balanced."""
+    queue = AdmissionQueue(max_depth=max_depth)
+    seq = 0
+    for op, arg, setting in ops:
+        if op == "submit":
+            probe = deepcopy(queue)
+            refused = queue.refuses(arg)
+            assert refused == (not probe.submit(_request(seq, arg, setting))[0])
+            if refused:
+                queue.reject()
+            else:
+                queue.submit(_request(seq, arg, setting))
+            seq += 1
+            # The refusal left the queue exactly as submit would have.
+            assert queue.counters == probe.counters
+            assert queue.depth() == probe.depth()
+        else:
+            queue.next_batch(arg)
+        c = queue.counters
+        assert c.submitted == seq
+        assert c.submitted == c.dispatched + c.rejected + c.shed + queue.depth()
+        queue.check_conservation()
+    for qos in QOS_CLASSES:
+        admitted, _ = deepcopy(queue).submit(_request(seq, qos, _SETTINGS[0]))
+        assert queue.refuses(qos) == (not admitted)
 
 
 @given(_ops, _depths)

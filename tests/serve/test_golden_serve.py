@@ -23,6 +23,7 @@ from repro.serve import (
     QOS_REALTIME,
     ServeConfig,
     ServeScheduler,
+    SimStream,
     StreamConfig,
     fleet_configs,
     serve_fleet,
@@ -122,9 +123,11 @@ def _run(seed: int):
     return serve_fleet(fleet_configs(_STREAMS, seed=seed), ServeConfig(**_CONFIG))
 
 
-def _run_saturated():
+def _run_saturated(obs=None):
     scheduler = ServeScheduler(
-        fleet_configs(_SATURATED_STREAMS, seed=7), ServeConfig(**_SATURATED_CONFIG)
+        fleet_configs(_SATURATED_STREAMS, seed=7),
+        ServeConfig(**_SATURATED_CONFIG),
+        obs=obs,
     )
     return scheduler, scheduler.run()
 
@@ -160,6 +163,23 @@ def test_saturated_fleet_matches_golden_digest():
         "saturated serve digest changed — if intentional, regenerate "
         f"with `python {__file__}`"
     )
+
+
+def test_saturated_fleet_builds_requests_only_for_admissions(monkeypatch):
+    """The queue decides a refusal before a request exists: only admitted
+    submissions build one, and refusals stay one heap pop each."""
+    built = []
+    make_request = SimStream.make_request
+
+    def counting(self, frame_index, now):
+        built.append(frame_index)
+        return make_request(self, frame_index, now)
+
+    monkeypatch.setattr(SimStream, "make_request", counting)
+    scheduler, report = _run_saturated()
+    assert len(built) == scheduler.queue.counters.admitted == 361
+    assert scheduler.heap_pops == 5648
+    assert report.digest() == SATURATED_DIGEST
 
 
 def test_tie_fleets_match_golden_digests():

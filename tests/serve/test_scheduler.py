@@ -13,6 +13,7 @@ from repro.serve import (
     fleet_configs,
     serve_fleet,
 )
+from tests.serve.test_golden_serve import SATURATED_DIGEST, _run_saturated
 
 
 def _small_fleet(count=12, **kwargs):
@@ -212,6 +213,25 @@ class TestObsReconciliation:
             metrics.find("serve.overload_level").value
             == observed.overload_transitions[-1][1]
         )
+
+
+    def test_saturated_golden_reconciles_by_reason_and_class(self):
+        """The saturated golden rejects most submissions without building
+        a request; obs still sees each one, by reason and by class."""
+        obs = Telemetry(InMemorySink())
+        scheduler, report = _run_saturated(obs)
+        assert report.digest() == SATURATED_DIGEST
+        _assert_counters_reconcile(obs, report)
+        metrics = obs.metrics
+        rejected = sum(
+            inst.value
+            for inst in metrics.instruments()
+            if inst.name == "serve.dropped" and inst.labels["reason"] == "rejected"
+        )
+        assert rejected == scheduler.queue.counters.rejected == 4654
+        for qos, cls in report.classes.items():
+            assert metrics.find("serve.submitted", qos=qos).value == cls.submitted
+        assert metrics.find("serve.queue_depth").value == report.final_depth
 
 
 class TestValidation:

@@ -23,6 +23,7 @@ from repro.serve import (
     ServeScheduler,
     SharedDetectorModel,
     StreamConfig,
+    fleet_configs,
 )
 
 
@@ -112,6 +113,33 @@ def test_first_arrivals_of_different_clocks_tie_in_fleet_order():
     )
     for fleet in ([slow, fast], [fast, slow]):
         _assert_matches_reference(fleet, config, FixedLatencyDetector(1 / 32))
+
+
+def test_saturated_fleet_rejects_and_matches_reference():
+    """More streams than queue slots, both classes, and watermarks low
+    enough for keyframe-only degrade: every run rejects, sheds and walks
+    the tier ladder, so refusals decided before a request exists are
+    checked against the per-frame scheduler on each run, not only when
+    Hypothesis happens to draw a saturated fleet."""
+    streams = fleet_configs(16, seed=3, realtime_fraction=0.25)
+    config = ServeConfig(
+        duration_s=2.0,
+        max_batch=2,
+        queue_depth=4,
+        degrade_mve_high=2,
+        degrade_high=3,
+        degrade_realtime_high=4,
+        recover_low=1,
+    )
+    live = ServeScheduler(streams, config)
+    report = live.run()
+    counters = live.queue.counters
+    assert counters.rejected > 0 and counters.shed > 0
+    assert {r.qos for r in report.streams} == {QOS_REALTIME, QOS_BEST_EFFORT}
+    # Levels 2 and 3 put best_effort streams on keyframe-only detection.
+    assert {level for _, level in report.overload_transitions} == {0, 1, 2, 3}
+    reference = ReferenceServeScheduler(streams, config).run()
+    assert report.digest() == reference.digest()
 
 
 @settings(
