@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.adavp import AdaVP
 from repro.core.config import PipelineConfig
 from repro.core.mpdt import FixedSettingPolicy, MPDTPipeline
 from repro.experiments.report import format_series
 from repro.experiments.runners import evaluate_run
 from repro.experiments.workloads import make_phase_clip
-from repro.video.dataset import VideoClip, make_clip
+from repro.parallel import run_sweep
+from repro.video.dataset import VideoClip, VideoSuite, make_clip
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,15 @@ def run_fig9(
     """AdaVP vs MPDT-512 frame accuracy on a clip with changing dynamics."""
     clip = clip or make_phase_clip("city_street", seed=92, num_frames=300,
                                    calm_until=0.5, speed_scale=2.6)
-    adavp_run = AdaVP(config=config).process(clip)
+    # One sweep runs both in lockstep, so they share each Lucas-Kanade
+    # step: AdaVP starts at 512 and tracks MPDT-512's points until it
+    # switches.
+    methods = ("adavp", "mpdt-512")
+    suite = VideoSuite(name=clip.name, clips=[clip])
+    sweep = run_sweep(methods, suite, config=config, keep_runs=True)
+    sweep.raise_if_failed()
+    adavp_run, mpdt_run = (sweep.results[name].runs[0] for name in methods)
     adavp_acc, adavp_series = evaluate_run(adavp_run, clip)
-    mpdt_run = MPDTPipeline(FixedSettingPolicy(512), config).run(clip)
     mpdt_acc, mpdt_series = evaluate_run(mpdt_run, clip)
     return TraceResult(
         title="Fig. 9 — AdaVP vs the best fixed baseline",

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.report import format_table
-from repro.experiments.runners import evaluate_run, make_method, run_method_on_clip
-from repro.video.dataset import make_clip
+from repro.parallel import run_sweep
+from repro.video.dataset import VideoClip, VideoSuite, make_clip
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,24 @@ class SweepResult:
             if row[0] == condition and row[1] == method:
                 return row[3]
         raise KeyError((condition, method))
+
+
+def _condition_rows(
+    condition: str, clip: VideoClip, methods: tuple[str, ...]
+) -> list[tuple]:
+    """One row per method on ``clip``: the methods run in one sweep, so
+    their arms track in lockstep and share each Lucas-Kanade step."""
+    sweep = run_sweep(methods, VideoSuite(name=condition, clips=[clip]), keep_runs=True)
+    sweep.raise_if_failed()
+    return [
+        (
+            condition,
+            name,
+            sweep.results[name].per_video_accuracy[0],
+            len(sweep.results[name].runs[0].cycles),
+        )
+        for name in methods
+    ]
 
 
 def run_fps_sweep(
@@ -75,11 +93,7 @@ def run_fps_sweep(
                 for spec in config.spawns
             ),
         )
-        clip = make_clip(config, seed=seed)
-        for name in methods:
-            run = run_method_on_clip(make_method(name), clip)
-            accuracy, _ = evaluate_run(run, clip)
-            rows.append((f"{fps:g}fps", name, accuracy, len(run.cycles)))
+        rows += _condition_rows(f"{fps:g}fps", make_clip(config, seed=seed), methods)
     return SweepResult(
         title=f"FPS sensitivity on {scenario} ({seconds:g}s of content)",
         rows=rows,
@@ -109,10 +123,7 @@ def run_resolution_sweep(
             scenario, seed=seed, num_frames=num_frames,
             frame_width=width, frame_height=height,
         )
-        for name in methods:
-            run = run_method_on_clip(make_method(name), clip)
-            accuracy, _ = evaluate_run(run, clip)
-            rows.append((f"{width}x{height}", name, accuracy, len(run.cycles)))
+        rows += _condition_rows(f"{width}x{height}", clip, methods)
     return SweepResult(
         title=f"Render-resolution sensitivity on {scenario}", rows=rows
     )

@@ -1,11 +1,12 @@
 """Shard cost estimation and clip-affine work units for sweep scheduling.
 
 The pool's unit of work is one *clip*: every (method, clip) cell of a
-clip runs on one worker, in turn, so that worker's frame store renders
-each frame, builds each pyramid and solves each flow point once for all
-the clip's method arms — no cross-process store is needed for that
-reuse.  Units are ordered longest-first (LPT) by their summed cell cost
-and fed to idle workers from a shared queue, the classic
+clip runs on one worker, so that worker's frame store renders each
+frame and builds each pyramid once for all the clip's method arms, and
+the arms' lockstep session solves each Lucas-Kanade step once for all
+of them — no cross-process store is needed for that reuse.  Units are
+ordered longest-first (LPT) by their summed cell cost and fed to idle
+workers from a shared queue, the classic
 4/3-approximation to optimal makespan.  When a sweep has fewer clips
 than workers, the costliest unit is split in half (cells dealt
 alternately from its longest-first order, so the halves cost about the

@@ -58,9 +58,8 @@ from repro.parallel.specs import (
     ShardResult,
     ShardSpec,
 )
-from repro.video.dataset import VideoClip, VideoSuite
+from repro.video.dataset import VideoClip, VideoSuite, solve_counts
 from repro.video.framestore import KINDS, default_store
-from repro.video.render import solve_count
 from repro.vision.features import seed_count
 
 # Callback invoked after every shard settles: (done, total, result).
@@ -86,9 +85,9 @@ def _add_store_counts(total: dict[str, dict[str, int]], delta: dict) -> None:
 
 
 def _flow_counts() -> dict[str, int]:
-    """Lockstep flow requests and steps, ``track_features`` calls, lockstep
-    seed requests and boxes seeded, so far."""
-    return {**flow_counts(), "solves": solve_count(), "seeded": seed_count()}
+    """Lockstep flow requests and steps, ``track_features`` calls and the
+    points they solved, lockstep seed requests and boxes seeded, so far."""
+    return {**flow_counts(), **solve_counts(), "seeded": seed_count()}
 
 
 def _cell_telemetry(spec: ShardSpec, obs: Telemetry | None) -> Telemetry | None:
@@ -313,14 +312,13 @@ class SweepResult:
     retried_shards: int = 0
     elapsed_s: float = 0.0
     # Per-kind frame-store counters summed over the settled cells:
-    # ``{kind: {"hits", "misses", "evictions", "evicted_bytes"}}``.  Flow
-    # counters count points: a flow miss is one point solved.
+    # ``{kind: {"hits", "misses", "evictions", "evicted_bytes"}}``.
     store: dict[str, dict[str, int]] = field(default_factory=dict)
     # Flow counts summed over the settled cells: the arms' lockstep flow
     # ``requests``, the merged ``steps`` that served them, ``solves``, the
-    # ``track_features`` calls made, the boxes the arms asked seeds for
-    # (``seed_requests``) and the boxes whose seeds were computed
-    # (``seeded``).
+    # ``track_features`` calls made, ``points``, the points those calls
+    # solved, the boxes the arms asked seeds for (``seed_requests``) and
+    # the boxes whose seeds were computed (``seeded``).
     flow: dict[str, int] = field(default_factory=dict)
 
     @property

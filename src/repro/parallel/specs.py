@@ -98,9 +98,9 @@ class ShardResult:
     # ``{kind: {"hits", "misses", "evictions", "evicted_bytes"}}``.
     store: dict[str, dict[str, int]] = field(default_factory=dict)
     # Flow counts over the cell: lockstep ``requests`` (arms' flow calls)
-    # and merged ``steps``, and ``solves`` (``track_features`` calls);
-    # lockstep ``seed_requests`` (boxes arms asked seeds for) and
-    # ``seeded`` (boxes whose seeds were computed).
+    # and merged ``steps``, ``solves`` (``track_features`` calls) and the
+    # ``points`` they solved; lockstep ``seed_requests`` (boxes arms asked
+    # seeds for) and ``seeded`` (boxes whose seeds were computed).
     flow: dict[str, int] = field(default_factory=dict)
     elapsed_s: float = 0.0
     worker_pid: int = 0

@@ -28,7 +28,7 @@ from repro.experiments.fig6_overall import FIG6_METHODS
 from repro.experiments.workloads import quick_suite
 from repro.parallel import SweepEngine, SweepResult
 from repro.perf.harness import build_document, require_keys, validate_envelope
-from repro.video.framestore import BYTES_PER_MB, FLOW, STORE_BYTES
+from repro.video.framestore import BYTES_PER_MB, STORE_BYTES
 
 MACRO_SUITE_NAME = "repro-macro"
 MACRO_BENCH_NAME = "fig6_reduced_sweep"
@@ -96,17 +96,17 @@ def run_macro_benchmark(jobs: int = 4, repeats: int = 3, quick: bool = False) ->
     started and imported).  Each timed repeat then runs both arms on a
     suite neither has seen, so both start with cold frame stores, as a
     first sweep does: a repeat of a seen suite would hit every stored
-    frame, pyramid and flow point in the sequential arm, while a pool
-    worker handed another clip misses.  Timings interleave the two arms
-    repeat by repeat so drift in background load hits both equally, and
-    every timed pair is checked for identity too.  The ``store`` block
-    records each arm's frame-store counters per kind from the first
-    pass: misses are the frames rendered, pyramids built and flow points
-    solved.  The ``flow`` block records each arm's flow counts from the
-    same pass: the method arms' lockstep ``requests``, the merged
-    ``steps`` that served them and the ``track_features`` ``solves``,
-    and the boxes the arms asked seeds for (``seed_requests``) against
-    the boxes ``seeded`` (see :attr:`~repro.parallel.SweepResult.flow`).
+    frame and pyramid in the sequential arm, while a pool worker handed
+    another clip misses.  Timings interleave the two arms repeat by
+    repeat so drift in background load hits both equally, and every
+    timed pair is checked for identity too.  The ``store`` block records
+    each arm's frame-store counters per kind from the first pass: misses
+    are the frames rendered and pyramids built.  The ``flow`` block
+    records each arm's flow counts from the same pass: the method arms'
+    lockstep ``requests``, the merged ``steps`` that served them, the
+    ``track_features`` ``solves`` and the ``points`` they solved, and the
+    boxes the arms asked seeds for (``seed_requests``) against the boxes
+    ``seeded`` (see :attr:`~repro.parallel.SweepResult.flow`).
     ``sequential_peak_rss_mb`` is this process's peak RSS, which the
     sequential arm runs in; ``parallel_worker_peak_rss_mb`` is the
     largest pool worker's, read as ``RUSAGE_CHILDREN`` once the pool has
@@ -211,6 +211,12 @@ def _validate_sweep_bench(
         value = bench[key]
         if not isinstance(value, (int, float)) or value <= 0:
             raise ValueError(f"bench {bench['name']!r} has non-positive {key}")
+    for arm in ("sequential", "parallel"):
+        # Every fig6 grid tracks points, so an arm that solved none did
+        # not run its Lucas-Kanade steps.
+        points = bench["flow"].get(arm, {}).get("points")
+        if not isinstance(points, int) or points <= 0:
+            raise ValueError(f"bench {bench['name']!r} {arm} arm solved no flow points")
     if bench["jobs"] < 2:
         raise ValueError(f"bench {bench['name']!r} has jobs < 2")
     # The entry and the host block are written by the same run, so they
@@ -255,10 +261,6 @@ def validate_macro_doc(doc: dict, min_speedup: float | None = None) -> list[str]
     return names
 
 
-# Flow counters count points, and a flow miss is a point solved.
-_COUNT_LABELS = {FLOW: ("point hits", "point solves")}
-
-
 def format_macro_table(doc: dict) -> str:
     """Human-readable summary of a macro-bench document for the CLI."""
     lines = [
@@ -272,15 +274,16 @@ def format_macro_table(doc: dict) -> str:
         )
         store = bench["store"]
         for arm in ("sequential", "parallel"):
-            counts = []
-            for kind, c in store[arm].items():
-                hits, misses = _COUNT_LABELS.get(kind, ("hits", "misses"))
-                counts.append(f"{kind} {c['hits']} {hits} / {c['misses']} {misses}")
+            counts = [
+                f"{kind} {c['hits']} hits / {c['misses']} misses"
+                for kind, c in store[arm].items()
+            ]
             lines.append(f"  store ({store['budget_mb']} MiB) {arm}: {'; '.join(counts)}")
             flow = bench["flow"][arm]
             lines.append(
                 f"  flow {arm}: {flow['requests']} arm requests, {flow['steps']}"
-                f" merged steps, {flow['solves']} track_features calls;"
+                f" merged steps, {flow['solves']} track_features calls"
+                f" over {flow['points']} points;"
                 f" seeding {flow['seed_requests']} box requests, {flow['seeded']} seeded"
             )
         lines.append(

@@ -14,11 +14,12 @@ Workflow, mirroring the paper's six steps:
 
 The tracker takes the clip it tracks and touches no pixels itself.
 Step 2 asks :meth:`repro.video.dataset.VideoClip.features` for the seeds
-of every admitted box in one call, and step 4 asks the clip's store
-read-through :meth:`repro.video.dataset.VideoClip.flow` for each step, so
-method arms that track the same point between the same two frames share
-its solve.  A cycle with no admitted box asks for no seeds, and a step
-with no points asks for no flow.
+of every admitted box in one call, and step 4 asks
+:meth:`repro.video.dataset.VideoClip.flow` for each step, which solves
+on the clip's stored pyramids; method arms running in lockstep
+(:mod:`repro.parallel.lockstep`) share each step in one merged call.
+A cycle with no admitted box asks for no seeds, and a step with no
+points asks for no flow.
 
 The tracker is *time-free*: its numpy runtime is not the Jetson TX2's.
 The :class:`TrackerLatencyModel` carries the paper's measured costs

@@ -9,6 +9,7 @@ what a CPU-only environment can process.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -21,7 +22,24 @@ from repro.video.scenario import ScenarioConfig
 from repro.video.scene import FrameAnnotation, Scene
 from repro.vision.block_motion import BlockMotionField, BlockMotionParams, block_motion_field
 from repro.vision.features import SeedParams, seed_features
-from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams
+from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams, track_features
+
+# The ``track_features`` calls :meth:`VideoClip.flow` has made in this
+# process and the points they solved; the sweep engine reports each
+# cell's share.
+_SOLVES = {"solves": 0, "points": 0}
+_solves_lock = threading.Lock()
+
+# One float64 ``(x, y)`` point as one opaque 16-byte value: points are
+# equal under it exactly when their bytes are.
+_POINT = np.dtype((np.void, 16))
+
+
+def solve_counts() -> dict[str, int]:
+    """How many ``track_features`` calls :meth:`VideoClip.flow` has made
+    (``solves``), and over how many points (``points``)."""
+    with _solves_lock:
+        return dict(_SOLVES)
 
 
 @dataclass
@@ -55,8 +73,40 @@ class VideoClip:
     def flow(
         self, prev_index: int, next_index: int, points: np.ndarray, params: LKParams
     ) -> FlowResult:
-        """Lucas-Kanade flow of ``points`` between two frames of this clip."""
-        return self.renderer.flow(prev_index, next_index, points, params)
+        """Lucas-Kanade flow of ``points`` between two frames of this clip,
+        solved on their stored pyramids.
+
+        Lucas-Kanade solves every point independently of the others, so
+        the call solves each distinct point once — points are the same
+        when all 16 of their bytes are — in one :func:`track_features`
+        call, and scatters the rows back in input order as fresh arrays.
+        A lockstep step's merged points (see :mod:`repro.parallel.lockstep`)
+        then pay once for a corner several arms track.  An empty call
+        builds no pyramid.
+        """
+        points = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 2)
+        if not len(points):
+            return FlowResult(
+                points=np.zeros((0, 2)), status=np.zeros(0, dtype=bool), residual=np.zeros(0)
+            )
+        _, first, slots = np.unique(
+            points.view(_POINT).ravel(), return_index=True, return_inverse=True
+        )
+        levels = params.pyramid_levels
+        solved = track_features(
+            self.pyramid(prev_index, levels),
+            self.pyramid(next_index, levels),
+            points[first],
+            params,
+        )
+        with _solves_lock:
+            _SOLVES["solves"] += 1
+            _SOLVES["points"] += len(first)
+        return FlowResult(
+            points=solved.points[slots],
+            status=solved.status[slots],
+            residual=solved.residual[slots],
+        )
 
     def features(
         self, index: int, boxes: Sequence[Box], params: SeedParams

@@ -1,41 +1,32 @@
-"""The process's one cache of rendered frames, their pyramids and LK flows.
+"""The process's one cache of rendered frames and their pyramids.
 
 A sweep runs many method arms over the same clips — fig6 alone runs 13
 arms over each clip — and every arm walks its clip from frame 0, renders
-frames, builds the pyramids its tracker reads and solves Lucas-Kanade
-between them.  All three are pure functions of the scene and their
-inputs, so one process-wide :class:`FrameStore` holds them for every
-renderer in the process.  There are three kinds of key:
+frames and builds the pyramids its tracker reads.  Both are pure
+functions of the scene, so one process-wide :class:`FrameStore` holds
+them for every renderer in the process.  There are two kinds of key:
 
     ``(scene fingerprint, FRAME, frame_index, 0)``
     ``(scene fingerprint, PYRAMID, frame_index, levels)``
-    ``(scene fingerprint, FLOW, prev_index, next_index, params, point bytes)``
 
-where a :data:`FLOW` key's ``params`` is the frozen
-:class:`~repro.vision.optical_flow.LKParams` and its point bytes are the
-16 bytes of *one* float64 ``(x, y)`` point.  Lucas-Kanade solves every
-point independently of the others, so a flow entry is one point's
-result, and two arms that track the same point between the same two
-frames share its solve whatever else either of them tracks.  Every key
-is content-based, never ``id``-based.  The fingerprint digests
+Every key is content-based, never ``id``-based.  The fingerprint digests
 everything that determines a scene's pixel stream (scenario config +
 seed), so two renderers built from the same spec — a worker rebuilding
 a clip from its spec, or two arms sharing a suite clip — read and write
-the same entries.  A stored value is bit-identical to a fresh render, build
-or solve: the store changes *when* work happens, never *what* it
-computes.
+the same entries.  A stored value is bit-identical to a fresh render or
+build: the store changes *when* work happens, never *what* it computes.
 
 A pyramid built from a stored frame holds that frame as its level 0
 (:class:`~repro.vision.optical_flow.FramePyramid` does not copy it), so
 the store charges such a pyramid only for levels 1 and up: 144,000
-bytes at 180x320, beside the frame's 230,400.  A flow entry's value is
-its point's packed 25-byte row (tracked position, residual, status), and
-it is charged that row plus its key's 16 point bytes: 41 bytes a point.
+bytes at 180x320, beside the frame's 230,400.
 
-:meth:`repro.video.render.FrameRenderer.render`,
-:meth:`~repro.video.render.FrameRenderer.pyramid` and
-:meth:`~repro.video.render.FrameRenderer.flow` are the only callers, so
-the key and row formats live in that module.  See DESIGN.md §9.
+:meth:`repro.video.render.FrameRenderer.render` and
+:meth:`~repro.video.render.FrameRenderer.pyramid` are the only callers,
+so the key format lives in that module.  Lucas-Kanade flows are not
+stored: method arms that track the same points share their solves inside
+one merged call (see :meth:`repro.video.dataset.VideoClip.flow` and
+:mod:`repro.parallel.lockstep`).  See DESIGN.md §9.
 """
 
 from __future__ import annotations
@@ -43,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -54,11 +45,10 @@ BYTES_PER_MB = 1 << 20
 
 FRAME = "frame"
 PYRAMID = "pyramid"
-FLOW = "flow"
-KINDS = (FRAME, PYRAMID, FLOW)
+KINDS = (FRAME, PYRAMID)
 # Over budget, the least recently used entry of the first resident kind
 # here goes: see :meth:`FrameStore._evict_over_budget`.
-EVICTION_ORDER = (PYRAMID, FLOW, FRAME)
+EVICTION_ORDER = (PYRAMID, FRAME)
 
 # One budget for the process, not an option.  Replaying the logged frame
 # and pyramid reads of the fig6-reuse, eval-wide and clip-stream
@@ -85,7 +75,7 @@ def scene_fingerprint(scene: "Scene") -> str:
 
 def _arrays(value: Any) -> tuple[np.ndarray, ...]:
     """The arrays a stored frame or pyramid holds: the frame, or the
-    pyramid's level images.  A flow row is ``bytes`` and holds none."""
+    pyramid's level images."""
     if isinstance(value, np.ndarray):
         return (value,)
     return tuple(value.images)
@@ -98,38 +88,32 @@ def _frame_key(key: tuple) -> tuple:
 
 
 class FrameStore:
-    """Byte-budgeted LRU of frames, pyramids and flow points, shared across renderers.
+    """Byte-budgeted LRU of frames and pyramids, shared across renderers.
 
     Thread-safe: the live executor renders and tracks from several
     threads through the one process-wide instance.  Accounting is by the
-    arrays' ``nbytes`` — the budget bounds pixel and point payload, not
-    Python object overhead.
+    arrays' ``nbytes`` — the budget bounds pixel payload, not Python
+    object overhead.
 
     A pyramid whose level 0 *is* its resident stored frame is charged for
-    levels 1 and up only; any other pyramid for all its levels.  A flow
-    point is charged its row plus its key's point bytes.  Each entry
-    keeps the bytes it was charged, and eviction refunds exactly those.
+    levels 1 and up only; any other pyramid for all its levels.  Each
+    entry keeps the bytes it was charged, and eviction refunds exactly
+    those.
 
-    Over budget, the least recently used *pyramid* goes first, then the
-    least recently used flow point; a frame is evicted only when no
-    pyramid and no flow point is resident.  So no frame is evicted while
-    a resident pyramid holds it as level 0, and the bytes a shared
+    Over budget, the least recently used *pyramid* goes first; a frame is
+    evicted only when no pyramid is resident.  So no frame is evicted
+    while a resident pyramid holds it as level 0, and the bytes a shared
     pyramid was not charged stay resident — and charged to the frame —
-    for as long as the pyramid is.  Flow points hold no frame, so they
-    leave that rule alone.  Per byte, a flow point saves the most time:
-    its 41 bytes skip a ~0.09 ms point solve, where rendering 230,400
-    bytes (one 180x320 float32 frame) takes 2.3-4.1 ms and building the
-    144,000 bytes its pyramid adds 0.55-0.66 ms.  Flow points still go
-    before frames: a point serves only an arm that tracks that exact
-    point between the same two frames, while a frame serves every arm
-    that seeds features on it or rebuilds a pyramid from it.  A plain
-    LRU across frames and pyramids re-renders 604 instead of 399
+    for as long as the pyramid is.  A frame also saves 2-5x more time per
+    byte than a pyramid: rendering 230,400 bytes (one 180x320 float32
+    frame) takes 2.3-4.1 ms, building the 144,000 bytes its pyramid adds
+    0.55-0.66 ms, and a pyramid miss on a resident frame skips the render
+    anyway.  A plain LRU across both kinds re-renders 604 instead of 399
     clip-stream frames at every budget up to 192 MiB.
 
     Stored arrays are made read-only: every renderer (and every arm
     sharing the store) gets the *same* arrays, so an in-place mutation
-    would silently corrupt other arms' inputs.  Flow rows are ``bytes``,
-    immutable already.
+    would silently corrupt other arms' inputs.
     """
 
     def __init__(self, max_bytes: int = STORE_BYTES) -> None:
@@ -175,38 +159,23 @@ class FrameStore:
 
     def get(self, key: tuple) -> Any:
         """The stored value for ``key`` (see the module docstring), or ``None``."""
-        return self.get_many((key,))[0]
-
-    def get_many(self, keys: Sequence[tuple]) -> list[Any]:
-        """``[get(key) for key in keys]`` under one lock acquisition.
-
-        The keys are of one kind: a flow call looks up all its points at
-        once, so the bookkeeping stays a small share of a point solve.
-        """
-        if not keys:
-            return []
-        kind = keys[0][1]
+        kind = key[1]
         entries = self._entries[kind]
-        values = []
-        misses = 0
         with self._lock:
-            for key in keys:
-                entry = entries.get(key)
-                if entry is None:
-                    values.append(None)
-                    misses += 1
-                else:
-                    entries.move_to_end(key)
-                    values.append(entry[0])
-            hits = len(values) - misses
-            self._counts[kind]["hits"] += hits
-            self._counts[kind]["misses"] += misses
-        self._obs[kind]["hit"].inc(hits)
-        self._obs[kind]["miss"].inc(misses)
-        return values
+            entry = entries.get(key)
+            if entry is None:
+                self._counts[kind]["misses"] += 1
+            else:
+                entries.move_to_end(key)
+                self._counts[kind]["hits"] += 1
+        if entry is None:
+            self._obs[kind]["miss"].inc()
+            return None
+        self._obs[kind]["hit"].inc()
+        return entry[0]
 
     def put(self, key: tuple, value: Any) -> Any:
-        """Insert a fresh frame, pyramid or flow row, evicting over budget.
+        """Insert a fresh frame or pyramid, evicting over budget.
 
         A value larger than the whole budget is not stored.  On a racing
         double insert the first entry wins — both hold identical bytes.
@@ -215,47 +184,23 @@ class FrameStore:
         untouched when nothing was stored.  Only stored values are frozen;
         a rejected duplicate stays writable, because its caller owns it.
         """
-        return self.put_many(((key, value),))[0]
-
-    def put_many(self, items: Iterable[tuple[tuple, Any]]) -> list[Any]:
-        """:meth:`put` each ``(key, value)`` under one lock acquisition.
-
-        For distinct keys of one kind that the store does not hold — a
-        flow call's solved points — evicting once after the last insert
-        evicts what evicting after each insert would.  Eviction takes the head of the first
-        non-empty kind in :data:`EVICTION_ORDER`, the inserts only append
-        to their kind's tail, and once eviction reaches the newest insert
-        the store is back within the budget it kept before.
-        """
-        with self._lock:
-            stored = [self._insert(key, value) for key, value in items]
-            self._evict_over_budget()
-        return stored
-
-    def _insert(self, key: tuple, value: Any) -> Any:
-        """One :meth:`put` without the eviction (lock held)."""
         kind = key[1]
         entries = self._entries[kind]
-        if kind == FLOW:
-            arrays = ()
-            nbytes = len(value) + len(key[-1])
-        else:
-            arrays = _arrays(value)
+        arrays = _arrays(value)
+        with self._lock:
+            existing = entries.get(key)
+            if existing is not None:
+                return existing[0]
             if kind == PYRAMID and self._holds_frame(key, arrays[0]):
                 arrays = arrays[1:]
             nbytes = sum(int(array.nbytes) for array in arrays)
-        if nbytes > self.max_bytes:
-            existing = entries.get(key)
-            return value if existing is None else existing[0]
-        # One hash of the key, not two: a flow call inserts every point
-        # it solved.
-        entry = (value, nbytes)
-        stored = entries.setdefault(key, entry)
-        if stored is not entry:
-            return stored[0]
-        for array in arrays:
-            array.setflags(write=False)
-        self._bytes[kind] += nbytes
+            if nbytes > self.max_bytes:
+                return value
+            for array in arrays:
+                array.setflags(write=False)
+            entries[key] = (value, nbytes)
+            self._bytes[kind] += nbytes
+            self._evict_over_budget()
         return value
 
     def _holds_frame(self, key: tuple, level0: np.ndarray) -> bool:
@@ -264,7 +209,7 @@ class FrameStore:
         return frame is not None and frame[0] is level0
 
     def _evict_over_budget(self) -> None:
-        """Evict LRU entries in :data:`EVICTION_ORDER` until within budget (lock held).
+        """Evict LRU pyramids, then LRU frames, until within budget (lock held).
 
         Pyramids first is what keeps every shared level 0 resident: a
         frame goes only once no pyramid, and so none holding it, is left.
@@ -289,9 +234,6 @@ class FrameStore:
     def stats(self) -> dict:
         """Counter snapshot: the budget, and per kind the resident entries
         and bytes, hits, misses, evictions and evicted bytes.
-
-        Flow counters count points: a flow call with 30 points makes 30
-        lookups, and each of its entries is one point.
 
         Taken under the store lock, so a snapshot is consistent even while
         other threads hit the store — callers that need deltas (the sweep

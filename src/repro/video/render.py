@@ -20,7 +20,6 @@ never a different computation.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -30,28 +29,10 @@ from repro.video import framestore
 from repro.video.objects import SceneObject
 from repro.video.scene import Scene
 from repro.vision.image import gaussian_blur
-from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams, track_features
+from repro.vision.optical_flow import FramePyramid
 
 _TEXTURE_TILE = 48
 _BACKGROUND_TILE = 256
-
-# A flow-store key holds one float64 (x, y) point's bytes, and its value
-# is that point's packed row: 16 + 8 + 1 = 25 bytes, read back bit for bit.
-_POINT_BYTES = 16
-_FLOW_ROW = np.dtype(
-    [("point", np.float64, (2,)), ("residual", np.float64), ("status", np.bool_)]
-)
-
-# Solving calls FrameRenderer.flow has made in this process, one per
-# track_features call; the sweep engine reports each cell's share.
-_solves = 0
-_solves_lock = threading.Lock()
-
-
-def solve_count() -> int:
-    """How many ``track_features`` calls :meth:`FrameRenderer.flow` has made."""
-    return _solves
-
 
 @lru_cache(maxsize=4096)
 def _warp_tables(seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -245,13 +226,12 @@ def _sample_texture_warped(
 class FrameRenderer:
     """Renders frames of a :class:`Scene` on demand, through the frame store.
 
-    :meth:`render`, :meth:`pyramid` and :meth:`flow` read through the
-    process-wide :class:`~repro.video.framestore.FrameStore`, keyed by the
-    scene fingerprint, so every renderer of the same scene in the process
-    — e.g. 13 sweep arms over one clip — renders each frame, builds each
-    pyramid and solves each repeated Lucas-Kanade point once while the
-    store holds it.  They are the store's only callers, so the key and
-    flow-row formats live here.
+    :meth:`render` and :meth:`pyramid` read through the process-wide
+    :class:`~repro.video.framestore.FrameStore`, keyed by the scene
+    fingerprint, so every renderer of the same scene in the process —
+    e.g. 13 sweep arms over one clip — renders each frame and builds each
+    pyramid once while the store holds it.  They are the store's only
+    callers, so the key format lives here.
 
     Construction is cheap: the blurred background canvas is built by the
     first frame this renderer actually rasterises, so a renderer whose
@@ -455,67 +435,3 @@ class FrameRenderer:
         if pyramid is None:
             pyramid = store.put(key, FramePyramid(self.render(frame_index), levels))
         return pyramid
-
-    def flow(
-        self, prev_index: int, next_index: int, points: np.ndarray, params: LKParams
-    ) -> FlowResult:
-        """Lucas-Kanade flow of ``points`` from frame ``prev_index`` to
-        ``next_index``, read through the store point by point.
-
-        Lucas-Kanade solves every point independently of the others, so
-        each point is keyed on its own: the scene, both indices, the
-        frozen ``params`` and the point's 16 float64 bytes.  Method arms
-        that track a point between the same two frames then pay for one
-        solve of it, whatever else each arm tracks.  The call looks up
-        each distinct point once and solves the ones the store misses in
-        one :func:`track_features` call on both frames' pyramids (built
-        through :meth:`pyramid`); a call whose points all hit builds and
-        reads no pyramid.  The result is assembled afresh, in input order.
-        """
-        global _solves
-        points = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 2)
-        raw = points.tobytes()
-        # Each input point's slot among the call's distinct points.
-        distinct: dict[bytes, int] = {}
-        slots = [
-            distinct.setdefault(raw[at : at + _POINT_BYTES], len(distinct))
-            for at in range(0, len(raw), _POINT_BYTES)
-        ]
-        step = (self._fingerprint, framestore.FLOW, prev_index, next_index, params)
-        keys = [step + (point,) for point in distinct]
-        store = framestore.default_store()
-        rows = store.get_many(keys)
-        missing = [slot for slot, row in enumerate(rows) if row is None]
-        if missing:
-            todo = [keys[slot] for slot in missing]
-            todo_points = np.frombuffer(b"".join([key[-1] for key in todo]), dtype=np.float64)
-            levels = params.pyramid_levels
-            solved = track_features(
-                self.pyramid(prev_index, levels),
-                self.pyramid(next_index, levels),
-                todo_points.reshape(-1, 2),
-                params,
-            )
-            with _solves_lock:
-                _solves += 1
-            fresh = _flow_rows(solved)
-            store.put_many(zip(todo, fresh))
-            for slot, row in zip(missing, fresh):
-                rows[slot] = row
-        table = np.frombuffer(b"".join([rows[slot] for slot in slots]), dtype=_FLOW_ROW)
-        return FlowResult(
-            points=table["point"].copy(),
-            status=table["status"].copy(),
-            residual=table["residual"].copy(),
-        )
-
-
-def _flow_rows(flow: FlowResult) -> list[bytes]:
-    """One packed :data:`_FLOW_ROW` per point of ``flow``: its flow-store values."""
-    table = np.empty(len(flow.status), dtype=_FLOW_ROW)
-    table["point"] = flow.points
-    table["residual"] = flow.residual
-    table["status"] = flow.status
-    raw = table.tobytes()
-    size = _FLOW_ROW.itemsize
-    return [raw[at : at + size] for at in range(0, len(raw), size)]

@@ -57,26 +57,29 @@ def _record(accuracy, mean_f1, activity) -> tuple:
 
 
 class _FlowLog:
-    """Records every ``FrameRenderer.flow`` step and ``track_features`` call."""
+    """Records every ``VideoClip.flow`` step, and the ``track_features``
+    calls and the points they solved."""
 
     def __init__(self) -> None:
         self.steps: list[tuple] = []
         self.solves = 0
+        self.points = 0
 
     def patches(self):
-        real_flow, real_solve = render.FrameRenderer.flow, render.track_features
+        real_flow, real_solve = VideoClip.flow, dataset.track_features
 
-        def flow(renderer, prev_index, next_index, points, params):
-            self.steps.append((renderer._fingerprint, prev_index, next_index, params))
-            return real_flow(renderer, prev_index, next_index, points, params)
+        def flow(clip, prev_index, next_index, points, params):
+            self.steps.append((clip.renderer._fingerprint, prev_index, next_index, params))
+            return real_flow(clip, prev_index, next_index, points, params)
 
-        def solve(*args):
+        def solve(prev, next_, points, params):
             self.solves += 1
-            return real_solve(*args)
+            self.points += len(points)
+            return real_solve(prev, next_, points, params)
 
         return (
-            mock.patch.object(render.FrameRenderer, "flow", flow),
-            mock.patch.object(render, "track_features", solve),
+            mock.patch.object(VideoClip, "flow", flow),
+            mock.patch.object(dataset, "track_features", solve),
         )
 
     def __enter__(self) -> "_FlowLog":
@@ -90,9 +93,10 @@ class _FlowLog:
             patch.stop()
 
 
-def _one_arm_at_a_time(suite: VideoSuite) -> tuple[dict, list[set]]:
-    """Every cell run alone, and each clip's distinct flow steps."""
-    records, steps = {}, []
+def _one_arm_at_a_time(suite: VideoSuite) -> tuple[dict, list[set], int]:
+    """Every cell run alone, each clip's distinct flow steps, and the
+    points the arms' solves took."""
+    records, steps, points = {}, [], 0
     for clip in suite:
         with _FlowLog() as log:
             for name in FIG6_METHODS:
@@ -100,9 +104,10 @@ def _one_arm_at_a_time(suite: VideoSuite) -> tuple[dict, list[set]]:
                 accuracy, f1 = evaluate_run(run, clip)
                 records[(name, clip.name)] = _record(accuracy, f1.mean(), run.activity)
         steps.append(set(log.steps))
-        # The sweeps below must solve every step afresh.
+        points += log.points
+        # The sweeps below must render and build afresh.
         default_store().clear()
-    return records, steps
+    return records, steps, points
 
 
 def _sweep(suite: VideoSuite, jobs: int):
@@ -138,7 +143,7 @@ class TestLockstepDifferential:
                 for i, preset in enumerate(presets)
             ],
         )
-        alone, steps = _one_arm_at_a_time(suite)
+        alone, steps, alone_points = _one_arm_at_a_time(suite)
 
         with _FlowLog() as log:
             sequential, _, records = _sweep(suite, jobs=1)
@@ -150,6 +155,7 @@ class TestLockstepDifferential:
         assert log.solves == len(log.steps)
         distinct = sum(len(unit) for unit in steps)
         assert sequential.flow["steps"] == sequential.flow["solves"] == distinct
+        assert sequential.flow["points"] == log.points
 
         parallel, settled, records = _sweep(suite, jobs=2)
         assert records == alone
@@ -159,16 +165,17 @@ class TestLockstepDifferential:
             assert sum(r.flow["steps"] for r in cells) == len(unit)
         assert parallel.flow == sequential.flow
         # Merging is what shares the solves: arms asked for more steps
-        # than were solved, and the store never served a point back.
+        # than were solved, and the merged calls solved no more points
+        # than the arms did alone.
         assert sequential.flow["requests"] > distinct
-        assert sequential.store["flow"]["hits"] == parallel.store["flow"]["hits"] == 0
+        assert sequential.flow["points"] <= alone_points
 
 
 class _PixelLog:
     """The thread every pixel kernel runs on, and every box asked seeds for.
 
     Kernels are patched where their callers look them up: rendering and
-    pyramid builds on their classes, ``track_features`` in the renderer,
+    pyramid builds on their classes, ``track_features`` in the clip,
     the corner detectors in the seeding code, and the block matcher in
     the clip.  Seed requests are logged at :meth:`VideoClip.features`,
     keyed as the session's memo keys them.
@@ -204,7 +211,7 @@ class _PixelLog:
                 for owner, name in (
                     (render.FrameRenderer, "render_frame"),
                     (optical_flow.FramePyramid, "__init__"),
-                    (render, "track_features"),
+                    (dataset, "track_features"),
                     (features, "good_features_to_track"),
                     (features, "fast_corners"),
                     (dataset, "block_motion_field"),
@@ -399,15 +406,15 @@ class TestFailuresAreOwnedPerArm:
     gets an instance of its own, so no stack carries another arm's frames."""
 
     def test_a_failed_merged_step_gives_each_arm_one_park_frame(self):
-        real = render.FrameRenderer.flow
+        real = VideoClip.flow
 
-        def flow(renderer, prev_index, next_index, points, params):
+        def flow(clip, prev_index, next_index, points, params):
             if prev_index >= 1:
                 raise RuntimeError("flow failed")
-            return real(renderer, prev_index, next_index, points, params)
+            return real(clip, prev_index, next_index, points, params)
 
         suite = VideoSuite(name="one", clips=quick_suite(303, frames=12).clips[:1])
-        with mock.patch.object(render.FrameRenderer, "flow", flow):
+        with mock.patch.object(VideoClip, "flow", flow):
             sweep = run_sweep(
                 ["mpdt-320", "marlin-320", "mpdt-416"], suite, jobs=1, retries=0
             )

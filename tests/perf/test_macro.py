@@ -86,16 +86,15 @@ class TestRunMacroBenchmark:
             assert arm["pyramid"]["misses"] > 0
             assert arm["pyramid"]["hits"] > 0
 
-    def test_flow_store_counters(self, macro_doc):
-        """Flow counters count points.  The sequential arm solves no more
-        points than the pool, and both look up the same points: a lookup
-        does not depend on which worker runs the cell.  Arms share solves
-        inside the merged call, so the store serves no point back."""
-        store = macro_doc["benches"][0]["store"]
-        seq, par = store["sequential"]["flow"], store["parallel"]["flow"]
-        assert 0 < seq["misses"] <= par["misses"]
-        assert seq["hits"] + seq["misses"] == par["hits"] + par["misses"]
-        assert seq["hits"] == par["hits"] == 0
+    def test_flow_point_counts(self, macro_doc):
+        """The flow block counts the points the solving calls took.  The
+        sequential arm solves no more points than the pool, and the store
+        keeps no flows: arms share solves inside the merged call."""
+        bench = macro_doc["benches"][0]
+        seq, par = bench["flow"]["sequential"], bench["flow"]["parallel"]
+        assert 0 < seq["solves"] < seq["points"] <= par["points"]
+        for arm in ("sequential", "parallel"):
+            assert set(bench["store"][arm]) == {"frame", "pyramid"}
 
     def test_each_merged_step_is_one_solve(self, macro_doc):
         """Lockstep arms: each merged step is one track_features call, the
@@ -143,9 +142,9 @@ class TestRunMacroBenchmark:
         text = format_macro_table(macro_doc)
         assert MACRO_BENCH_NAME in text
         assert "cpu_count" in text
-        flow = macro_doc["benches"][0]["store"]["sequential"]["flow"]
-        assert f"flow {flow['hits']} point hits / {flow['misses']} point solves" in text
-        assert " misses" in text  # frames and pyramids keep their labels
+        flow = macro_doc["benches"][0]["flow"]["sequential"]
+        assert f"{flow['solves']} track_features calls over {flow['points']} points" in text
+        assert " misses" in text
         worker = macro_doc["benches"][0]["parallel_worker_peak_rss_mb"]
         assert f"largest pool worker {worker:.1f} MiB" in text
 
@@ -201,6 +200,16 @@ class TestValidateMacroDoc:
             validate_macro_doc(doc)
         del doc["benches"][0][key]
         with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            validate_macro_doc(doc)
+
+    @pytest.mark.parametrize("arm", ["sequential", "parallel"])
+    def test_rejects_an_arm_that_solved_no_points(self, macro_doc, arm):
+        doc = copy.deepcopy(macro_doc)
+        doc["benches"][0]["flow"][arm]["points"] = 0
+        with pytest.raises(ValueError, match=f"{arm} arm solved no flow points"):
+            validate_macro_doc(doc)
+        del doc["benches"][0]["flow"][arm]["points"]
+        with pytest.raises(ValueError, match=f"{arm} arm solved no flow points"):
             validate_macro_doc(doc)
 
     def test_rejects_missing_effective_parallelism(self, macro_doc):

@@ -205,7 +205,9 @@ class TestCommands:
 
             def run(self, methods, suite):
                 clock[0] += 1.0 if self.jobs == 1 else 2.0
-                return types.SimpleNamespace(failures=[], results={}, store={}, flow={})
+                return types.SimpleNamespace(
+                    failures=[], results={}, store={}, flow={"points": 1}
+                )
 
         monkeypatch.setattr(macro, "SweepEngine", FakeEngine)
         fake_time = types.SimpleNamespace(

@@ -1,10 +1,10 @@
-"""The one frame store: budget accounting, eviction order, renderer wiring."""
+"""The one frame store: budget accounting, eviction order, renderer wiring;
+and the clip's Lucas-Kanade flows solved on its stored pyramids."""
 
 from __future__ import annotations
 
 import sys
 import threading
-from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,11 +16,10 @@ from repro.detection.detector import Detection
 from repro.obs import InMemorySink, Telemetry
 from repro.tracking.mve import MVETracker, MVETrackerConfig
 from repro.tracking.tracker import ObjectTracker, TrackerConfig
-from repro.video import framestore, render
-from repro.video.dataset import make_clip
+from repro.video import dataset, framestore
+from repro.video.dataset import make_clip, solve_counts
 from repro.video.framestore import (
     EVICTION_ORDER,
-    FLOW,
     FRAME,
     KINDS,
     PYRAMID,
@@ -58,18 +57,6 @@ def _assert_pyramids_equal(left: FramePyramid, right: FramePyramid) -> None:
 
 def _key(index: int, kind: str = FRAME, levels: int = 0, fingerprint: str = "fp") -> tuple:
     return (fingerprint, kind, index, levels)
-
-
-def _row(fill: int = 1) -> bytes:
-    """A flow point's stored row: 25 bytes, as the renderer packs one."""
-    return bytes([fill]) * 25
-
-
-def _flow_key(index: int, point: int = 0, fingerprint: str = "fp") -> tuple:
-    """The key of point ``(point, point)`` tracked from ``index`` to
-    ``index + 1``, as the renderer builds one."""
-    xy = np.full(2, point, dtype=np.float64).tobytes()
-    return (fingerprint, FLOW, index, index + 1, LKParams(), xy)
 
 
 def _counters(obs: Telemetry) -> dict[str, float]:
@@ -331,104 +318,6 @@ class TestFrameStoreCore:
         assert set(_counters(obs).values()) == {0}
 
 
-class TestFlowEntries:
-    def test_a_point_is_charged_41_bytes(self):
-        store = FrameStore(1024)
-        for point in range(4):
-            store.put(_flow_key(0, point), _row())
-        # Per point: a 25-byte row (16 position, 8 residual, 1 status)
-        # and the key's 16 point bytes.
-        assert len(_flow_key(0)[-1]) == 16
-        assert store.stats()[FLOW]["bytes"] == 41 * 4
-        assert store.stats()[FLOW]["entries"] == 4
-        assert store.current_bytes == 41 * 4
-
-    def test_first_point_insert_wins(self):
-        store = FrameStore(1024)
-        first, second = _row(fill=1), _row(fill=2)
-        assert store.put(_flow_key(0), first) is first
-        assert store.put_many([(_flow_key(0), second), (_flow_key(0, 1), second)]) == [
-            first,
-            second,
-        ]
-        assert store.get(_flow_key(0)) is first
-        assert store.stats()[FLOW]["bytes"] == 2 * 41
-
-    def test_get_many_counts_each_point(self):
-        store = FrameStore(1024)
-        store.put_many([(_flow_key(0, point), _row(point)) for point in (1, 3)])
-        keys = [_flow_key(0, point) for point in range(4)]
-        assert store.get_many(keys) == [None, _row(1), None, _row(3)]
-        assert store.get_many([]) == []
-        stats = store.stats()[FLOW]
-        assert (stats["hits"], stats["misses"]) == (2, 2)
-
-    def test_flows_go_after_pyramids_and_before_frames(self):
-        store = FrameStore(64 + 2 * 41 + 24)
-        store.put(_key(0), _frame(64))
-        store.put(_flow_key(0), _row())
-        store.put(_flow_key(1), _row())
-        store.put(_key(1, PYRAMID, 2), _pyramid(16, 8))
-        assert store.current_bytes == store.max_bytes
-        store.get(_flow_key(0))  # point 1 is now the LRU point
-        # 41 bytes over: the pyramid goes first, then the LRU point; the
-        # frame, the least recently used entry of all, stays.
-        store.put(_flow_key(2), _row())
-        assert store.get(_key(1, PYRAMID, 2)) is None
-        assert store.get(_flow_key(1)) is None
-        assert store.get(_flow_key(0)) is not None
-        assert store.get(_key(0)) is not None
-        # A new frame evicts flow points before any frame.
-        store.put(_key(1), _frame(64))
-        stats = store.stats()
-        assert stats[FLOW]["evictions"] == 2 and stats[FRAME]["evictions"] == 0
-        # With no pyramid or flow point left, the LRU frame goes.
-        store.put(_key(2), _frame(64))
-        stats = store.stats()
-        assert stats[FLOW]["entries"] == 0 and stats[FLOW]["evictions"] == 3
-        assert stats[FRAME]["evictions"] == 1
-        assert stats[FLOW]["evicted_bytes"] == 3 * 41
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        budget=st.integers(min_value=0, max_value=6 * 41 + 128),
-        batches=st.lists(
-            st.tuples(
-                st.sampled_from(KINDS),
-                st.dictionaries(
-                    st.integers(min_value=0, max_value=6),  # frame index or point
-                    st.integers(min_value=1, max_value=96),  # frame or level bytes
-                    max_size=6,
-                ),
-            ),
-            max_size=8,
-        ),
-    )
-    def test_put_many_evicts_what_single_puts_evict(self, budget, batches):
-        """A batch of new, distinct keys of one kind, evicted once at its
-        end, leaves the entries, charges and counts that one put at a
-        time leaves."""
-        batched, single = FrameStore(budget), FrameStore(budget)
-
-        def item(kind, index, nbytes):
-            if kind == FLOW:
-                return _flow_key(0, point=index), _row()
-            if kind == FRAME:
-                return _key(index), _frame(nbytes)
-            return _key(index, PYRAMID, 2), _pyramid(nbytes, 8)
-
-        for batch, (kind, drawn) in enumerate(batches):
-            items = [
-                item(kind, 10 * batch + index, nbytes) for index, nbytes in drawn.items()
-            ]
-            batched.put_many(items)
-            for key, value in items:
-                single.put(key, value)
-            for kind in KINDS:
-                assert list(batched._entries[kind]) == list(single._entries[kind])
-            assert batched.stats() == single.stats()
-
-
 def _pyramid_levels(draw_bytes):
     return st.lists(draw_bytes, min_size=1, max_size=3)
 
@@ -468,25 +357,16 @@ _OPS = st.lists(
 def _value(kind: str, level_bytes: list[int], fill: int):
     if kind == FRAME:
         return _frame(level_bytes[0], fill)
-    if kind == FLOW:
-        return _row(fill)
     return _pyramid(*level_bytes, fill=fill)
 
 
 def _model_key(kind: str, index: int, level_bytes: list[int]) -> tuple:
-    """One key per (kind, index, depth): a flow key's point is the depth."""
-    if kind == FLOW:
-        return _flow_key(index, len(level_bytes))
+    """One key per (kind, index, depth)."""
     return _key(index, kind, 0 if kind == FRAME else len(level_bytes))
 
 
-def _stored_arrays(value) -> tuple:
-    """The arrays of a frame or pyramid; a flow row holds none."""
-    return () if isinstance(value, bytes) else framestore._arrays(value)
-
-
 def _nbytes(value) -> int:
-    return sum(int(array.nbytes) for array in _stored_arrays(value))
+    return sum(int(array.nbytes) for array in framestore._arrays(value))
 
 
 def _assert_shared_frames_resident(store: FrameStore) -> None:
@@ -501,12 +381,11 @@ def _assert_shared_frames_resident(store: FrameStore) -> None:
 
 
 class TestByteBudgetProperty:
-    """Drawn get/put sequences over all three kinds against a plain model.
+    """Drawn get/put sequences over both kinds against a plain model.
 
     A ``share`` op inserts a pyramid built on the frame stored at its
-    index, when one is, and the model charges it for levels 1 and up.  A
-    flow point is charged its 25-byte row plus its key's 16 point bytes.
-    Eviction takes pyramids, then flow points, then frames.
+    index, when one is, and the model charges it for levels 1 and up.
+    Eviction takes pyramids, then frames.
     """
 
     @settings(max_examples=80, deadline=None)
@@ -529,7 +408,7 @@ class TestByteBudgetProperty:
                     gets[kind][0] += 1
                     # A hit is the object whose insert won, frozen.
                     assert got is first[key]
-                    assert all(not array.flags.writeable for array in _stored_arrays(got))
+                    assert all(not array.flags.writeable for array in framestore._arrays(got))
                 continue
             level_bytes = sizes.setdefault(key, level_bytes)
             resident = store.get(key) is not None
@@ -563,8 +442,6 @@ class TestByteBudgetProperty:
             nbytes = _nbytes(values[0])
             if shared:
                 nbytes -= values[0].images[0].nbytes
-            if kind == FLOW:
-                nbytes = len(values[0]) + len(key[-1])
             if resident:
                 # The first insert wins: every racer gets the stored value.
                 assert all(value is first[key] for value in returned)
@@ -574,7 +451,7 @@ class TestByteBudgetProperty:
                 assert all(
                     array.flags.writeable
                     for value in values
-                    for array in _stored_arrays(value)[1 if shared else 0 :]
+                    for array in framestore._arrays(value)[1 if shared else 0 :]
                 )
             elif kept_bytes + nbytes > budget:
                 # No room beside the kinds evicted later: each insert
@@ -792,127 +669,72 @@ def _assert_flows_equal(left: FlowResult, right: FlowResult) -> None:
 
 @pytest.fixture()
 def solves(monkeypatch):
-    """The point arrays the renderer hands to ``track_features``, one per call."""
+    """The point arrays the clip hands to ``track_features``, one per call."""
     calls = []
 
     def counting(prev, next_, points, params):
         calls.append(np.array(points))
         return track_features(prev, next_, points, params)
 
-    monkeypatch.setattr(render, "track_features", counting)
+    monkeypatch.setattr(dataset, "track_features", counting)
     return calls
 
 
-class TestRendererFlows:
-    def test_repeat_flow_is_a_hit_and_matches_a_direct_solve(self, store, clip):
-        params = LKParams()
-        before = store.stats()
-        first = clip.flow(0, 2, _POINTS, params)
-        served = FrameRenderer(clip.scene).flow(0, 2, _POINTS.copy(), params)
-        after = store.stats()
-        assert _delta(before, after, FLOW, "misses") == 3
-        assert _delta(before, after, FLOW, "hits") == 3
-        _assert_flows_equal(served, first)
-        _assert_flows_equal(served, _direct_flow(clip, 0, 2, _POINTS, params))
+def _solved_since(before: dict) -> tuple[int, int]:
+    """``(track_features calls, points solved)`` by clips since ``before``."""
+    after = solve_counts()
+    return after["solves"] - before["solves"], after["points"] - before["points"]
 
-    def test_one_bit_of_one_point_misses(self, store, clip):
-        params = LKParams()
-        clip.flow(0, 2, _POINTS, params)
-        nudged = _POINTS.copy()
-        nudged.view(np.uint64)[1, 0] ^= 1  # the lowest mantissa bit
-        before = store.stats()
-        clip.flow(0, 2, nudged, params)
-        after = store.stats()
-        assert _delta(before, after, FLOW, "misses") == 1
-        assert _delta(before, after, FLOW, "hits") == 2
 
-    @pytest.mark.parametrize("name", [f.name for f in fields(LKParams)])
-    def test_every_lk_param_is_in_the_key(self, store, clip, name):
-        params = LKParams()
-        clip.flow(0, 2, _POINTS, params)
-        value = getattr(params, name)
-        changed = replace(params, **{name: value + 1 if isinstance(value, int) else value * 2})
-        before = store.stats()
-        clip.flow(0, 2, _POINTS, changed)
-        after = store.stats()
-        assert _delta(before, after, FLOW, "misses") == 3
-        assert _delta(before, after, FLOW, "hits") == 0
-
-    def test_indices_and_scene_are_in_the_key(self, store, clip):
-        params = LKParams()
-        clip.flow(0, 2, _POINTS, params)
-        other = make_clip("highway_surveillance", seed=56, num_frames=24)
-        before = store.stats()
-        clip.flow(0, 1, _POINTS, params)
-        clip.flow(1, 2, _POINTS, params)
-        other.flow(0, 2, _POINTS, params)
-        assert _delta(before, store.stats(), FLOW, "misses") == 9
-        assert _delta(before, store.stats(), FLOW, "hits") == 0
-
-    def test_all_hit_call_builds_no_pyramid_and_solves_nothing(
-        self, store, clip, solves, monkeypatch
+class TestClipFlows:
+    def test_duplicate_points_in_one_call_are_solved_once(
+        self, store, clip, solves
     ):
         params = LKParams()
-        clip.flow(0, 2, _POINTS, params)
-        reader = FrameRenderer(clip.scene)
-        built = []
-        monkeypatch.setattr(
-            render, "FramePyramid", lambda *args: built.append(args) or FramePyramid(*args)
-        )
-
-        def pyramid(_index, _levels):
-            raise AssertionError("an all-hit flow call read a pyramid")
-
-        monkeypatch.setattr(reader, "pyramid", pyramid)
-        before = len(solves)
-        served = reader.flow(0, 2, _POINTS[::-1].copy(), params)
-        assert len(solves) == before and built == []
-        _assert_flows_equal(served, _direct_flow(clip, 0, 2, _POINTS[::-1].copy(), params))
-
-    def test_mixed_call_solves_only_misses_and_keeps_input_order(self, store, clip, solves):
-        params = LKParams()
-        clip.flow(0, 2, _POINTS[[0, 2]], params)
-        extra = np.array([[70.0, 45.5], [250.25, 30.0]])
-        mixed = np.array([extra[0], _POINTS[2], _POINTS[1], extra[1], _POINTS[0]])
-        before = store.stats()
-        served = clip.flow(0, 2, mixed, params)
-        after = store.stats()
-        # Only the three points no call has solved reach the solver, in
-        # first-seen order.
-        assert np.array_equal(solves[-1], np.array([extra[0], _POINTS[1], extra[1]]))
-        assert _delta(before, after, FLOW, "hits") == 2
-        assert _delta(before, after, FLOW, "misses") == 3
-        _assert_flows_equal(served, _direct_flow(clip, 0, 2, mixed, params))
-
-    def test_duplicate_points_in_one_call_are_solved_once(self, store, clip, solves):
-        params = LKParams()
-        repeated = _POINTS[[0, 1, 0, 2, 1, 0]]
-        before = store.stats()
+        repeated = _POINTS[[2, 0, 1, 0, 2, 2, 1]]
+        before = solve_counts()
         served = clip.flow(0, 2, repeated, params)
-        after = store.stats()
-        assert len(solves) == 1 and np.array_equal(solves[0], _POINTS)
-        assert _delta(before, after, FLOW, "misses") == 3
-        assert _delta(before, after, FLOW, "hits") == 0
-        assert _delta(before, after, FLOW, "bytes") == 3 * 41
+        assert _solved_since(before) == (1, 3)
+        assert len(solves) == 1 and len(solves[0]) == 3
+        assert {point.tobytes() for point in solves[0]} == {p.tobytes() for p in _POINTS}
         _assert_flows_equal(served, _direct_flow(clip, 0, 2, repeated, params))
+        # Each row is its point's row, whichever others share the call.
+        alone = clip.flow(0, 2, _POINTS, params)
+        for name in ("points", "status", "residual"):
+            rows = getattr(alone, name)[[2, 0, 1, 0, 2, 2, 1]]
+            assert getattr(served, name).tobytes() == rows.tobytes(), name
+
+    def test_one_bit_of_one_point_is_solved_separately(self, store, clip, solves):
+        params = LKParams()
+        nudged = _POINTS[1].copy()
+        nudged.view(np.uint64)[0] ^= 1  # the lowest mantissa bit
+        points = np.vstack([_POINTS, nudged[None, :]])
+        before = solve_counts()
+        served = clip.flow(0, 2, points, params)
+        assert _solved_since(before) == (1, 4)
+        assert len(solves[0]) == 4
+        _assert_flows_equal(served, _direct_flow(clip, 0, 2, points, params))
 
     def test_served_flows_are_fresh_arrays(self, store, clip):
-        # The store holds packed rows, so each call assembles its own
-        # arrays: a caller that writes into one leaves later calls intact.
+        # Rows are scattered into new arrays: a caller that writes into
+        # one leaves later calls, and the other rows, intact.
         params = LKParams()
-        first = clip.flow(0, 2, _POINTS, params)
-        expected = _direct_flow(clip, 0, 2, _POINTS, params)
+        repeated = _POINTS[[0, 0, 1]]
+        first = clip.flow(0, 2, repeated, params)
+        expected = _direct_flow(clip, 0, 2, repeated, params)
+        assert not np.shares_memory(first.points[0], first.points[1])
+        first.points[0] = -1.0
+        assert first.points[1].tobytes() == expected.points[1].tobytes()
         first.points[:] = -1.0
         first.status[:] = False
         first.residual[:] = 9.0
-        served = clip.flow(0, 2, _POINTS, params)
+        served = clip.flow(0, 2, repeated, params)
         assert served.points.flags.c_contiguous and served.points.flags.writeable
         _assert_flows_equal(served, expected)
 
     def test_threads_racing_on_shared_points_agree(self, store, clip):
         """Threads tracking overlapping point sets between the same two
-        frames each get the direct solve's rows, and the store ends with
-        each distinct point once, charged 41 bytes."""
+        frames each get the direct solve's rows."""
         params = LKParams()
         grid = np.stack(
             np.meshgrid(np.arange(20.0, 300.0, 35.0), np.arange(15.0, 170.0, 30.0)), axis=-1
@@ -924,7 +746,9 @@ class TestRendererFlows:
 
         def track(slot):
             barrier.wait()
-            served[slot] = FrameRenderer(clip.scene).flow(0, 2, sets[slot], params)
+            served[slot] = make_clip(
+                "highway_surveillance", seed=55, num_frames=24
+            ).flow(0, 2, sets[slot], params)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -939,31 +763,57 @@ class TestRendererFlows:
         assert not any(thread.is_alive() for thread in threads)
         for got, want in zip(served, expected):
             _assert_flows_equal(got, want)
-        stats = store.stats()[FLOW]
-        assert stats["entries"] == len(grid)
-        assert stats["bytes"] == 41 * len(grid)
 
     def test_empty_call_touches_nothing(self, store, clip, solves):
-        before = store.stats()
+        before, counts = store.stats(), solve_counts()
         served = clip.flow(0, 2, np.zeros((0, 2)), LKParams())
         assert solves == [] and store.stats() == before
+        assert _solved_since(counts) == (0, 0)
         _assert_flows_equal(served, _direct_flow(clip, 0, 2, np.zeros((0, 2)), LKParams()))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        step=st.sampled_from([(0, 1), (0, 2), (1, 3), (2, 5)]),
+        distinct=st.lists(
+            st.tuples(
+                st.one_of(st.floats(0.0, 319.0), st.sampled_from([0.0, -0.0])),
+                st.one_of(st.floats(0.0, 179.0), st.sampled_from([0.0, -0.0])),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        picks=st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=30),
+    )
+    def test_drawn_duplicates_match_a_direct_solve(self, step, distinct, picks):
+        """Drawn points, repeated and shuffled, on rendered frames: the
+        rows are the direct solve's, and one call solves each point whose
+        bytes differ from the others' once."""
+        clip = make_clip("intersection", seed=3, num_frames=6)
+        base = np.array(distinct, dtype=np.float64)
+        points = base[[pick % len(base) for pick in picks]]
+        before = solve_counts()
+        served = clip.flow(*step, points, LKParams())
+        assert _solved_since(before) == (1, len({point.tobytes() for point in points}))
+        _assert_flows_equal(served, _direct_flow(clip, *step, points, LKParams()))
 
 
 class TestTrackerFlows:
     def test_seeding_and_pointless_steps_read_no_pyramid(self, store, clip):
         tracker = ObjectTracker(clip)
-        before = store.stats()
+        before, counts = store.stats(), solve_counts()
         tracker.initialize(0, _detections(clip))
         empty = ObjectTracker(clip)
         empty.initialize(0, ())
         empty.track_to(2)
         after = store.stats()
-        for kind in (PYRAMID, FLOW):
-            assert _delta(before, after, kind, "hits") == 0
-            assert _delta(before, after, kind, "misses") == 0
+        assert _delta(before, after, PYRAMID, "hits") == 0
+        assert _delta(before, after, PYRAMID, "misses") == 0
+        assert _solved_since(counts) == (0, 0)
 
-    def test_arms_tracking_the_same_points_share_one_solve(self, store, clip, solves):
+    def test_a_second_arm_solves_again_on_stored_pyramids(self, store, clip, solves):
+        """No flow is stored: an arm tracking the points another arm
+        tracked solves them again, on the pyramids the first one built."""
+
         def arm(tracked):
             tracker = ObjectTracker(tracked, seed=4)
             tracker.initialize(0, _detections(clip))
@@ -974,15 +824,12 @@ class TestTrackerFlows:
         middle = store.stats()
         second = arm(clip)
         after = store.stats()
-        solved = sum(len(points) for points in solves)
-        assert len(solves) == 3 and solved > 0
-        assert _delta(before, middle, FLOW, "misses") == solved
-        assert _delta(middle, after, FLOW, "hits") == solved
-        assert _delta(middle, after, FLOW, "misses") == 0
-        # A served step reads no pyramid and solves nothing.
-        assert len(solves) == 3
-        assert _delta(middle, after, PYRAMID, "hits") == 0
+        assert len(solves) == 6 and sum(len(points) for points in solves) > 0
+        for once, again in zip(solves[:3], solves[3:]):
+            assert once.tobytes() == again.tobytes()
+        assert _delta(before, middle, PYRAMID, "misses") == 4
         assert _delta(middle, after, PYRAMID, "misses") == 0
+        assert _delta(middle, after, PYRAMID, "hits") == 6
         assert first == second == arm(_fresh(clip))
 
 

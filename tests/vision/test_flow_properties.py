@@ -59,9 +59,10 @@ def test_flow_antisymmetry(dx, dy):
 
 # -- per-point independence ---------------------------------------------------
 #
-# The frame store keys Lucas-Kanade flows point by point (see
-# ``repro.video.framestore``): that is sound only if solving a point gives
-# the same bits whatever other points share its call.
+# A clip's flow call solves its distinct points, deduplicated and sorted,
+# and lockstep arms share one merged call (see ``VideoClip.flow``): that
+# is sound only if solving a point gives the same bits whatever other
+# points share its call, in whatever order.
 
 _CLIP = make_clip("intersection", seed=7, num_frames=6)
 
