@@ -78,15 +78,15 @@ def _build_telemetry(args: argparse.Namespace):
 
 
 def _run_observed(method, clip, telemetry):
-    """Run ``method`` on ``clip`` with the frame store counting into ``telemetry``."""
-    from repro.video.framestore import default_store
+    """Run ``method`` on ``clip``, adding the pixel work it counted in
+    :data:`repro.obs.WORK` to ``telemetry``."""
+    from repro.obs import WORK, work_since
 
-    store = default_store()
-    store.set_obs(telemetry)
-    try:
-        return run_method_on_clip(method, clip)
-    finally:
-        store.set_obs(None)
+    before = WORK.counts()
+    run = run_method_on_clip(method, clip)
+    if telemetry is not None:
+        telemetry.add_counts(work_since(before))
+    return run
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

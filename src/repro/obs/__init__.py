@@ -19,7 +19,7 @@ Typical use::
 See DESIGN.md §6 for the span/metric naming scheme.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import WORK, Counter, Gauge, Histogram, MetricsRegistry, work_since
 from repro.obs.sinks import InMemorySink, JsonlSink, NullSink, Sink, render_summary
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.trace import Span, Tracer
@@ -37,5 +37,7 @@ __all__ = [
     "Span",
     "Telemetry",
     "Tracer",
+    "WORK",
     "render_summary",
+    "work_since",
 ]

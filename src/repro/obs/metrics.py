@@ -175,6 +175,14 @@ class MetricsRegistry:
             items = sorted(self._instruments.items(), key=lambda kv: kv[0])
             return [instrument for _, instrument in items]
 
+    def counts(self) -> dict[str, int]:
+        """Every counter's value by name, summed over its labels."""
+        counts: dict[str, int] = {}
+        for instrument in self.instruments():
+            if isinstance(instrument, Counter):
+                counts[instrument.name] = counts.get(instrument.name, 0) + instrument.value
+        return counts
+
     def snapshot(self) -> list[dict[str, Any]]:
         """JSON-friendly dump of every instrument's current state."""
         return [instrument.to_dict() for instrument in self.instruments()]
@@ -187,3 +195,17 @@ class MetricsRegistry:
                 if iname == name and (not labels or ilabels == key_labels):
                     return instrument
         return None
+
+
+# The process's one account of pixel work: the frame store's hits,
+# misses and evictions per kind, Lucas-Kanade requests, merged steps,
+# solves and points, and seed requests and boxes seeded.  Each call site
+# resolves its counters here once, at import, and increments them once
+# per event; a sweep cell or a CLI run diffs two :meth:`~MetricsRegistry.counts`
+# snapshots (:func:`work_since`).  See DESIGN.md §6.
+WORK = MetricsRegistry()
+
+
+def work_since(before: dict[str, int]) -> dict[str, int]:
+    """The work :data:`WORK` counted since the ``before`` snapshot, by name."""
+    return {name: value - before.get(name, 0) for name, value in WORK.counts().items()}

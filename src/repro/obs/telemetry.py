@@ -62,6 +62,12 @@ class Telemetry:
     ) -> Histogram:
         return self.metrics.histogram(name, bounds=bounds, **labels)
 
+    def add_counts(self, counts: dict[str, int]) -> None:
+        """Add each ``name: value`` of ``counts`` to that counter (see
+        :func:`~repro.obs.metrics.work_since`)."""
+        for name, value in counts.items():
+            self.counter(name).inc(value)
+
     # -- lifecycle -----------------------------------------------------------
 
     def flush(self) -> None:

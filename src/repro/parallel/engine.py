@@ -48,9 +48,9 @@ from itertools import groupby
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.config import PipelineConfig
-from repro.obs import Telemetry
+from repro.obs import WORK, Telemetry, work_since
 from repro.parallel.costs import clip_units
-from repro.parallel.lockstep import Lockstep, flow_counts
+from repro.parallel.lockstep import Lockstep
 from repro.parallel.specs import (
     ClipSpec,
     MethodSpec,
@@ -58,37 +58,11 @@ from repro.parallel.specs import (
     ShardResult,
     ShardSpec,
 )
-from repro.video.dataset import VideoClip, VideoSuite, solve_counts
+from repro.video.dataset import VideoClip, VideoSuite
 from repro.video.framestore import KINDS, default_store
-from repro.vision.features import seed_count
 
 # Callback invoked after every shard settles: (done, total, result).
 ProgressCallback = Callable[[int, int, ShardResult], None]
-
-# The frame-store counters a cell reports, per kind.
-_STORE_COUNTS = ("hits", "misses", "evictions", "evicted_bytes")
-
-
-def _store_delta(before: dict, after: dict) -> dict[str, dict[str, int]]:
-    """Per-kind counter deltas between two ``FrameStore.stats()`` snapshots."""
-    return {
-        kind: {name: after[kind][name] - before[kind][name] for name in _STORE_COUNTS}
-        for kind in KINDS
-    }
-
-
-def _add_store_counts(total: dict[str, dict[str, int]], delta: dict) -> None:
-    for kind, counts in delta.items():
-        into = total.setdefault(kind, dict.fromkeys(_STORE_COUNTS, 0))
-        for name, value in counts.items():
-            into[name] += value
-
-
-def _flow_counts() -> dict[str, int]:
-    """Lockstep flow requests and steps, ``track_features`` calls and the
-    points they solved, lockstep seed requests and boxes seeded, so far."""
-    return {**flow_counts(), **solve_counts(), "seeded": seed_count()}
-
 
 def _cell_telemetry(spec: ShardSpec, obs: Telemetry | None) -> Telemetry | None:
     """The caller's telemetry, or an in-memory one when the spec collects its own."""
@@ -136,7 +110,14 @@ def _lockstep(clip: VideoClip, specs: Iterable[ShardSpec], obs: Telemetry | None
     done.  Any other call (a retry, another clip) runs its cell alone.
     On exit the arms no cell finished are cancelled and every thread is
     joined, however the block ends.
+
+    The store is emptied on entry and on exit: the unit starts with none
+    of another clip's frames, whose evictions would change what it
+    builds, and leaves none behind, since nothing later reads this clip.
+    So a worker holds one clip at a time, and a unit misses, per kind,
+    as it would in a fresh process.
     """
+    default_store().clear()
     arms = {spec.index: (spec, _cell_telemetry(spec, obs)) for spec in specs}
     session = Lockstep(
         clip,
@@ -149,6 +130,7 @@ def _lockstep(clip: VideoClip, specs: Iterable[ShardSpec], obs: Telemetry | None
             yield
     finally:
         _units.unit = outer
+        default_store().clear()
 
 
 def _join(spec: ShardSpec, clip: VideoClip | None, obs: Telemetry | None):
@@ -182,8 +164,9 @@ def run_shard(
 
     Inside a unit's lockstep session the cell joins it: it drives the
     unit's arms until its own is done, so the other arms' work up to
-    that point runs, and is counted, in this cell.  The store deltas and
-    flow counts cover what ran during the cell, whichever arm ran it.
+    that point runs, and is counted, in this cell.  ``counts`` is the
+    :data:`~repro.obs.WORK` delta over the cell, whichever arm did the
+    work, and a cell that settles adds it to its telemetry.
     """
     result = ShardResult(
         index=spec.index,
@@ -204,22 +187,12 @@ def run_shard(
 
         if clip is None:
             clip = spec.clip.build()
-        store = default_store()
-        # Lock-held snapshots at both ends: reading bare counters tears
-        # when the threaded live executor shares the store with this cell.
-        before = store.stats()
-        flows = _flow_counts()
-        store.set_obs(telemetry)
-        try:
-            if joined:
-                run = joined[0].session.finish(spec.index)
-            else:
-                run = _run_method(spec, telemetry, clip)
-        finally:
-            store.set_obs(None)
-            after = _flow_counts()
-            result.flow = {name: after[name] - flows[name] for name in after}
-        result.store = _store_delta(before, store.stats())
+        before = WORK.counts()
+        if joined:
+            run = joined[0].session.finish(spec.index)
+        else:
+            run = _run_method(spec, telemetry, clip)
+        result.counts = work_since(before)
         accuracy, f1 = evaluate_run(
             run, clip, alpha=spec.alpha, iou_threshold=spec.iou_threshold
         )
@@ -228,6 +201,8 @@ def run_shard(
         result.activity = run.activity
         if spec.keep_run:
             result.run = run
+        if telemetry is not None:
+            telemetry.add_counts(result.counts)
         if telemetry is not None and obs is None:
             # Worker-side telemetry: flush and ship it home.  When the
             # parent's own telemetry was passed in (inline path), the
@@ -276,23 +251,18 @@ def run_unit(
 
     A unit is one clip's cells (:func:`~repro.parallel.costs.clip_units`),
     so the clip is built once and handed to every cell, and the cells'
-    arms run in one lockstep session (:func:`_lockstep`).  Nothing later
-    in the sweep reads this clip's frames, pyramids or flows in this
-    worker, so the store is emptied when the unit ends, however it ends:
-    a worker holds one clip at a time.  A clip that fails to build, even
-    by ``SystemExit``, fails every cell, and the engine's retry path
-    takes them.
+    arms run in one lockstep session (:func:`_lockstep`), which holds
+    the store for this clip alone.  A clip that fails to build, even by
+    ``SystemExit``, fails every cell, and the engine's retry path takes
+    them.
     """
     try:
-        try:
-            clip = unit[0].clip.build()
-        except (Exception, SystemExit):
-            error = traceback.format_exc()
-            return [_failed_result(spec, error) for spec in unit]
-        with _lockstep(clip, unit, None):
-            return [_run_cell(shard_runner, spec, clip=clip) for spec in unit]
-    finally:
-        default_store().clear()
+        clip = unit[0].clip.build()
+    except (Exception, SystemExit):
+        error = traceback.format_exc()
+        return [_failed_result(spec, error) for spec in unit]
+    with _lockstep(clip, unit, None):
+        return [_run_cell(shard_runner, spec, clip=clip) for spec in unit]
 
 
 @dataclass
@@ -311,15 +281,8 @@ class SweepResult:
     total_shards: int = 0
     retried_shards: int = 0
     elapsed_s: float = 0.0
-    # Per-kind frame-store counters summed over the settled cells:
-    # ``{kind: {"hits", "misses", "evictions", "evicted_bytes"}}``.
-    store: dict[str, dict[str, int]] = field(default_factory=dict)
-    # Flow counts summed over the settled cells: the arms' lockstep flow
-    # ``requests``, the merged ``steps`` that served them, ``solves``, the
-    # ``track_features`` calls made, ``points``, the points those calls
-    # solved, the boxes the arms asked seeds for (``seed_requests``) and
-    # the boxes whose seeds were computed (``seeded``).
-    flow: dict[str, int] = field(default_factory=dict)
+    # The settled cells' :attr:`ShardResult.counts`, summed by name.
+    counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -339,8 +302,10 @@ class SweepResult:
 
     def summary(self) -> str:
         store = "; ".join(
-            f"{kind} {counts['hits']} hits / {counts['misses']} misses"
-            for kind, counts in self.store.items()
+            f"{kind} {self.counts[f'store.{kind}.hit']} hits"
+            f" / {self.counts[f'store.{kind}.miss']} misses"
+            for kind in KINDS
+            if f"store.{kind}.hit" in self.counts
         )
         lines = [
             f"sweep: {self.total_shards} shards, jobs={self.jobs}, "
@@ -488,29 +453,23 @@ class SweepEngine:
         order, as the pool's clip units run them, so the clip's frames and
         pyramids are reused while the store holds them, and the cells'
         arms run in one lockstep session, as a unit's do (a retry runs
-        alone).  Then the store is emptied, however the clip's cells
-        ended, as :func:`run_unit` empties a worker's: nothing later in
-        the sweep reads that clip, so its entries would only crowd the
-        next clip's out.  Reduction is by grid index, so the order does
-        not change results.
+        alone), with the store holding that clip alone (:func:`_lockstep`).
+        Reduction is by grid index, so the order does not change results.
         """
         settled: dict[int, ShardResult] = {}
         ordered = sorted(shards, key=lambda s: (s.clip_index, s.index))
         for clip_index, group in groupby(ordered, key=lambda s: s.clip_index):
             clip = suite.clips[clip_index]
             specs = list(group)
-            try:
-                with _lockstep(clip, specs, obs):
-                    for spec in specs:
+            with _lockstep(clip, specs, obs):
+                for spec in specs:
+                    result = _run_cell(shard_runner, spec, clip=clip, obs=obs)
+                    while result.error is not None and spec.attempt < self.retries:
+                        spec = replace(spec, attempt=spec.attempt + 1)
                         result = _run_cell(shard_runner, spec, clip=clip, obs=obs)
-                        while result.error is not None and spec.attempt < self.retries:
-                            spec = replace(spec, attempt=spec.attempt + 1)
-                            result = _run_cell(shard_runner, spec, clip=clip, obs=obs)
-                        settled[spec.index] = result
-                        if progress is not None:
-                            progress(len(settled), len(shards), result)
-            finally:
-                default_store().clear()
+                    settled[spec.index] = result
+                    if progress is not None:
+                        progress(len(settled), len(shards), result)
         return settled
 
     def _execute_pool(
@@ -623,9 +582,8 @@ class SweepEngine:
                 method_result.activity.merge(shard.activity)
                 if shard.run is not None:
                     method_result.runs.append(shard.run)
-                _add_store_counts(out.store, shard.store)
-                for count, value in shard.flow.items():
-                    out.flow[count] = out.flow.get(count, 0) + value
+                for count, value in shard.counts.items():
+                    out.counts[count] = out.counts.get(count, 0) + value
                 if obs is not None and (shard.spans or shard.metrics):
                     for span in shard.spans:
                         obs.sink.record_span(span)

@@ -37,20 +37,17 @@ from typing import Any, Callable, Hashable, Mapping, Sequence
 import numpy as np
 
 from repro.geometry import Box
+from repro.obs import WORK
 from repro.vision.block_motion import BlockMotionField, BlockMotionParams
 from repro.vision.features import SeedParams
 from repro.vision.optical_flow import FlowResult, LKParams
 
-# Process-wide counts of the arms' flow requests, of the merged steps the
-# sessions solved for them, and of the boxes the arms asked seeds for.
-# Only a session's one running thread changes them; the engine reports
-# each cell's share.
-_COUNTS = {"requests": 0, "steps": 0, "seed_requests": 0}
-
-
-def flow_counts() -> dict[str, int]:
-    """A snapshot of :data:`_COUNTS`."""
-    return dict(_COUNTS)
+# The arms' flow requests, the merged steps the sessions solved for them,
+# and the boxes the arms asked seeds for, in the process's one account of
+# pixel work.
+_REQUESTS = WORK.counter("lk.requests")
+_STEPS = WORK.counter("lk.steps")
+_SEED_REQUESTS = WORK.counter("seed.requests")
 
 
 class _Cancelled(BaseException):
@@ -150,7 +147,7 @@ class _Arm:
     def park(self, step: tuple[int, int, LKParams], points: np.ndarray) -> FlowResult:
         """Called on the arm's thread: wait until the session solves ``step``."""
         self._check()
-        _COUNTS["requests"] += 1
+        _REQUESTS.inc()
         self.step = step
         self.points = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 2)
         return self._wait()
@@ -257,7 +254,7 @@ class Lockstep:
         for box in boxes:
             rows, cols = box.pixel_slice(shape)
             keys.append((index, rows.start, rows.stop, cols.start, cols.stop, params))
-        _COUNTS["seed_requests"] += len(keys)
+        _SEED_REQUESTS.inc(len(keys))
         missing = {key: box for key, box in zip(keys, boxes) if key not in self._seeds}
         if missing:
             try:
@@ -314,7 +311,7 @@ class Lockstep:
 
     def _solve(self, step: tuple[int, int, LKParams], waiting: list[_Arm]) -> None:
         """One ``clip.flow`` call over every waiting arm's points."""
-        _COUNTS["steps"] += 1
+        _STEPS.inc()
         points = np.concatenate([arm.points for arm in waiting])
         try:
             flow = self.clip.flow(*step[:2], points, step[2])

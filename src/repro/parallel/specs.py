@@ -94,14 +94,9 @@ class ShardResult:
     run: PipelineRun | None = None
     spans: list[Span] = field(default_factory=list)
     metrics: list[dict[str, Any]] = field(default_factory=list)
-    # Per-kind frame-store counter deltas over the cell:
-    # ``{kind: {"hits", "misses", "evictions", "evicted_bytes"}}``.
-    store: dict[str, dict[str, int]] = field(default_factory=dict)
-    # Flow counts over the cell: lockstep ``requests`` (arms' flow calls)
-    # and merged ``steps``, ``solves`` (``track_features`` calls) and the
-    # ``points`` they solved; lockstep ``seed_requests`` (boxes arms asked
-    # seeds for) and ``seeded`` (boxes whose seeds were computed).
-    flow: dict[str, int] = field(default_factory=dict)
+    # The pixel work counted in :data:`repro.obs.WORK` during the cell,
+    # by counter name (``store.<kind>.*``, ``lk.*``, ``seed.*``).
+    counts: dict[str, int] = field(default_factory=dict)
     elapsed_s: float = 0.0
     worker_pid: int = 0
     attempt: int = 0

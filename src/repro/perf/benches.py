@@ -18,6 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from repro.obs import WORK, work_since
 from repro.perf import reference, workloads
 from repro.perf.harness import BenchResult, time_callable, time_interleaved
 from repro.tracking.mve import MVETracker, MVETrackerConfig
@@ -447,10 +448,12 @@ def bench_render_frame(quick: bool) -> BenchResult:
     )
 
 
-def _store_counts(before: dict, after: dict, kind: str) -> dict[str, int]:
+def _store_counts(before: dict[str, int], kind: str) -> dict[str, int]:
+    """The ``kind`` store hits and misses counted since ``before``."""
+    counts = work_since(before)
     return {
-        f"store_{name}": after[kind][name] - before[kind][name]
-        for name in ("hits", "misses")
+        "store_hits": counts[f"store.{kind}.hit"],
+        "store_misses": counts[f"store.{kind}.miss"],
     }
 
 
@@ -469,14 +472,14 @@ def bench_frame_store_sweep(quick: bool) -> BenchResult:
     scene = clip.renderer.scene
     store = framestore.default_store()
     store.clear()
-    before = store.stats()
+    before = WORK.counts()
     first_method = FrameRenderer(scene)
     repeat_method = FrameRenderer(scene)
     for index in range(num_frames):
         served = first_method.render(index)
         if not np.array_equal(served, repeat_method.render_frame(index)):
             raise AssertionError("store-served frame diverged from a direct render")
-    primed = store.stats()
+    primed = WORK.counts()
 
     def store_pass() -> np.ndarray:
         frame = None
@@ -493,8 +496,7 @@ def bench_frame_store_sweep(quick: bool) -> BenchResult:
     repeats, number = _repeats(quick, 15)
     optimized = time_callable(store_pass, repeats, 1)
     reference_measure = time_callable(rerender_pass, repeats, 1)
-    after = store.stats()
-    if after[framestore.FRAME]["misses"] != primed[framestore.FRAME]["misses"]:
+    if work_since(primed)["store.frame.miss"]:
         raise AssertionError("a repeat pass missed the frame store")
     return BenchResult(
         name="frame_store_sweep",
@@ -511,7 +513,7 @@ def bench_frame_store_sweep(quick: bool) -> BenchResult:
             "a sweep's 2nd..Nth method per clip pass: process-wide store "
             "hits vs. the pre-store full re-render"
         ),
-        extra=_store_counts(before, after, framestore.FRAME),
+        extra=_store_counts(before, framestore.FRAME),
     )
 
 
@@ -531,7 +533,7 @@ def bench_pyramid_store_sweep(quick: bool) -> BenchResult:
     clip = workloads.bench_clip(num_frames=num_frames)
     store = framestore.default_store()
     store.clear()
-    before = store.stats()
+    before = WORK.counts()
     frames = [np.asarray(clip.frame(i), dtype=np.float64) for i in range(num_frames)]
     # The first arm fills the store; the equality gate then pins every
     # store-served level image against a direct build.
@@ -544,7 +546,7 @@ def bench_pyramid_store_sweep(quick: bool) -> BenchResult:
         for level in range(direct.levels):
             if not np.array_equal(served.images[level], direct.images[level]):
                 raise AssertionError("store-served pyramid diverged from a rebuild")
-    primed = store.stats()
+    primed = WORK.counts()
 
     def store_pass() -> FramePyramid:
         pyramid = None
@@ -561,8 +563,7 @@ def bench_pyramid_store_sweep(quick: bool) -> BenchResult:
     repeats, number = _repeats(quick, 15)
     optimized = time_callable(store_pass, repeats, 1)
     reference_measure = time_callable(rebuild_pass, repeats, 1)
-    after = store.stats()
-    if after[framestore.PYRAMID]["misses"] != primed[framestore.PYRAMID]["misses"]:
+    if work_since(primed)["store.pyramid.miss"]:
         raise AssertionError("a repeat arm missed the frame store")
     return BenchResult(
         name="pyramid_store_sweep",
@@ -580,7 +581,7 @@ def bench_pyramid_store_sweep(quick: bool) -> BenchResult:
             "a sweep's 2nd..Nth method arm per clip pass: process-wide store "
             "pyramid reads vs. the pre-store full rebuild"
         ),
-        extra=_store_counts(before, after, framestore.PYRAMID),
+        extra=_store_counts(before, framestore.PYRAMID),
     )
 
 

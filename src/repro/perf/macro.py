@@ -28,7 +28,7 @@ from repro.experiments.fig6_overall import FIG6_METHODS
 from repro.experiments.workloads import quick_suite
 from repro.parallel import SweepEngine, SweepResult
 from repro.perf.harness import build_document, require_keys, validate_envelope
-from repro.video.framestore import BYTES_PER_MB, STORE_BYTES
+from repro.video.framestore import BYTES_PER_MB, KINDS, STORE_BYTES
 
 MACRO_SUITE_NAME = "repro-macro"
 MACRO_BENCH_NAME = "fig6_reduced_sweep"
@@ -99,14 +99,13 @@ def run_macro_benchmark(jobs: int = 4, repeats: int = 3, quick: bool = False) ->
     frame and pyramid in the sequential arm, while a pool worker handed
     another clip misses.  Timings interleave the two arms repeat by
     repeat so drift in background load hits both equally, and every
-    timed pair is checked for identity too.  The ``store`` block records
-    each arm's frame-store counters per kind from the first pass: misses
-    are the frames rendered and pyramids built.  The ``flow`` block
-    records each arm's flow counts from the same pass: the method arms'
-    lockstep ``requests``, the merged ``steps`` that served them, the
-    ``track_features`` ``solves`` and the ``points`` they solved, and the
-    boxes the arms asked seeds for (``seed_requests``) against the boxes
-    ``seeded`` (see :attr:`~repro.parallel.SweepResult.flow`).
+    timed pair is checked for identity too.  The ``counts`` block records
+    each arm's :attr:`~repro.parallel.SweepResult.counts` from the first
+    pass: per kind the store's hits, misses (the frames rendered and
+    pyramids built) and evictions; the method arms' lockstep LK
+    ``requests``, the merged ``steps`` that served them, the
+    ``track_features`` ``solves`` and the ``points`` they solved; and
+    the boxes the arms asked seeds for against the boxes seeded.
     ``sequential_peak_rss_mb`` is this process's peak RSS, which the
     sequential arm runs in; ``parallel_worker_peak_rss_mb`` is the
     largest pool worker's, read as ``RUSAGE_CHILDREN`` once the pool has
@@ -166,12 +165,8 @@ def run_macro_benchmark(jobs: int = 4, repeats: int = 3, quick: bool = False) ->
         "speedup": sequential_best / parallel_best,
         "results_identical": True,
         "failures": 0,
-        "store": {
-            "budget_mb": STORE_BYTES // BYTES_PER_MB,
-            "sequential": sequential.store,
-            "parallel": parallel.store,
-        },
-        "flow": {"sequential": sequential.flow, "parallel": parallel.flow},
+        "store_budget_mb": STORE_BYTES // BYTES_PER_MB,
+        "counts": {"sequential": sequential.counts, "parallel": parallel.counts},
         "sequential_peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
         "parallel_worker_peak_rss_mb": _peak_rss_mb(resource.RUSAGE_CHILDREN),
     }
@@ -191,8 +186,8 @@ _REQUIRED_SWEEP_BENCH_KEYS = (
     "speedup",
     "results_identical",
     "failures",
-    "store",
-    "flow",
+    "store_budget_mb",
+    "counts",
     *_PEAK_RSS_KEYS,
 )
 
@@ -214,7 +209,7 @@ def _validate_sweep_bench(
     for arm in ("sequential", "parallel"):
         # Every fig6 grid tracks points, so an arm that solved none did
         # not run its Lucas-Kanade steps.
-        points = bench["flow"].get(arm, {}).get("points")
+        points = bench["counts"].get(arm, {}).get("lk.points")
         if not isinstance(points, int) or points <= 0:
             raise ValueError(f"bench {bench['name']!r} {arm} arm solved no flow points")
     if bench["jobs"] < 2:
@@ -272,19 +267,20 @@ def format_macro_table(doc: dict) -> str:
             f"{bench['jobs']:>5d} {bench['sequential_best_s']:>8.2f}s "
             f"{bench['parallel_best_s']:>8.2f}s {bench['speedup']:>7.2f}x"
         )
-        store = bench["store"]
         for arm in ("sequential", "parallel"):
-            counts = [
-                f"{kind} {c['hits']} hits / {c['misses']} misses"
-                for kind, c in store[arm].items()
-            ]
-            lines.append(f"  store ({store['budget_mb']} MiB) {arm}: {'; '.join(counts)}")
-            flow = bench["flow"][arm]
+            counts = bench["counts"][arm]
+            store = "; ".join(
+                f"{kind} {counts[f'store.{kind}.hit']} hits"
+                f" / {counts[f'store.{kind}.miss']} misses"
+                for kind in KINDS
+            )
+            lines.append(f"  store ({bench['store_budget_mb']} MiB) {arm}: {store}")
             lines.append(
-                f"  flow {arm}: {flow['requests']} arm requests, {flow['steps']}"
-                f" merged steps, {flow['solves']} track_features calls"
-                f" over {flow['points']} points;"
-                f" seeding {flow['seed_requests']} box requests, {flow['seeded']} seeded"
+                f"  LK {arm}: {counts['lk.requests']} arm requests, {counts['lk.steps']}"
+                f" merged steps, {counts['lk.solves']} track_features calls"
+                f" over {counts['lk.points']} points;"
+                f" seeding {counts['seed.requests']} box requests,"
+                f" {counts['seed.boxes']} seeded"
             )
         lines.append(
             f"  peak RSS: sequential process {bench['sequential_peak_rss_mb']:.1f} MiB;"

@@ -9,13 +9,13 @@ what a CPU-only environment can process.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.geometry import Box
+from repro.obs import WORK
 from repro.video.library import make_scenario
 from repro.video.render import FrameRenderer
 from repro.video.scenario import ScenarioConfig
@@ -24,22 +24,14 @@ from repro.vision.block_motion import BlockMotionField, BlockMotionParams, block
 from repro.vision.features import SeedParams, seed_features
 from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams, track_features
 
-# The ``track_features`` calls :meth:`VideoClip.flow` has made in this
-# process and the points they solved; the sweep engine reports each
-# cell's share.
-_SOLVES = {"solves": 0, "points": 0}
-_solves_lock = threading.Lock()
+# Each :meth:`VideoClip.flow` call's one ``track_features`` solve and
+# the distinct points it took, in the process's one account of pixel work.
+_LK_CALLS = WORK.counter("lk.solves")
+_LK_POINTS = WORK.counter("lk.points")
 
 # One float64 ``(x, y)`` point as one opaque 16-byte value: points are
 # equal under it exactly when their bytes are.
 _POINT = np.dtype((np.void, 16))
-
-
-def solve_counts() -> dict[str, int]:
-    """How many ``track_features`` calls :meth:`VideoClip.flow` has made
-    (``solves``), and over how many points (``points``)."""
-    with _solves_lock:
-        return dict(_SOLVES)
 
 
 @dataclass
@@ -99,9 +91,8 @@ class VideoClip:
             points[first],
             params,
         )
-        with _solves_lock:
-            _SOLVES["solves"] += 1
-            _SOLVES["points"] += len(first)
+        _LK_CALLS.inc()
+        _LK_POINTS.inc(len(first))
         return FlowResult(
             points=solved.points[slots],
             status=solved.status[slots],

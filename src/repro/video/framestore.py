@@ -38,6 +38,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.obs import WORK
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (render imports us)
     from repro.video.scene import Scene
 
@@ -57,6 +59,16 @@ EVICTION_ORDER = (PYRAMID, FRAME)
 # 76 MiB, the sweeps keep their pyramid builds from 48 MiB.  DESIGN.md §9
 # has the replay.
 STORE_BYTES = 88 * BYTES_PER_MB
+
+# Per kind, the store's ``hit``, ``miss``, ``evictions`` and
+# ``evicted_bytes`` counters in the process's one account of pixel work.
+_COUNTERS = {
+    kind: {
+        name: WORK.counter(f"store.{kind}.{name}")
+        for name in ("hit", "miss", "evictions", "evicted_bytes")
+    }
+    for kind in KINDS
+}
 
 
 def scene_fingerprint(scene: "Scene") -> str:
@@ -126,33 +138,10 @@ class FrameStore:
             kind: OrderedDict() for kind in KINDS
         }
         self._bytes = dict.fromkeys(KINDS, 0)
-        self._counts = {
-            kind: {"hits": 0, "misses": 0, "evictions": 0, "evicted_bytes": 0}
-            for kind in KINDS
-        }
-        self.set_obs(None)
 
     @property
     def current_bytes(self) -> int:
         return sum(self._bytes.values())
-
-    def set_obs(self, obs=None) -> None:
-        """Attach telemetry for the per-kind ``store.*`` counters (None detaches).
-
-        Instruments are resolved once, so the hot path pays one no-op
-        method call when observability is off.  The sweep engine attaches
-        each cell's telemetry around the cell (see ``repro.parallel.engine``).
-        """
-        from repro.obs import NULL_TELEMETRY
-
-        telemetry = obs if obs is not None else NULL_TELEMETRY
-        self._obs = {
-            kind: {
-                name: telemetry.counter(f"store.{kind}.{name}")
-                for name in ("hit", "miss", "evicted_bytes")
-            }
-            for kind in KINDS
-        }
 
     def __len__(self) -> int:
         return sum(len(entries) for entries in self._entries.values())
@@ -163,15 +152,12 @@ class FrameStore:
         entries = self._entries[kind]
         with self._lock:
             entry = entries.get(key)
-            if entry is None:
-                self._counts[kind]["misses"] += 1
-            else:
+            if entry is not None:
                 entries.move_to_end(key)
-                self._counts[kind]["hits"] += 1
         if entry is None:
-            self._obs[kind]["miss"].inc()
+            _COUNTERS[kind]["miss"].inc()
             return None
-        self._obs[kind]["hit"].inc()
+        _COUNTERS[kind]["hit"].inc()
         return entry[0]
 
     def put(self, key: tuple, value: Any) -> Any:
@@ -220,33 +206,27 @@ class FrameStore:
             _, (_, nbytes) = self._entries[kind].popitem(last=False)
             over -= nbytes
             self._bytes[kind] -= nbytes
-            self._counts[kind]["evictions"] += 1
-            self._counts[kind]["evicted_bytes"] += nbytes
-            self._obs[kind]["evicted_bytes"].inc(nbytes)
+            _COUNTERS[kind]["evictions"].inc()
+            _COUNTERS[kind]["evicted_bytes"].inc(nbytes)
 
     def clear(self) -> None:
-        """Drop every entry (the counters are kept)."""
+        """Drop every entry."""
         with self._lock:
             for kind in KINDS:
                 self._entries[kind].clear()
                 self._bytes[kind] = 0
 
     def stats(self) -> dict:
-        """Counter snapshot: the budget, and per kind the resident entries
-        and bytes, hits, misses, evictions and evicted bytes.
+        """Residency snapshot: the budget, and per kind the resident
+        entries and bytes, taken under the store lock.
 
-        Taken under the store lock, so a snapshot is consistent even while
-        other threads hit the store — callers that need deltas (the sweep
-        engine's per-cell accounting) diff two snapshots.
+        What the store did — hits, misses, evictions and evicted bytes —
+        is counted in :data:`repro.obs.WORK` as ``store.<kind>.*``.
         """
         with self._lock:
             doc: dict = {"max_bytes": self.max_bytes, "current_bytes": self.current_bytes}
             for kind in KINDS:
-                doc[kind] = {
-                    "entries": len(self._entries[kind]),
-                    "bytes": self._bytes[kind],
-                    **self._counts[kind],
-                }
+                doc[kind] = {"entries": len(self._entries[kind]), "bytes": self._bytes[kind]}
             return doc
 
 

@@ -13,7 +13,6 @@ features inside each detected box, under one frozen :class:`SeedParams`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -21,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.geometry import Box
+from repro.obs import WORK
 from repro.vision.fast import fast_corners
 from repro.vision.image import (
     _image_gradients_into,
@@ -217,15 +217,9 @@ class SeedParams:
     border: int = 1
 
 
-# Boxes :func:`seed_features` has seeded in this process; the sweep
-# engine reports each cell's share.
-_seeded = 0
-_seeded_lock = threading.Lock()
-
-
-def seed_count() -> int:
-    """How many boxes :func:`seed_features` has seeded."""
-    return _seeded
+# The boxes :func:`seed_features` seeds, in the process's one account of
+# pixel work.
+_BOXES = WORK.counter("seed.boxes")
 
 
 def seed_features(
@@ -237,9 +231,7 @@ def seed_features(
     :meth:`~repro.geometry.Box.pixel_slice` and on ``params``.  A box
     whose slice is under 6 pixels on a side gets none.
     """
-    global _seeded
-    with _seeded_lock:
-        _seeded += len(boxes)
+    _BOXES.inc(len(boxes))
     return [_box_features(frame, box, params) for box in boxes]
 
 

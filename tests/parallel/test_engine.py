@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.experiments.workloads import quick_suite
-from repro.obs import InMemorySink, Telemetry
+from repro.obs import WORK, InMemorySink, Telemetry
 from repro.parallel import (
     ClipSpec,
     MethodSpec,
@@ -24,7 +24,8 @@ from repro.parallel import (
 )
 from repro.parallel.engine import run_unit
 from repro.video.dataset import VideoSuite, make_clip
-from repro.video.framestore import KINDS, default_store
+from repro.video import framestore
+from repro.video.framestore import BYTES_PER_MB, KINDS, FrameStore, default_store
 
 _METHODS = ("adavp", "mpdt-320")
 
@@ -200,8 +201,25 @@ class TestSequentialPath:
         assert [r.clip_index for r in settled if r.probe["store_entries"] == 0] == [0, 1]
         parallel = run_sweep(_METHODS, suite, jobs=2)
         for kind in KINDS:
-            assert sequential.store[kind]["misses"] > 0
-            assert sequential.store[kind]["misses"] == parallel.store[kind]["misses"]
+            assert sequential.counts[f"store.{kind}.miss"] > 0
+            assert sequential.counts[f"store.{kind}.miss"] == parallel.counts[f"store.{kind}.miss"]
+
+    def test_a_sweep_ignores_what_the_store_held_before(self, monkeypatch):
+        # Another clip's frames fill the store first.  Left in, they would
+        # crowd the sweep's own pyramids out, since pyramids are evicted
+        # before any frame, and the sweep would build some twice.
+        store = FrameStore(16 * BYTES_PER_MB)
+        monkeypatch.setattr(framestore, "_default_store", store)
+        cold = run_sweep(_METHODS, _small_suite(frames=24, clips=1), jobs=1)
+        other = make_clip("city_street", seed=99, num_frames=72)
+        for index in range(other.num_frames):
+            other.frame(index)
+        assert store.stats()["current_bytes"] > 15 * BYTES_PER_MB
+        prefilled = run_sweep(_METHODS, _small_suite(frames=24, clips=1), jobs=1)
+        for kind in KINDS:
+            assert cold.counts[f"store.{kind}.miss"] > 0
+            assert prefilled.counts[f"store.{kind}.miss"] == cold.counts[f"store.{kind}.miss"]
+            assert prefilled.counts[f"store.{kind}.evictions"] == 0
 
     def test_keep_runs_in_suite_order(self):
         suite = _small_suite(frames=24)
@@ -380,25 +398,23 @@ class TestStoreModes:
         # Render-once: each clip's cells share one worker's store, so
         # misses cannot exceed the unique frame count no matter how many
         # methods scan the same clips.
-        assert 0 < sweep.store["frame"]["misses"] <= unique_frames
+        assert 0 < sweep.counts["store.frame.miss"] <= unique_frames
 
     def test_method_arms_share_pyramids(self):
         default_store().clear()
         sweep = run_sweep(_METHODS, _small_suite(frames=24), jobs=1)
         # Method arms revisit each clip's pyramids: later arms are served
         # from the store instead of rebuilding.
-        assert sweep.store["pyramid"]["hits"] > 0
-        assert sweep.store["pyramid"]["misses"] > 0
+        assert sweep.counts["store.pyramid.hit"] > 0
+        assert sweep.counts["store.pyramid.miss"] > 0
 
     def test_store_never_changes_results(self, monkeypatch):
-        from repro.video import framestore
-
         with_store = run_sweep(_METHODS, _small_suite(frames=24), jobs=1)
         # A zero-byte store keeps nothing: every frame and pyramid is
         # computed afresh.
         monkeypatch.setattr(framestore, "_default_store", framestore.FrameStore(0))
         without_store = run_sweep(_METHODS, _small_suite(frames=24), jobs=1)
-        assert without_store.store["frame"]["hits"] == 0
+        assert without_store.counts["store.frame.hit"] == 0
         for name in _METHODS:
             assert (
                 with_store.results[name].per_video_accuracy
@@ -424,31 +440,41 @@ class TestStoreModes:
             assert counters[f"store.{kind}.hit"] > 0
             assert f"store.{kind}.evicted_bytes" in counters
 
-    def test_store_obs_counters_match_sweep_counts(self):
-        # Telemetry observes the same store traffic the cells' stats()
-        # deltas report: the two accounts agree per kind.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_telemetry_counts_equal_sweep_counts(self, jobs):
+        # One account: every registry counter a sweep's telemetry holds
+        # is the sweep's count, whether the cells ran inline into the
+        # caller's telemetry or shipped a snapshot each from a worker.
         obs = Telemetry(InMemorySink())
         default_store().clear()
-        sweep = run_sweep(_METHODS, _small_suite(frames=12), jobs=1, obs=obs)
+        sweep = run_sweep(_METHODS, _small_suite(frames=12), jobs=jobs, obs=obs)
         assert sweep.ok, sweep.summary()
         obs.flush()
-        counters = {
-            record["name"]: record["value"]
-            for record in obs.sink.last_metrics()
-            if record["kind"] == "counter"
-        }
-        for kind in ("frame", "pyramid"):
-            counts = sweep.store[kind]
-            assert counters[f"store.{kind}.hit"] == counts["hits"]
-            assert counters[f"store.{kind}.miss"] == counts["misses"]
-            assert counters[f"store.{kind}.evicted_bytes"] == counts["evicted_bytes"]
+        counters: dict[str, int] = {}
+        for snapshot in obs.sink.metric_snapshots:
+            for record in snapshot:
+                if record["kind"] == "counter":
+                    counters[record["name"]] = counters.get(record["name"], 0) + record["value"]
+        assert set(WORK.counts()) <= set(sweep.counts)
+        for name, value in sweep.counts.items():
+            assert counters[name] == value, name
+        assert sweep.counts["lk.solves"] > 0 and sweep.counts["seed.boxes"] > 0
+
+
+# Counts that do not depend on which worker ran a cell, while no clip's
+# cells are split across workers.
+_PLACEMENT_FREE = (
+    *(f"store.{kind}.{name}" for kind in KINDS for name in ("miss", "evictions")),
+    "lk.requests",
+    "seed.requests",
+)
 
 
 class TestClipAffinity:
     """The pool's unit of work is one clip, so a worker's store sees every
     reuse the clip offers: the working set fits the store, so a jobs=2
-    sweep misses exactly as often, per kind (frames, pyramids and flows),
-    as a jobs=1 sweep."""
+    sweep misses exactly as often per kind, and its arms make as many LK
+    and seed requests, as a jobs=1 sweep."""
 
     @pytest.fixture(scope="class")
     def sweeps(self):
@@ -475,11 +501,13 @@ class TestClipAffinity:
 
     def test_misses_equal_the_sequential_sweep(self, sweeps):
         sequential, parallel, _ = sweeps
+        for name in _PLACEMENT_FREE:
+            assert parallel.counts[name] == sequential.counts[name], name
         for kind in KINDS:
-            assert sequential.store[kind]["misses"] > 0
-            assert parallel.store[kind]["misses"] == sequential.store[kind]["misses"]
-            assert parallel.store[kind]["evictions"] == 0
-            assert sequential.store[kind]["evictions"] == 0
+            assert sequential.counts[f"store.{kind}.miss"] > 0
+            assert sequential.counts[f"store.{kind}.evictions"] == 0
+        assert sequential.counts["lk.requests"] > 0
+        assert sequential.counts["seed.requests"] > 0
 
     def test_one_clip_sweep_reaches_every_worker(self):
         # Fewer clips than workers: the clip's unit is split so both

@@ -56,6 +56,10 @@ def _record(accuracy, mean_f1, activity) -> tuple:
     )
 
 
+def _lk_and_seeds(sweep) -> dict[str, int]:
+    """A sweep's Lucas-Kanade and seeding counts: everything but the store's."""
+    return {name: value for name, value in sweep.counts.items() if not name.startswith("store.")}
+
 class _FlowLog:
     """Records every ``VideoClip.flow`` step, and the ``track_features``
     calls and the points they solved."""
@@ -154,21 +158,21 @@ class TestLockstepDifferential:
         assert set(log.steps) == set().union(*steps)
         assert log.solves == len(log.steps)
         distinct = sum(len(unit) for unit in steps)
-        assert sequential.flow["steps"] == sequential.flow["solves"] == distinct
-        assert sequential.flow["points"] == log.points
+        assert sequential.counts["lk.steps"] == sequential.counts["lk.solves"] == distinct
+        assert sequential.counts["lk.points"] == log.points
 
         parallel, settled, records = _sweep(suite, jobs=2)
         assert records == alone
         for clip_index, unit in enumerate(steps):
             cells = [r for r in settled if r.clip_index == clip_index]
-            assert sum(r.flow["solves"] for r in cells) == len(unit)
-            assert sum(r.flow["steps"] for r in cells) == len(unit)
-        assert parallel.flow == sequential.flow
+            assert sum(r.counts["lk.solves"] for r in cells) == len(unit)
+            assert sum(r.counts["lk.steps"] for r in cells) == len(unit)
+        assert _lk_and_seeds(parallel) == _lk_and_seeds(sequential)
         # Merging is what shares the solves: arms asked for more steps
         # than were solved, and the merged calls solved no more points
         # than the arms did alone.
-        assert sequential.flow["requests"] > distinct
-        assert sequential.flow["points"] <= alone_points
+        assert sequential.counts["lk.requests"] > distinct
+        assert sequential.counts["lk.points"] <= alone_points
 
 
 class _PixelLog:
@@ -279,8 +283,8 @@ class TestPixelWorkStaysOnTheDrivingThread:
         distinct = set(requests)
         assert len(log.requests) == len(set(log.requests))
         assert set(log.requests) == distinct
-        assert sum(r.flow["seeded"] for r in results) == len(distinct)
-        assert sum(r.flow["seed_requests"] for r in results) == len(requests)
+        assert sum(r.counts["seed.boxes"] for r in results) == len(distinct)
+        assert sum(r.counts["seed.requests"] for r in results) == len(requests)
         assert len(distinct) < len(requests)
 
     def test_run_unit(self, suite, alone):
@@ -396,7 +400,7 @@ class TestCellsAndThreads:
         runner = _Timed(skip="mpdt-320")
         results = execute(runner)
         assert all(r.ok for r in results)
-        assert {r.method for r in results if r.flow} == set(_UNIT_METHODS) - {"mpdt-320"}
+        assert {r.method for r in results if r.counts} == set(_UNIT_METHODS) - {"mpdt-320"}
         runner.assert_disjoint()
         assert not _session_threads()
 

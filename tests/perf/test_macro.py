@@ -55,57 +55,62 @@ class TestRunMacroBenchmark:
         so both kinds hit in both arms.  Pipelines skip frames, so
         accessed frames can be fewer than clip length."""
         bench = macro_doc["benches"][0]
-        store = bench["store"]
-        assert store["budget_mb"] == 88
+        assert bench["store_budget_mb"] == 88
         unique_frames = sum(bench["workload"]["frames_per_clip"])
-        seq, par = store["sequential"], store["parallel"]
-        assert 0 < seq["frame"]["misses"] <= unique_frames
-        assert 0 < par["frame"]["misses"] <= unique_frames * bench["jobs"]
+        seq, par = bench["counts"]["sequential"], bench["counts"]["parallel"]
+        assert 0 < seq["store.frame.miss"] <= unique_frames
+        assert 0 < par["store.frame.miss"] <= unique_frames * bench["jobs"]
         for arm in (seq, par):
-            assert arm["frame"]["evictions"] == 0
-            assert arm["pyramid"]["misses"] > 0
-            assert arm["pyramid"]["hits"] > 0
+            assert arm["store.frame.evictions"] == 0
+            assert arm["store.pyramid.miss"] > 0
+            assert arm["store.pyramid.hit"] > 0
 
     def test_pyramid_store_counters(self, macro_doc):
         """Both arms make the same pyramid reads — the store decides only
         which are served — and each arm both builds and reuses pyramids.
         A pyramid miss reads its frame through the store, so frame reads
         exceed pyramid misses by the same count in both arms."""
-        store = macro_doc["benches"][0]["store"]
-        seq, par = store["sequential"], store["parallel"]
+        counts = macro_doc["benches"][0]["counts"]
+        seq, par = counts["sequential"], counts["parallel"]
 
-        def reads(counts):
-            return counts["hits"] + counts["misses"]
+        def reads(arm, kind):
+            return arm[f"store.{kind}.hit"] + arm[f"store.{kind}.miss"]
 
-        assert reads(seq["pyramid"]) == reads(par["pyramid"])
+        assert reads(seq, "pyramid") == reads(par, "pyramid")
         assert (
-            reads(seq["frame"]) - seq["pyramid"]["misses"]
-            == reads(par["frame"]) - par["pyramid"]["misses"]
+            reads(seq, "frame") - seq["store.pyramid.miss"]
+            == reads(par, "frame") - par["store.pyramid.miss"]
         )
         for arm in (seq, par):
-            assert arm["pyramid"]["misses"] > 0
-            assert arm["pyramid"]["hits"] > 0
+            assert arm["store.pyramid.miss"] > 0
+            assert arm["store.pyramid.hit"] > 0
 
     def test_flow_point_counts(self, macro_doc):
-        """The flow block counts the points the solving calls took.  The
+        """The counts block counts the points the solving calls took.  The
         sequential arm solves no more points than the pool, and the store
         keeps no flows: arms share solves inside the merged call."""
         bench = macro_doc["benches"][0]
-        seq, par = bench["flow"]["sequential"], bench["flow"]["parallel"]
-        assert 0 < seq["solves"] < seq["points"] <= par["points"]
-        for arm in ("sequential", "parallel"):
-            assert set(bench["store"][arm]) == {"frame", "pyramid"}
+        seq, par = bench["counts"]["sequential"], bench["counts"]["parallel"]
+        assert 0 < seq["lk.solves"] < seq["lk.points"] <= par["lk.points"]
+        for arm in (seq, par):
+            assert {name for name in arm if name.startswith("store.")} == {
+                f"store.{kind}.{name}"
+                for kind in ("frame", "pyramid")
+                for name in ("hit", "miss", "evictions", "evicted_bytes")
+            }
 
     def test_each_merged_step_is_one_solve(self, macro_doc):
         """Lockstep arms: each merged step is one track_features call, the
         arms asked for more steps than were solved, and at jobs=2 the
         quick suite's three clips split no unit, so both arms make the
         same requests, steps and calls."""
-        flow = macro_doc["benches"][0]["flow"]
-        seq, par = flow["sequential"], flow["parallel"]
-        assert 0 < seq["solves"] == seq["steps"] < seq["requests"]
-        assert par == seq
-        assert f"flow sequential: {seq['requests']} arm requests" in format_macro_table(
+        counts = macro_doc["benches"][0]["counts"]
+        seq, par = counts["sequential"], counts["parallel"]
+        assert 0 < seq["lk.solves"] == seq["lk.steps"] < seq["lk.requests"]
+        for name in seq:
+            if not name.startswith("store."):
+                assert par[name] == seq[name], name
+        assert f"LK sequential: {seq['lk.requests']} arm requests" in format_macro_table(
             macro_doc
         )
 
@@ -113,10 +118,10 @@ class TestRunMacroBenchmark:
         """AdaVP starts at 512, so MPDT-512 seeds the same boxes on the
         same frames: a session seeds each once, for fewer boxes than the
         arms asked for."""
-        seq = macro_doc["benches"][0]["flow"]["sequential"]
-        assert 0 < seq["seeded"] < seq["seed_requests"]
+        seq = macro_doc["benches"][0]["counts"]["sequential"]
+        assert 0 < seq["seed.boxes"] < seq["seed.requests"]
         assert (
-            f"seeding {seq['seed_requests']} box requests, {seq['seeded']} seeded"
+            f"seeding {seq['seed.requests']} box requests, {seq['seed.boxes']} seeded"
             in format_macro_table(macro_doc)
         )
 
@@ -142,8 +147,8 @@ class TestRunMacroBenchmark:
         text = format_macro_table(macro_doc)
         assert MACRO_BENCH_NAME in text
         assert "cpu_count" in text
-        flow = macro_doc["benches"][0]["flow"]["sequential"]
-        assert f"{flow['solves']} track_features calls over {flow['points']} points" in text
+        seq = macro_doc["benches"][0]["counts"]["sequential"]
+        assert f"{seq['lk.solves']} track_features calls over {seq['lk.points']} points" in text
         assert " misses" in text
         worker = macro_doc["benches"][0]["parallel_worker_peak_rss_mb"]
         assert f"largest pool worker {worker:.1f} MiB" in text
@@ -186,8 +191,14 @@ class TestValidateMacroDoc:
 
     def test_rejects_missing_store_block(self, macro_doc):
         doc = copy.deepcopy(macro_doc)
-        del doc["benches"][0]["store"]
-        with pytest.raises(ValueError, match="missing key 'store'"):
+        del doc["benches"][0]["store_budget_mb"]
+        with pytest.raises(ValueError, match="missing key 'store_budget_mb'"):
+            validate_macro_doc(doc)
+
+    def test_rejects_missing_counts_block(self, macro_doc):
+        doc = copy.deepcopy(macro_doc)
+        del doc["benches"][0]["counts"]
+        with pytest.raises(ValueError, match="missing key 'counts'"):
             validate_macro_doc(doc)
 
     @pytest.mark.parametrize(
@@ -205,10 +216,10 @@ class TestValidateMacroDoc:
     @pytest.mark.parametrize("arm", ["sequential", "parallel"])
     def test_rejects_an_arm_that_solved_no_points(self, macro_doc, arm):
         doc = copy.deepcopy(macro_doc)
-        doc["benches"][0]["flow"][arm]["points"] = 0
+        doc["benches"][0]["counts"][arm]["lk.points"] = 0
         with pytest.raises(ValueError, match=f"{arm} arm solved no flow points"):
             validate_macro_doc(doc)
-        del doc["benches"][0]["flow"][arm]["points"]
+        del doc["benches"][0]["counts"][arm]["lk.points"]
         with pytest.raises(ValueError, match=f"{arm} arm solved no flow points"):
             validate_macro_doc(doc)
 

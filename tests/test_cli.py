@@ -162,6 +162,22 @@ class TestCommands:
         stats = pstats.Stats(str(path))  # loads or raises
         assert stats.total_calls > 0
 
+    def test_obs_reports_the_pixel_work_account(self, capsys):
+        # The LK and seeding counters print beside the store's: one account.
+        assert main(
+            ["obs", "adavp", "--scenario", "racetrack", "--frames", "60"]
+        ) == 0
+        counters = {}
+        for line in capsys.readouterr().out.splitlines():
+            name, _, value = line.strip().partition(" ")
+            if value.strip().startswith("counter="):
+                counters[name] = int(value.strip().removeprefix("counter="))
+        for kind in ("frame", "pyramid"):
+            assert counters[f"store.{kind}.miss"] > 0
+            assert f"store.{kind}.evictions" in counters
+        assert 0 < counters["lk.solves"] < counters["lk.points"]
+        assert counters["seed.boxes"] > 0
+
     def test_profile_rejects_bad_frames(self):
         with pytest.raises(ValueError, match="frames"):
             main(["profile", "--frames", "0"])
@@ -206,7 +222,7 @@ class TestCommands:
             def run(self, methods, suite):
                 clock[0] += 1.0 if self.jobs == 1 else 2.0
                 return types.SimpleNamespace(
-                    failures=[], results={}, store={}, flow={"points": 1}
+                    failures=[], results={}, counts={"lk.points": 1}
                 )
 
         monkeypatch.setattr(macro, "SweepEngine", FakeEngine)

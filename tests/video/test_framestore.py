@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.detection.detector import Detection
-from repro.obs import InMemorySink, Telemetry
+from repro.obs import WORK, InMemorySink, Telemetry, work_since
 from repro.tracking.mve import MVETracker, MVETrackerConfig
 from repro.tracking.tracker import ObjectTracker, TrackerConfig
 from repro.video import dataset, framestore
-from repro.video.dataset import make_clip, solve_counts
+from repro.video.dataset import make_clip
 from repro.video.framestore import (
     EVICTION_ORDER,
     FRAME,
@@ -69,12 +69,20 @@ def _counters(obs: Telemetry) -> dict[str, float]:
 
 
 def _delta(before: dict, after: dict, kind: str, name: str) -> int:
+    """``kind``'s resident ``name`` between two :meth:`FrameStore.stats`."""
     return after[kind][name] - before[kind][name]
+
+
+def _counted(before: dict, kind: str, name: str, after: dict | None = None) -> int:
+    """The ``store.<kind>.<name>`` work counted between two ``WORK.counts()``
+    snapshots; ``after`` defaults to now."""
+    key = f"store.{kind}.{name}"
+    return (WORK.counts() if after is None else after)[key] - before.get(key, 0)
 
 
 @pytest.fixture()
 def store():
-    """The process-wide store, emptied, with its counters as they stand."""
+    """The process-wide store, emptied."""
     default_store().clear()
     return default_store()
 
@@ -89,13 +97,13 @@ class TestFrameStoreCore:
 
     def test_hit_miss_counters_and_roundtrip(self):
         store = FrameStore(1024)
+        before = WORK.counts()
         assert store.get(_key(0)) is None
         frame = _frame(64)
         store.put(_key(0), frame)
         assert store.get(_key(0)) is frame
-        stats = store.stats()
-        assert stats[FRAME]["misses"] == 1 and stats[FRAME]["hits"] == 1
-        assert stats[PYRAMID]["misses"] == 0 and stats[PYRAMID]["hits"] == 0
+        assert _counted(before, FRAME, "miss") == 1 and _counted(before, FRAME, "hit") == 1
+        assert _counted(before, PYRAMID, "miss") == 0 and _counted(before, PYRAMID, "hit") == 0
 
     def test_stored_frames_are_read_only(self):
         store = FrameStore(1024)
@@ -121,26 +129,29 @@ class TestFrameStoreCore:
 
     def test_lru_eviction_order_respects_gets(self):
         store = FrameStore(3 * 64)
+        before = WORK.counts()
         for i in range(3):
             store.put(_key(i), _frame(64))
         store.get(_key(0))  # 0 becomes most-recent; 1 is now LRU
         store.put(_key(3), _frame(64))
         assert store.get(_key(1)) is None
         assert store.get(_key(0)) is not None
-        assert store.stats()[FRAME]["evictions"] == 1
-        assert store.stats()[FRAME]["evicted_bytes"] == 64
+        assert _counted(before, FRAME, "evictions") == 1
+        assert _counted(before, FRAME, "evicted_bytes") == 64
 
     def test_budget_is_exact(self):
         store = FrameStore(128)
+        before = WORK.counts()
         store.put(_key(0), _frame(64))
         store.put(_key(1), _frame(64))
-        assert store.stats()[FRAME]["evictions"] == 0  # exactly full fits
+        assert _counted(before, FRAME, "evictions") == 0  # exactly full fits
         store.put(_key(2), _frame(1))  # one byte over evicts the LRU frame
         assert store.get(_key(0)) is None
         assert store.current_bytes == 65
 
     def test_pyramids_are_evicted_before_any_frame(self):
         store = FrameStore(3 * 64)
+        before = WORK.counts()
         store.put(_key(0), _frame(64))
         store.put(_key(0, PYRAMID, 2), _pyramid(32, 32))
         store.put(_key(1, PYRAMID, 2), _pyramid(32, 32))
@@ -155,9 +166,9 @@ class TestFrameStoreCore:
         assert store.get(_key(0)) is not None  # now frame 1 is the LRU frame
         # No pyramid left to give, so the LRU frame goes.
         store.put(_key(3), _frame(64))
-        stats = store.stats()
-        assert stats[PYRAMID]["entries"] == 0 and stats[PYRAMID]["evictions"] == 2
-        assert stats[FRAME]["evictions"] == 1
+        assert store.stats()[PYRAMID]["entries"] == 0
+        assert _counted(before, PYRAMID, "evictions") == 2
+        assert _counted(before, FRAME, "evictions") == 1
         assert store.get(_key(1)) is None
         assert store.get(_key(0)) is not None
 
@@ -181,6 +192,7 @@ class TestFrameStoreCore:
 
     def test_no_frame_is_evicted_while_a_pyramid_holds_it(self):
         store = FrameStore(3 * 64 + 20)
+        before = WORK.counts()
         frame = store.put(_key(0), _frame(64))
         store.put(_key(0, PYRAMID, 2), SimpleNamespace(images=[frame, _frame(20)]))
         store.put(_key(1), _frame(64))
@@ -189,11 +201,13 @@ class TestFrameStoreCore:
         # Frame 0 is the LRU entry, but its pyramid is resident: the
         # pyramid goes first, then the frame.
         store.put(_key(3), _frame(64))
-        stats = store.stats()
-        assert stats[PYRAMID]["evictions"] == 1 and stats[PYRAMID]["evicted_bytes"] == 20
-        assert stats[FRAME]["evictions"] == 1 and stats[FRAME]["evicted_bytes"] == 64
+        counted = WORK.counts()
+        assert _counted(before, PYRAMID, "evictions", counted) == 1
+        assert _counted(before, PYRAMID, "evicted_bytes", counted) == 20
+        assert _counted(before, FRAME, "evictions", counted) == 1
+        assert _counted(before, FRAME, "evicted_bytes", counted) == 64
         assert store.get(_key(0, PYRAMID, 2)) is None and store.get(_key(0)) is None
-        assert stats["current_bytes"] == 3 * 64
+        assert store.stats()["current_bytes"] == 3 * 64
 
     def test_key_separates_every_component(self):
         store = FrameStore(1024)
@@ -221,14 +235,15 @@ class TestFrameStoreCore:
     def test_pyramid_get_put_roundtrip(self):
         store = FrameStore(BYTES_PER_MB)
         key = _key(0, PYRAMID, 3)
+        before = WORK.counts()
         assert store.get(key) is None
         pyramid = FramePyramid(_image(8), 3)
         assert store.put(key, pyramid) is pyramid
         served = store.get(key)
         assert served is pyramid
         _assert_pyramids_equal(served, FramePyramid(_image(8), 3))
-        stats = store.stats()[PYRAMID]
-        assert (stats["hits"], stats["misses"], stats["entries"]) == (1, 1, 1)
+        assert _counted(before, PYRAMID, "hit") == _counted(before, PYRAMID, "miss") == 1
+        assert store.stats()[PYRAMID]["entries"] == 1
 
     def test_first_pyramid_insert_wins(self):
         store = FrameStore(BYTES_PER_MB)
@@ -241,81 +256,62 @@ class TestFrameStoreCore:
 
     def test_oversized_pyramid_not_stored(self):
         store = FrameStore(1024)  # 1 KiB: no 48x64 pyramid fits
+        before = WORK.counts()
         pyramid = FramePyramid(_image(13), 2)
         assert store.put(_key(0, PYRAMID, 2), pyramid) is pyramid
         assert all(image.flags.writeable for image in pyramid.images)
         assert store.get(_key(0, PYRAMID, 2)) is None
-        stats = store.stats()[PYRAMID]
-        assert stats["entries"] == 0 and stats["evictions"] == 0
+        assert store.stats()[PYRAMID]["entries"] == 0
+        assert _counted(before, PYRAMID, "evictions") == 0
 
     def test_stats_snapshots_diff_per_kind(self):
-        # Callers account a window of work by diffing two snapshots.
+        # Callers account a window of work by diffing two registry snapshots.
         store = FrameStore(40)
         store.put(_key(9), _frame(8))
-        before = store.stats()
+        before = WORK.counts()
         for index in (0, 0, 1):
             key = _key(index, PYRAMID, 2)
             if store.get(key) is None:
                 store.put(key, _pyramid(16, 8))
-        after = store.stats()
-        assert _delta(before, after, PYRAMID, "hits") == 1
-        assert _delta(before, after, PYRAMID, "misses") == 2
-        assert _delta(before, after, PYRAMID, "evictions") == 1
-        assert _delta(before, after, PYRAMID, "evicted_bytes") == 24
-        for name in ("hits", "misses", "evictions"):
-            assert _delta(before, after, FRAME, name) == 0
-
-    def test_set_obs_emits_pyramid_counters(self):
-        obs = Telemetry(InMemorySink())
-        store = FrameStore(24)  # room for one pyramid
-        store.set_obs(obs)
-        for index in (0, 0, 1):
-            key = _key(index, PYRAMID, 2)
-            if store.get(key) is None:
-                store.put(key, _pyramid(16, 8))
-        counters = _counters(obs)
-        assert counters["store.pyramid.hit"] == 1
-        assert counters["store.pyramid.miss"] == 2
-        assert counters["store.pyramid.evicted_bytes"] == 24
-        assert counters["store.frame.hit"] == counters["store.frame.miss"] == 0
+        counts = work_since(before)
+        assert counts["store.pyramid.hit"] == 1
+        assert counts["store.pyramid.miss"] == 2
+        assert counts["store.pyramid.evictions"] == 1
+        assert counts["store.pyramid.evicted_bytes"] == 24
+        for name in ("hit", "miss", "evictions", "evicted_bytes"):
+            assert counts[f"store.frame.{name}"] == 0
 
     def test_clear_keeps_budget_and_counters(self):
         store = FrameStore(1024)
+        before = WORK.counts()
         store.put(_key(0), _frame(64))
         store.get(_key(0))
         store.clear()
         assert len(store) == 0
         assert store.max_bytes == 1024
+        assert _counted(before, FRAME, "hit") == 1
         stats = store.stats()
-        assert stats[FRAME]["hits"] == 1
         assert stats[FRAME]["entries"] == 0 and stats["current_bytes"] == 0
 
     def test_obs_counters_funnelled(self):
+        # A telemetry gets the store's work as the counts added to it.
         obs = Telemetry(InMemorySink())
         store = FrameStore(96)
-        store.set_obs(obs)
+        before = WORK.counts()
         store.get(_key(0))
         store.put(_key(0), _frame(64))
         store.get(_key(0))
         store.get(_key(0, PYRAMID, 2))
         store.put(_key(0, PYRAMID, 2), _pyramid(16, 8))
         store.put(_key(1), _frame(16))  # evicts the pyramid's 24 bytes
+        obs.add_counts(work_since(before))
         counters = _counters(obs)
         assert counters["store.frame.miss"] == 1
         assert counters["store.frame.hit"] == 1
         assert counters["store.pyramid.miss"] == 1
+        assert counters["store.pyramid.evictions"] == 1
         assert counters["store.pyramid.evicted_bytes"] == 24
         assert counters["store.frame.evicted_bytes"] == 0
-
-    def test_set_obs_none_detaches(self):
-        obs = Telemetry(InMemorySink())
-        store = FrameStore(1024)
-        store.set_obs(obs)
-        store.set_obs(None)
-        store.get(_key(0))
-        # Attaching registers the counters at zero; detaching must stop
-        # the increments (the registered zeros remain in the sink).
-        assert set(_counters(obs).values()) == {0}
 
 
 def _pyramid_levels(draw_bytes):
@@ -392,6 +388,7 @@ class TestByteBudgetProperty:
     @given(budget=st.integers(min_value=0, max_value=4 * _ENTRY), ops=_OPS)
     def test_never_exceeds_budget_and_accounting_balances(self, budget, ops):
         store = FrameStore(budget)
+        start = WORK.counts()
         first = {}  # key -> the value whose insert won
         inserted = {kind: [0, 0] for kind in KINDS}  # [count, bytes]
         gets = {kind: [0, 0] for kind in KINDS}  # [hits, misses]
@@ -399,7 +396,7 @@ class TestByteBudgetProperty:
         charged = {}  # key -> bytes its resident value was charged
         for op, kind, index, level_bytes in ops:
             key = _model_key(kind, index, level_bytes)
-            evicted = {k: store.stats()[k]["evictions"] for k in KINDS}
+            evicted = {k: _counted(start, k, "evictions") for k in KINDS}
             if op == "get":
                 got = store.get(key)
                 if got is None:
@@ -470,21 +467,26 @@ class TestByteBudgetProperty:
             assert store.current_bytes <= budget
             _assert_shared_frames_resident(store)
             for rank, evicted_kind in enumerate(EVICTION_ORDER):
-                if store.stats()[evicted_kind]["evictions"] > evicted[evicted_kind]:
+                if _counted(start, evicted_kind, "evictions") > evicted[evicted_kind]:
                     # A kind only goes once no entry of an earlier kind is left.
                     for earlier in EVICTION_ORDER[:rank]:
                         assert store.stats()[earlier]["entries"] == 0
         stats = store.stats()
         assert stats["max_bytes"] == budget
         assert stats["current_bytes"] == sum(stats[kind]["bytes"] for kind in KINDS)
+        counted = WORK.counts()
         for kind in KINDS:
-            counts = stats[kind]
-            assert [counts["hits"], counts["misses"]] == gets[kind]
+            resident = stats[kind]
+            counts = {
+                name: _counted(start, kind, name, counted)
+                for name in ("hit", "miss", "evictions", "evicted_bytes")
+            }
+            assert [counts["hit"], counts["miss"]] == gets[kind]
             # Everything inserted is either resident or was evicted.
-            assert counts["entries"] + counts["evictions"] == inserted[kind][0]
-            assert counts["bytes"] + counts["evicted_bytes"] == inserted[kind][1]
-            assert counts["entries"] == len(store._entries[kind])
-            assert counts["bytes"] == sum(charged[key] for key in store._entries[kind])
+            assert resident["entries"] + counts["evictions"] == inserted[kind][0]
+            assert resident["bytes"] + counts["evicted_bytes"] == inserted[kind][1]
+            assert resident["entries"] == len(store._entries[kind])
+            assert resident["bytes"] == sum(charged[key] for key in store._entries[kind])
 
 
 class TestSceneFingerprint:
@@ -507,23 +509,21 @@ class TestRendererIntegration:
         writer = FrameRenderer(scene)
         reader = FrameRenderer(scene)
         direct = FrameRenderer(scene)
-        before = store.stats()
+        before = WORK.counts()
         for index in range(6):
             writer.render(index)
         for index in range(6):
             assert np.array_equal(reader.render(index), direct.render_frame(index))
-        after = store.stats()
-        assert _delta(before, after, FRAME, "misses") == 6
-        assert _delta(before, after, FRAME, "hits") == 6
+        assert _counted(before, FRAME, "miss") == 6
+        assert _counted(before, FRAME, "hit") == 6
 
     def test_equal_spec_renderers_share_entries(self, store):
         a = FrameRenderer(Scene(make_scenario("boat", num_frames=4), seed=9))
         b = FrameRenderer(Scene(make_scenario("boat", num_frames=4), seed=9))
-        before = store.stats()
+        before = WORK.counts()
         assert a.render(0) is b.render(0)
-        after = store.stats()
-        assert _delta(before, after, FRAME, "misses") == 1
-        assert _delta(before, after, FRAME, "hits") == 1
+        assert _counted(before, FRAME, "miss") == 1
+        assert _counted(before, FRAME, "hit") == 1
 
     def test_default_store_resolved_lazily(self, monkeypatch):
         scene = Scene(make_scenario("boat", num_frames=4), seed=9)
@@ -531,7 +531,7 @@ class TestRendererIntegration:
         replacement = FrameStore()
         monkeypatch.setattr(framestore, "_default_store", replacement)
         renderer.render(0)
-        assert replacement.stats()[FRAME]["misses"] == 1
+        assert replacement.stats()[FRAME]["entries"] == 1
 
 
 def _detections(clip, frame: int = 0):
@@ -559,9 +559,9 @@ class TestRendererPyramids:
             raise AssertionError("a stored pyramid was rebuilt")
 
         monkeypatch.setattr(reader, "render_frame", render_frame)
-        before = store.stats()
+        before = WORK.counts()
         served = reader.pyramid(0, 3)
-        assert _delta(before, store.stats(), PYRAMID, "hits") == 1
+        assert _counted(before, PYRAMID, "hit") == 1
         direct = FramePyramid(clip.renderer.render_frame(0), 3)
         for level in range(direct.levels):
             assert np.array_equal(served.images[level], direct.images[level])
@@ -607,16 +607,16 @@ class TestRendererPyramids:
         lk.initialize(0, _detections(clip))
         # The LK step's solve builds frames 0 and 2's pyramids.
         lk.track_to(2)
-        before = store.stats()
+        before = WORK.counts()
         mve = MVETracker(clip, MVETrackerConfig())
         mve.initialize(2, _detections(clip, 2))
         # Seeding this tier reads no pixels.
-        assert store.stats() == before
+        assert WORK.counts() == before
         mve.track_to(4)
         # Both tiers default to 3 levels, so a tier switch on one frame
         # is a store hit, not a rebuild: the step builds frame 4's only.
-        assert _delta(before, store.stats(), PYRAMID, "misses") == 1
-        assert _delta(before, store.stats(), PYRAMID, "hits") == 1
+        assert _counted(before, PYRAMID, "miss") == 1
+        assert _counted(before, PYRAMID, "hit") == 1
 
     def test_store_served_tiers_track_like_fresh_builds(self, store, clip):
         def run_pair(tracked):
@@ -628,23 +628,23 @@ class TestRendererPyramids:
             mve_steps = [mve.track_to(j).detections for j in (6, 8)]
             return lk_steps, mve_steps
 
-        before = store.stats()
+        before = WORK.counts()
         assert run_pair(clip) == run_pair(_fresh(clip))
-        assert _delta(before, store.stats(), PYRAMID, "hits") > 0
+        assert _counted(before, PYRAMID, "hit") > 0
 
     def test_zero_budget_store_falls_back_to_local_build(self, clip, monkeypatch):
         # A store that keeps nothing still serves correct pyramids: each
         # read builds afresh from a fresh render.
         empty = FrameStore(0)
         monkeypatch.setattr(framestore, "_default_store", empty)
+        before = WORK.counts()
         first = clip.pyramid(0, 2)
         second = clip.pyramid(0, 2)
         assert first is not second
         _assert_pyramids_equal(first, FramePyramid(clip.renderer.render_frame(0), 2))
         _assert_pyramids_equal(second, first)
-        stats = empty.stats()
-        assert stats[PYRAMID]["misses"] == 2 and stats[PYRAMID]["hits"] == 0
-        assert stats["current_bytes"] == 0
+        assert _counted(before, PYRAMID, "miss") == 2 and _counted(before, PYRAMID, "hit") == 0
+        assert empty.stats()["current_bytes"] == 0
 
 
 _POINTS = np.array([[100.5, 60.25], [160.0, 90.0], [40.0, 120.0]])
@@ -682,8 +682,8 @@ def solves(monkeypatch):
 
 def _solved_since(before: dict) -> tuple[int, int]:
     """``(track_features calls, points solved)`` by clips since ``before``."""
-    after = solve_counts()
-    return after["solves"] - before["solves"], after["points"] - before["points"]
+    counts = work_since(before)
+    return counts["lk.solves"], counts["lk.points"]
 
 
 class TestClipFlows:
@@ -692,7 +692,7 @@ class TestClipFlows:
     ):
         params = LKParams()
         repeated = _POINTS[[2, 0, 1, 0, 2, 2, 1]]
-        before = solve_counts()
+        before = WORK.counts()
         served = clip.flow(0, 2, repeated, params)
         assert _solved_since(before) == (1, 3)
         assert len(solves) == 1 and len(solves[0]) == 3
@@ -709,7 +709,7 @@ class TestClipFlows:
         nudged = _POINTS[1].copy()
         nudged.view(np.uint64)[0] ^= 1  # the lowest mantissa bit
         points = np.vstack([_POINTS, nudged[None, :]])
-        before = solve_counts()
+        before = WORK.counts()
         served = clip.flow(0, 2, points, params)
         assert _solved_since(before) == (1, 4)
         assert len(solves[0]) == 4
@@ -765,10 +765,9 @@ class TestClipFlows:
             _assert_flows_equal(got, want)
 
     def test_empty_call_touches_nothing(self, store, clip, solves):
-        before, counts = store.stats(), solve_counts()
+        before, counts = store.stats(), WORK.counts()
         served = clip.flow(0, 2, np.zeros((0, 2)), LKParams())
-        assert solves == [] and store.stats() == before
-        assert _solved_since(counts) == (0, 0)
+        assert solves == [] and store.stats() == before and WORK.counts() == counts
         _assert_flows_equal(served, _direct_flow(clip, 0, 2, np.zeros((0, 2)), LKParams()))
 
     @settings(max_examples=25, deadline=None)
@@ -791,7 +790,7 @@ class TestClipFlows:
         clip = make_clip("intersection", seed=3, num_frames=6)
         base = np.array(distinct, dtype=np.float64)
         points = base[[pick % len(base) for pick in picks]]
-        before = solve_counts()
+        before = WORK.counts()
         served = clip.flow(*step, points, LKParams())
         assert _solved_since(before) == (1, len({point.tobytes() for point in points}))
         _assert_flows_equal(served, _direct_flow(clip, *step, points, LKParams()))
@@ -800,15 +799,14 @@ class TestClipFlows:
 class TestTrackerFlows:
     def test_seeding_and_pointless_steps_read_no_pyramid(self, store, clip):
         tracker = ObjectTracker(clip)
-        before, counts = store.stats(), solve_counts()
+        before = WORK.counts()
         tracker.initialize(0, _detections(clip))
         empty = ObjectTracker(clip)
         empty.initialize(0, ())
         empty.track_to(2)
-        after = store.stats()
-        assert _delta(before, after, PYRAMID, "hits") == 0
-        assert _delta(before, after, PYRAMID, "misses") == 0
-        assert _solved_since(counts) == (0, 0)
+        assert _counted(before, PYRAMID, "hit") == 0
+        assert _counted(before, PYRAMID, "miss") == 0
+        assert _solved_since(before) == (0, 0)
 
     def test_a_second_arm_solves_again_on_stored_pyramids(self, store, clip, solves):
         """No flow is stored: an arm tracking the points another arm
@@ -819,17 +817,16 @@ class TestTrackerFlows:
             tracker.initialize(0, _detections(clip))
             return [tracker.track_to(j).detections for j in (2, 4, 5)]
 
-        before = store.stats()
+        before = WORK.counts()
         first = arm(clip)
-        middle = store.stats()
+        middle = WORK.counts()
         second = arm(clip)
-        after = store.stats()
         assert len(solves) == 6 and sum(len(points) for points in solves) > 0
         for once, again in zip(solves[:3], solves[3:]):
             assert once.tobytes() == again.tobytes()
-        assert _delta(before, middle, PYRAMID, "misses") == 4
-        assert _delta(middle, after, PYRAMID, "misses") == 0
-        assert _delta(middle, after, PYRAMID, "hits") == 6
+        assert _counted(before, PYRAMID, "miss", middle) == 4
+        assert _counted(middle, PYRAMID, "miss") == 0
+        assert _counted(middle, PYRAMID, "hit") == 6
         assert first == second == arm(_fresh(clip))
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs import WORK, InMemorySink, Telemetry, work_since
 from repro.video.dataset import make_clip
 from repro.video import framestore
 from repro.video.framestore import FRAME, default_store
@@ -131,55 +132,52 @@ class TestFrames:
         four_frames = 4 * renderer.render_frame(0).nbytes
         small = framestore.FrameStore(four_frames)
         monkeypatch.setattr(framestore, "_default_store", small)
+        before = WORK.counts()
         for i in range(4):
             renderer.render(i)
         renderer.render(0)  # hit: 0 becomes most-recent, 1 is now LRU
         renderer.render(4)  # evicts exactly one frame: 1, not 0
-        stats = small.stats()[FRAME]
-        assert stats["evictions"] == 1 and stats["entries"] == 4
-        misses = stats["misses"]
+        assert work_since(before)["store.frame.evictions"] == 1
+        assert small.stats()[FRAME]["entries"] == 4
+        misses = work_since(before)["store.frame.miss"]
         renderer.render(0)
-        assert small.stats()[FRAME]["misses"] == misses
+        assert work_since(before)["store.frame.miss"] == misses
         renderer.render(1)
-        assert small.stats()[FRAME]["misses"] == misses + 1
+        assert work_since(before)["store.frame.miss"] == misses + 1
 
     def test_second_pass_all_hits_with_large_cache(self, store):
         scene = Scene(make_scenario("boat", num_frames=10), seed=2)
         renderer = FrameRenderer(scene)
         for i in range(10):
             renderer.render(i)
-        before = store.stats()[FRAME]
+        before = WORK.counts()
         for i in range(10):
             renderer.render(i)
-        after = store.stats()[FRAME]
-        assert after["misses"] == before["misses"]
-        assert after["hits"] - before["hits"] == 10
+        counts = work_since(before)
+        assert counts["store.frame.miss"] == 0
+        assert counts["store.frame.hit"] == 10
 
 
 class TestCacheCounters:
     def test_hit_miss_counters(self, store):
         scene = Scene(make_scenario("boat", num_frames=8), seed=2)
         renderer = FrameRenderer(scene)
-        before = store.stats()[FRAME]
+        before = WORK.counts()
         renderer.render(0)
         renderer.render(0)
         renderer.render(1)
-        after = store.stats()[FRAME]
-        assert after["misses"] - before["misses"] == 2
-        assert after["hits"] - before["hits"] == 1
+        counts = work_since(before)
+        assert counts["store.frame.miss"] == 2
+        assert counts["store.frame.hit"] == 1
 
     def test_counters_recorded_via_obs(self, store):
-        from repro.obs import InMemorySink, Telemetry
-
         obs = Telemetry(InMemorySink())
         scene = Scene(make_scenario("boat", num_frames=8), seed=2)
         renderer = FrameRenderer(scene)
-        store.set_obs(obs)
-        try:
-            renderer.render(0)
-            renderer.render(0)
-        finally:
-            store.set_obs(None)
+        before = WORK.counts()
+        renderer.render(0)
+        renderer.render(0)
+        obs.add_counts(work_since(before))
         obs.flush()
         counters = {
             record["name"]: record["value"]
@@ -190,13 +188,17 @@ class TestCacheCounters:
         assert counters["store.frame.hit"] == 1
 
     def test_detaching_obs_keeps_plain_counters(self, store):
+        # A telemetry holds only the counts added to it; the registry
+        # counts on without one.
+        obs = Telemetry(InMemorySink())
         scene = Scene(make_scenario("boat", num_frames=8), seed=2)
         renderer = FrameRenderer(scene)
-        store.set_obs(None)
-        before = store.stats()[FRAME]["hits"]
+        before = WORK.counts()
         renderer.render(0)
+        obs.add_counts(work_since(before))
         renderer.render(0)
-        assert store.stats()[FRAME]["hits"] - before == 1
+        assert work_since(before)["store.frame.hit"] == 1
+        assert obs.counter("store.frame.hit").value == 0
 
 
 class TestBackgroundMemoRace:
