@@ -281,6 +281,22 @@ class TestFrameStoreCore:
         for name in ("hit", "miss", "evictions", "evicted_bytes"):
             assert counts[f"store.frame.{name}"] == 0
 
+    def test_set_obs_emits_pyramid_counters(self):
+        # The store's pyramid work reaches a telemetry as the counts added to it.
+        obs = Telemetry(InMemorySink())
+        store = FrameStore(24)  # room for one pyramid
+        before = WORK.counts()
+        for index in (0, 0, 1):
+            key = _key(index, PYRAMID, 2)
+            if store.get(key) is None:
+                store.put(key, _pyramid(16, 8))
+        obs.add_counts(work_since(before))
+        counters = _counters(obs)
+        assert counters["store.pyramid.hit"] == 1
+        assert counters["store.pyramid.miss"] == 2
+        assert counters["store.pyramid.evicted_bytes"] == 24
+        assert counters["store.frame.hit"] == counters["store.frame.miss"] == 0
+
     def test_clear_keeps_budget_and_counters(self):
         store = FrameStore(1024)
         before = WORK.counts()
