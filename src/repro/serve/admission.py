@@ -26,7 +26,11 @@ least sunk waiting time); if no ``best_effort`` request is queued the
 realtime request is rejected too.  Nothing is ever dropped silently.
 :meth:`AdmissionQueue.refuses` is that rejection rule, so a caller can
 ask it before it builds a request and count the refusal with
-:meth:`AdmissionQueue.reject`.
+:meth:`AdmissionQueue.reject`, which takes a count.  Until a batch is
+popped, a full queue stays full (a shed swaps one request for another)
+and gains no ``best_effort`` request, so it keeps refusing every class
+it refuses now; a caller that knows no pop comes before a stream's next
+few submits can count their refusals at once.
 
 The queue is driven from one thread, by the deterministic scheduler,
 and takes no locks.  Total depth is a running count (admit adds one, a
@@ -116,10 +120,12 @@ class AdmissionQueue:
             qos != QOS_REALTIME or not self._queues[QOS_BEST_EFFORT]
         )
 
-    def reject(self) -> None:
-        """Count one refused submission (see :meth:`refuses`)."""
-        self.counters.submitted += 1
-        self.counters.rejected += 1
+    def reject(self, count: int = 1) -> None:
+        """Count ``count`` refused submissions (see :meth:`refuses`)."""
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        self.counters.submitted += count
+        self.counters.rejected += count
 
     def submit(
         self, request: DetectionRequest

@@ -23,10 +23,14 @@ the stream's result, its next admitted submit, a shed that makes it idle
 again, a tier change, and the end of the run.  A refused submit is no
 catch-up point.  The queue decides the refusal first
 (:meth:`~repro.serve.admission.AdmissionQueue.refuses`), and a refusal
-changes no depth, tier or in-flight state, so it costs one count, one
-``drop`` line in the stream's log and one re-arm at the stream's next
-submitting arrival; it builds no request, attempts no dispatch and leaves
-backpressure alone.  Same-instant events fire
+changes no depth, tier or in-flight state; it builds no request, attempts
+no dispatch and leaves backpressure alone.  A full queue means a busy
+detector, and until its batch completes the queue stays full and every
+refusal stays a refusal, so a refused stream refuses its whole run of
+submitting arrivals before that completion at once: one count, one
+``drop`` line per refused frame at its own arrival time, and one re-arm
+at the stream's first submitting arrival at or after the completion
+(see :meth:`ServeScheduler._refuse_run`).  Same-instant events fire
 in their *causal* order (see :class:`_Arrival`), the order a queue with
 one event per arrival and insertion-order ties fires them in, so reports
 equal those of that per-frame model
@@ -363,6 +367,8 @@ class ServeScheduler:
         # arrivals against it.
         self._current: _Event | None = None
         self._last_completion_s = 0.0
+        # When the batch in flight completes; read while the detector is busy.
+        self._completion_s = 0.0
 
     @property
     def heap_pops(self) -> int:
@@ -423,16 +429,7 @@ class ServeScheduler:
         stream = lane.stream
         qos = stream.config.qos
         if self.queue.refuses(qos):
-            # A refusal changes no depth, tier or in-flight state, so it
-            # builds no request, dispatches nothing and leaves backpressure
-            # alone; its arrivals wait for the stream's next catch-up.
-            self.queue.reject()
-            self._class_submitted[qos] += 1
-            self._class_dropped[qos] += 1
-            self.obs.counter("serve.submitted", qos=qos).inc()
-            self.obs.counter("serve.dropped", qos=qos, reason="rejected").inc()
-            stream.on_dropped(event.index, now, "rejected")
-            self._schedule_next(lane, event.index + 1)
+            self._refuse_run(lane, event.index, now)
             return
         self._current = event
         # Catch up the skipped arrivals and buffer this one, which submits.
@@ -441,6 +438,41 @@ class ServeScheduler:
         if not self._busy:
             self._maybe_dispatch(now)
         self._update_backpressure(now)
+
+    def _refuse_run(self, lane: _Lane, index: int, now: float) -> None:
+        """Refuse arrival ``index`` and the stream's later submitting
+        arrivals before the in-flight batch completes, then re-arm.
+
+        The queue is full, so the detector is busy, and until that batch
+        completes nothing is dispatched: depth stays full (a shed swaps
+        one request for another), no ``best_effort`` request is admitted
+        and no tier changes, so each of those submits would be refused
+        too.  A refusal builds no request, dispatches nothing and leaves
+        backpressure alone; the run is counted once, logged frame by
+        frame at each arrival's own time, and its arrivals wait for the
+        stream's next catch-up.  Arrivals at the completion instant
+        itself go through the heap, which keeps their tie order.
+        """
+        stream = lane.stream
+        qos = stream.config.qos
+        frames = [index]
+        times = [now]
+        index = stream.next_submit(index + 1)
+        while index < lane.count:
+            at = lane.at(index)
+            if at >= self._completion_s:
+                break
+            frames.append(index)
+            times.append(at)
+            index = stream.next_submit(index + 1)
+        refused = len(frames)
+        self.queue.reject(refused)
+        self._class_submitted[qos] += refused
+        self._class_dropped[qos] += refused
+        self.obs.counter("serve.submitted", qos=qos).inc(refused)
+        self.obs.counter("serve.dropped", qos=qos, reason="rejected").inc(refused)
+        stream.on_rejected(frames, times)
+        self._schedule_next(lane, index)
 
     def _submit(self, stream: SimStream, frame_index: int, now: float) -> None:
         """Admit the stream's request; the caller has ruled out a refusal."""
@@ -472,6 +504,7 @@ class ServeScheduler:
             self.obs.histogram("serve.admission_wait", qos=request.qos).observe(wait)
         latency = self.detector.batch_latency(batch, now)
         self._busy = True
+        self._completion_s = now + latency
         self._batches += 1
         self.obs.histogram(
             "serve.batch_size", bounds=(1, 2, 4, 8, 16, 32)
@@ -480,7 +513,7 @@ class ServeScheduler:
             "serve.batch", now, now + latency,
             size=len(batch), setting=batch[0].setting, qos=batch[0].qos,
         )
-        done = _Completion(now + latency, self._current, batch)
+        done = _Completion(self._completion_s, self._current, batch)
         self.events.schedule_ordered(done.time, done, self._on_batch_done, done)
         return True
 

@@ -34,6 +34,7 @@ the fleet report combines them into the replay-identity check.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from collections import deque
@@ -57,10 +58,17 @@ from repro.tracking.tracker import (
     TRACKER_TIERS,
     TrackerLatencyModel,
 )
+from repro.video.library import make_scenario
 
 # Degradation order: each backpressure rung moves one step right.
 _TIER_LADDER = (TIER_LK, TIER_MVE, TIER_KEYFRAME)
-from repro.video.library import make_scenario
+
+
+@functools.cache
+def _speed_hint(scenario: str) -> float:
+    """The preset's content speed hint; a fleet has a handful of presets
+    and hundreds of streams, so each preset is built once."""
+    return make_scenario(scenario).content_speed_hint()
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,7 +121,7 @@ class StreamWorkload:
     _JITTER_TABLE_SIZE = 256
 
     def __init__(self, config: StreamConfig) -> None:
-        hint = make_scenario(config.scenario).content_speed_hint()
+        hint = _speed_hint(config.scenario)
         rng = np.random.default_rng(
             np.random.SeedSequence(
                 entropy=config.seed, spawn_key=(config.stream_id, 0x5EE5)
@@ -289,6 +297,17 @@ class SimStream:
             self.in_flight = None
         self.dropped += 1
         self._log("drop", frame_index, now, reason)
+
+    def on_rejected(self, frames: list[int], times: list[float]) -> None:
+        """The full admission queue refused a run of submits, frame
+        ``frames[i]`` at ``times[i]``; logged as one ``drop`` each, in
+        order, exactly as :meth:`on_dropped` would log them one by one."""
+        self.dropped += len(frames)
+        self._hasher.update(
+            "".join(
+                f"drop|{frame}|{now!r}|rejected\n" for frame, now in zip(frames, times)
+            ).encode()
+        )
 
     def on_result(self, frame_index: int, now: float) -> dict:
         """Detector result delivered: track the backlog, adapt the setting.

@@ -85,6 +85,33 @@ def test_refusal_predicate_is_the_admission_rule(ops, max_depth):
         assert queue.refuses(qos) == (not admitted)
 
 
+@given(_ops, _depths, st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+def test_counting_a_run_of_refusals_keeps_the_ledger(ops, max_depth, run):
+    """The scheduler counts a stream's whole run of refusals with one
+    ``reject(n)``: the ledger balances as if each had been rejected by
+    its own ``submit``."""
+    queue = AdmissionQueue(max_depth=max_depth)
+    seq = 0
+    for op, arg, setting in ops:
+        if op == "submit":
+            if queue.refuses(arg):
+                depth = queue.depth()
+                queue.reject(run)
+                seq += run
+                assert queue.depth() == depth
+                assert queue.refuses(arg)
+            else:
+                queue.submit(_request(seq, arg, setting))
+                seq += 1
+        else:
+            queue.next_batch(arg)
+        c = queue.counters
+        assert c.submitted == seq == c.admitted + c.rejected
+        assert c.submitted == c.dispatched + c.rejected + c.shed + queue.depth()
+        queue.check_conservation()
+
+
 @given(_ops, _depths)
 @settings(max_examples=200, deadline=None)
 def test_queue_promises_hold_under_arbitrary_interleavings(ops, max_depth):
@@ -209,10 +236,17 @@ _VALID = _request(0, QOS_REALTIME, "yolov3-512")
     [
         (lambda: AdmissionQueue(max_depth=0), "max_depth"),
         (lambda: AdmissionQueue().next_batch(0), "max_batch"),
+        (lambda: AdmissionQueue().reject(0), "count"),
         (lambda: replace(_VALID, qos="bogus"), "unknown QoS class"),
         (lambda: replace(_VALID, num_objects=-1), "num_objects"),
     ],
-    ids=["max_depth_zero", "max_batch_zero", "unknown_qos", "negative_objects"],
+    ids=[
+        "max_depth_zero",
+        "max_batch_zero",
+        "reject_zero",
+        "unknown_qos",
+        "negative_objects",
+    ],
 )
 def test_admission_inputs_are_checked(build, match):
     # ServeConfig validates max_batch and queue_depth before building a

@@ -18,6 +18,7 @@ Regenerate after an intentional change with::
 
 from dataclasses import dataclass
 
+from repro.perf.reference import ReferenceServeScheduler
 from repro.serve import (
     QOS_BEST_EFFORT,
     QOS_REALTIME,
@@ -167,7 +168,10 @@ def test_saturated_fleet_matches_golden_digest():
 
 def test_saturated_fleet_builds_requests_only_for_admissions(monkeypatch):
     """The queue decides a refusal before a request exists: only admitted
-    submissions build one, and refusals stay one heap pop each."""
+    submissions build one.  A refused stream waits for the batch in
+    flight, so its whole run of refusals costs one heap pop: 4,654
+    refusals and 361 admissions take 1,993 pops (5,648 when each refusal
+    was a pop of its own)."""
     built = []
     make_request = SimStream.make_request
 
@@ -178,8 +182,118 @@ def test_saturated_fleet_builds_requests_only_for_admissions(monkeypatch):
     monkeypatch.setattr(SimStream, "make_request", counting)
     scheduler, report = _run_saturated()
     assert len(built) == scheduler.queue.counters.admitted == 361
-    assert scheduler.heap_pops == 5648
+    assert scheduler.heap_pops == 1993
     assert report.digest() == SATURATED_DIGEST
+
+
+def _record_refusals(scheduler, monkeypatch):
+    """Log, in firing order, each dispatched batch's completion time,
+    each refused run's arrival times and each stream's heap pushes."""
+    log = []
+    schedule = scheduler.events.schedule_ordered
+
+    def recording(time, order, action, *args):
+        if action == scheduler._on_batch_done:
+            log.append(("dispatch", None, time))
+        else:
+            log.append(("push", args[0].lane.stream.config.stream_id, time))
+        schedule(time, order, action, *args)
+
+    on_rejected = SimStream.on_rejected
+
+    def refusing(self, frames, times):
+        log.append(("refuse", self.config.stream_id, list(times)))
+        on_rejected(self, frames, times)
+
+    monkeypatch.setattr(scheduler.events, "schedule_ordered", recording)
+    monkeypatch.setattr(SimStream, "on_rejected", refusing)
+    return log
+
+
+def _check_refusal_runs(log):
+    """Check each refused run against the batch in flight; returns the
+    refusals, the refusals at the completion instant itself, and the
+    re-arms on that instant.
+
+    A run's first arrival fires at or before the completion (at it only
+    when it ties the completion and fires first), every later one
+    strictly before, and the stream's next heap entry is at or after it.
+    """
+    completion = None
+    waiting = {}
+    refused = tied = rearmed_on_completion = 0
+    for kind, stream_id, value in log:
+        if kind == "dispatch":
+            completion = value
+        elif kind == "refuse":
+            assert value[0] <= completion
+            assert all(at < completion for at in value[1:])
+            refused += len(value)
+            tied += value[0] == completion
+            waiting[stream_id] = completion
+        elif stream_id in waiting:
+            due = waiting.pop(stream_id)
+            assert value >= due
+            rearmed_on_completion += value == due
+    return refused, tied, rearmed_on_completion
+
+
+def test_a_refused_stream_waits_for_the_batch_in_flight(monkeypatch):
+    """On the saturated golden, every refused frame arrives before the
+    in-flight batch completes, and the refused stream's next heap entry
+    is at or after that completion."""
+    scheduler = ServeScheduler(
+        fleet_configs(_SATURATED_STREAMS, seed=7), ServeConfig(**_SATURATED_CONFIG)
+    )
+    log = _record_refusals(scheduler, monkeypatch)
+    report = scheduler.run()
+    refused, tied, _ = _check_refusal_runs(log)
+    assert refused == scheduler.queue.counters.rejected == 4654
+    assert tied == 0
+    runs = sum(kind == "refuse" for kind, _, _ in log)
+    assert runs < refused
+    assert report.digest() == SATURATED_DIGEST
+
+
+def test_rearm_on_a_completion_instant_matches_reference(monkeypatch):
+    """fps-32 streams against a 4/32-s detector and a two-deep queue: at
+    the full queue's overload level the realtime streams submit every
+    second frame, so refused runs span several frames and often re-arm
+    exactly on the completion instant, where the arrival keeps its
+    causal tie order with the completion.  Digests equal the per-frame
+    scheduler's."""
+    streams = [
+        StreamConfig(
+            stream_id=97 * i,
+            qos=QOS_REALTIME if i % 2 == 0 else QOS_BEST_EFFORT,
+            fps=_TIE_FPS,
+            scenario="racetrack",
+            seed=7,
+            mve_interval=2,
+            keyframe_interval=2,
+        )
+        for i in range(8)
+    ]
+    config = ServeConfig(
+        duration_s=2.0,
+        max_batch=1,
+        queue_depth=2,
+        degrade_mve_high=2,
+        degrade_high=2,
+        degrade_realtime_high=2,
+        recover_low=1,
+    )
+    detector = FixedLatencyDetector(4 / 32)
+    scheduler = ServeScheduler(streams, config, detector=detector)
+    log = _record_refusals(scheduler, monkeypatch)
+    report = scheduler.run()
+    refused, _, rearmed_on_completion = _check_refusal_runs(log)
+    assert refused == scheduler.queue.counters.rejected
+    assert sum(kind == "refuse" for kind, _, _ in log) < refused
+    assert rearmed_on_completion > 0
+    reference = ReferenceServeScheduler(streams, config, detector=detector).run()
+    assert report.digest() == reference.digest()
+    assert report.to_dict() == reference.to_dict()
 
 
 def test_tie_fleets_match_golden_digests():
